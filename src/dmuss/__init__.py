@@ -37,6 +37,7 @@ from .codec import (
 )
 from .errors import (
     BadShapeError,
+    BadSymbolError,
     DmussError,
     FieldTooSmallError,
     IncompatiblePlansError,
@@ -81,6 +82,7 @@ __all__ = [
     "AccessStructure",
     "AuditReport",
     "BadShapeError",
+    "BadSymbolError",
     "Constraint",
     "CorrectnessDecomposition",
     "CorrectnessReport",

@@ -9,11 +9,20 @@ constraints:
 * cutset: any group of users cannot jointly receive more symbols than the
   number of nodes they touch, ``sum R_i <= |union of their sets|``.
 
-Both families are checked exhaustively (the subset family is exponential
-in K, hence the hard user cap).  The cutset bound function is a monotone
-submodular set function, which is what makes the greedy augmentation in
-:func:`augment_quotas` safe: the integer points below it form a
-polymatroid, so any maximal greedy extension reaches total N.
+The pairwise family has K members and is checked directly.  The cutset
+family has 2^K - 1 members but is never enumerated to test membership:
+by max-flow/min-cut it holds iff a flow from a source through the users
+(user k taking R_k) and the nodes each user reads into a sink (one unit
+per node) saturates every user.  :class:`_CutsetFlow` is that flow, and
+region membership, quota augmentation, quota validation and enumeration
+all ask it, so none of them is exponential in K.  Only
+:func:`capacity_constraints`, which lists every inequality, is; it keeps
+a hard user cap.
+
+The cutset bound function is a monotone submodular set function, which
+is what makes the greedy augmentation in :func:`augment_quotas` safe: the
+integer points below it form a polymatroid, so any maximal greedy
+extension reaches total N.
 """
 
 from __future__ import annotations
@@ -21,11 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NotInRegionError, SingleUserError, TooLargeError, TooManyUsersError
 
-MAX_USERS = 20  # subset enumeration is 2^K
+MAX_USERS = 20  # capacity_constraints lists 2^K - 1 cutsets
 ENUM_MAX_USERS = 6
 ENUM_MAX_NODES = 12
 
@@ -101,7 +111,8 @@ class Constraint:
 
 @dataclass
 class RegionReport:
-    """Outcome of a membership test, including the first violated constraint."""
+    """Outcome of a membership test, naming one violated constraint
+    (which one: see :func:`in_capacity_region`)."""
 
     ok: bool
     violation: Constraint | None = None
@@ -143,62 +154,134 @@ def capacity_constraints(acc: AccessStructure) -> list[Constraint]:
     return out
 
 
-def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
-    """Exhaustive membership test for a (possibly rational) rate tuple.
+class _CutsetFlow:
+    """Maximum flow certifying the cutset family for a demand tuple.
 
-    Returns a report rather than a bare bool so callers can surface the
-    violated inequality; the first one in canonical order wins.
+    Edges run from a source to user k (capacity ``demand[k]``), from user
+    k to every node of A_k (uncapacitated) and from each node to a sink
+    (capacity ``unit``).  The flow saturates every user iff
+    ``sum_{k in S} demand[k] <= unit * |union of A_k over S|`` for every
+    group S, that is iff ``demand / unit`` meets every cutset bound.
+
+    Users are routed one at a time along shortest residual paths.  A user
+    that cannot reach the sink never can again after later augmentations,
+    so once every user has been routed the flow is maximum.  Users are
+    0-indexed here.
+    """
+
+    def __init__(self, acc: AccessStructure, demand: Sequence[int], unit: int = 1):
+        self.sets = [acc.sorted_set(k) for k in range(1, acc.K + 1)]
+        self.unit = unit
+        self.load = [0] * (acc.N + 1)  # flow into the sink through node n
+        self.held = [{} for _ in range(acc.N + 1)]  # node -> {user: flow}
+        self.unmet = [d - self.route(k, d) for k, d in enumerate(demand)]
+
+    @property
+    def saturated(self) -> bool:
+        return not any(self.unmet)
+
+    def _search(self, starts: Sequence[int]) -> tuple:
+        """Breadth-first search of the residual graph from ``starts``.
+
+        Returns ``(path, reached)``.  ``path`` lists the hops of a
+        shortest path to the sink, last hop first, as ``(user, node it
+        gains, node it gives up or None)``, or is None when the sink is
+        out of reach.  ``reached`` maps each reached user to the node
+        through which it was reached.
+        """
+        reached = dict.fromkeys(starts)
+        parent: dict = {}  # node -> user it was reached from
+        queue = list(starts)
+        for u in queue:
+            for n in self.sets[u]:
+                if n in parent:
+                    continue
+                parent[n] = u
+                if self.load[n] < self.unit:
+                    path = []
+                    while n is not None:
+                        u = parent[n]
+                        path.append((u, n, reached[u]))
+                        n = reached[u]
+                    return path, reached
+                for j in self.held[n]:
+                    if j not in reached:
+                        reached[j] = n
+                        queue.append(j)
+        return None, reached
+
+    def route(self, k: int, amount: int) -> int:
+        """Send up to ``amount`` more units from user k; returns how many went."""
+        sent = 0
+        while sent < amount:
+            path, _ = self._search([k])
+            if path is None:
+                break
+            sink_node = path[0][1]
+            delta = min(
+                amount - sent,
+                self.unit - self.load[sink_node],
+                *(self.held[old][u] for u, _, old in path if old is not None),
+            )
+            for u, new, old in path:
+                self.held[new][u] = self.held[new].get(u, 0) + delta
+                if old is not None:
+                    self.held[old][u] -= delta
+                    if not self.held[old][u]:
+                        del self.held[old][u]
+            self.load[sink_node] += delta
+            sent += delta
+        return sent
+
+    def min_cut_users(self) -> tuple:
+        """The users on the source side of the minimal minimum cut, 1-indexed.
+
+        They are the users reachable from the source in the residual
+        graph: the unique inclusion-minimal group maximising
+        ``sum demand - unit * |union of A|``.  Empty iff saturated.
+        """
+        _, reached = self._search([k for k, m in enumerate(self.unmet) if m])
+        return tuple(sorted(k + 1 for k in reached))
+
+
+def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
+    """Membership test for a (possibly rational) rate tuple.
+
+    Pairwise bounds are checked in user order; the cutset family is
+    checked by one :class:`_CutsetFlow` on the rates scaled by their
+    common denominator.  The report names one violated inequality: the
+    first violated pairwise bound if there is one, otherwise the cutset
+    of the inclusion-minimal user group with the largest excess
+    ``sum R - |union of A|`` (that group is unique).  ``checked`` counts
+    every inequality of :func:`capacity_constraints`, whatever the verdict.
     """
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
     rates = [Fraction(r) for r in rates]
     if any(r < 0 for r in rates):
         raise ValueError("rates must be nonnegative")
-    constraints = capacity_constraints(acc)
-    for con in constraints:
-        value = con.lhs(rates)
-        if value > con.bound:
-            return RegionReport(
-                ok=False,
-                violation=con,
-                violation_lhs=value,
-                pairwise_vacuous=acc.K == 1,
-                checked=len(constraints),
-            )
-    return RegionReport(ok=True, pairwise_vacuous=acc.K == 1, checked=len(constraints))
+    checked = (acc.K if acc.K >= 2 else 0) + (1 << acc.K) - 1
 
+    def rejected(con: Constraint) -> RegionReport:
+        return RegionReport(
+            ok=False,
+            violation=con,
+            violation_lhs=con.lhs(rates),
+            pairwise_vacuous=acc.K == 1,
+            checked=checked,
+        )
 
-def _node_masks(acc: AccessStructure) -> list[int]:
-    return [sum(1 << (n - 1) for n in s) for s in acc.sets]
-
-
-def cut_sizes_by_subset(acc: AccessStructure) -> list[int]:
-    """f[mask] = size of the union of the access sets selected by mask."""
-    masks = _node_masks(acc)
-    union = [0] * (1 << acc.K)
-    for m in range(1, 1 << acc.K):
-        low = (m & -m).bit_length() - 1
-        union[m] = union[m & (m - 1)] | masks[low]
-    return [bin(u).count("1") for u in union]
-
-
-def integer_tuple_in_region(acc: AccessStructure, tup: Sequence[int]) -> bool:
-    """Fast integral membership test used by enumeration and augmentation."""
-    f = cut_sizes_by_subset(acc)
     if acc.K >= 2:
         for k in range(1, acc.K + 1):
-            if tup[k - 1] > pairwise_bound(acc, k):
-                return False
-    for m in range(1, 1 << acc.K):
-        total = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            total += tup[low.bit_length() - 1]
-            mm ^= low
-        if total > f[m]:
-            return False
-    return True
+            bound = pairwise_bound(acc, k)
+            if rates[k - 1] > bound:
+                return rejected(Constraint("pairwise", (k,), bound))
+    unit = lcm(*(r.denominator for r in rates))
+    flow = _CutsetFlow(acc, [int(r * unit) for r in rates], unit)
+    if not flow.saturated:
+        users = flow.min_cut_users()
+        return rejected(Constraint("cutset", users, acc.union_size(users)))
+    return RegionReport(ok=True, pairwise_vacuous=acc.K == 1, checked=checked)
 
 
 def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
@@ -211,6 +294,11 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
     stuck.  The result dominates ``rates`` componentwise, still satisfies
     every cutset bound, and sums to exactly N.
 
+    The increments run on a flow that saturates ``rates``: user k's +1
+    keeps every cutset bound iff an augmenting path leaves user k
+    (Berge), and a user without one never regains one, so the greedy
+    raises each user in turn for as long as it has a path.
+
     Raises:
         NotInRegionError: rates are not integers or fail the region test.
     """
@@ -221,51 +309,24 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
     report = in_capacity_region(acc, rates)
     if not report.ok:
         raise NotInRegionError(report.describe())
-    f = cut_sizes_by_subset(acc)
     quotas = [int(r) for r in rates]
-    n = acc.N
-    while sum(quotas) < n:
-        for k in range(acc.K):
-            ok = True
-            for m in range(1, 1 << acc.K):
-                if not (m >> k) & 1:
-                    continue
-                total = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    total += quotas[low.bit_length() - 1]
-                    mm ^= low
-                if total + 1 > f[m]:
-                    ok = False
-                    break
-            if ok:
-                quotas[k] += 1
-                break
-        else:
-            raise AssertionError("greedy augmentation stuck below N; region check is broken")
+    flow = _CutsetFlow(acc, quotas)
+    for k in range(acc.K):
+        quotas[k] += flow.route(k, acc.N)
+    if sum(quotas) != acc.N:
+        raise AssertionError("greedy augmentation stuck below N; region check is broken")
     return tuple(quotas)
 
 
 def validate_quotas(acc: AccessStructure, rates: Sequence[int], quotas: Sequence[int]) -> bool:
     """Check the three augmentation invariants for an explicit tuple."""
-    if len(quotas) != acc.K or any(int(x) != x for x in quotas):
+    if len(quotas) != acc.K or any(int(x) != x or x < 0 for x in quotas):
         return False
     if any(p < r for p, r in zip(quotas, rates)):
         return False
     if sum(quotas) != acc.N:
         return False
-    f = cut_sizes_by_subset(acc)
-    for m in range(1, 1 << acc.K):
-        total = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            total += quotas[low.bit_length() - 1]
-            mm ^= low
-        if total > f[m]:
-            return False
-    return True
+    return _CutsetFlow(acc, [int(x) for x in quotas]).saturated
 
 
 def enumerate_integer_region(acc: AccessStructure) -> list:
@@ -295,7 +356,7 @@ def enumerate_integer_region(acc: AccessStructure) -> list:
 
     def descend(idx: int, total: int):
         if idx == acc.K:
-            if integer_tuple_in_region(acc, tup):
+            if _CutsetFlow(acc, tup).saturated:
                 out.append(tuple(tup))
             return
         for v in range(min(caps[idx], n - total) + 1):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import IncompatiblePlansError, ShapeMismatchError
+from .errors import BadSymbolError, IncompatiblePlansError, ShapeMismatchError
 from .planner import Plan
 
 
@@ -91,6 +91,12 @@ def _check_pad_shape(plan: Plan, pads: Sequence) -> None:
             )
 
 
+def _check_symbols(p: int, values: Sequence, what: str) -> None:
+    for v in values:
+        if type(v) is not int or not 0 <= v < p:
+            raise BadSymbolError(f"{what}: {v!r} is not an element of GF({p})")
+
+
 def system_matrix(plan: Plan) -> linalg.Matrix:
     """Coefficient matrix of the encoding system (inputs do not enter it)."""
     layout = system_layout(plan)
@@ -117,13 +123,19 @@ def system_matrix(plan: Plan) -> linalg.Matrix:
 
 
 def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
-    """Right-hand side: the known low coefficients evaluated and negated."""
+    """Right-hand side: the known low coefficients evaluated and negated.
+
+    Raises:
+        ShapeMismatchError: a message or pad block has the wrong length.
+        BadSymbolError: a message or pad symbol is not in GF(p).
+    """
     _check_message_shape(plan, msgs)
     _check_pad_shape(plan, pads_free)
     p = plan.field.p
     s = []
     for k in range(1, plan.K + 1):
         known = list(msgs[k - 1]) + list(pads_free[k - 1])  # degrees 0..R'_k-1
+        _check_symbols(p, known, f"user {k} message or pad")
         for g in plan.gammas(k):
             acc_val = 0
             power = 1
@@ -135,7 +147,10 @@ def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
 
 
 def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
-    """Deterministic encode with caller-supplied free pads."""
+    """Deterministic encode with caller-supplied free pads.
+
+    Messages and pads are checked as :func:`rhs_vector` says.
+    """
     a = system_matrix(plan)
     s = rhs_vector(plan, msgs, pads_free)
     solution = linalg.solve(plan.field, a, s)
@@ -186,10 +201,15 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
 
     ``shares`` is either the full length-N share vector or a mapping
     node -> symbol covering at least A_k.
+
+    Raises:
+        ShapeMismatchError: shares are missing for some node of A_k.
+        BadSymbolError: a share on A_k is not in GF(p).
     """
     field = plan.field
     p = field.p
     vals = _shares_for_user(plan, k, shares)
+    _check_symbols(p, vals, f"user {k} share")
     gammas = plan.gammas(k)
     size = len(gammas)
     nodes = plan.access.sorted_set(k)

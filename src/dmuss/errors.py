@@ -25,6 +25,11 @@ class ShapeMismatchError(DmussError):
     """Operand dimensions do not line up."""
 
 
+class BadSymbolError(DmussError):
+    """A message, pad or share value is not an element of GF(p): an int
+    (not a bool) in [0, p)."""
+
+
 class SingularMatrixError(DmussError):
     """A square system has no unique solution."""
 

@@ -57,6 +57,13 @@ def _int_list(values, what: str) -> list:
     return list(values)
 
 
+def _symbol_list(values, p: int, what: str) -> list:
+    """Field symbols: integers (JSON numbers, not booleans) in [0, p)."""
+    if not isinstance(values, list) or not all(type(v) is int and 0 <= v < p for v in values):
+        raise FileFormatError(f"{what} must be a list of integers in [0, {p})")
+    return list(values)
+
+
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -260,7 +267,7 @@ def shares_from_dict(doc: dict) -> tuple:
     blocks = _require(doc, "blocks", list)
     out = []
     for b in blocks:
-        vals = _int_list(b, "share block")
+        vals = _symbol_list(b, p, "share block")
         if len(vals) != len(nodes):
             raise FileFormatError(f"share block length {len(vals)} != {len(nodes)} nodes")
         out.append(dict(zip(nodes, vals)))
@@ -286,7 +293,7 @@ def messages_from_dict(doc: dict) -> tuple:
     for block in blocks:
         if not isinstance(block, list):
             raise FileFormatError("each message block must be a list of user messages")
-        out.append([_int_list(m, "user message") for m in block])
+        out.append([_symbol_list(m, p, "user message") for m in block])
     if not out:
         raise FileFormatError("message file has no blocks")
     return p, out

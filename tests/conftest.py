@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dmuss import AccessStructure, Field
-from dmuss.access import integer_tuple_in_region
+from dmuss.access import in_capacity_region
 from dmuss.demo import demo_encode, demo_messages, demo_plan
 
 # (number, name, passed) triples filled in by the acceptance suite; echoed
@@ -52,7 +52,7 @@ def random_rates_in_region(rng: random.Random, acc: AccessStructure, stop_prob=0
         candidates = []
         for k in range(acc.K):
             rates[k] += 1
-            if integer_tuple_in_region(acc, rates):
+            if in_capacity_region(acc, rates).ok:
                 candidates.append(k)
             rates[k] -= 1
         if not candidates or rng.random() < stop_prob:

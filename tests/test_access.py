@@ -1,28 +1,31 @@
 """Capacity region: constraint generation, membership, augmentation.
 
-Membership verdicts are cross-checked against a test-local oracle that
-works straight from the definition with sets and itertools (no bitmask
-tricks), and the reference instance's full inequality list is frozen.
+Membership verdicts, violation witnesses and augmented quotas are
+cross-checked against test-local oracles that work straight from the
+definition with sets and itertools (every user group is enumerated), and
+the reference instance's full inequality list is frozen.
 """
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_access, random_rates_in_region
+from conftest import compress_nodes, random_access, random_rates_in_region
 from dmuss.access import (
     AccessStructure,
     augment_quotas,
     capacity_constraints,
     enumerate_integer_region,
     in_capacity_region,
-    integer_tuple_in_region,
     pairwise_bound,
     validate_quotas,
 )
 from dmuss.errors import NotInRegionError, SingleUserError, TooLargeError, TooManyUsersError
+from dmuss.gf import Field
+from dmuss.planner import make_plan
 
 REF_SETS = [[1, 6, 7, 8], [1, 3, 4, 7], [1, 2, 3, 8], [2, 4, 5, 6, 7]]
 
@@ -49,6 +52,19 @@ def ref_access():
     return AccessStructure.of(REF_SETS)
 
 
+def slow_excesses(sets, rates):
+    """{group: sum of its rates - |union of its sets|} over every nonempty
+    group of 0-indexed users."""
+    sets = [set(s) for s in sets]
+    rates = [Fraction(r) for r in rates]
+    out = {}
+    for size in range(1, len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), size):
+            union = set().union(*(sets[i] for i in combo))
+            out[combo] = sum(rates[i] for i in combo) - len(union)
+    return out
+
+
 def slow_in_region(sets, rates):
     """Definition-level oracle: pairwise set differences and all unions."""
     sets = [set(s) for s in sets]
@@ -59,12 +75,23 @@ def slow_in_region(sets, rates):
             bound = min(len(sets[i] - sets[j]) for j in range(k) if j != i)
             if rates[i] > bound:
                 return False
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(k), size):
-            union = set().union(*(sets[i] for i in combo))
-            if sum(rates[i] for i in combo) > len(union):
-                return False
-    return True
+    return all(e <= 0 for e in slow_excesses(sets, rates).values())
+
+
+def slow_greedy_quotas(sets, rates):
+    """Quota augmentation as first specified: repeatedly raise the first
+    user whose +1 keeps every cutset bound, until the total is N."""
+    quotas = list(rates)
+    n = len(set().union(*sets))
+    while sum(quotas) < n:
+        for k in range(len(quotas)):
+            quotas[k] += 1
+            if all(e <= 0 for e in slow_excesses(sets, quotas).values()):
+                break
+            quotas[k] -= 1
+        else:
+            raise AssertionError("greedy stuck below N")
+    return tuple(quotas)
 
 
 # --- structure validation --------------------------------------------------------
@@ -118,12 +145,44 @@ def test_pairwise_bound_frozen():
         pairwise_bound(single, 1)
 
 
+def wide_instance(rng, users, nodes):
+    """Each node in each access set with probability 1/2, and rates from a
+    random node-to-reader assignment capped at the pairwise bounds."""
+    sets = [set() for _ in range(users)]
+    assigned = [0] * users
+    for n in range(1, nodes + 1):
+        readers = [k for k in range(users) if rng.random() < 0.5] or [rng.randrange(users)]
+        for k in readers:
+            sets[k].add(n)
+        assigned[rng.choice(readers)] += 1
+    acc = AccessStructure.of(sets)
+    return acc, [min(a, pairwise_bound(acc, k + 1)) for k, a in enumerate(assigned)]
+
+
 def test_too_many_users():
-    acc = AccessStructure.of([[1]] * 21)
+    # listing every inequality is exponential in K and stays capped ...
     with pytest.raises(TooManyUsersError):
-        capacity_constraints(acc)
-    with pytest.raises(TooManyUsersError):
-        in_capacity_region(acc, [0] * 21)
+        capacity_constraints(AccessStructure.of([[1]] * 21))
+    # ... but checking and planning are not: K = 40, N = 60 in well under 1 s
+    acc, rates = wide_instance(random.Random(40), 40, 60)
+    start = time.perf_counter()
+    report = in_capacity_region(acc, rates)
+    plan = make_plan(Field(65537), acc, rates, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok and report.checked == 40 + 2**40 - 1
+    assert sum(plan.quotas) == acc.N
+
+    # rates with a denominator of about 10^9, inside and outside the region
+    scale = Fraction(10**9 + 7, 10**9 + 9)
+    bounds = [pairwise_bound(acc, k) for k in range(1, 41)]
+    start = time.perf_counter()
+    inside = in_capacity_region(acc, [r * scale for r in rates])
+    outside = in_capacity_region(acc, [b * scale for b in bounds])
+    assert time.perf_counter() - start < 1.0
+    assert inside.ok
+    assert not outside.ok and outside.violation.kind == "cutset"
+    assert outside.violation_lhs > outside.violation.bound
+    assert outside.violation.bound == acc.union_size(outside.violation.users)
 
 
 # --- membership ---------------------------------------------------------------------
@@ -167,9 +226,49 @@ def test_membership_agrees_with_slow_oracle_fuzz():
     for _ in range(150):
         acc = random_access(rng, max_users=5, max_nodes=8)
         tup = tuple(rng.randint(0, 4) for _ in range(acc.K))
-        want = slow_in_region(acc.sets, tup)
-        assert in_capacity_region(acc, tup).ok == want
-        assert integer_tuple_in_region(acc, tup) == want
+        assert in_capacity_region(acc, tup).ok == slow_in_region(acc.sets, tup)
+        frac = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(acc.K))
+        assert in_capacity_region(acc, frac).ok == slow_in_region(acc.sets, frac)
+
+
+def test_violation_witness_fuzz():
+    """Past the pairwise bounds, the report names the cutset of the
+    inclusion-minimal group with the largest excess, which is unique.
+
+    Random instances whose pairwise bounds already imply every cutset are
+    the common case, so instances are drawn until the tuple of pairwise
+    bounds breaks a cutset, and rates are drawn just below those bounds.
+    """
+    rng = random.Random(14)
+    witnesses = ties = 0
+    while witnesses < 60:
+        k = rng.randint(4, 6)
+        pool = rng.randint(k, 9)
+        sets = [[n for n in range(1, pool + 1) if rng.random() < 0.45] or [1] for _ in range(k)]
+        acc = AccessStructure.of(compress_nodes(sets))
+        caps = [pairwise_bound(acc, u) for u in range(1, k + 1)]
+        if slow_in_region(acc.sets, caps):
+            continue
+        for _ in range(8):
+            rates = tuple(max(0, c - Fraction(rng.randint(0, 1), rng.randint(1, 3))) for c in caps)
+            report = in_capacity_region(acc, rates)
+            excesses = slow_excesses(acc.sets, rates)
+            top = max(excesses.values())
+            assert report.ok == (top <= 0)
+            if report.ok:
+                continue
+            best = [set(g) for g, e in excesses.items() if e == top]
+            minimal = [g for g in best if not any(h < g for h in best)]
+            assert len(minimal) == 1
+            witness = report.violation
+            assert witness.kind == "cutset"
+            assert {u - 1 for u in witness.users} == minimal[0]
+            assert witness.bound == acc.union_size(witness.users)
+            assert report.violation_lhs == sum(rates[u - 1] for u in witness.users)
+            assert report.violation_lhs - witness.bound == top
+            witnesses += 1
+            ties += len(best) > 1
+    assert ties >= 10  # groups tying for the largest excess occurred
 
 
 def test_region_downward_closed_fuzz():
@@ -213,6 +312,9 @@ def test_augment_result_is_valid_and_canonical_fuzz():
         assert validate_quotas(acc, rates, quotas)
         # greedy determinism: same inputs, same output
         assert augment_quotas(acc, rates) == quotas
+        assert quotas == slow_greedy_quotas(acc.sets, rates)
+        zeros = (0,) * acc.K
+        assert augment_quotas(acc, zeros) == slow_greedy_quotas(acc.sets, zeros)
 
 
 def test_augment_rejects_bad_input():

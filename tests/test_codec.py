@@ -24,7 +24,7 @@ from dmuss.codec import (
     system_matrix,
     transfer_map,
 )
-from dmuss.errors import IncompatiblePlansError, ShapeMismatchError
+from dmuss.errors import BadSymbolError, DmussError, IncompatiblePlansError, ShapeMismatchError
 from dmuss.gf import Field
 from dmuss.planner import make_plan
 
@@ -105,6 +105,23 @@ def test_shape_validation(ref_plan):
         rhs_vector(ref_plan, [[1, 1], [2, 6], [4, 0], [3, 5, 7]], [[]] * 4)
     with pytest.raises(ShapeMismatchError):
         rhs_vector(ref_plan, [[1], [2, 6], [4, 0], [3, 5, 7]], [[1]] * 4)
+
+
+@pytest.mark.parametrize("bad", [11, 13, -1, True, 1.0])
+def test_symbols_outside_the_field_are_rejected(ref_plan, ref_encoded, bad):
+    # 13 and -1 would otherwise be reduced mod 11 and decode as 2 and 10
+    msgs = [[bad], [2, 6], [4, 0], [3, 5, 7]]
+    with pytest.raises(BadSymbolError):
+        encode(ref_plan, msgs)
+    assert issubclass(BadSymbolError, DmussError)
+    with pytest.raises(BadSymbolError):
+        encode_with_pads(chain_plan(), [[1], [2]], [[bad], []])
+    shares = list(ref_encoded.shares)
+    shares[0] = bad  # node 1 is read by user 1
+    with pytest.raises(BadSymbolError):
+        decode(ref_plan, 1, shares)
+    with pytest.raises(BadSymbolError):
+        decode(ref_plan, 1, dict(enumerate(shares, start=1)))
 
 
 # --- encode ----------------------------------------------------------------------

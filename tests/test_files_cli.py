@@ -406,6 +406,22 @@ def test_cli_modulus_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [11, 13, -1, True])
+def test_symbols_outside_the_field_are_format_errors(tmp_path, capsys, bad):
+    msgs = messages_to_dict(11, [[[bad], [2, 6], [4, 0], [3, 5, 7]]])
+    with pytest.raises(FileFormatError):
+        messages_from_dict(msgs)
+    shares = shares_to_dict(11, list(range(1, 9)), [[bad] + demo.demo_encode().shares[1:]])
+    with pytest.raises(FileFormatError):
+        shares_from_dict(shares)
+
+    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
+    assert main(["encode", plan_path, write_doc(tmp_path, "msgs.json", msgs)]) == 2
+    shares_path = write_doc(tmp_path, "shares.json", shares)
+    assert main(["decode", plan_path, shares_path, "--user", "1"]) == 2
+    assert "[0, 11)" in capsys.readouterr().err
+
+
 def test_cli_user_out_of_range(tmp_path, capsys):
     plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
     enc = demo.demo_encode()
