@@ -34,6 +34,7 @@ from .access import AccessStructure, in_capacity_region
 from .codec import (
     MemoryShare,
     decode,
+    draw_pads,
     encode_with_pads,
     memory_share,
     transfer_map,
@@ -71,13 +72,6 @@ def _parse_corner(text: str, k: int) -> list:
     if len(values) != k:
         raise FileFormatError(f"corner {text!r} has {len(values)} entries, expected {k}")
     return values
-
-
-def _draw_pads(plan: Plan, rng: random.Random) -> list:
-    return [
-        [rng.randrange(plan.field.p) for _ in range(plan.quotas[k] - plan.rates[k])]
-        for k in range(plan.K)
-    ]
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -177,7 +171,7 @@ def cmd_encode(args) -> int:
     rng = random.Random(args.seed)
     results = []
     for plan, block in zip(plans, blocks):
-        results.append(encode_with_pads(plan, block, _draw_pads(plan, rng)))
+        results.append(encode_with_pads(plan, block, draw_pads(plan, rng)))
     pads = None
     if args.audit:
         pads = [{"free": r.pads.free, "tail": r.pads.tail} for r in results]
@@ -201,6 +195,10 @@ def cmd_decode(args) -> int:
     if not 1 <= k <= base_plan.K:
         print(f"error: user must be in 1..{base_plan.K}", file=sys.stderr)
         return 2
+    # every block of a share file carries the same nodes
+    missing = [n for n in base_plan.access.sorted_set(k) if n not in blocks[0]]
+    if missing:
+        raise FileFormatError(f"share file lacks nodes {missing} of user {k}'s access set")
     if isinstance(scheme, MemoryShare):
         symbols = scheme.decode(k, blocks)
     else:

@@ -1,19 +1,23 @@
 """Encoding, retrieval, and the end-to-end linear transfer map.
 
-Encoding solves one square linear system.  For user k with evaluation
-points gamma_{k,1..|A_k|}, the scheme wants a polynomial of degree
-|A_k|-1 whose low coefficients are the message w_k followed by the pad
-block, and whose value at the i-th point equals minus the scaled share of
-the i-th node in A_k:
+For user k with evaluation points gamma_{k,1..|A_k|}, the scheme wants a
+polynomial of degree |A_k|-1 whose low coefficients are the message w_k
+followed by the free-pad block, and whose value at the i-th point equals
+minus the scaled share of the i-th node in A_k:
 
     g_k(gamma_{k,i}) = -alpha_{k,n} * Y_n .
 
-Message and free-pad coefficients are known before solving, so their
-contribution moves to the right-hand side; the unknowns are each user's
-tail coefficients plus the N shares themselves.  Decoding is the reverse
-direction and purely local to one user: interpolate the degree-|A_k|-1
-polynomial through the user's scaled shares and read the low
-coefficients back off.
+Move the known low coefficients to the right: user k's equations read
+B_k t_k + diag(alpha_k) Y_{A_k} = s_k, with t_k the unknown tail
+coefficients and s_k from :func:`rhs_vector`.  The permuted null-basis
+rows P_k of the planner annihilate B_k, so multiplying by P_k^T leaves
+P_k^T diag(alpha_k) Y_{A_k} = P_k^T s_k.  Stacked over all users, that is
+V^T Y = h with V the planner's N x N correctness matrix
+(:func:`~dmuss.planner.plan_decomposition`), which the plan guarantees
+invertible -- so encoding is one N x N solve.  Each tail then comes back
+from the user's own interpolation.  Decoding is purely local to one
+user: interpolate the degree-|A_k|-1 polynomial through the user's
+scaled shares and read the low coefficients back off.
 """
 
 from __future__ import annotations
@@ -25,34 +29,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import BadSymbolError, IncompatiblePlansError, ShapeMismatchError
-from .planner import Plan
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Index map for the stacked unknown vector (user tails, then shares)."""
-
-    tail_offsets: tuple  # per user
-    tail_lengths: tuple  # per user: |A_k| - R'_k
-    share_offset: int
-    size: int
-
-
-def system_layout(plan: Plan) -> SystemLayout:
-    offsets = []
-    pos = 0
-    lengths = []
-    for k in range(1, plan.K + 1):
-        offsets.append(pos)
-        tail = len(plan.access.user_set(k)) - plan.quotas[k - 1]
-        lengths.append(tail)
-        pos += tail
-    return SystemLayout(
-        tail_offsets=tuple(offsets),
-        tail_lengths=tuple(lengths),
-        share_offset=pos,
-        size=pos + plan.N,
-    )
+from .planner import Plan, plan_decomposition
 
 
 @dataclass
@@ -97,31 +74,6 @@ def _check_symbols(p: int, values: Sequence, what: str) -> None:
             raise BadSymbolError(f"{what}: {v!r} is not an element of GF({p})")
 
 
-def system_matrix(plan: Plan) -> linalg.Matrix:
-    """Coefficient matrix of the encoding system (inputs do not enter it)."""
-    layout = system_layout(plan)
-    p = plan.field.p
-    a = linalg.zeros(layout.size, layout.size)
-    row = 0
-    for k in range(1, plan.K + 1):
-        nodes = plan.access.sorted_set(k)
-        gammas = plan.gammas(k)
-        quota = plan.quotas[k - 1]
-        size = len(nodes)
-        t_off = layout.tail_offsets[k - 1]
-        for i in range(size):
-            g = gammas[i]
-            # unknown tail coefficients of this user's polynomial
-            power = pow(g, quota, p)
-            for t in range(layout.tail_lengths[k - 1]):
-                a[row][t_off + t] = power
-                power = power * g % p
-            n = nodes[i]
-            a[row][layout.share_offset + n - 1] = plan.alpha(k, n)
-            row += 1
-    return a
-
-
 def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
     """Right-hand side: the known low coefficients evaluated and negated.
 
@@ -146,34 +98,47 @@ def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
     return s
 
 
+def _project(p: int, basis_rows: Sequence, s: Sequence[int]) -> list:
+    """h = P_k^T s_k for every user k, stacked in user order."""
+    h, pos = [], 0
+    for rows in basis_rows:
+        block = s[pos : pos + len(rows)]
+        pos += len(rows)
+        h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
+    return h
+
+
 def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
     """Deterministic encode with caller-supplied free pads.
 
     Messages and pads are checked as :func:`rhs_vector` says.
     """
-    a = system_matrix(plan)
     s = rhs_vector(plan, msgs, pads_free)
-    solution = linalg.solve(plan.field, a, s)
-    layout = system_layout(plan)
+    dec = plan_decomposition(plan)
+    h = _project(plan.field.p, dec.basis_rows, s)
+    shares = linalg.solve(plan.field, linalg.transpose(dec.matrix), h)
     tails = [
-        solution[layout.tail_offsets[k - 1] : layout.tail_offsets[k - 1] + layout.tail_lengths[k - 1]]
+        decode(plan, k, shares).pads[plan.quotas[k - 1] - plan.rates[k - 1] :]
         for k in range(1, plan.K + 1)
     ]
     return EncodeResult(
-        shares=solution[layout.share_offset :],
+        shares=shares,
         pads=PadSet(free=[list(b) for b in pads_free], tail=tails),
-        solution=solution,
+        solution=[v for tail in tails for v in tail] + shares,
     )
+
+
+def draw_pads(plan: Plan, rng: random.Random) -> list:
+    """Uniform free pads, user by user, in the order encoding reads them."""
+    return [
+        [rng.randrange(plan.field.p) for _ in range(plan.quotas[k] - plan.rates[k])]
+        for k in range(plan.K)
+    ]
 
 
 def encode(plan: Plan, msgs: Sequence, seed: int | None = None) -> EncodeResult:
     """Encode messages into N node shares, drawing pads from a seeded RNG."""
-    rng = random.Random(seed)
-    pads_free = [
-        [rng.randrange(plan.field.p) for _ in range(plan.quotas[k - 1] - plan.rates[k - 1])]
-        for k in range(1, plan.K + 1)
-    ]
-    return encode_with_pads(plan, msgs, pads_free)
+    return encode_with_pads(plan, msgs, draw_pads(plan, random.Random(seed)))
 
 
 @dataclass
@@ -273,52 +238,45 @@ class TransferMap:
 
 
 def transfer_map(plan: Plan) -> TransferMap:
-    """Build the input-to-shares matrix by encoding basis vectors.
+    """Build the input-to-shares matrix column by column.
 
-    The coefficient matrix is inverted once; each input basis vector then
-    costs one right-hand-side build and one matrix-vector product.
+    V^T is inverted once; input basis vector e_j then costs one
+    right-hand-side build and its projection h(e_j), and column j of the
+    matrix is inverse(V^T) @ h(e_j).
     """
-    a_inv = linalg.inverse(plan.field, system_matrix(plan))
-    layout = system_layout(plan)
-    n = plan.N
-    cols = []
-    zero_msgs = [[0] * r for r in plan.rates]
-    zero_pads = [[0] * (quota - r) for r, quota in zip(plan.rates, plan.quotas)]
-    for k in range(plan.K):
-        for t in range(plan.rates[k]):
-            msgs = [m[:] for m in zero_msgs]
-            msgs[k][t] = 1
-            s = rhs_vector(plan, msgs, zero_pads)
-            sol = linalg.mat_vec(plan.field, a_inv, s)
-            cols.append(sol[layout.share_offset :])
-    for k in range(plan.K):
-        for t in range(plan.quotas[k] - plan.rates[k]):
-            pads = [b[:] for b in zero_pads]
-            pads[k][t] = 1
-            s = rhs_vector(plan, zero_msgs, pads)
-            sol = linalg.mat_vec(plan.field, a_inv, s)
-            cols.append(sol[layout.share_offset :])
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
+    dec = plan_decomposition(plan)
+    inv = linalg.inverse(plan.field, linalg.transpose(dec.matrix))
+    p, n = plan.field.p, plan.N
+    hs = []
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        msgs, pads = _split_input(plan.rates, plan.quotas, unit)
+        hs.append(_project(p, dec.basis_rows, rhs_vector(plan, msgs, pads)))
     return TransferMap(
         field=plan.field,
         access=plan.access,
         rates=plan.rates,
         quotas=plan.quotas,
-        matrix=matrix,
+        matrix=linalg.mat_mul(plan.field, inv, linalg.transpose(hs)),
     )
+
+
+def _split_input(rates: Sequence[int], quotas: Sequence[int], x: Sequence[int]) -> tuple:
+    msgs, pads = [], []
+    pos = 0
+    for r in rates:
+        msgs.append(list(x[pos : pos + r]))
+        pos += r
+    for r, quota in zip(rates, quotas):
+        pads.append(list(x[pos : pos + quota - r]))
+        pos += quota - r
+    return msgs, pads
 
 
 def split_transfer_input(tm: TransferMap, x: Sequence[int]) -> tuple:
     """Split a stacked input vector into (messages, free pads) per user."""
-    msgs, pads = [], []
-    pos = 0
-    for r in tm.rates:
-        msgs.append(list(x[pos : pos + r]))
-        pos += r
-    for r, quota in zip(tm.rates, tm.quotas):
-        pads.append(list(x[pos : pos + quota - r]))
-        pos += quota - r
-    return msgs, pads
+    return _split_input(tm.rates, tm.quotas, x)
 
 
 @dataclass
@@ -398,14 +356,10 @@ class MemoryShare:
     def encode(self, msgs: Sequence, seed: int | None = None) -> list:
         """Encode flat per-user messages; returns one EncodeResult per block."""
         rng = random.Random(seed)
-        results = []
-        for plan, block_msgs in zip(self.block_plans, self.split_messages(msgs)):
-            pads = [
-                [rng.randrange(plan.field.p) for _ in range(plan.quotas[k] - plan.rates[k])]
-                for k in range(self.K)
-            ]
-            results.append(encode_with_pads(plan, block_msgs, pads))
-        return results
+        return [
+            encode_with_pads(plan, block_msgs, draw_pads(plan, rng))
+            for plan, block_msgs in zip(self.block_plans, self.split_messages(msgs))
+        ]
 
     def decode(self, k: int, share_blocks: Sequence) -> list:
         """Recover user k's flat message from per-block shares."""

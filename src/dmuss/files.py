@@ -35,11 +35,16 @@ class FileFormatError(ValueError):
     """Document structure is wrong (missing keys, bad types, bad tags)."""
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: ``true`` and ``false`` are not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require(doc: dict, key: str, kind):
     if key not in doc:
         raise FileFormatError(f"missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise FileFormatError(f"key {key!r} has type {type(value).__name__}")
     return value
 
@@ -52,7 +57,7 @@ def _check_format(doc, tag: str):
 
 
 def _int_list(values, what: str) -> list:
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
         raise FileFormatError(f"{what} must be a list of integers")
     return list(values)
 
@@ -127,15 +132,15 @@ def instance_from_dict(doc: dict) -> tuple:
         if type(exc) is ValueError:
             raise FileFormatError(str(exc)) from exc
         raise  # domain errors (e.g. composite modulus) pass through
-    if "k" in doc and doc["k"] != acc.K:
+    if "k" in doc and (not _is_int(doc["k"]) or doc["k"] != acc.K):
         raise FileFormatError(f"k={doc['k']} but {acc.K} access sets given")
-    if "n" in doc and doc["n"] != acc.N:
+    if "n" in doc and (not _is_int(doc["n"]) or doc["n"] != acc.N):
         raise FileFormatError(f"n={doc['n']} but access sets cover {acc.N} nodes")
     rates = [_rate_from_json(v) for v in _require(doc, "rates", list)]
     if len(rates) != acc.K:
         raise FileFormatError(f"{len(rates)} rates for {acc.K} users")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise FileFormatError("seed must be an integer")
     return field, acc, rates, seed
 
@@ -190,7 +195,7 @@ def plan_from_dict(doc: dict) -> Plan:
             if (
                 not isinstance(item, list)
                 or len(item) != 2
-                or not all(isinstance(v, int) for v in item)
+                or not all(_is_int(v) for v in item)
             ):
                 raise FileFormatError(f"bad alpha entry {item!r}")
             per_user[item[0]] = item[1]

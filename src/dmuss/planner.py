@@ -67,7 +67,8 @@ class Plan:
 
     @property
     def unknown_count(self) -> int:
-        """Total unknowns in the encoding system: tails plus one share per node."""
+        """Length of an encode's solution, every user's tail then the N
+        shares; equal to the sum of the access-set sizes."""
         return sum(len(s) for s in self.access.sets)
 
     def gammas(self, k: int) -> list:
@@ -87,13 +88,15 @@ class CorrectnessDecomposition:
     basis row of the user that reserved node n (and zeros elsewhere),
     zeta[n-1] is that user's scaling at n, and d holds the alpha-scaled
     rows of all non-reserving users.  c and d never have a nonzero entry
-    in the same position.
+    in the same position.  ``basis_rows[k-1]`` is user k's |A_k| x R'_k
+    block of permuted null-basis rows, aligned with the sorted access set.
     """
 
     c: Matrix
     d: Matrix
     zeta: list
     matrix: Matrix
+    basis_rows: list
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
@@ -154,12 +157,13 @@ def build_split(
     acc: AccessStructure,
     quotas: Sequence[int],
     reserved: SdrAssignment,
-    perms: Sequence,
-    bases: Sequence[NullBasis],
+    basis_rows: Sequence[Matrix],
     rest_alphas: Sequence,
 ) -> tuple:
     """Assemble the (c, d) split of the correctness matrix.
 
+    ``basis_rows[k-1]`` holds user k's permuted null-basis rows, one per
+    node of the sorted access set.
     ``rest_alphas[k-1][n]`` scales the row of node n for non-reserving
     user k; reserved rows go into c unscaled (their scalings are the zeta
     coordinates chosen afterwards).  Returns (c, d, owner) with owner[n-1]
@@ -176,7 +180,7 @@ def build_split(
     owner = [0] * n_total
     p = field.p
     for k in range(1, acc.K + 1):
-        rows = _permuted_basis_rows(bases[k - 1], perms[k - 1])
+        rows = basis_rows[k - 1]
         block = reserved.block(k)
         off = offsets[k - 1]
         for i, node in enumerate(acc.sorted_set(k), start=1):
@@ -267,7 +271,8 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
         for k in range(1, acc.K + 1)
     )
     rest_alphas = _ones_alphas(acc)
-    c, d, owner = build_split(field, acc, quotas, reserved, perms, bases, rest_alphas)
+    rows = [_permuted_basis_rows(b, perm) for b, perm in zip(bases, perms)]
+    c, d, owner = build_split(field, acc, quotas, reserved, rows, rest_alphas)
     zeta = choose_zeta(field, c, d, seed)
     alphas = []
     for k in range(1, acc.K + 1):
@@ -289,20 +294,20 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
 def plan_decomposition(plan: Plan) -> CorrectnessDecomposition:
     """Recompute the split form of a finished plan's correctness matrix."""
     acc = plan.access
-    bases = [
-        tail_basis(plan.field, plan.quotas[k - 1], len(acc.user_set(k)))
+    rows = [
+        _permuted_basis_rows(
+            tail_basis(plan.field, plan.quotas[k - 1], len(acc.user_set(k))), plan.perms[k - 1]
+        )
         for k in range(1, acc.K + 1)
     ]
-    c, d, owner = build_split(
-        plan.field, acc, plan.quotas, plan.reserved, plan.perms, bases, plan.alphas
-    )
+    c, d, owner = build_split(plan.field, acc, plan.quotas, plan.reserved, rows, plan.alphas)
     zeta = [plan.alphas[owner[i] - 1][i + 1] for i in range(acc.N)]
     p = plan.field.p
     full = [
         [(z * cv + dv) % p for cv, dv in zip(crow, drow)]
         for z, crow, drow in zip(zeta, c, d)
     ]
-    return CorrectnessDecomposition(c=c, d=d, zeta=zeta, matrix=full)
+    return CorrectnessDecomposition(c=c, d=d, zeta=zeta, matrix=full, basis_rows=rows)
 
 
 def plan_from_parameters(

@@ -215,16 +215,6 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
     ]
     counts = {pair: {} for pair in ordered_pairs}
 
-    decoders = []
-    if plan is not None:
-        for k in range(1, k_count + 1):
-            gammas = plan.gammas(k)
-            size = len(gammas)
-            vander = [[pow(g, r, p) for r in range(size)] for g in gammas]
-            inv = linalg.inverse(plan.field, vander)
-            negalpha = [-plan.alpha(k, nd) % p for nd in node_lists[k - 1]]
-            decoders.append((inv, negalpha))
-
     seen = set()
     roundtrip_failures = 0
     matrix = tm.matrix
@@ -239,13 +229,8 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
             counts[pair][key] = counts[pair].get(key, 0) + 1
         if plan is not None:
             for k in range(1, k_count + 1):
-                inv, negalpha = decoders[k - 1]
-                rhs = [na * y[nd - 1] % p for na, nd in zip(negalpha, node_lists[k - 1])]
-                r_k = tm.rates[k - 1]
-                w_hat = [
-                    sum(c * v for c, v in zip(inv[i], rhs)) % p for i in range(r_k)
-                ]
-                if w_hat != list(x[msg_offsets[k - 1] : msg_offsets[k - 1] + r_k]):
+                w = x[msg_offsets[k - 1] : msg_offsets[k - 1] + tm.rates[k - 1]]
+                if decode(plan, k, y).message != list(w):
                     roundtrip_failures += 1
 
     pair_reports = []

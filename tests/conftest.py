@@ -1,10 +1,11 @@
 """Shared fixtures, fuzz-instance generators, acceptance reporting."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from dmuss import AccessStructure, Field
+from dmuss import AccessStructure, Field, linalg
 from dmuss.access import in_capacity_region
 from dmuss.demo import demo_encode, demo_messages, demo_plan
 
@@ -58,6 +59,63 @@ def random_rates_in_region(rng: random.Random, acc: AccessStructure, stop_prob=0
         if not candidates or rng.random() < stop_prob:
             return tuple(rates)
         rates[rng.choice(candidates)] += 1
+
+
+# --- the lifted encoding system: the slow reference for codec ------------------
+
+
+@dataclass(frozen=True)
+class SystemLayout:
+    """Index map for the stacked unknown vector (user tails, then shares)."""
+
+    tail_offsets: tuple  # per user
+    tail_lengths: tuple  # per user: |A_k| - R'_k
+    share_offset: int
+    size: int
+
+
+def system_layout(plan) -> SystemLayout:
+    offsets = []
+    pos = 0
+    lengths = []
+    for k in range(1, plan.K + 1):
+        offsets.append(pos)
+        tail = len(plan.access.user_set(k)) - plan.quotas[k - 1]
+        lengths.append(tail)
+        pos += tail
+    return SystemLayout(
+        tail_offsets=tuple(offsets),
+        tail_lengths=tuple(lengths),
+        share_offset=pos,
+        size=pos + plan.N,
+    )
+
+
+def system_matrix(plan) -> linalg.Matrix:
+    """The M x M lifted system, M = sum |A_k|: one row per (user, node of
+    A_k) stating g_k(gamma_{k,i}) = -alpha_{k,n} Y_n, with the tail
+    coefficients and the shares as unknowns and ``rhs_vector`` as the
+    right-hand side."""
+    layout = system_layout(plan)
+    p = plan.field.p
+    a = linalg.zeros(layout.size, layout.size)
+    row = 0
+    for k in range(1, plan.K + 1):
+        nodes = plan.access.sorted_set(k)
+        gammas = plan.gammas(k)
+        quota = plan.quotas[k - 1]
+        t_off = layout.tail_offsets[k - 1]
+        for i in range(len(nodes)):
+            g = gammas[i]
+            # unknown tail coefficients of this user's polynomial
+            power = pow(g, quota, p)
+            for t in range(layout.tail_lengths[k - 1]):
+                a[row][t_off + t] = power
+                power = power * g % p
+            n = nodes[i]
+            a[row][layout.share_offset + n - 1] = plan.alpha(k, n)
+            row += 1
+    return a
 
 
 @pytest.fixture(scope="session")

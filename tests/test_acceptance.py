@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from conftest import random_access, random_rates_in_region, record_acceptance
+from conftest import random_access, random_rates_in_region, record_acceptance, system_matrix
 from dmuss import demo, linalg
 from dmuss.access import AccessStructure, augment_quotas, capacity_constraints, in_capacity_region
-from dmuss.codec import TransferMap, decode, encode, system_matrix, transfer_map
+from dmuss.codec import TransferMap, decode, encode, transfer_map
 from dmuss.errors import NoSdrError
 from dmuss.gf import Field
 from dmuss.planner import make_plan, plan_decomposition

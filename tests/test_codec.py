@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_access, random_rates_in_region
+from conftest import random_access, random_rates_in_region, system_layout, system_matrix
+from dmuss import linalg
 from dmuss.access import AccessStructure
 from dmuss.codec import (
     decode,
@@ -20,8 +21,6 @@ from dmuss.codec import (
     memory_share,
     rhs_vector,
     split_transfer_input,
-    system_layout,
-    system_matrix,
     transfer_map,
 )
 from dmuss.errors import BadSymbolError, DmussError, IncompatiblePlansError, ShapeMismatchError
@@ -184,6 +183,32 @@ def test_encode_linear_in_inputs():
             [[(o1[0] + q1[0]) % p], []],
         ).shares
         assert summed == [(a + b) % p for a, b in zip(ya, yb)]
+
+
+def test_encode_matches_lifted_system_fuzz():
+    # the N x N solve must give the lifted M x M system's unique solution
+    rng = random.Random(43)
+    with_pads = big_field = 0
+    for _ in range(200):
+        acc = random_access(rng, max_users=5, max_nodes=8)
+        rates = random_rates_in_region(rng, acc)
+        p = rng.choice([11, 13, 17, 65537])
+        plan = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
+        msgs = [[rng.randrange(p) for _ in range(r)] for r in rates]
+        pads = [[rng.randrange(p) for _ in range(q - r)] for r, q in zip(rates, plan.quotas)]
+        res = encode_with_pads(plan, msgs, pads)
+        want = linalg.solve(plan.field, system_matrix(plan), rhs_vector(plan, msgs, pads))
+        layout = system_layout(plan)
+        assert res.solution == want
+        assert len(want) == plan.unknown_count
+        assert res.shares == want[layout.share_offset :]
+        assert res.pads.tail == [
+            want[off : off + length]
+            for off, length in zip(layout.tail_offsets, layout.tail_lengths)
+        ]
+        with_pads += plan.quotas != plan.rates
+        big_field += p == 65537
+    assert with_pads >= 50 and big_field >= 30
 
 
 # --- decode ----------------------------------------------------------------------

@@ -268,8 +268,9 @@ def test_cli_decode_from_restricted_shares(tmp_path, capsys):
     shares_path = write_doc(tmp_path, "shares.json", doc)
     assert main(["decode", plan_path, shares_path, "--user", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["symbols"] == [2, 6]
-    # user 1 needs nodes the file does not carry
-    assert main(["decode", plan_path, shares_path, "--user", "1"]) == 1
+    # user 1 needs nodes the file does not carry: an input error
+    assert main(["decode", plan_path, shares_path, "--user", "1"]) == 2
+    assert "[6, 8]" in capsys.readouterr().err
 
 
 def test_cli_demo_regression(capsys):
@@ -420,6 +421,45 @@ def test_symbols_outside_the_field_are_format_errors(tmp_path, capsys, bad):
     shares_path = write_doc(tmp_path, "shares.json", shares)
     assert main(["decode", plan_path, shares_path, "--user", "1"]) == 2
     assert "[0, 11)" in capsys.readouterr().err
+
+
+def test_cli_booleans_are_not_integers(tmp_path, capsys):
+    # JSON true must not load as node, rate, count or scaling 1
+    def with_true(doc, *path):
+        doc = json.loads(json.dumps(doc))
+        *keys, last = path
+        holder = doc
+        for key in keys:
+            holder = holder[key]
+        holder[last] = True
+        return doc
+
+    plan_doc = plan_to_dict(demo.demo_plan())
+    plan_path = write_doc(tmp_path, "plan.json", plan_doc)
+    enc = demo.demo_encode()
+    shares_doc = shares_to_dict(11, list(range(1, 9)), [enc.shares])
+    shares_path = write_doc(tmp_path, "shares.json", shares_doc)
+    assert main(["decode", plan_path, shares_path, "--user", "1"]) == 0
+    capsys.readouterr()
+
+    for bad in (with_true(REF_INSTANCE, "access", 0, 0), with_true(dict(REF_INSTANCE, seed=3), "seed")):
+        assert main(["check", write_doc(tmp_path, "inst.json", bad)]) == 2
+    mix_doc = mix_to_dict(memory_share(demo.demo_plan(), demo.demo_plan(), 1, 1))
+    bad_plans = [
+        with_true(plan_doc, "access", 0, 0),
+        with_true(plan_doc, "rates", 0),
+        with_true(plan_doc, "quotas", 0),
+        with_true(plan_doc, "reserved", 0, 0),
+        with_true(plan_doc, "perms", 0, 0),
+        with_true(plan_doc, "alphas", 0, 0, 0),
+        with_true(mix_doc, "blocks_a"),
+    ]
+    for bad in bad_plans:
+        bad_path = write_doc(tmp_path, "bad-plan.json", bad)
+        assert main(["decode", bad_path, shares_path, "--user", "1"]) == 2
+    bad_shares = write_doc(tmp_path, "bad-shares.json", with_true(shares_doc, "nodes", 0))
+    assert main(["decode", plan_path, bad_shares, "--user", "1"]) == 2
+    assert "integers" in capsys.readouterr().err
 
 
 def test_cli_user_out_of_range(tmp_path, capsys):

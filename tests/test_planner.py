@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from conftest import random_access, random_rates_in_region
+from conftest import random_access, random_rates_in_region, system_matrix
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
-from dmuss.codec import system_matrix
 from dmuss.errors import (
     FieldTooSmallError,
     NotInRegionError,
