@@ -30,7 +30,7 @@ from math import lcm
 
 from . import demo as demo_mod
 from . import linalg
-from .access import AccessStructure, in_capacity_region
+from .access import in_capacity_region
 from .codec import (
     MemoryShare,
     decode,
@@ -39,7 +39,7 @@ from .codec import (
     memory_share,
     transfer_map,
 )
-from .errors import DmussError, NotInRegionError
+from .errors import DmussError, NotInRegionError, ShapeMismatchError
 from .files import (
     FileFormatError,
     instance_from_dict,
@@ -52,7 +52,6 @@ from .files import (
     shares_from_dict,
     shares_to_dict,
 )
-from .gf import Field
 from .planner import Plan, make_plan, plan_decomposition, tail_basis
 from .verify import brute_force_audit, check_correctness, check_entropy, check_privacy
 
@@ -171,7 +170,10 @@ def cmd_encode(args) -> int:
     rng = random.Random(args.seed)
     results = []
     for plan, block in zip(plans, blocks):
-        results.append(encode_with_pads(plan, block, draw_pads(plan, rng)))
+        try:
+            results.append(encode_with_pads(plan, block, draw_pads(plan, rng)))
+        except ShapeMismatchError as exc:  # the message file does not fit the plan
+            raise FileFormatError(f"message file: {exc}") from exc
     pads = None
     if args.audit:
         pads = [{"free": r.pads.free, "tail": r.pads.tail} for r in results]
@@ -195,16 +197,15 @@ def cmd_decode(args) -> int:
     if not 1 <= k <= base_plan.K:
         print(f"error: user must be in 1..{base_plan.K}", file=sys.stderr)
         return 2
-    # every block of a share file carries the same nodes
-    missing = [n for n in base_plan.access.sorted_set(k) if n not in blocks[0]]
-    if missing:
-        raise FileFormatError(f"share file lacks nodes {missing} of user {k}'s access set")
-    if isinstance(scheme, MemoryShare):
-        symbols = scheme.decode(k, blocks)
-    else:
-        symbols = []
-        for block in blocks:
-            symbols.extend(decode(scheme, k, block).message)
+    try:
+        if isinstance(scheme, MemoryShare):
+            symbols = scheme.decode(k, blocks)
+        else:
+            symbols = []
+            for block in blocks:
+                symbols.extend(decode(scheme, k, block).message)
+    except ShapeMismatchError as exc:  # missing nodes or a wrong block count
+        raise FileFormatError(f"share file: {exc}") from exc
     doc = {"format": "dmuss.user-message/1", "user": k, "symbols": symbols}
     _emit(doc, args.out)
     return 0

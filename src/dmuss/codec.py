@@ -18,6 +18,12 @@ invertible -- so encoding is one N x N solve.  Each tail then comes back
 from the user's own interpolation.  Decoding is purely local to one
 user: interpolate the degree-|A_k|-1 polynomial through the user's
 scaled shares and read the low coefficients back off.
+
+The transfer map T from (messages, free pads) to shares solves the same
+system for every input basis vector at once: V^T T = H, where column j
+of H is the projection h(e_j), nonzero only in the R'_k rows of the user
+that owns input j.  :func:`transfer_map` builds H directly and reads T
+off one reduction of [V^T | H].
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import BadSymbolError, IncompatiblePlansError, ShapeMismatchError
+from .errors import (
+    BadSymbolError,
+    IncompatiblePlansError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from .planner import Plan, plan_decomposition
 
 
@@ -238,28 +249,42 @@ class TransferMap:
 
 
 def transfer_map(plan: Plan) -> TransferMap:
-    """Build the input-to-shares matrix column by column.
+    """Build the input-to-shares matrix T with one reduction of [V^T | H].
 
-    V^T is inverted once; input basis vector e_j then costs one
-    right-hand-side build and its projection h(e_j), and column j of the
-    matrix is inverse(V^T) @ h(e_j).
+    Input j, coefficient d of user k's known block, has the right-hand
+    side -gamma_{k,i}^d on k's equations and 0 elsewhere, so its
+    projection h(e_j) = -P_k^T (gamma_{k,i}^d)_i is nonzero only in k's
+    R'_k rows.  Column j of H is h(e_j), and V^T T = H.
+
+    Raises:
+        SingularMatrixError: the plan's correctness matrix is singular.
     """
     dec = plan_decomposition(plan)
-    inv = linalg.inverse(plan.field, linalg.transpose(dec.matrix))
     p, n = plan.field.p, plan.N
-    hs = []
-    for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
-        msgs, pads = _split_input(plan.rates, plan.quotas, unit)
-        hs.append(_project(p, dec.basis_rows, rhs_vector(plan, msgs, pads)))
-    return TransferMap(
-        field=plan.field,
-        access=plan.access,
-        rates=plan.rates,
-        quotas=plan.quotas,
-        matrix=linalg.mat_mul(plan.field, inv, linalg.transpose(hs)),
+    tm = TransferMap(
+        field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]
     )
+    h = linalg.zeros(n, n)
+    row = 0
+    for k, (rows, msg_off, pad_off) in enumerate(
+        zip(dec.basis_rows, tm.message_offsets, tm.pad_offsets), start=1
+    ):
+        r_k, quota = plan.rates[k - 1], plan.quotas[k - 1]
+        inputs = list(range(msg_off, msg_off + r_k)) + list(range(pad_off, pad_off + quota - r_k))
+        gammas = plan.gammas(k)
+        powers = [1] * len(gammas)  # gamma_{k,i}^d for the current degree d
+        for j in inputs:
+            for t, col in enumerate(zip(*rows)):
+                h[row + t][j] = -sum(c * g for c, g in zip(col, powers)) % p
+            powers = [x * g % p for x, g in zip(powers, gammas)]
+        row += quota
+    reduced, pivots = linalg.rref(
+        plan.field, [vt_row + h_row for vt_row, h_row in zip(linalg.transpose(dec.matrix), h)]
+    )
+    if pivots != list(range(n)):
+        raise SingularMatrixError("correctness matrix is singular")
+    tm.matrix = [r[n:] for r in reduced]
+    return tm
 
 
 def _split_input(rates: Sequence[int], quotas: Sequence[int], x: Sequence[int]) -> tuple:

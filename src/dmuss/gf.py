@@ -10,6 +10,7 @@ invert via Fermat.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from .errors import NotPrimeError, ZeroElementError
 
@@ -43,19 +44,60 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Pollard-Brent rho.
+
+    Iterates x -> x^2 + c from x = 2 with c = 1, 2, ... until one walk
+    splits n; gcds are taken over batches of 128 steps.  No randomness,
+    so the same n always gives the same divisor.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n is desk-scale)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors of n >= 1, ascending.
+
+    Primes below 41 are divided out; what is left splits by
+    :func:`_rho_divisor` until every part passes :func:`is_prime`.
+    """
+    out = set()
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            out.add(q)
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return sorted(out)
 
 
 class Field:

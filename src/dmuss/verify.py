@@ -6,7 +6,11 @@ map T from (messages, free pads) to shares, with the inputs uniform:
 * storage entropy: the N shares are jointly uniform iff rank(T) = N;
 * pairwise privacy: observer k' learns nothing about user k's message iff
   stacking the w_k coordinate selector onto T's rows for A_{k'} raises
-  the rank by exactly R_k (every message value stays equally likely);
+  the rank by exactly R_k (every message value stays equally likely).
+  With Z a basis of ker(T's rows on A_{k'}), a combination of selector
+  rows lies in their row space (= ker^perp) exactly when it vanishes on
+  Z, so the rank rises by rank(Z cut to w_k's coordinates): one null
+  space per observer serves every secret user;
 * correctness: each user's local interpolation returns its message.
 
 The rank criteria are exact, not statistical.  For tiny instances
@@ -23,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .codec import TransferMap, decode, encode, split_transfer_input, transfer_map
+from .codec import TransferMap, decode, encode, transfer_map
 from .errors import TooLargeError
 from .planner import Plan
 
@@ -62,19 +66,30 @@ class PrivacyReport:
 
 
 def check_privacy(target) -> PrivacyReport:
-    """Exact pairwise-privacy check via rank comparison on the transfer map."""
+    """Exact pairwise-privacy check via ranks on the transfer map.
+
+    For observer k' with rows O = T[A_{k'}] and kernel basis Z of O,
+    rank([O; E_k]) = rank(O) + rank(Z[w_k, :]) for the selector E_k of
+    user k's message coordinates w_k, because rowspace(O) = ker(O)^perp.
+    So each observer costs one null space, and each (secret user,
+    observer) pair one rank of a dim Z x R_k matrix.
+    """
     tm = _as_transfer_map(target)
     k_count = len(tm.rates)
+    cols = tm.input_dim
+    kernels = [
+        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=cols).vectors
+        for k2 in range(1, k_count + 1)
+    ]
     pairs = []
-    for k in range(1, k_count + 1):
-        selector = tm.message_selector(k)
+    for k, off in enumerate(tm.message_offsets, start=1):
+        required = tm.rates[k - 1]
         for k2 in range(1, k_count + 1):
             if k2 == k:
                 continue
-            observed = tm.rows_for_nodes(tm.access.user_set(k2))
-            base = linalg.rank(tm.field, observed)
-            joint = linalg.rank(tm.field, observed + selector)
-            required = tm.rates[k - 1]
+            kernel = kernels[k2 - 1]
+            base = cols - len(kernel)
+            joint = base + linalg.rank(tm.field, [v[off : off + required] for v in kernel])
             pairs.append(
                 PairPrivacy(
                     secret_user=k,

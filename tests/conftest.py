@@ -7,7 +7,10 @@ import pytest
 
 from dmuss import AccessStructure, Field, linalg
 from dmuss.access import in_capacity_region
+from dmuss.codec import rhs_vector
 from dmuss.demo import demo_encode, demo_messages, demo_plan
+from dmuss.planner import plan_decomposition
+from dmuss.verify import PairPrivacy
 
 # (number, name, passed) triples filled in by the acceptance suite; echoed
 # after the run so each criterion's verdict is one visible line
@@ -116,6 +119,64 @@ def system_matrix(plan) -> linalg.Matrix:
             a[row][layout.share_offset + n - 1] = plan.alpha(k, n)
             row += 1
     return a
+
+
+# --- pairwise privacy and the column-by-column transfer map: slow references ------
+
+
+def slow_check_privacy(tm) -> list:
+    """PairPrivacy list from two full eliminations per ordered pair:
+    rank(O) and rank(O stacked on user k's message selector), with O the
+    observer's rows of T."""
+    pairs = []
+    for k in range(1, len(tm.rates) + 1):
+        selector = tm.message_selector(k)
+        for k2 in range(1, len(tm.rates) + 1):
+            if k2 == k:
+                continue
+            observed = tm.rows_for_nodes(tm.access.user_set(k2))
+            base = linalg.rank(tm.field, observed)
+            joint = linalg.rank(tm.field, observed + selector)
+            required = tm.rates[k - 1]
+            pairs.append(
+                PairPrivacy(
+                    secret_user=k,
+                    observer=k2,
+                    base_rank=base,
+                    joint_rank=joint,
+                    required=required,
+                    private=joint - base == required,
+                )
+            )
+    return pairs
+
+
+def slow_transfer_map(plan) -> linalg.Matrix:
+    """T = inverse(V^T) @ [h(e_1) .. h(e_N)], each h(e_j) the per-user
+    projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j."""
+    dec = plan_decomposition(plan)
+    inv = linalg.inverse(plan.field, linalg.transpose(dec.matrix))
+    p, n = plan.field.p, plan.N
+    hs = []
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        msgs, pads = [], []
+        pos = 0
+        for r in plan.rates:
+            msgs.append(unit[pos : pos + r])
+            pos += r
+        for r, quota in zip(plan.rates, plan.quotas):
+            pads.append(unit[pos : pos + quota - r])
+            pos += quota - r
+        s = rhs_vector(plan, msgs, pads)
+        h, pos = [], 0
+        for rows in dec.basis_rows:
+            block = s[pos : pos + len(rows)]
+            pos += len(rows)
+            h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
+        hs.append(h)
+    return linalg.mat_mul(plan.field, inv, linalg.transpose(hs))
 
 
 @pytest.fixture(scope="session")

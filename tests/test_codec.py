@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_access, random_rates_in_region, system_layout, system_matrix
+from conftest import (
+    random_access,
+    random_rates_in_region,
+    slow_transfer_map,
+    system_layout,
+    system_matrix,
+)
 from dmuss import linalg
 from dmuss.access import AccessStructure
 from dmuss.codec import (
@@ -261,6 +267,22 @@ def test_transfer_map_matches_encode_fuzz():
             x = [rng.randrange(11) for _ in range(tm.input_dim)]
             msgs, pads = split_transfer_input(tm, x)
             assert tm.apply(x) == encode_with_pads(plan, msgs, pads).shares
+
+
+def test_transfer_map_matches_column_oracle_fuzz():
+    # one reduction of [V^T | H] must equal inverse(V^T) times the
+    # column-by-column projections, bit for bit
+    rng = random.Random(44)
+    with_pads = small_field = 0
+    for _ in range(200):
+        acc = random_access(rng, max_users=5, max_nodes=9)
+        rates = random_rates_in_region(rng, acc)
+        p = rng.choice([11, 13, 17, 65537])
+        plan = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
+        assert transfer_map(plan).matrix == slow_transfer_map(plan)
+        with_pads += plan.quotas != plan.rates
+        small_field += p < 65537
+    assert with_pads >= 50 and small_field >= 100
 
 
 def test_transfer_map_reference(ref_plan, ref_messages, ref_encoded):

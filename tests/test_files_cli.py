@@ -407,6 +407,25 @@ def test_cli_modulus_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_files_that_do_not_fit_the_plan(tmp_path, capsys):
+    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
+    three_users = messages_to_dict(11, [[[1], [2, 6], [4, 0]]])
+    assert main(["encode", plan_path, write_doc(tmp_path, "m3.json", three_users)]) == 2
+    assert "expected 4 user messages, got 3" in capsys.readouterr().err
+    short = messages_to_dict(11, [[[1], [2], [4, 0], [3, 5, 7]]])
+    assert main(["encode", plan_path, write_doc(tmp_path, "short.json", short)]) == 2
+    assert "user 2: message length 1 != rate 2" in capsys.readouterr().err
+
+    inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, rates=["1/2", 1, 1, "3/2"]))
+    mix_path = str(tmp_path / "mix.json")
+    corners = ["--corner-a", "1,2,2,3", "--corner-b", "0,0,0,0"]
+    assert main(["plan", inst, *corners, "--out", mix_path]) == 0
+    one_block = shares_to_dict(11, list(range(1, 9)), [[0] * 8])
+    shares_path = write_doc(tmp_path, "shares.json", one_block)
+    assert main(["decode", mix_path, shares_path, "--user", "1"]) == 2
+    assert "expected 2 share blocks, got 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [11, 13, -1, True])
 def test_symbols_outside_the_field_are_format_errors(tmp_path, capsys, bad):
     msgs = messages_to_dict(11, [[[bad], [2, 6], [4, 0], [3, 5, 7]]])

@@ -1,11 +1,12 @@
 """Field layer: primality, generators, element arithmetic."""
 
 import random
+import time
 
 import pytest
 
 from dmuss.errors import NotPrimeError, ZeroElementError
-from dmuss.gf import Field, is_prime
+from dmuss.gf import Field, _prime_factors, is_prime
 
 
 def sieve(limit):
@@ -16,6 +17,19 @@ def sieve(limit):
             for j in range(i * i, limit + 1, i):
                 flags[j] = False
     return [n for n, f in enumerate(flags) if f]
+
+
+def trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def brute_force_order(p, e):
@@ -124,3 +138,28 @@ def test_element_validation():
         f.validate(11)
     with pytest.raises(ValueError):
         f.validate(-1)
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(2, 20001):
+        assert _prime_factors(n) == trial_division_factors(n), n
+
+
+def test_prime_factors_split_large_composites():
+    # products of large primes, a large prime square and a Mersenne prime
+    cases = {
+        2147483629 * 2147483647: [2147483629, 2147483647],
+        999983 * 1000003 * 1000033: [999983, 1000003, 1000033],
+        4294967291**2 * 12: [2, 3, 4294967291],
+        2**61 - 1: [2**61 - 1],
+    }
+    for n, want in cases.items():
+        assert _prime_factors(n) == want
+
+
+def test_large_safe_prime_field_is_fast():
+    assert Field(562949953422839).gamma == 11  # 50-bit safe prime
+    start = time.perf_counter()
+    field = Field(4611686018427377339)  # 62-bit safe prime
+    assert time.perf_counter() - start < 0.5
+    assert field.is_primitive(field.gamma)

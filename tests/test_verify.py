@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from conftest import random_access, random_rates_in_region
+from conftest import compress_nodes, random_access, random_rates_in_region, slow_check_privacy
+from dmuss import linalg
 from dmuss.access import AccessStructure
 from dmuss.codec import TransferMap, transfer_map
 from dmuss.errors import TooLargeError
@@ -234,3 +235,66 @@ def test_fuzz_arbitrary_maps_rank_matches_enumeration():
         seen_nonbijective |= not audit.bijective
     # the sample must actually exercise the failure side of the agreement
     assert seen_dependent and seen_nonbijective
+
+
+# --- the kernel criterion against the pairwise rank reference ----------------------
+
+
+def test_privacy_matches_pairwise_rank_fuzz():
+    """One null space per observer must give the PairPrivacy list that two
+    full eliminations per pair give, on plans and on arbitrary maps."""
+    rng = random.Random(92)
+    for _ in range(200):
+        acc = random_access(rng, max_users=6, max_nodes=10)
+        rates = random_rates_in_region(rng, acc)
+        p = rng.choice([11, 13, 17, 65537])
+        tm = transfer_map(make_plan(Field(p), acc, rates, seed=rng.randrange(10**6)))
+        assert check_privacy(tm).pairs == slow_check_privacy(tm)
+    deficient = binary = zero_rate = leaky = 0
+    for _ in range(500):
+        p = rng.choice([2, 3, 5, 7])
+        acc = random_access(rng, min_users=2, max_users=5, max_nodes=8)
+        n = acc.N
+        rates = []
+        budget = n
+        for _ in range(acc.K):
+            r = rng.randint(0, min(3, budget))
+            rates.append(r)
+            budget -= r
+        quotas = list(rates)
+        for _ in range(budget):
+            quotas[rng.randrange(acc.K)] += 1
+        density = rng.choice([0.2, 0.5, 1.0])
+        rows = [
+            [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.3:  # force a dependent row
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            rows[i] = [rng.randrange(p) * v % p for v in rows[j]]
+        tm = bare_map(p, [acc.sorted_set(k) for k in range(1, acc.K + 1)], rates, quotas, rows)
+        pairs = check_privacy(tm).pairs
+        assert pairs == slow_check_privacy(tm)
+        deficient += linalg.rank(tm.field, rows) < n
+        binary += p == 2
+        zero_rate += 0 in rates
+        leaky += sum(not pair.private for pair in pairs)
+    assert deficient >= 100 and binary >= 50 and zero_rate >= 100 and leaky >= 500
+
+
+def test_privacy_takes_one_null_space_per_observer(monkeypatch):
+    rng = random.Random(93)
+    sets = [rng.sample(range(1, 17), rng.randint(3, 8)) for _ in range(12)]
+    acc = AccessStructure.of(compress_nodes(sets))
+    tm = transfer_map(make_plan(Field(65537), acc, random_rates_in_region(rng, acc), seed=1))
+    calls = []
+    real = linalg.null_space
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "null_space", counting)
+    rep = check_privacy(tm)
+    assert acc.K == 12 and len(rep.pairs) == 12 * 11
+    assert len(calls) == 12
