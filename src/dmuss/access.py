@@ -101,9 +101,6 @@ class Constraint:
     def lhs(self, rates: Sequence) -> Fraction:
         return sum((Fraction(rates[k - 1]) for k in self.users), Fraction(0))
 
-    def satisfied(self, rates: Sequence) -> bool:
-        return self.lhs(rates) <= self.bound
-
     def __str__(self):
         terms = " + ".join(f"R{k}" for k in self.users)
         return f"{terms} <= {self.bound} ({self.kind})"

@@ -238,15 +238,6 @@ class TransferMap:
     def rows_for_nodes(self, nodes: Sequence[int]) -> linalg.Matrix:
         return [self.matrix[n - 1] for n in sorted(nodes)]
 
-    def message_selector(self, k: int) -> linalg.Matrix:
-        off = self.message_offsets[k - 1]
-        rows = []
-        for t in range(self.rates[k - 1]):
-            row = [0] * self.input_dim
-            row[off + t] = 1
-            rows.append(row)
-        return rows
-
 
 def transfer_map(plan: Plan) -> TransferMap:
     """Build the input-to-shares matrix T with one reduction of [V^T | H].
@@ -285,23 +276,6 @@ def transfer_map(plan: Plan) -> TransferMap:
         raise SingularMatrixError("correctness matrix is singular")
     tm.matrix = [r[n:] for r in reduced]
     return tm
-
-
-def _split_input(rates: Sequence[int], quotas: Sequence[int], x: Sequence[int]) -> tuple:
-    msgs, pads = [], []
-    pos = 0
-    for r in rates:
-        msgs.append(list(x[pos : pos + r]))
-        pos += r
-    for r, quota in zip(rates, quotas):
-        pads.append(list(x[pos : pos + quota - r]))
-        pos += quota - r
-    return msgs, pads
-
-
-def split_transfer_input(tm: TransferMap, x: Sequence[int]) -> tuple:
-    """Split a stacked input vector into (messages, free pads) per user."""
-    return _split_input(tm.rates, tm.quotas, x)
 
 
 @dataclass

@@ -139,6 +139,8 @@ def instance_from_dict(doc: dict) -> tuple:
     rates = [_rate_from_json(v) for v in _require(doc, "rates", list)]
     if len(rates) != acc.K:
         raise FileFormatError(f"{len(rates)} rates for {acc.K} users")
+    if any(r < 0 for r in rates):
+        raise FileFormatError("rates must be nonnegative")
     seed = doc.get("seed")
     if seed is not None and not _is_int(seed):
         raise FileFormatError("seed must be an integer")

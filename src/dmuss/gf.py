@@ -1,25 +1,34 @@
-"""Prime-field arithmetic GF(p).
+"""Prime fields GF(p).
 
 Field elements are plain Python ints in ``[0, p-1]``; a :class:`Field`
 instance carries the modulus and a designated primitive element (generator
-of the multiplicative group).  All scheme arithmetic sits on top of this
-module, so the operations here are deliberately boring: wrap, reduce,
-invert via Fermat.
+of the multiplicative group).  The scheme's arithmetic is inline ``%``
+and ``pow`` on those ints; this module only proves the modulus prime and
+finds the generator.
 """
 
 from __future__ import annotations
 
-import random
 from math import gcd
 
-from .errors import NotPrimeError, ZeroElementError
+from .errors import NotPrimeError, TooLargeError, ZeroElementError
 
-# Deterministic Miller-Rabin witnesses, sufficient for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witnesses, sufficient below _MR_BOUND.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every witness above:
+# 1287836182261 * 2575672364521.
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for moduli of interest."""
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24.
+
+    Raises:
+        TooLargeError: n is at least the bound, where the witnesses no
+            longer prove the answer.
+    """
+    if n >= _MR_BOUND:
+        raise TooLargeError(f"{n} is too large: primality is proven only below {_MR_BOUND}")
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -111,6 +120,7 @@ class Field:
 
     Raises:
         NotPrimeError: p is composite or < 2.
+        TooLargeError: p >= 3.3 * 10^24 (see :func:`is_prime`).
         ZeroElementError: an explicit gamma of zero was supplied.
         ValueError: an explicit gamma is not primitive.
     """
@@ -145,51 +155,6 @@ class Field:
         if self.p == 2:
             return True
         return all(pow(e, (self.p - 1) // q, self.p) != 1 for q in self._unit_factors)
-
-    # --- element arithmetic -------------------------------------------------
-
-    def validate(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.p:
-            raise ValueError(f"{a!r} is not an element of GF({self.p})")
-        return a
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem."""
-        if a % self.p == 0:
-            raise ZeroElementError("zero is not invertible")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, base: int, exp: int) -> int:
-        """base**exp with the convention pow(x, 0) == 1 (including x == 0)."""
-        if exp < 0:
-            return pow(self.inv(base), -exp, self.p)
-        return pow(base, exp, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.p)
-
-    def rand(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.p)
-
-    # ------------------------------------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.p, self.gamma) == (other.p, other.gamma)

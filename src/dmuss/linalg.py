@@ -1,10 +1,11 @@
 """Exact linear algebra over GF(p).
 
 Matrices are plain lists of row lists holding ints in ``[0, p-1]``; no
-floating point anywhere.  Elimination is deterministic: columns are
-processed left to right and the first row with a nonzero entry becomes
-the pivot, so every derived object (rank profile, null-space basis,
-solution vector) is reproducible across runs.
+floating point anywhere.  One forward pass, :func:`_echelon`, does all
+elimination: columns left to right, the first row with a nonzero entry
+becomes the pivot, so every derived object (rank profile, null-space
+basis, solution vector) is reproducible.  rank counts its pivots, det is
+its signed pivot product, and rref adds back-substitution.
 """
 
 from __future__ import annotations
@@ -45,75 +46,74 @@ def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
-def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeMismatchError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
-    p = field.p
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
-def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.
+def _echelon(field: Field, a: Matrix) -> tuple[Matrix, list[int], int]:
+    """Forward elimination with unit pivots: the one elimination loop.
 
     Returns:
-        (R, pivots) where R is the reduced form of ``a`` and pivots lists
-        the pivot column of each nonzero row, in order.
+        (E, pivots, d) where E is a row echelon form of ``a`` whose pivot
+        entries are 1, pivots lists the pivot column of each nonzero row,
+        and d is the product of the pivots before scaling times the sign
+        of the row swaps (the determinant when ``a`` is square and has a
+        pivot in every column).
     """
     p = field.p
     r = copy_matrix(a)
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots: list[int] = []
+    d = 1
     lead = 0
     for col in range(cols):
         piv = next((i for i in range(lead, rows) if r[i][col]), None)
         if piv is None:
             continue
-        r[lead], r[piv] = r[piv], r[lead]
-        inv = pow(r[lead][col], p - 2, p)
-        r[lead] = [x * inv % p for x in r[lead]]
-        lead_row = r[lead]
-        for i in range(rows):
-            if i != lead and r[i][col]:
-                f = r[i][col]
+        if piv != lead:
+            r[lead], r[piv] = r[piv], r[lead]
+            d = -d
+        pivot = r[lead][col]
+        d = d * pivot % p
+        inv = pow(pivot, p - 2, p)
+        lead_row = r[lead] = [x * inv % p for x in r[lead]]
+        for i in range(lead + 1, rows):
+            f = r[i][col]
+            if f:
                 r[i] = [(x - f * y) % p for x, y in zip(r[i], lead_row)]
         pivots.append(col)
         lead += 1
         if lead == rows:
             break
+    return r, pivots, d
+
+
+def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form: :func:`_echelon`, then back-substitution.
+
+    Returns:
+        (R, pivots) where R is the reduced form of ``a`` and pivots lists
+        the pivot column of each nonzero row, in order.
+    """
+    p = field.p
+    r, pivots, _ = _echelon(field, a)
+    for lead in range(len(pivots) - 1, 0, -1):
+        col, lead_row = pivots[lead], r[lead]
+        for i in range(lead):
+            f = r[i][col]
+            if f:
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], lead_row)]
     return r, pivots
 
 
 def rank(field: Field, a: Matrix) -> int:
-    return len(rref(field, a)[1])
+    return len(_echelon(field, a)[1])
 
 
 def det(field: Field, a: Matrix) -> int:
-    """Determinant by forward elimination with swap-sign tracking."""
+    """Determinant: the signed pivot product of :func:`_echelon`."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("determinant needs a square matrix")
-    p = field.p
-    m = copy_matrix(a)
-    result = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result % p
-        pivot = m[col][col]
-        result = result * pivot % p
-        inv = pow(pivot, p - 2, p)
-        base = m[col]
-        for i in range(col + 1, n):
-            f = m[i][col]
-            if f:
-                f = f * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], base)]
-    return result
+    _, pivots, d = _echelon(field, a)
+    return d if len(pivots) == n else 0
 
 
 def solve(field: Field, a: Matrix, s: list[int]) -> list[int]:

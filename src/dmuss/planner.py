@@ -13,9 +13,10 @@ A finished :class:`Plan` fixes, for every user k:
 Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
-nonsingular.  The planner keeps that matrix in the split form
-``diag(zeta) @ C + D`` where C collects the rows of reserved nodes
-(unscaled) and D everything else.  C is block-diagonal up to row
+nonsingular; :func:`correctness_matrix` writes it.  Only inside
+:func:`make_plan`, before the reserved rows' scalings zeta are chosen,
+is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
+unscaled and D the other rows.  C is block-diagonal up to row
 permutation, hence nonsingular by construction, which makes
 det(diag(zeta) @ C + D) a multilinear polynomial in zeta whose leading
 coefficient det(C) is nonzero -- so suitable all-nonzero scalings zeta
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .access import AccessStructure, augment_quotas, in_capacity_region, validate_quotas
@@ -82,19 +83,14 @@ class Plan:
 
 @dataclass
 class CorrectnessDecomposition:
-    """The correctness matrix in reserved/rest split form.
+    """A finished plan's correctness matrix and the rows it is made of.
 
-    ``matrix = diag(zeta) @ c + d`` where row n of c holds the permuted
-    basis row of the user that reserved node n (and zeros elsewhere),
-    zeta[n-1] is that user's scaling at n, and d holds the alpha-scaled
-    rows of all non-reserving users.  c and d never have a nonzero entry
-    in the same position.  ``basis_rows[k-1]`` is user k's |A_k| x R'_k
-    block of permuted null-basis rows, aligned with the sorted access set.
+    ``basis_rows[k-1]`` is user k's |A_k| x R'_k block of permuted
+    null-basis rows, aligned with the sorted access set; ``matrix`` is V,
+    row n holding alpha_{k,n} times user k's row for node n in user k's
+    R'_k columns, for every user k that reads n.
     """
 
-    c: Matrix
-    d: Matrix
-    zeta: list
     matrix: Matrix
     basis_rows: list
 
@@ -115,30 +111,22 @@ def choose_permutation(field: Field, basis: NullBasis, sorted_set: list, zblock:
     """Deterministic exponent permutation for one user.
 
     Picks the lexicographically first nonsingular subset of basis rows
-    (greedy top-down rank extension) and routes those rows to the
-    positions of the reserved nodes, both taken in ascending order; every
-    remaining row keeps ascending order over the remaining positions.
-    Returns pi as a tuple with pi[i-1] = pi(i).
+    and routes those rows to the positions of the reserved nodes, both
+    taken in ascending order; every remaining row keeps ascending order
+    over the remaining positions.  Row j of the basis is column j of the
+    quota x size matrix ``basis.vectors``, so that subset is its set of
+    pivot columns.  Returns pi as a tuple with pi[i-1] = pi(i).
     """
     size = len(sorted_set)
     quota = basis.dim
     if quota == 0:
         return tuple(range(1, size + 1))
-    rows = basis.as_columns_matrix()  # size x quota; row j <-> exponent j+1
-    selected: list[int] = []
-    picked_rows: list = []
-    for j in range(size):
-        if len(selected) == quota:
-            break
-        trial = picked_rows + [rows[j]]
-        if linalg.rank(field, trial) == len(trial):
-            selected.append(j + 1)
-            picked_rows.append(rows[j])
+    selected = [j + 1 for j in linalg.rref(field, basis.vectors)[1]]
     if len(selected) != quota:
         raise SingularMatrixError("null basis lost rank; field data inconsistent")
     zpositions = sorted(sorted_set.index(n) + 1 for n in zblock)
-    rest_rows = [j for j in range(1, size + 1) if j not in set(selected)]
-    rest_positions = [i for i in range(1, size + 1) if i not in set(zpositions)]
+    rest_rows = [j for j in range(1, size + 1) if j not in selected]
+    rest_positions = [i for i in range(1, size + 1) if i not in zpositions]
     pi = [0] * size
     for pos, row in zip(zpositions, selected):
         pi[pos - 1] = row
@@ -152,52 +140,36 @@ def _permuted_basis_rows(basis: NullBasis, perm: Sequence[int]) -> Matrix:
     return [rows[e - 1] for e in perm] if basis.dim else [[] for _ in perm]
 
 
-def build_split(
+def correctness_matrix(
     field: Field,
     acc: AccessStructure,
     quotas: Sequence[int],
-    reserved: SdrAssignment,
     basis_rows: Sequence[Matrix],
-    rest_alphas: Sequence,
-) -> tuple:
-    """Assemble the (c, d) split of the correctness matrix.
+    scale: Callable[[int, int], int],
+) -> Matrix:
+    """The N x N correctness matrix with row scalings ``scale(k, n)``.
 
     ``basis_rows[k-1]`` holds user k's permuted null-basis rows, one per
-    node of the sorted access set.
-    ``rest_alphas[k-1][n]`` scales the row of node n for non-reserving
-    user k; reserved rows go into c unscaled (their scalings are the zeta
-    coordinates chosen afterwards).  Returns (c, d, owner) with owner[n-1]
-    the user that reserved node n.
+    node of the sorted access set.  Row n gets scale(k, n) times user k's
+    row for node n in user k's R'_k columns, for every user k reading n.
     """
-    n_total = acc.N
-    offsets = []
-    acc_off = 0
-    for k in range(1, acc.K + 1):
-        offsets.append(acc_off)
-        acc_off += quotas[k - 1]
-    c = linalg.zeros(n_total, n_total)
-    d = linalg.zeros(n_total, n_total)
-    owner = [0] * n_total
     p = field.p
+    m = linalg.zeros(acc.N, acc.N)
+    off = 0
     for k in range(1, acc.K + 1):
-        rows = basis_rows[k - 1]
-        block = reserved.block(k)
-        off = offsets[k - 1]
-        for i, node in enumerate(acc.sorted_set(k), start=1):
-            row_vals = rows[i - 1]
-            if node in block:
-                owner[node - 1] = k
-                for t, v in enumerate(row_vals):
-                    c[node - 1][off + t] = v
-            else:
-                a = rest_alphas[k - 1][node]
-                for t, v in enumerate(row_vals):
-                    d[node - 1][off + t] = a * v % p
-    return c, d, owner
+        for node, row_vals in zip(acc.sorted_set(k), basis_rows[k - 1]):
+            a = scale(k, node)
+            for t, v in enumerate(row_vals):
+                m[node - 1][off + t] = a * v % p
+        off += quotas[k - 1]
+    return m
 
 
 def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
     """All-nonzero row scalings with det(diag(zeta) @ c + d) != 0.
+
+    c and d are :func:`make_plan`'s split of the correctness matrix (see
+    the module docstring).
 
     Phase one samples each coordinate uniformly from the nonzero elements
     with a seeded generator, up to 64 * N full draws.  Phase two walks the
@@ -243,8 +215,12 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
     return zeta
 
 
-def _ones_alphas(acc: AccessStructure) -> tuple:
-    return tuple({n: 1 for n in acc.sorted_set(k)} for k in range(1, acc.K + 1))
+def _check_field_size(field: Field, acc: AccessStructure) -> None:
+    largest = max(len(s) for s in acc.sets)
+    if field.p - 1 < largest:
+        raise FieldTooSmallError(
+            f"access set of size {largest} needs p-1 >= {largest}, got p={field.p}"
+        )
 
 
 def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: int = 0) -> Plan:
@@ -258,11 +234,7 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     """
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
-    largest = max(len(s) for s in acc.sets)
-    if field.p - 1 < largest:
-        raise FieldTooSmallError(
-            f"access set of size {largest} needs p-1 >= {largest}, got p={field.p}"
-        )
+    _check_field_size(field, acc)
     quotas = augment_quotas(acc, rates)
     reserved = find_sdr(acc, quotas)
     bases = [tail_basis(field, quotas[k - 1], len(acc.user_set(k))) for k in range(1, acc.K + 1)]
@@ -270,16 +242,14 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
         choose_permutation(field, bases[k - 1], acc.sorted_set(k), reserved.sorted_block(k))
         for k in range(1, acc.K + 1)
     )
-    rest_alphas = _ones_alphas(acc)
     rows = [_permuted_basis_rows(b, perm) for b, perm in zip(bases, perms)]
-    c, d, owner = build_split(field, acc, quotas, reserved, rows, rest_alphas)
+    c = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n in reserved.block(k)))
+    d = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n not in reserved.block(k)))
     zeta = choose_zeta(field, c, d, seed)
-    alphas = []
-    for k in range(1, acc.K + 1):
-        per_user = dict(rest_alphas[k - 1])
-        for n in reserved.sorted_block(k):
-            per_user[n] = zeta[n - 1]
-        alphas.append(per_user)
+    alphas = [
+        {n: zeta[n - 1] if n in reserved.block(k) else 1 for n in acc.sorted_set(k)}
+        for k in range(1, acc.K + 1)
+    ]
     return Plan(
         field=field,
         access=acc,
@@ -292,7 +262,7 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
 
 
 def plan_decomposition(plan: Plan) -> CorrectnessDecomposition:
-    """Recompute the split form of a finished plan's correctness matrix."""
+    """A finished plan's correctness matrix V, scaled by its alphas."""
     acc = plan.access
     rows = [
         _permuted_basis_rows(
@@ -300,14 +270,8 @@ def plan_decomposition(plan: Plan) -> CorrectnessDecomposition:
         )
         for k in range(1, acc.K + 1)
     ]
-    c, d, owner = build_split(plan.field, acc, plan.quotas, plan.reserved, rows, plan.alphas)
-    zeta = [plan.alphas[owner[i] - 1][i + 1] for i in range(acc.N)]
-    p = plan.field.p
-    full = [
-        [(z * cv + dv) % p for cv, dv in zip(crow, drow)]
-        for z, crow, drow in zip(zeta, c, d)
-    ]
-    return CorrectnessDecomposition(c=c, d=d, zeta=zeta, matrix=full, basis_rows=rows)
+    matrix = correctness_matrix(plan.field, acc, plan.quotas, rows, plan.alpha)
+    return CorrectnessDecomposition(matrix=matrix, basis_rows=rows)
 
 
 def plan_from_parameters(
@@ -334,11 +298,7 @@ def plan_from_parameters(
         raise ValueError("padded lengths fail the augmentation invariants")
     if not validate_sdr(acc, quotas, reserved):
         raise ValueError("reserved blocks are not a valid distinct-representative pick")
-    largest = max(len(s) for s in acc.sets)
-    if field.p - 1 < largest:
-        raise FieldTooSmallError(
-            f"access set of size {largest} needs p-1 >= {largest}, got p={field.p}"
-        )
+    _check_field_size(field, acc)
     for k in range(1, acc.K + 1):
         size = len(acc.user_set(k))
         if sorted(perms[k - 1]) != list(range(1, size + 1)):

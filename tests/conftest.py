@@ -9,6 +9,7 @@ from dmuss import AccessStructure, Field, linalg
 from dmuss.access import in_capacity_region
 from dmuss.codec import rhs_vector
 from dmuss.demo import demo_encode, demo_messages, demo_plan
+from dmuss.errors import ShapeMismatchError, SingularMatrixError
 from dmuss.planner import plan_decomposition
 from dmuss.verify import PairPrivacy
 
@@ -62,6 +63,102 @@ def random_rates_in_region(rng: random.Random, acc: AccessStructure, stop_prob=0
         if not candidates or rng.random() < stop_prob:
             return tuple(rates)
         rates[rng.choice(candidates)] += 1
+
+
+# --- elimination: the slow references for linalg and the permutation choice ----
+
+
+def mat_mul(field, a, b):
+    """a @ b over GF(p)."""
+    p = field.p
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+
+
+def slow_rref(field, a):
+    """Gauss-Jordan reduction: each pivot clears its column above and
+    below as soon as it is found."""
+    p = field.p
+    r = linalg.copy_matrix(a)
+    rows = len(r)
+    cols = len(r[0]) if rows else 0
+    pivots = []
+    lead = 0
+    for col in range(cols):
+        piv = next((i for i in range(lead, rows) if r[i][col]), None)
+        if piv is None:
+            continue
+        r[lead], r[piv] = r[piv], r[lead]
+        inv = pow(r[lead][col], p - 2, p)
+        r[lead] = [x * inv % p for x in r[lead]]
+        lead_row = r[lead]
+        for i in range(rows):
+            if i != lead and r[i][col]:
+                f = r[i][col]
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], lead_row)]
+        pivots.append(col)
+        lead += 1
+        if lead == rows:
+            break
+    return r, pivots
+
+
+def slow_det(field, a):
+    """Determinant by its own forward elimination with swap-sign
+    tracking, stopping at the first column without a pivot."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeMismatchError("determinant needs a square matrix")
+    p = field.p
+    m = linalg.copy_matrix(a)
+    result = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            result = -result % p
+        pivot = m[col][col]
+        result = result * pivot % p
+        inv = pow(pivot, p - 2, p)
+        base = m[col]
+        for i in range(col + 1, n):
+            f = m[i][col]
+            if f:
+                f = f * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], base)]
+    return result
+
+
+def slow_choose_permutation(field, basis, sorted_set, zblock):
+    """The exponent permutation with the reserved rows picked greedily:
+    row j joins when it raises the rank of the rows picked so far."""
+    size = len(sorted_set)
+    quota = basis.dim
+    if quota == 0:
+        return tuple(range(1, size + 1))
+    rows = basis.as_columns_matrix()  # size x quota; row j <-> exponent j+1
+    selected = []
+    picked_rows = []
+    for j in range(size):
+        if len(selected) == quota:
+            break
+        trial = picked_rows + [rows[j]]
+        if linalg.rank(field, trial) == len(trial):
+            selected.append(j + 1)
+            picked_rows.append(rows[j])
+    if len(selected) != quota:
+        raise SingularMatrixError("null basis lost rank; field data inconsistent")
+    zpositions = sorted(sorted_set.index(n) + 1 for n in zblock)
+    rest_rows = [j for j in range(1, size + 1) if j not in set(selected)]
+    rest_positions = [i for i in range(1, size + 1) if i not in set(zpositions)]
+    pi = [0] * size
+    for pos, row in zip(zpositions, selected):
+        pi[pos - 1] = row
+    for pos, row in zip(rest_positions, rest_rows):
+        pi[pos - 1] = row
+    return tuple(pi)
 
 
 # --- the lifted encoding system: the slow reference for codec ------------------
@@ -124,13 +221,24 @@ def system_matrix(plan) -> linalg.Matrix:
 # --- pairwise privacy and the column-by-column transfer map: slow references ------
 
 
+def message_selector(tm, k) -> linalg.Matrix:
+    """The R_k x N 0/1 rows picking user k's message out of T's input."""
+    off = tm.message_offsets[k - 1]
+    rows = []
+    for t in range(tm.rates[k - 1]):
+        row = [0] * tm.input_dim
+        row[off + t] = 1
+        rows.append(row)
+    return rows
+
+
 def slow_check_privacy(tm) -> list:
     """PairPrivacy list from two full eliminations per ordered pair:
     rank(O) and rank(O stacked on user k's message selector), with O the
     observer's rows of T."""
     pairs = []
     for k in range(1, len(tm.rates) + 1):
-        selector = tm.message_selector(k)
+        selector = message_selector(tm, k)
         for k2 in range(1, len(tm.rates) + 1):
             if k2 == k:
                 continue
@@ -176,7 +284,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
             pos += len(rows)
             h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
         hs.append(h)
-    return linalg.mat_mul(plan.field, inv, linalg.transpose(hs))
+    return mat_mul(plan.field, inv, linalg.transpose(hs))
 
 
 @pytest.fixture(scope="session")

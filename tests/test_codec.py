@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    message_selector,
     random_access,
     random_rates_in_region,
     slow_transfer_map,
@@ -26,7 +27,6 @@ from dmuss.codec import (
     encode_with_pads,
     memory_share,
     rhs_vector,
-    split_transfer_input,
     transfer_map,
 )
 from dmuss.errors import BadSymbolError, DmussError, IncompatiblePlansError, ShapeMismatchError
@@ -265,7 +265,10 @@ def test_transfer_map_matches_encode_fuzz():
         assert tm.input_dim == plan.N == len(tm.matrix)
         for _ in range(5):
             x = [rng.randrange(11) for _ in range(tm.input_dim)]
-            msgs, pads = split_transfer_input(tm, x)
+            msgs = [x[off : off + r] for off, r in zip(tm.message_offsets, plan.rates)]
+            pads = [
+                x[off : off + q - r] for off, r, q in zip(tm.pad_offsets, plan.rates, plan.quotas)
+            ]
             assert tm.apply(x) == encode_with_pads(plan, msgs, pads).shares
 
 
@@ -296,7 +299,7 @@ def test_transfer_map_selectors(ref_plan):
     tm = transfer_map(ref_plan)
     assert tm.message_offsets == [0, 1, 3, 5]
     assert tm.pad_offsets == [8, 8, 8, 8]
-    sel = tm.message_selector(4)
+    sel = message_selector(tm, 4)
     assert len(sel) == 3
     assert sel[0][5] == 1 and sum(sel[0]) == 1
 

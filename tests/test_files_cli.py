@@ -83,6 +83,7 @@ def test_instance_round_trip():
         lambda d: d.update(rates=[1, "x"]),
         lambda d: d.update(rates=[1, True]),
         lambda d: d.update(rates=[1]),
+        lambda d: d.update(rates=[-1, 1]),
         lambda d: d.update(access=[[1, 2], "nope"]),
         lambda d: d.update(access=[[1, 2], [2, 2.5]]),
         lambda d: d.update(k=3),
@@ -217,6 +218,22 @@ def test_cli_check_violation(tmp_path, capsys):
     inst = write_doc(tmp_path, "inst.json", doc)
     assert main(["check", inst]) == 1
     assert "outside region" in capsys.readouterr().out
+
+
+def test_cli_pseudoprime_modulus_exits_1(tmp_path, capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base <= 37
+    inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, p=3317044064679887385961981))
+    for command in ("check", "plan"):
+        assert main([command, inst]) == 1
+        captured = capsys.readouterr()
+        assert "too large" in captured.err and captured.out == ""
+
+
+def test_cli_negative_rate_exits_2(tmp_path, capsys):
+    inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, rates=[-1, 1, 1, 1]))
+    for command in ("check", "plan"):
+        assert main([command, inst]) == 2
+        assert "rates must be nonnegative" in capsys.readouterr().err
 
 
 # --- CLI: the full file chain -------------------------------------------------------

@@ -3,12 +3,16 @@
 The determinant tests are checked against a test-local cofactor-expansion
 oracle, and the null-space regressions pin span-level expectations (the
 basis convention is echelon-reduced, so span equality is what matters).
+The one forward elimination under rref, rank and det is fuzzed against
+the Gauss-Jordan reduction and the separate determinant loop it replaced
+(``slow_rref`` and ``slow_det`` in conftest).
 """
 
 import random
 
 import pytest
 
+from conftest import mat_mul, slow_det, slow_rref
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -242,8 +246,8 @@ def test_inverse_fuzz():
         if linalg.det(f, a) == 0:
             continue
         inv = linalg.inverse(f, a)
-        assert linalg.mat_mul(f, a, inv) == linalg.identity(n)
-        assert linalg.mat_mul(f, inv, a) == linalg.identity(n)
+        assert mat_mul(f, a, inv) == linalg.identity(n)
+        assert mat_mul(f, inv, a) == linalg.identity(n)
         done += 1
     with pytest.raises(SingularMatrixError):
         linalg.inverse(F11, [[1, 2], [2, 4]])
@@ -252,7 +256,80 @@ def test_inverse_fuzz():
 def test_mat_ops_shapes():
     with pytest.raises(ShapeMismatchError):
         linalg.mat_vec(F11, [[1, 2]], [1, 2, 3])
-    with pytest.raises(ShapeMismatchError):
-        linalg.mat_mul(F11, [[1, 2]], [[1, 2]])
     assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
     assert linalg.transpose([]) == []
+
+
+
+# --- the one forward pass against the slow references ------------------------------
+
+FUZZ_FIELDS = [Field(p) for p in (2, 3, 11, 65537, 2**31 - 1, 2**61 - 1)]
+
+
+def slow_null_vectors(field, a):
+    """Null basis read off ``slow_rref`` by the same free-column rule."""
+    r, pivots = slow_rref(field, a)
+    ncols = len(a[0])
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -r[row_idx][f] % field.p
+        vectors.append(v)
+    return vectors
+
+
+def fuzz_matrix(rng, field, rows, cols, kind):
+    p = field.p
+    if kind == "zero":
+        return linalg.zeros(rows, cols)
+    if kind == "sparse":
+        return [[rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(cols)] for _ in range(rows)]
+    if kind == "low-rank":
+        r = rng.randint(0, max(min(rows, cols) - 1, 0))
+        if r == 0:
+            return linalg.zeros(rows, cols)
+        return mat_mul(field, random_matrix(rng, p, rows, r), random_matrix(rng, p, r, cols))
+    if kind == "repeated" and rows > 1:
+        m = random_matrix(rng, p, rows - 1, cols)
+        return m + [m[rng.randrange(rows - 1)][:]]
+    return random_matrix(rng, p, rows, cols)
+
+
+def test_elimination_matches_slow_references_fuzz():
+    rng = random.Random(61)
+    kinds = ["dense", "zero", "sparse", "low-rank", "repeated"]
+    shapes = ["square", "wide", "tall", "empty"]
+    seen = set()
+    for _ in range(1500):
+        field = rng.choice(FUZZ_FIELDS)
+        shape, kind = rng.choice(shapes), rng.choice(kinds)
+        n = rng.randint(1, 8)
+        rows, cols = {
+            "square": (n, n),
+            "wide": (n, n + rng.randint(1, 5)),
+            "tall": (n + rng.randint(1, 5), n),
+            "empty": rng.choice([(0, 0), (n, 0)]),
+        }[shape]
+        a = fuzz_matrix(rng, field, rows, cols, kind)
+        want_r, want_pivots = slow_rref(field, a)
+        assert linalg.rref(field, a) == (want_r, want_pivots)
+        assert linalg.rank(field, a) == len(want_pivots)
+        if rows == cols:
+            assert linalg.det(field, a) == slow_det(field, a)
+            seen.add(("det", len(want_pivots) == rows))
+        else:
+            with pytest.raises(ShapeMismatchError):
+                linalg.det(field, a)
+        if a:
+            nb = linalg.null_space(field, a)
+            assert nb.vectors == slow_null_vectors(field, a)
+        seen.add((shape, kind, field.p))
+        seen.add(("rank-deficient", len(want_pivots) < min(rows, cols)))
+    # every shape, kind and field came up, and both det outcomes
+    for shape in shapes:
+        for kind in kinds:
+            for field in FUZZ_FIELDS:
+                assert (shape, kind, field.p) in seen
+    assert {("det", True), ("det", False), ("rank-deficient", True), ("rank-deficient", False)} <= seen

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_access, random_rates_in_region, system_matrix
+from conftest import random_access, random_rates_in_region, slow_choose_permutation, system_matrix
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
 from dmuss.errors import (
@@ -18,6 +18,7 @@ from dmuss.linalg import NullBasis
 from dmuss.planner import (
     choose_permutation,
     choose_zeta,
+    correctness_matrix,
     make_plan,
     plan_decomposition,
     plan_from_parameters,
@@ -38,6 +39,20 @@ def random_nonsingular(rng, field, n):
         m = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
         if linalg.det(field, m) != 0:
             return m
+
+
+def split_matrices(plan):
+    """(C, D_alpha, zeta): the correctness matrix's reserved rows at
+    scale 1, the other rows at their alphas, and per node the scaling of
+    the user that reserved it."""
+    reserved = plan.reserved
+    rows = plan_decomposition(plan).basis_rows
+    args = (plan.field, plan.access, plan.quotas, rows)
+    c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
+    d = correctness_matrix(*args, lambda k, n: 0 if n in reserved.block(k) else plan.alpha(k, n))
+    owner = {n: k for k in range(1, plan.K + 1) for n in reserved.block(k)}
+    zeta = [plan.alpha(owner[n], n) for n in range(1, plan.N + 1)]
+    return c, d, zeta
 
 
 # --- tail bases -----------------------------------------------------------------
@@ -88,6 +103,31 @@ def test_choose_permutation_skips_dependent_prefix():
     nb = NullBasis(dim=2, vectors=[[1, 2, 3], [2, 4, 5]])
     pi = choose_permutation(F11, nb, [1, 2, 3], [1, 2])
     assert pi == (1, 3, 2)
+
+
+def test_choose_permutation_matches_greedy_rank_extension_fuzz():
+    # the pivot columns of basis.vectors are the rows the greedy
+    # top-down rank extension picks
+    rng = random.Random(35)
+    for trial in range(300):
+        p = rng.choice([2, 3, 5, 11, 13, 65537])
+        f = Field(p)
+        size = rng.randint(1, min(p - 1, 9))
+        quota = rng.randint(0, size)
+        if trial % 3:
+            basis = tail_basis(f, quota, size)
+        else:  # arbitrary independent rows, dependent prefixes included
+            vectors = []
+            while len(vectors) < quota:
+                v = [rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(size)]
+                if linalg.rank(f, vectors + [v]) == len(vectors) + 1:
+                    vectors.append(v)
+            basis = NullBasis(dim=quota, vectors=vectors)
+        nodes = sorted(rng.sample(range(1, 3 * size + 1), size))
+        zblock = rng.sample(nodes, quota)
+        assert choose_permutation(f, basis, nodes, zblock) == slow_choose_permutation(
+            f, basis, nodes, zblock
+        )
 
 
 def test_choose_permutation_reserved_rows_are_invertible():
@@ -188,7 +228,7 @@ def test_make_plan_reference_instance_invariants():
         assert len(set(gammas)) == size and 0 not in gammas
         assert all(plan.alpha(k, n) != 0 for n in acc.sorted_set(k))
     dec = plan_decomposition(plan)
-    assert linalg.det(F11, dec.c) != 0
+    assert linalg.det(F11, split_matrices(plan)[0]) != 0
     assert linalg.det(F11, dec.matrix) != 0
     a = system_matrix(plan)
     assert linalg.rank(F11, a) == len(a) == 17
@@ -197,18 +237,16 @@ def test_make_plan_reference_instance_invariants():
 def test_decomposition_structure():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     dec = plan_decomposition(plan)
+    c, d, zeta = split_matrices(plan)
     n = plan.N
     p = plan.field.p
+    assert linalg.det(F11, c) != 0
     for i in range(n):
         for j in range(n):
             # split supports never overlap
-            assert not (dec.c[i][j] != 0 and dec.d[i][j] != 0)
-            assert dec.matrix[i][j] == (dec.zeta[i] * dec.c[i][j] + dec.d[i][j]) % p
-    # zeta entries are the reserving users' scalings
-    for k in range(1, plan.K + 1):
-        for node in plan.reserved.block(k):
-            assert dec.zeta[node - 1] == plan.alpha(k, node)
-    assert all(z != 0 for z in dec.zeta)
+            assert not (c[i][j] != 0 and d[i][j] != 0)
+            assert dec.matrix[i][j] == (zeta[i] * c[i][j] + d[i][j]) % p
+    assert all(z != 0 for z in zeta)
 
 
 def test_make_plan_round_trips_fuzz():
@@ -240,6 +278,32 @@ def test_make_plan_errors():
 def test_make_plan_deterministic():
     acc = ref_access()
     assert make_plan(F11, acc, (1, 2, 2, 3), seed=9) == make_plan(F11, acc, (1, 2, 2, 3), seed=9)
+
+
+def test_make_plan_pinned_constants():
+    # frozen planner output: permutations from the pivot columns, zeta
+    # from the seeded draws against the reserved/rest split; the second
+    # instance pads users 1 and 3
+    cases = [
+        (
+            F11, REF_SETS, (1, 2, 2, 3), 5,
+            (1, 2, 2, 3),
+            ((1, 2, 3, 4), (3, 1, 2, 4), (3, 1, 4, 2), (4, 5, 1, 2, 3)),
+            [{1: 10, 6: 1, 7: 1, 8: 1}, {1: 1, 3: 6, 4: 9, 7: 1},
+             {1: 1, 2: 5, 3: 1, 8: 1}, {2: 1, 4: 1, 5: 1, 6: 8, 7: 4}],
+        ),
+        (
+            Field(13), [[1, 2, 3, 4], [3, 4, 5, 6], [1, 5, 6, 7]], (1, 1, 0), 7,
+            (4, 2, 1),
+            ((1, 2, 3, 4), (3, 4, 1, 2), (2, 3, 4, 1)),
+            [{1: 6, 2: 3, 3: 7, 4: 11}, {3: 1, 4: 1, 5: 1, 6: 2}, {1: 1, 5: 1, 6: 1, 7: 9}],
+        ),
+    ]
+    for field, sets, rates, seed, quotas, perms, alphas in cases:
+        plan = make_plan(field, AccessStructure.of(sets), rates, seed=seed)
+        assert plan.quotas == quotas
+        assert plan.perms == perms
+        assert list(plan.alphas) == alphas
 
 
 def test_plan_from_parameters_rejects_bad_constants():
