@@ -121,7 +121,7 @@ def choose_permutation(field: Field, basis: NullBasis, sorted_set: list, zblock:
     quota = basis.dim
     if quota == 0:
         return tuple(range(1, size + 1))
-    selected = [j + 1 for j in linalg.rref(field, basis.vectors)[1]]
+    selected = [j + 1 for j in linalg._echelon(field, basis.vectors)[1]]
     if len(selected) != quota:
         raise SingularMatrixError("null basis lost rank; field data inconsistent")
     zpositions = sorted(sorted_set.index(n) + 1 for n in zblock)

@@ -3,7 +3,7 @@
 The demo's instance, plan, message and share documents are mutated
 structurally: a key is deleted, a list item is deleted or duplicated, or
 a value is swapped for an odd one (null, a boolean, -1, 0, a float, a
-string, nested lists, 10^30, a strong pseudoprime).  Each mutated file
+string, nested lists, 10^30, strong pseudoprimes).  Each mutated file
 is written and every subcommand that reads it runs through
 :func:`dmuss.cli.main`.  Whatever the file says, the CLI must answer
 with exit code 0, 1 or 2 and never let an exception escape.
@@ -20,8 +20,9 @@ from dmuss import demo
 from dmuss.cli import main
 from dmuss.files import messages_to_dict, plan_to_dict, save_json, shares_to_dict
 
-PSEUDOPRIME = 1287836182261 * 2575672364521  # strong pseudoprime to bases <= 37
-ODD_VALUES = (None, True, False, -1, 0, 1.5, "7", [[1, 2], [3]], [], 10**30, PSEUDOPRIME)
+# strong pseudoprimes to the prime bases <= 41 and <= 37
+PSEUDOPRIMES = (1287836182261 * 2575672364521, 399165290221 * 798330580441)
+ODD_VALUES = (None, True, False, -1, 0, 1.5, "7", [[1, 2], [3]], [], 10**30, *PSEUDOPRIMES)
 RANDOM_TRIALS = 700
 
 

@@ -221,12 +221,14 @@ def test_cli_check_violation(tmp_path, capsys):
 
 
 def test_cli_pseudoprime_modulus_exits_1(tmp_path, capsys):
-    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base <= 37
-    inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, p=3317044064679887385961981))
-    for command in ("check", "plan"):
-        assert main([command, inst]) == 1
-        captured = capsys.readouterr()
-        assert "too large" in captured.err and captured.out == ""
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base <= 41;
+    # 399165290221 * 798330580441 passes every base <= 37
+    for p, reason in ((3317044064679887385961981, "too large"), (318665857834031151167461, "not prime")):
+        inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, p=p))
+        for command in ("check", "plan"):
+            assert main([command, inst]) == 1
+            captured = capsys.readouterr()
+            assert reason in captured.err and captured.out == ""
 
 
 def test_cli_negative_rate_exits_2(tmp_path, capsys):

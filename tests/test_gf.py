@@ -7,8 +7,10 @@ import pytest
 from dmuss.errors import NotPrimeError, TooLargeError, ZeroElementError
 from dmuss.gf import Field, _prime_factors, is_prime
 
-# the least strong pseudoprime to every prime base <= 37
+# the least strong pseudoprime to every prime base <= 41
 PSEUDOPRIME = 3317044064679887385961981
+# the least strong pseudoprime to every prime base <= 37; base 41 exposes it
+PSEUDOPRIME_37 = 318665857834031151167461
 
 
 def sieve(limit):
@@ -67,8 +69,14 @@ def test_composite_modulus_rejected(n):
 
 
 def test_moduli_beyond_the_witness_bound_are_refused():
-    # Miller-Rabin with the bases <= 37 calls this composite "prime"
+    # Miller-Rabin with the bases <= 41 calls this composite "prime"
     assert PSEUDOPRIME == 1287836182261 * 2575672364521
+    # below the bound the answer is proven, so this one is caught
+    assert PSEUDOPRIME_37 == 399165290221 * 798330580441
+    assert not is_prime(PSEUDOPRIME_37)
+    with pytest.raises(NotPrimeError):
+        Field(PSEUDOPRIME_37)
+    assert is_prime(41) and not is_prime(41 * 43)
     for n in (PSEUDOPRIME, PSEUDOPRIME + 1, 10**30):
         with pytest.raises(TooLargeError):
             is_prime(n)
