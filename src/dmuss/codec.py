@@ -179,9 +179,12 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
     node -> symbol covering at least A_k.
 
     Raises:
-        ShapeMismatchError: shares are missing for some node of A_k.
+        ShapeMismatchError: k is not an int (not a bool) in 1..K, or
+            shares are missing for some node of A_k.
         BadSymbolError: a share on A_k is not in GF(p).
     """
+    if type(k) is not int or not 1 <= k <= plan.K:
+        raise ShapeMismatchError(f"user {k!r} is not in 1..{plan.K}")
     field = plan.field
     p = field.p
     vals = _shares_for_user(plan, k, shares)

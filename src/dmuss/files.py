@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .access import AccessStructure
 from .codec import MemoryShare
+from .errors import BadSymbolError
 from .gf import Field
 from .planner import Plan, plan_from_parameters
 from .sdr import SdrAssignment
@@ -213,6 +214,8 @@ def plan_from_dict(doc: dict) -> Plan:
             perms=[tuple(_int_list(p_, "permutation")) for p_ in perms],
             alphas=alphas,
         )
+    except BadSymbolError as exc:  # a gamma or scaling outside GF(p)
+        raise FileFormatError(str(exc)) from exc
     except ValueError as exc:
         # structural nonsense in the document (bad permutation, zero
         # scaling, ...) is a file problem; domain errors pass through

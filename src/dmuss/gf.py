@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotPrimeError, TooLargeError, ZeroElementError
+from .errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
 
 # Deterministic Miller-Rabin witnesses, sufficient below _MR_BOUND
 # (2..37 alone pass 399165290221 * 798330580441).
@@ -122,6 +122,8 @@ class Field:
     Raises:
         NotPrimeError: p is composite or < 2.
         TooLargeError: p >= 3.3 * 10^24 (see :func:`is_prime`).
+        BadSymbolError: an explicit gamma is not an element of GF(p):
+            an int (not a bool) in [0, p).
         ZeroElementError: an explicit gamma of zero was supplied.
         ValueError: an explicit gamma is not primitive.
     """
@@ -135,7 +137,8 @@ class Field:
         if gamma is None:
             gamma = self._smallest_generator()
         else:
-            gamma %= p
+            if type(gamma) is not int or not 0 <= gamma < p:
+                raise BadSymbolError(f"gamma {gamma!r} is not an element of GF({p})")
             if not self.is_primitive(gamma):
                 raise ValueError(f"{gamma} does not generate GF({p})*")
         self.gamma = gamma

@@ -6,6 +6,15 @@ elimination: columns left to right, the first row with a nonzero entry
 becomes the pivot, so every derived object (rank profile, null-space
 basis, solution vector) is reproducible.  rank counts its pivots, det is
 its signed pivot product, and rref adds back-substitution.
+
+Inside the elimination each row is one Python int holding its entries
+as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
+one row update is one big-int multiply-add instead of a loop over the
+row: the packing of Dumas, Fousse and Salvy, "Simultaneous modular
+reduction and Kronecker substitution for small finite fields" (J. Symb.
+Comput. 2011).  Fields are reduced mod p only when a row becomes a pivot
+row and when the result is unpacked; W leaves room for the unreduced
+sums in between (see :func:`_echelon` and :func:`rref`).
 """
 
 from __future__ import annotations
@@ -46,38 +55,78 @@ def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
-def _echelon(field: Field, a: Matrix) -> tuple[Matrix, list[int], int]:
+def _width(p: int, rows: int) -> int:
+    """Bits per packed field.
+
+    A field starts reduced (below p) and takes at most rows - 1 updates
+    before it is reduced again, each adding (p - f) * y < p**2, so it
+    stays below rows * p**2 < 2**(W - 1): no carry reaches the next
+    field, with one bit to spare.
+    """
+    return 2 * p.bit_length() + rows.bit_length() + 1
+
+
+def _pack(row: list[int], w: int, p: int) -> int:
+    """The entries of ``row`` reduced mod p, packed W bits apart."""
+    packed = 0
+    for x in reversed(row):
+        packed = packed << w | x % p
+    return packed
+
+
+def _fields(packed: int, w: int, n: int) -> list[int]:
+    """The first n W-bit fields of ``packed``, not reduced."""
+    mask = (1 << w) - 1
+    return [packed >> s & mask for s in range(0, n * w, w)]
+
+
+def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
     """Forward elimination with unit pivots: the one elimination loop.
 
+    Each row is held packed in one int: entry c sits in the field at bits
+    [c*W, (c+1)*W) with W = :func:`_width` (2*bits(p) + bits(rows) + 1),
+    and reads as ``(R >> c*W & mask) % p``.  The pivot row is unpacked,
+    scaled to a unit pivot, reduced mod p and repacked as L; each row
+    below is then updated by one big-int operation, R_i += (p - f)*L.
+    Rows below the pivot are never reduced in this pass, so they take at
+    most rows - 1 updates, each field gaining less than p**2: no field
+    overflows into the next.
+
     Returns:
-        (E, pivots, d) where E is a row echelon form of ``a`` whose pivot
-        entries are 1, pivots lists the pivot column of each nonzero row,
-        and d is the product of the pivots before scaling times the sign
-        of the row swaps (the determinant when ``a`` is square and has a
-        pivot in every column).
+        (E, pivots, d) where E holds the packed rows of a row echelon
+        form of ``a`` whose pivot entries are 1 (the pivot rows reduced
+        mod p, the rows below them zero mod p), pivots lists the pivot
+        column of each nonzero row, and d is the product of the pivots
+        before scaling times the sign of the row swaps (the determinant
+        when ``a`` is square and has a pivot in every column).
     """
     p = field.p
-    r = copy_matrix(a)
-    rows = len(r)
-    cols = len(r[0]) if rows else 0
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    w = _width(p, rows)
+    mask = (1 << w) - 1
+    r = [_pack(row, w, p) for row in a]
     pivots: list[int] = []
     d = 1
     lead = 0
     for col in range(cols):
-        piv = next((i for i in range(lead, rows) if r[i][col]), None)
+        shift = col * w
+        column = [(x >> shift & mask) % p for x in r[lead:]]
+        piv = next((i for i, f in enumerate(column) if f), None)
         if piv is None:
             continue
-        if piv != lead:
-            r[lead], r[piv] = r[piv], r[lead]
+        if piv:
+            r[lead], r[lead + piv] = r[lead + piv], r[lead]
+            column[0], column[piv] = column[piv], column[0]
             d = -d
-        pivot = r[lead][col]
+        pivot = column[0]
         d = d * pivot % p
         inv = pow(pivot, p - 2, p)
-        lead_row = r[lead] = [x * inv % p for x in r[lead]]
-        for i in range(lead + 1, rows):
-            f = r[i][col]
+        tail = _fields(r[lead] >> shift, w, cols - col)  # the fields left of col are 0 mod p
+        lead_row = r[lead] = _pack([x * inv for x in tail], w, p) << shift
+        for i, f in enumerate(column[1:], lead + 1):
             if f:
-                r[i] = [(x - f * y) % p for x, y in zip(r[i], lead_row)]
+                r[i] += (p - f) * lead_row
         pivots.append(col)
         lead += 1
         if lead == rows:
@@ -88,19 +137,32 @@ def _echelon(field: Field, a: Matrix) -> tuple[Matrix, list[int], int]:
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form: :func:`_echelon`, then back-substitution.
 
+    Back-substitution uses the same packed update, bottom pivot first.
+    Each pivot row is re-reduced mod p before it is used, since it has
+    taken updates from the pivots below it; so again a row takes at most
+    rows - 1 updates between reductions and no field overflows.  The rows
+    are unpacked once, at the end.
+
     Returns:
         (R, pivots) where R is the reduced form of ``a`` and pivots lists
         the pivot column of each nonzero row, in order.
     """
     p = field.p
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    w = _width(p, rows)
+    mask = (1 << w) - 1
     r, pivots, _ = _echelon(field, a)
     for lead in range(len(pivots) - 1, 0, -1):
-        col, lead_row = pivots[lead], r[lead]
+        col = pivots[lead]
+        shift = col * w
+        lead_row = r[lead] = _pack(_fields(r[lead] >> shift, w, cols - col), w, p) << shift
         for i in range(lead):
-            f = r[i][col]
+            f = (r[i] >> shift & mask) % p
             if f:
-                r[i] = [(x - f * y) % p for x, y in zip(r[i], lead_row)]
-    return r, pivots
+                r[i] += (p - f) * lead_row
+    reduced = [[x % p for x in _fields(row, w, cols)] for row in r[: len(pivots)]]
+    return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
 
 
 def rank(field: Field, a: Matrix) -> int:

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .access import AccessStructure, augment_quotas, in_capacity_region, validate_quotas
 from .errors import (
+    BadSymbolError,
     FieldTooSmallError,
     NotInRegionError,
     PlanningFailedError,
@@ -288,6 +289,13 @@ def plan_from_parameters(
     Used for deserialization and for reproducing published worked
     examples.  All structural invariants are rechecked, and the
     correctness matrix must come out invertible.
+
+    Raises:
+        NotInRegionError: the rates leave the capacity region.
+        BadSymbolError: a scaling is not an int (not a bool) in [1, p).
+        ValueError: the other constants are inconsistent (a scaling of 0
+            among them).
+        SingularMatrixError: the correctness matrix is singular.
     """
     report = in_capacity_region(acc, rates)
     if not report.ok:
@@ -304,8 +312,11 @@ def plan_from_parameters(
         if sorted(perms[k - 1]) != list(range(1, size + 1)):
             raise ValueError(f"user {k}: not a permutation of 1..{size}")
         per_user = alphas[k - 1]
-        if set(per_user) != acc.user_set(k) or any(a % field.p == 0 for a in per_user.values()):
+        if set(per_user) != acc.user_set(k) or 0 in per_user.values():
             raise ValueError(f"user {k}: scalings must cover the access set and be nonzero")
+        for n, a in per_user.items():
+            if type(a) is not int or not 1 <= a < field.p:
+                raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
     plan = Plan(
         field=field,
         access=acc,

@@ -15,12 +15,14 @@ from conftest import (
     message_selector,
     random_access,
     random_rates_in_region,
+    slow_det,
+    slow_rref,
     slow_transfer_map,
     system_layout,
     system_matrix,
 )
 from dmuss import linalg
-from dmuss.access import AccessStructure
+from dmuss.access import AccessStructure, in_capacity_region
 from dmuss.codec import (
     decode,
     encode,
@@ -237,6 +239,16 @@ def test_decode_from_restricted_mapping(ref_plan, ref_encoded):
         decode(ref_plan, 2, [0] * 7)
 
 
+@pytest.mark.parametrize("k", [0, 5, -1, True])
+def test_decode_rejects_user_outside_one_to_k(ref_plan, ref_encoded, k):
+    # 0 and -1 used to index from the end (0 decoded user 4), True decoded user 1
+    with pytest.raises(ShapeMismatchError):
+        decode(ref_plan, k, ref_encoded.shares)
+    ms = memory_share(ref_plan, ref_plan, 1, 1)
+    with pytest.raises(ShapeMismatchError):
+        ms.decode(k, [ref_encoded.shares])
+
+
 def test_corrupted_share_changes_some_decode(ref_plan, ref_encoded):
     for n in range(1, 9):
         tampered = list(ref_encoded.shares)
@@ -360,3 +372,51 @@ def test_memory_share_message_validation(ref_plan):
         ms.encode([[1, 1], [2, 6], [4, 0], [3, 5, 7]], seed=0)
     with pytest.raises(ShapeMismatchError):
         ms.decode(1, [[0] * 8])
+
+
+# --- the whole pipeline at benchmark-like sizes against the slow elimination -----
+
+
+def sized_instance(rng, n, sizes):
+    """Access sets of the given sizes covering 1..n, and in-region rates
+    from a random node-to-reader assignment capped by the pairwise bounds
+    min over j of |A_k - A_j|."""
+    while True:
+        sets = [frozenset(rng.sample(range(1, n + 1), size)) for size in sizes]
+        if len(frozenset().union(*sets)) == n:
+            break
+    counts = [0] * len(sets)
+    for node in range(1, n + 1):
+        counts[rng.choice([k for k, s in enumerate(sets) if node in s])] += 1
+    bounds = [min(len(a - b) for b in sets if b is not a) for a in sets]
+    acc = AccessStructure.of([sorted(s) for s in sets])
+    rates = tuple(min(c, b) for c, b in zip(counts, bounds))
+    assert in_capacity_region(acc, rates).ok
+    return acc, rates
+
+
+def pipeline(field, acc, rates, seed):
+    plan = make_plan(field, acc, rates, seed=seed)
+    rng = random.Random(seed)
+    msgs = [[rng.randrange(field.p) for _ in range(r)] for r in rates]
+    enc = encode(plan, msgs, seed=seed)
+    decoded = [decode(plan, k, enc.shares) for k in range(1, plan.K + 1)]
+    assert [d.message for d in decoded] == msgs
+    return plan, enc, decoded, transfer_map(plan).matrix
+
+
+@pytest.mark.parametrize(
+    "p,n,sizes",
+    [
+        (65537, 64, [25 + (15 * i) // 11 for i in range(12)]),  # K = 12, sets of 25..40
+        (2**31 - 1, 48, [24] * 6),
+    ],
+)
+def test_pipeline_at_benchmark_sizes_matches_slow_elimination(monkeypatch, p, n, sizes):
+    field = Field(p)
+    acc, rates = sized_instance(random.Random(p), n, sizes)
+    fast = pipeline(field, acc, rates, seed=5)
+    monkeypatch.setattr(linalg, "rref", slow_rref)
+    monkeypatch.setattr(linalg, "rank", lambda f, a: len(slow_rref(f, a)[1]))
+    monkeypatch.setattr(linalg, "det", slow_det)
+    assert pipeline(field, acc, rates, seed=5) == fast

@@ -461,6 +461,27 @@ def test_symbols_outside_the_field_are_format_errors(tmp_path, capsys, bad):
     assert "[0, 11)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,bad", [("alpha", 12), ("alpha", -1), ("alpha", 11), ("gamma", 19), ("gamma", -3)]
+)
+def test_plan_constants_outside_the_field_are_format_errors(tmp_path, capsys, key, bad):
+    # a scaling or gamma outside GF(11) must not load reduced mod 11
+    doc = plan_to_dict(demo.demo_plan())
+    if key == "alpha":
+        doc["alphas"][0][0] = [1, bad]
+    else:
+        doc["gamma"] = bad
+    with pytest.raises(FileFormatError):
+        plan_from_dict(doc)
+    plan_path = write_doc(tmp_path, "plan.json", doc)
+    msgs = messages_to_dict(11, [demo.demo_messages()])
+    shares = shares_to_dict(11, list(range(1, 9)), [demo.demo_encode().shares])
+    assert main(["verify", plan_path]) == 2
+    assert main(["encode", plan_path, write_doc(tmp_path, "msgs.json", msgs)]) == 2
+    assert main(["decode", plan_path, write_doc(tmp_path, "shares.json", shares), "--user", "1"]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_cli_booleans_are_not_integers(tmp_path, capsys):
     # JSON true must not load as node, rate, count or scaling 1
     def with_true(doc, *path):

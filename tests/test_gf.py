@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dmuss.errors import NotPrimeError, TooLargeError, ZeroElementError
+from dmuss.errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
 from dmuss.gf import Field, _prime_factors, is_prime
 
 # the least strong pseudoprime to every prime base <= 41
@@ -94,6 +94,13 @@ def test_explicit_generator_validated():
         Field(11, gamma=3)  # order 5
     with pytest.raises(ZeroElementError):
         Field(11, gamma=0)
+
+
+@pytest.mark.parametrize("bad", [19, 11, -3, 8.0, True])
+def test_explicit_generator_outside_the_field_rejected(bad):
+    # 19, -3 and 8.0 all reduce to the generator 8; none is an element of GF(11)
+    with pytest.raises(BadSymbolError):
+        Field(11, gamma=bad)
 
 
 def test_is_primitive():

@@ -266,9 +266,10 @@ def test_mat_ops_shapes():
 FUZZ_FIELDS = [Field(p) for p in (2, 3, 11, 65537, 2**31 - 1, 2**61 - 1)]
 
 
-def slow_null_vectors(field, a):
-    """Null basis read off ``slow_rref`` by the same free-column rule."""
-    r, pivots = slow_rref(field, a)
+def slow_null_vectors(field, a, reduced=None):
+    """Null basis read off ``slow_rref`` (or its given result ``reduced``)
+    by the same free-column rule."""
+    r, pivots = reduced or slow_rref(field, a)
     ncols = len(a[0])
     vectors = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -333,3 +334,45 @@ def test_elimination_matches_slow_references_fuzz():
             for field in FUZZ_FIELDS:
                 assert (shape, kind, field.p) in seen
     assert {("det", True), ("det", False), ("rank-deficient", True), ("rank-deficient", False)} <= seen
+
+
+# --- the packed rows at real sizes and worst-case carries -------------------------
+
+BIG_FIELDS = [Field(p) for p in (2, 65537, 2**31 - 1, 2**61 - 1)]
+
+
+def carry_stressors(rng, field):
+    """Matrices up to 64 x 128 that push the packed fields hardest: every
+    entry p - 1, unit-triangular matrices with p - 1 off the diagonal
+    (every row takes an update from every pivot above it, forward or
+    back), their product L @ U with 1 below the diagonal of L (each
+    forward update is (p - 1) times a pivot row of p - 1 entries, the
+    largest a field can take), and stacks of a few random rows (many rows
+    reduce to zero after taking one update per pivot).  L @ U has 63 rows:
+    bits(63) = 6 leaves the packing no slack for its near-63 * p**2 sums."""
+    p = field.p
+    top = p - 1
+    lower = [[1 if i == j else top if j < i else 0 for j in range(64)] for i in range(64)]
+    upper = [[1 if i == j else top if j > i else 0 for j in range(96)] for i in range(64)]
+    ones_below = [[1 if j <= i else 0 for j in range(63)] for i in range(63)]
+    yield "dense", random_matrix(rng, p, 64, 128)
+    yield "all p-1", [[top] * 128 for _ in range(64)]
+    yield "all p-1 square", [[top] * 64 for _ in range(64)]
+    yield "lower unit-triangular", lower
+    yield "upper unit-triangular", upper
+    yield "L @ U", mat_mul(field, ones_below, upper[:63])
+    block = random_matrix(rng, p, 5, 96)
+    yield "rank-deficient stack", [block[i % 5][:] for i in range(64)]
+    yield "tall low-rank", mat_mul(field, random_matrix(rng, p, 64, 9), random_matrix(rng, p, 9, 40))
+
+
+def test_packed_elimination_at_real_sizes_matches_slow_references():
+    rng = random.Random(67)
+    for field in BIG_FIELDS:
+        for kind, a in carry_stressors(rng, field):
+            want = slow_rref(field, a)
+            assert linalg.rref(field, a) == want, (field.p, kind)
+            assert linalg.rank(field, a) == len(want[1]), (field.p, kind)
+            assert linalg.null_space(field, a).vectors == slow_null_vectors(field, a, want), (field.p, kind)
+            if len(a) == len(a[0]):
+                assert linalg.det(field, a) == slow_det(field, a), (field.p, kind)

@@ -8,6 +8,7 @@ from conftest import random_access, random_rates_in_region, slow_choose_permutat
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
 from dmuss.errors import (
+    BadSymbolError,
     FieldTooSmallError,
     NotInRegionError,
     PlanningFailedError,
@@ -321,6 +322,12 @@ def test_plan_from_parameters_rejects_bad_constants():
         plan_from_parameters(
             F11, acc, good.rates, good.quotas, good.reserved, good.perms, bad_alphas
         )
+    for bad in (12, -1, 11, True):
+        bad_alphas[0][next(iter(bad_alphas[0]))] = bad
+        with pytest.raises(BadSymbolError):
+            plan_from_parameters(
+                F11, acc, good.rates, good.quotas, good.reserved, good.perms, bad_alphas
+            )
     with pytest.raises(NotInRegionError):
         plan_from_parameters(
             F11, acc, (2, 2, 2, 3), (2, 2, 2, 3), good.reserved, good.perms, good.alphas
