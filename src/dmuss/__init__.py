@@ -54,7 +54,6 @@ from .errors import (
 )
 from .gf import Field, is_prime
 from .planner import (
-    CorrectnessDecomposition,
     Plan,
     choose_permutation,
     choose_zeta,
@@ -84,7 +83,6 @@ __all__ = [
     "BadShapeError",
     "BadSymbolError",
     "Constraint",
-    "CorrectnessDecomposition",
     "CorrectnessReport",
     "DecodeResult",
     "DeficiencyCertificate",

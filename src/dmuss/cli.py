@@ -52,7 +52,7 @@ from .files import (
     shares_from_dict,
     shares_to_dict,
 )
-from .planner import Plan, make_plan, plan_decomposition, tail_basis
+from .planner import Plan, make_plan, plan_decomposition
 from .verify import brute_force_audit, check_correctness, check_entropy, check_privacy
 
 
@@ -246,6 +246,9 @@ def _verify_one(plan: Plan, which: set, trials: int, seed: int) -> tuple:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
     scheme = load_any_plan(load_json(args.plan))
     which = {
         name
@@ -306,15 +309,16 @@ def cmd_demo(args) -> int:
             _print_matrix(f"user {k}: tail matrix ({size - quota} x {size})", linalg.build_B(field, quota, size))
         else:
             print(f"user {k}: tail matrix is empty (padded length = set size)")
-        basis = tail_basis(field, quota, size)
-        _print_matrix(f"user {k}: null basis (columns)", basis.as_columns_matrix())
+        # undo the exponent permutation; with R'_k = 0 the basis has no columns
+        basis = [row for _, row in sorted(zip(plan.perms[k - 1], plan.basis_rows[k - 1]))]
+        _print_matrix(f"user {k}: null basis (columns)", basis if quota else [])
         print(f"user {k}: exponent order {list(plan.perms[k - 1])},"
               f" points {plan.gammas(k)},"
               f" scalings {[plan.alpha(k, n) for n in acc.sorted_set(k)]}")
         print()
-    dec = plan_decomposition(plan)
-    _print_matrix("correctness matrix (scaled rows)", dec.matrix)
-    print(f"determinant: {linalg.det(field, dec.matrix)}")
+    v = plan_decomposition(plan)
+    _print_matrix("correctness matrix (scaled rows)", v)
+    print(f"determinant: {linalg.det(field, v)}")
     print()
     msgs = demo_mod.demo_messages()
     print(f"messages: {msgs}")

@@ -10,7 +10,8 @@ minus the scaled share of the i-th node in A_k:
 Move the known low coefficients to the right: user k's equations read
 B_k t_k + diag(alpha_k) Y_{A_k} = s_k, with t_k the unknown tail
 coefficients and s_k from :func:`rhs_vector`.  The permuted null-basis
-rows P_k of the planner annihilate B_k, so multiplying by P_k^T leaves
+rows P_k (the plan's :attr:`~dmuss.planner.Plan.basis_rows`, derived once
+per plan) annihilate B_k, so multiplying by P_k^T leaves
 P_k^T diag(alpha_k) Y_{A_k} = P_k^T s_k.  Stacked over all users, that is
 V^T Y = h with V the planner's N x N correctness matrix
 (:func:`~dmuss.planner.plan_decomposition`), which the plan guarantees
@@ -125,9 +126,8 @@ def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeR
     Messages and pads are checked as :func:`rhs_vector` says.
     """
     s = rhs_vector(plan, msgs, pads_free)
-    dec = plan_decomposition(plan)
-    h = _project(plan.field.p, dec.basis_rows, s)
-    shares = linalg.solve(plan.field, linalg.transpose(dec.matrix), h)
+    h = _project(plan.field.p, plan.basis_rows, s)
+    shares = linalg.solve(plan.field, linalg.transpose(plan_decomposition(plan)), h)
     tails = [
         decode(plan, k, shares).pads[plan.quotas[k - 1] - plan.rates[k - 1] :]
         for k in range(1, plan.K + 1)
@@ -253,7 +253,6 @@ def transfer_map(plan: Plan) -> TransferMap:
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
     """
-    dec = plan_decomposition(plan)
     p, n = plan.field.p, plan.N
     tm = TransferMap(
         field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]
@@ -261,7 +260,7 @@ def transfer_map(plan: Plan) -> TransferMap:
     h = linalg.zeros(n, n)
     row = 0
     for k, (rows, msg_off, pad_off) in enumerate(
-        zip(dec.basis_rows, tm.message_offsets, tm.pad_offsets), start=1
+        zip(plan.basis_rows, tm.message_offsets, tm.pad_offsets), start=1
     ):
         r_k, quota = plan.rates[k - 1], plan.quotas[k - 1]
         inputs = list(range(msg_off, msg_off + r_k)) + list(range(pad_off, pad_off + quota - r_k))
@@ -272,9 +271,8 @@ def transfer_map(plan: Plan) -> TransferMap:
                 h[row + t][j] = -sum(c * g for c, g in zip(col, powers)) % p
             powers = [x * g % p for x, g in zip(powers, gammas)]
         row += quota
-    reduced, pivots = linalg.rref(
-        plan.field, [vt_row + h_row for vt_row, h_row in zip(linalg.transpose(dec.matrix), h)]
-    )
+    vt = linalg.transpose(plan_decomposition(plan))
+    reduced, pivots = linalg.rref(plan.field, [vt_row + h_row for vt_row, h_row in zip(vt, h)])
     if pivots != list(range(n)):
         raise SingularMatrixError("correctness matrix is singular")
     tm.matrix = [r[n:] for r in reduced]

@@ -274,6 +274,8 @@ def shares_from_dict(doc: dict) -> tuple:
     _check_format(doc, SHARES_FORMAT)
     p = _require(doc, "p", int)
     nodes = _int_list(_require(doc, "nodes", list), "nodes")
+    if len(set(nodes)) != len(nodes):
+        raise FileFormatError("share file lists a node more than once")
     blocks = _require(doc, "blocks", list)
     out = []
     for b in blocks:

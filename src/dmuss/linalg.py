@@ -99,10 +99,14 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         column of each nonzero row, and d is the product of the pivots
         before scaling times the sign of the row swaps (the determinant
         when ``a`` is square and has a pivot in every column).
+
+    Raises ShapeMismatchError when the rows of ``a`` differ in length.
     """
     p = field.p
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
+        raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
     mask = (1 << w) - 1
     r = [_pack(row, w, p) for row in a]

@@ -13,7 +13,8 @@ A finished :class:`Plan` fixes, for every user k:
 Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
-nonsingular; :func:`correctness_matrix` writes it.  Only inside
+nonsingular; :func:`correctness_matrix` writes it, from the rows a plan
+derives once (:attr:`Plan.basis_rows`).  Only inside
 :func:`make_plan`, before the reserved rows' scalings zeta are chosen,
 is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
 unscaled and D the other rows.  C is block-diagonal up to row
@@ -29,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import linalg
@@ -81,19 +83,15 @@ class Plan:
     def alpha(self, k: int, n: int) -> int:
         return self.alphas[k - 1][n]
 
-
-@dataclass
-class CorrectnessDecomposition:
-    """A finished plan's correctness matrix and the rows it is made of.
-
-    ``basis_rows[k-1]`` is user k's |A_k| x R'_k block of permuted
-    null-basis rows, aligned with the sorted access set; ``matrix`` is V,
-    row n holding alpha_{k,n} times user k's row for node n in user k's
-    R'_k columns, for every user k that reads n.
-    """
-
-    matrix: Matrix
-    basis_rows: list
+    @cached_property
+    def basis_rows(self) -> list:
+        """User k's |A_k| x R'_k permuted null-basis rows at index k-1, aligned
+        with the sorted access set; built on first use, off the fields that
+        plan equality, ``repr`` and plan files see."""
+        return [
+            _permuted_basis_rows(tail_basis(self.field, quota, len(nodes)), perm)
+            for quota, nodes, perm in zip(self.quotas, self.access.sets, self.perms)
+        ]
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
@@ -262,17 +260,10 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     )
 
 
-def plan_decomposition(plan: Plan) -> CorrectnessDecomposition:
-    """A finished plan's correctness matrix V, scaled by its alphas."""
-    acc = plan.access
-    rows = [
-        _permuted_basis_rows(
-            tail_basis(plan.field, plan.quotas[k - 1], len(acc.user_set(k))), plan.perms[k - 1]
-        )
-        for k in range(1, acc.K + 1)
-    ]
-    matrix = correctness_matrix(plan.field, acc, plan.quotas, rows, plan.alpha)
-    return CorrectnessDecomposition(matrix=matrix, basis_rows=rows)
+def plan_decomposition(plan: Plan) -> Matrix:
+    """A finished plan's N x N correctness matrix V: its
+    :attr:`Plan.basis_rows` scaled by its alphas."""
+    return correctness_matrix(plan.field, plan.access, plan.quotas, plan.basis_rows, plan.alpha)
 
 
 def plan_from_parameters(
@@ -326,7 +317,6 @@ def plan_from_parameters(
         perms=tuple(tuple(p_) for p_ in perms),
         alphas=tuple(dict(a) for a in alphas),
     )
-    dec = plan_decomposition(plan)
-    if linalg.det(field, dec.matrix) == 0:
+    if linalg.det(field, plan_decomposition(plan)) == 0:
         raise SingularMatrixError("supplied constants give a singular correctness matrix")
     return plan

@@ -135,8 +135,11 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
 
     Each trial encodes fresh uniform messages and checks, for every user,
     that decoding returns the message and that the user's polynomial
-    meets its scaled shares at every evaluation point.
+    meets its scaled shares at every evaluation point.  Raises ValueError
+    when trials is below 1.
     """
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     rng = random.Random(seed)
     p = plan.field.p
     failures = 0

@@ -262,8 +262,7 @@ def slow_check_privacy(tm) -> list:
 def slow_transfer_map(plan) -> linalg.Matrix:
     """T = inverse(V^T) @ [h(e_1) .. h(e_N)], each h(e_j) the per-user
     projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j."""
-    dec = plan_decomposition(plan)
-    inv = linalg.inverse(plan.field, linalg.transpose(dec.matrix))
+    inv = linalg.inverse(plan.field, linalg.transpose(plan_decomposition(plan)))
     p, n = plan.field.p, plan.N
     hs = []
     for j in range(n):
@@ -279,7 +278,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
             pos += quota - r
         s = rhs_vector(plan, msgs, pads)
         h, pos = [], 0
-        for rows in dec.basis_rows:
+        for rows in plan.basis_rows:
             block = s[pos : pos + len(rows)]
             pos += len(rows)
             h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))

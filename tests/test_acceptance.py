@@ -150,7 +150,7 @@ def test_acceptance_4_fuzzed_pipeline():
         a = system_matrix(plan)
         size = sum(len(acc.user_set(k)) for k in range(1, acc.K + 1))
         assert linalg.rank(plan.field, a) == size
-        assert linalg.det(plan.field, plan_decomposition(plan).matrix) != 0
+        assert linalg.det(plan.field, plan_decomposition(plan)) != 0
         assert validate_sdr(acc, plan.quotas, plan.reserved)
 
         msgs = [[rng.randrange(p) for _ in range(r)] for r in rates]

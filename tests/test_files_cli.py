@@ -415,6 +415,10 @@ def test_cli_tampered_plan_exit_codes(tmp_path, capsys):
     singular_path = write_doc(tmp_path, "singular.json", SINGULAR_PLAN)
     assert main(["verify", singular_path]) == 1  # valid file, impossible maths
     capsys.readouterr()
+    good_path = write_doc(tmp_path, "good.json", plan_to_dict(demo.demo_plan()))
+    for trials in ("0", "-3"):
+        assert main(["verify", good_path, "--roundtrip", "--trials", trials]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_modulus_mismatch(tmp_path, capsys):
@@ -434,6 +438,14 @@ def test_cli_files_that_do_not_fit_the_plan(tmp_path, capsys):
     short = messages_to_dict(11, [[[1], [2], [4, 0], [3, 5, 7]]])
     assert main(["encode", plan_path, write_doc(tmp_path, "short.json", short)]) == 2
     assert "user 2: message length 1 != rate 2" in capsys.readouterr().err
+    # node 1 listed twice, the second copy with another symbol, must not
+    # silently overwrite the first
+    shares = demo.demo_encode().shares
+    repeated = shares_to_dict(11, list(range(1, 9)) + [1], [shares + [(shares[0] + 1) % 11]])
+    with pytest.raises(FileFormatError):
+        shares_from_dict(repeated)
+    assert main(["decode", plan_path, write_doc(tmp_path, "rep.json", repeated), "--user", "1"]) == 2
+    assert "node more than once" in capsys.readouterr().err
 
     inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, rates=["1/2", 1, 1, "3/2"]))
     mix_path = str(tmp_path / "mix.json")

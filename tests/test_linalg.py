@@ -256,6 +256,11 @@ def test_inverse_fuzz():
 def test_mat_ops_shapes():
     with pytest.raises(ShapeMismatchError):
         linalg.mat_vec(F11, [[1, 2]], [1, 2, 3])
+    # ragged rows must not be truncated or padded with zeros
+    for ragged in ([[1], [3, 4]], [[1, 2], [3]]):
+        for op in (linalg.rref, linalg.rank, linalg.null_space):
+            with pytest.raises(ShapeMismatchError):
+                op(F11, ragged)
     assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
     assert linalg.transpose([]) == []
 

@@ -1,5 +1,6 @@
 """Planning: permutation choice, row scalings, full plan assembly."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_access, random_rates_in_region, slow_choose_permutation, system_matrix
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
+from dmuss.codec import encode, transfer_map
 from dmuss.errors import (
     BadSymbolError,
     FieldTooSmallError,
@@ -14,6 +16,7 @@ from dmuss.errors import (
     PlanningFailedError,
     SingularMatrixError,
 )
+from dmuss.files import plan_from_dict, plan_to_dict
 from dmuss.gf import Field
 from dmuss.linalg import NullBasis
 from dmuss.planner import (
@@ -47,8 +50,7 @@ def split_matrices(plan):
     scale 1, the other rows at their alphas, and per node the scaling of
     the user that reserved it."""
     reserved = plan.reserved
-    rows = plan_decomposition(plan).basis_rows
-    args = (plan.field, plan.access, plan.quotas, rows)
+    args = (plan.field, plan.access, plan.quotas, plan.basis_rows)
     c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
     d = correctness_matrix(*args, lambda k, n: 0 if n in reserved.block(k) else plan.alpha(k, n))
     owner = {n: k for k in range(1, plan.K + 1) for n in reserved.block(k)}
@@ -228,16 +230,15 @@ def test_make_plan_reference_instance_invariants():
         gammas = plan.gammas(k)
         assert len(set(gammas)) == size and 0 not in gammas
         assert all(plan.alpha(k, n) != 0 for n in acc.sorted_set(k))
-    dec = plan_decomposition(plan)
     assert linalg.det(F11, split_matrices(plan)[0]) != 0
-    assert linalg.det(F11, dec.matrix) != 0
+    assert linalg.det(F11, plan_decomposition(plan)) != 0
     a = system_matrix(plan)
     assert linalg.rank(F11, a) == len(a) == 17
 
 
 def test_decomposition_structure():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
-    dec = plan_decomposition(plan)
+    v = plan_decomposition(plan)
     c, d, zeta = split_matrices(plan)
     n = plan.N
     p = plan.field.p
@@ -246,8 +247,45 @@ def test_decomposition_structure():
         for j in range(n):
             # split supports never overlap
             assert not (c[i][j] != 0 and d[i][j] != 0)
-            assert dec.matrix[i][j] == (zeta[i] * c[i][j] + d[i][j]) % p
+            assert v[i][j] == (zeta[i] * c[i][j] + d[i][j]) % p
     assert all(z != 0 for z in zeta)
+
+
+def test_plan_derives_its_basis_rows_once(monkeypatch):
+    calls = []
+    real = planner.tail_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "tail_basis", counting)
+    acc = ref_access()
+    msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
+    plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
+    calls.clear()
+    encode(plan, msgs, seed=1)
+    assert len(calls) == acc.K
+    calls.clear()
+    for seed in range(3):
+        encode(plan, msgs, seed=seed)
+    transfer_map(plan)
+    plan_decomposition(plan)
+    assert calls == []
+    loaded = plan_from_dict(plan_to_dict(plan))
+    encode(loaded, msgs, seed=1)
+    assert len(calls) == acc.K
+
+
+def test_basis_rows_stay_off_the_plan_value():
+    plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    fresh = dataclasses.replace(plan)
+    doc, text = plan_to_dict(fresh), repr(fresh)
+    for _ in range(2):  # before, then after, the rows are derived
+        assert plan == fresh and fresh == plan
+        assert plan_to_dict(plan) == doc and repr(plan) == text
+        assert plan.basis_rows == fresh.basis_rows
+    assert plan_from_dict(doc) == plan
 
 
 def test_make_plan_round_trips_fuzz():
@@ -351,5 +389,4 @@ def test_plan_from_parameters_singular_scalings_rejected():
         )
     # the planner itself must get the same instance right
     plan = make_plan(f3, acc, (0, 0), seed=0)
-    dec = plan_decomposition(plan)
-    assert linalg.det(f3, dec.matrix) != 0
+    assert linalg.det(f3, plan_decomposition(plan)) != 0

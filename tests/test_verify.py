@@ -153,6 +153,9 @@ def test_correctness_on_fresh_plan():
     plan = make_plan(f, acc, (1, 1, 1), seed=5)
     rep = check_correctness(plan, trials=40, seed=1)
     assert rep.ok and rep.trials == 40
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            check_correctness(plan, trials=trials)
 
 
 def test_correctness_report_semantics():
