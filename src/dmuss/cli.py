@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -70,6 +71,8 @@ def _parse_corner(text: str, k: int) -> list:
         raise FileFormatError(f"corner {text!r} is not a comma-separated integer tuple") from exc
     if len(values) != k:
         raise FileFormatError(f"corner {text!r} has {len(values)} entries, expected {k}")
+    if any(v < 0 for v in values):
+        raise FileFormatError(f"corner {text!r}: rates must be nonnegative")
     return values
 
 
@@ -215,7 +218,7 @@ def _verify_one(plan: Plan, which: set, trials: int, seed: int) -> tuple:
     """Run the selected checks on one plan; returns (report dict, ok)."""
     out = {}
     ok = True
-    tm = transfer_map(plan)
+    tm = transfer_map(plan) if which & {"privacy", "entropy"} else None
     if "privacy" in which:
         rep = check_privacy(tm)
         out["privacy"] = {
@@ -335,7 +338,10 @@ def cmd_demo(args) -> int:
 # --- wiring ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since ``main`` runs
+    once per command and the tree never changes."""
     parser = argparse.ArgumentParser(
         prog="dmuss",
         description="Distributed multi-user secret sharing: plan, encode, retrieve, verify.",

@@ -255,13 +255,8 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> NullBasis:
     return NullBasis(dim=len(free), vectors=vectors)
 
 
-def build_B(field: Field, m: int, n: int) -> Matrix:
-    """Tail-coefficient evaluation matrix.
-
-    The (n-m) x n matrix with entry (i, j) = gamma**((m+i-1)*j) for
-    i in 1..n-m and j in 1..n (both 1-indexed).  Its rows evaluate the
-    degree-m..n-1 monomials at the first n powers of gamma, so it has
-    full rank n-m whenever the powers gamma^1..gamma^n are distinct.
+def check_tail_shape(field: Field, m: int, n: int) -> None:
+    """The shape checks of a nonempty tail-coefficient matrix.
 
     Raises:
         BadShapeError: unless 0 <= m < n.
@@ -271,5 +266,25 @@ def build_B(field: Field, m: int, n: int) -> Matrix:
         raise BadShapeError(f"need 0 <= m < n, got m={m}, n={n}")
     if n > field.p - 1:
         raise FieldTooSmallError(f"n={n} evaluation points need p-1 >= n, got p={field.p}")
+
+
+def build_B(field: Field, m: int, n: int) -> Matrix:
+    """Tail-coefficient evaluation matrix.
+
+    The (n-m) x n matrix with entry (i, j) = gamma**((m+i-1)*j) for
+    i in 1..n-m and j in 1..n (both 1-indexed).  Its rows evaluate the
+    degree-m..n-1 monomials at the first n powers of gamma, so it has
+    full rank n-m whenever the powers gamma^1..gamma^n are distinct.
+
+    The planner never builds it: ``planner.tail_basis`` writes its null
+    space in closed form.  It is kept as the matrix ``dmuss demo``
+    prints, and as the oracle the tests eliminate to check that closed
+    form.
+
+    Raises:
+        BadShapeError: unless 0 <= m < n.
+        FieldTooSmallError: n exceeds p-1, so evaluation points collide.
+    """
+    check_tail_shape(field, m, n)
     p, g = field.p, field.gamma
     return [[pow(g, (m + i) * j, p) for j in range(1, n + 1)] for i in range(n - m)]

@@ -23,6 +23,15 @@ det(diag(zeta) @ C + D) a multilinear polynomial in zeta whose leading
 coefficient det(C) is nonzero -- so suitable all-nonzero scalings zeta
 always exist over GF(p), p >= 3, and a deterministic sweep can find one
 when random sampling runs out of luck.
+
+The null-space bases need no elimination.  User k's tail matrix
+evaluates the monomials x^m..x^(n-1) (m = R'_k, n = |A_k|) at n distinct
+nonzero points, so it generates a generalised Reed-Solomon code and its
+null space is the dual code, written down by Lagrange interpolation on
+the first n - m points: any n - m of the points are independent, so
+those first columns are exactly the pivots an elimination would find.
+:func:`tail_basis` derives the formula and gives the canonical basis an
+elimination would, entry for entry.
 """
 
 from __future__ import annotations
@@ -95,15 +104,76 @@ class Plan:
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
-    """Null-space basis of user k's tail-coefficient matrix.
+    """Null-space basis of user k's tail-coefficient matrix, in closed form.
 
-    The matrix stacks the degree-R'_k..set_size-1 monomial evaluations at
-    the first ``set_size`` powers of gamma; with R'_k == set_size it has
-    no rows and the null space is everything.
+    With m = quota, n = set_size, q = n - m and x_j = gamma^(j+1) for the
+    0-indexed column j, the matrix (:func:`linalg.build_B`) is the q x n
+    matrix with entry (i, j) = x_j^(m+i).  A vector v is in its null
+    space iff w_j = x_j^m v_j satisfies sum_j w_j P(x_j) = 0 for every
+    polynomial P of degree < q: w is a codeword of the dual of a
+    Reed-Solomon code, which has an explicit Lagrange form (MacWilliams
+    and Sloane, *The Theory of Error-Correcting Codes*, ch. 10-11).
+
+    * The points are distinct and nonzero (gamma is primitive and
+      n <= p - 1), so every q columns are independent.  Reduction
+      therefore pivots on columns 0..q-1, and the free columns are the
+      last m.
+    * The canonical vector of free column f carries 1 at f and 0 at the
+      other free columns.  Lagrange interpolation on the pivot points,
+      P(x_f) = sum_{j<q} l_j(x_f) P(x_j), gives w_j = -w_f l_j(x_f),
+      that is v_j = -(x_f / x_j)^m l_j(x_f), with
+      l_j(x) = prod_{i<q, i != j} (x - x_i) / (x_j - x_i).
+
+    The numerators of l_j(x_f) come from prefix and suffix products of
+    the (x_f - x_i), and the q factors x_j^m prod_{i != j} (x_j - x_i)
+    are inverted together with one ``pow``: O(q^2 + q*m) multiplications
+    and no elimination.  The result equals ``linalg.null_space`` of that
+    matrix entry for entry.  With m == n the matrix has no rows and the
+    basis is the identity.
+
+    Raises:
+        BadShapeError: m < 0 or m > n (m == n is answered before any check).
+        FieldTooSmallError: n exceeds p-1, so evaluation points collide.
     """
     if quota == set_size:
-        return linalg.null_space(field, [], cols=set_size)
-    return linalg.null_space(field, linalg.build_B(field, quota, set_size))
+        return NullBasis(dim=set_size, vectors=linalg.identity(set_size))
+    linalg.check_tail_shape(field, quota, set_size)
+    if quota == 0:
+        return NullBasis(dim=0, vectors=[])
+    p, g = field.p, field.gamma
+    m, q = quota, set_size - quota
+    x = [pow(g, j, p) for j in range(1, set_size + 1)]
+    # scale[j] = 1 / (x_j^m * prod_{i != j} (x_j - x_i)), one inversion for all j
+    dens = []
+    for j in range(q):
+        d = pow(x[j], m, p)
+        for i in range(q):
+            if i != j:
+                d = d * (x[j] - x[i]) % p
+        dens.append(d)
+    prefix = [1]
+    for d in dens:
+        prefix.append(prefix[-1] * d % p)
+    inv = pow(prefix[q], p - 2, p)
+    scale = [0] * q
+    for j in range(q - 1, -1, -1):
+        scale[j] = inv * prefix[j] % p
+        inv = inv * dens[j] % p
+    vectors = []
+    for f in range(q, set_size):
+        xf = x[f]
+        diffs = [xf - xi for xi in x[:q]]
+        suffix = [1] * (q + 1)
+        for i in range(q - 1, -1, -1):
+            suffix[i] = suffix[i + 1] * diffs[i] % p
+        v = [0] * set_size
+        v[f] = 1
+        lead = -pow(xf, m, p)  # -x_f^m times the prefix product so far
+        for j in range(q):
+            v[j] = lead * suffix[j + 1] % p * scale[j] % p
+            lead = lead * diffs[j] % p
+        vectors.append(v)
+    return NullBasis(dim=m, vectors=vectors)
 
 
 def choose_permutation(field: Field, basis: NullBasis, sorted_set: list, zblock: Sequence[int]) -> tuple:

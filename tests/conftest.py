@@ -131,6 +131,14 @@ def slow_det(field, a):
     return result
 
 
+def slow_tail_basis(field, quota, set_size):
+    """The tail null basis by elimination: ``null_space`` of the tail
+    matrix ``build_B``, or the identity when that matrix has no rows."""
+    if quota == set_size:
+        return linalg.null_space(field, [], cols=set_size)
+    return linalg.null_space(field, linalg.build_B(field, quota, set_size))
+
+
 def slow_choose_permutation(field, basis, sorted_set, zblock):
     """The exponent permutation with the reserved rows picked greedily:
     row j joins when it raises the rank of the rows picked so far."""

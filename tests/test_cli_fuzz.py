@@ -93,7 +93,13 @@ def test_cli_survives_mutated_files(tmp_path, capsys):
     for name, doc in bases.items():
         save_json(paths[name], doc)
     commands = {
-        "instance": [["check", paths["instance"]], ["plan", paths["instance"]]],
+        "instance": [
+            ["check", paths["instance"]],
+            ["plan", paths["instance"]],
+            # mixes to the demo's rates (1, 2, 2, 3) at weight 1/2, through
+            # a corner no plan can have
+            ["plan", paths["instance"], "--corner-a=-1,2,2,3", "--corner-b=3,2,2,3"],
+        ],
         "plan": [
             ["encode", paths["plan"], paths["messages"], "--seed", "1"],
             ["decode", paths["plan"], paths["shares"], "--user", "2"],

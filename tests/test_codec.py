@@ -17,11 +17,12 @@ from conftest import (
     random_rates_in_region,
     slow_det,
     slow_rref,
+    slow_tail_basis,
     slow_transfer_map,
     system_layout,
     system_matrix,
 )
-from dmuss import linalg
+from dmuss import linalg, planner
 from dmuss.access import AccessStructure, in_capacity_region
 from dmuss.codec import (
     decode,
@@ -419,4 +420,5 @@ def test_pipeline_at_benchmark_sizes_matches_slow_elimination(monkeypatch, p, n,
     monkeypatch.setattr(linalg, "rref", slow_rref)
     monkeypatch.setattr(linalg, "rank", lambda f, a: len(slow_rref(f, a)[1]))
     monkeypatch.setattr(linalg, "det", slow_det)
+    monkeypatch.setattr(planner, "tail_basis", slow_tail_basis)
     assert pipeline(field, acc, rates, seed=5) == fast

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from dmuss import demo
+from dmuss import cli, demo
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
@@ -391,6 +391,17 @@ def test_cli_corner_argument_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_negative_corner_exits_2(tmp_path, capsys):
+    # these corners mix to the rates at weight 1/2, so only the negative
+    # entry stands between them and planning
+    doc = dict(REF_INSTANCE, rates=["1/2", 1, 1, "3/2"])
+    inst = write_doc(tmp_path, "inst.json", doc)
+    for a, b in (("2,1,1,2", "-1,1,1,1"), ("-1,1,1,1", "2,1,1,2")):
+        assert main(["plan", inst, f"--corner-a={a}", f"--corner-b={b}"]) == 2
+        captured = capsys.readouterr()
+        assert "rates must be nonnegative" in captured.err and captured.out == ""
+
+
 # --- CLI: failure modes -------------------------------------------------------------
 
 
@@ -549,6 +560,23 @@ def test_cli_verify_selected_checks_only(tmp_path, capsys):
     assert main(["verify", plan_path, "--entropy"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"entropy", "ok"}
+
+
+def test_cli_verify_builds_transfer_map_only_for_rank_checks(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.transfer_map
+
+    def counting(plan):
+        calls.append(1)
+        return real(plan)
+
+    monkeypatch.setattr(cli, "transfer_map", counting)
+    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
+    assert main(["verify", plan_path, "--roundtrip", "--trials", "3"]) == 0
+    assert calls == []
+    assert main(["verify", plan_path, "--privacy", "--entropy", "--trials", "3"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_cli_brute_force_caps_large_instances(tmp_path, capsys):

@@ -5,12 +5,20 @@ import random
 
 import pytest
 
-from conftest import random_access, random_rates_in_region, slow_choose_permutation, system_matrix
+from conftest import (
+    compress_nodes,
+    random_access,
+    random_rates_in_region,
+    slow_choose_permutation,
+    slow_tail_basis,
+    system_matrix,
+)
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
 from dmuss.codec import encode, transfer_map
 from dmuss.errors import (
     BadSymbolError,
+    DmussError,
     FieldTooSmallError,
     NotInRegionError,
     PlanningFailedError,
@@ -70,6 +78,62 @@ def test_tail_basis_dimensions():
             for v in nb.vectors:
                 assert linalg.mat_vec(F11, b, v) == [0] * (size - quota)
     assert tail_basis(F11, 4, 4).vectors == linalg.identity(4)
+
+
+def tail_outcome(fn, field, quota, size):
+    try:
+        return fn(field, quota, size)
+    except DmussError as exc:
+        return type(exc), str(exc)
+
+
+# explicit generators besides each modulus' smallest one
+OTHER_GAMMAS = {
+    5: [3], 7: [5], 11: [8, 7], 13: [11], 17: [14], 65537: [5], 2**31 - 1: [16807], 2**61 - 1: [43],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 65537, 2**31 - 1, 2**61 - 1])
+def test_tail_basis_matches_elimination_fuzz(p):
+    # the closed form against null_space(build_B): the same canonical
+    # vectors for every shape up to 64 points (32 under the explicit
+    # generators), the same errors outside
+    fields = [(Field(p), 64)] + [(Field(p, gamma=g), 32) for g in OTHER_GAMMAS.get(p, [])]
+    for f, cap in fields:
+        for size in range(min(f.p - 1, cap) + 1):
+            for quota in range(size + 1):
+                assert tail_basis(f, quota, size) == slow_tail_basis(f, quota, size), (f, quota, size)
+        bad = [(-1, 0), (-1, 3), (1, 0), (5, 3), (0, f.p), (f.p - 1, f.p), (-2, -2)]
+        for quota, size in bad:
+            got = tail_outcome(tail_basis, f, quota, size)
+            assert got == tail_outcome(slow_tail_basis, f, quota, size), (f, quota, size)
+            assert type(got) is tuple or quota == size, (f, quota, size)
+
+
+def test_plan_load_eliminates_once(monkeypatch):
+    # tail bases are written down, not eliminated: loading a plan runs
+    # one elimination, the det check of its correctness matrix
+    calls = []
+    real = linalg._echelon
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    rng = random.Random(12)
+    f = Field(65537)
+    sets = compress_nodes([frozenset(n for n in range(1, 33) if rng.random() < 0.5) for _ in range(8)])
+    acc = AccessStructure.of([sorted(s) for s in sets])
+    plan = make_plan(f, acc, random_rates_in_region(rng, acc, stop_prob=0), seed=3)
+    doc = plan_to_dict(plan)
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    for size in range(25):
+        for quota in range(size + 1):
+            tail_basis(f, quota, size)
+    assert calls == []
+    loaded = plan_from_dict(doc)
+    assert len(calls) == 1
+    assert loaded == plan and loaded.basis_rows == plan.basis_rows
 
 
 # --- permutation choice ------------------------------------------------------------
