@@ -46,9 +46,10 @@ Rate = Fraction  # rates may be rational; integer tuples use plain ints
 class AccessStructure:
     """The node subsets each user can read.
 
-    Users are numbered 1..K and nodes 1..N.  N is defined as the size of
-    the union, and the union must cover 1..N without gaps (a node nobody
-    reads cannot store anything useful).
+    Users are numbered 1..K and nodes 1..N; node ids are ints, not
+    bools.  N is defined as the size of the union, and the union must
+    cover 1..N without gaps (a node nobody reads cannot store anything
+    useful).
     """
 
     sets: tuple  # tuple of frozensets of 1-indexed node ids
@@ -57,6 +58,8 @@ class AccessStructure:
         if not self.sets:
             raise ValueError("need at least one user")
         sets = tuple(frozenset(s) for s in self.sets)
+        if any(type(n) is not int for s in sets for n in s):
+            raise ValueError("node ids must be ints")
         object.__setattr__(self, "sets", sets)
         union = frozenset().union(*sets)
         if not union or any(s == frozenset() for s in sets):

@@ -19,8 +19,6 @@ sums in between (see :func:`_echelon` and :func:`rref`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadShapeError,
     FieldTooSmallError,
@@ -213,33 +211,19 @@ def inverse(field: Field, a: Matrix) -> Matrix:
     return [row[n:] for row in r]
 
 
-@dataclass
-class NullBasis:
-    """Basis of a right null space in reduced-echelon convention.
+def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:
+    """Right null space {v : a @ v = 0}, as a list of basis vectors.
 
-    ``vectors[t]`` is the basis vector whose defining free column is the
-    t-th free column in ascending order; it carries a 1 there and zeros at
-    every other free column, which makes bases canonical and comparable.
-    """
-
-    dim: int
-    vectors: list  # list of length-cols vectors
-
-    def as_columns_matrix(self) -> Matrix:
-        """The cols x dim matrix whose columns are the basis vectors."""
-        return [[v[i] for v in self.vectors] for i in range(len(self.vectors[0]))] if self.vectors else []
-
-
-def null_space(field: Field, a: Matrix, cols: int | None = None) -> NullBasis:
-    """Right null space {v : a @ v = 0}.
-
-    ``cols`` must be given when ``a`` has no rows (the null space is then
-    all of GF(p)^cols and the basis is the identity).
+    The basis is in reduced-echelon convention, which makes it canonical
+    and comparable: the t-th vector belongs to the t-th free column of
+    ``a`` in ascending order, and carries a 1 there and 0 at every other
+    free column.  ``cols`` must be given when ``a`` has no rows (the null
+    space is then all of GF(p)^cols and the basis is the identity).
     """
     if not a:
         if cols is None:
             raise ShapeMismatchError("column count needed for an empty matrix")
-        return NullBasis(dim=cols, vectors=identity(cols))
+        return identity(cols)
     ncols = len(a[0])
     r, pivots = rref(field, a)
     pivot_set = set(pivots)
@@ -252,7 +236,7 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> NullBasis:
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][f] % p
         vectors.append(v)
-    return NullBasis(dim=len(free), vectors=vectors)
+    return vectors
 
 
 def check_tail_shape(field: Field, m: int, n: int) -> None:

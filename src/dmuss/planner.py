@@ -32,6 +32,12 @@ the first n - m points: any n - m of the points are independent, so
 those first columns are exactly the pivots an elimination would find.
 :func:`tail_basis` derives the formula and gives the canonical basis an
 elimination would, entry for entry.
+
+Nor does the permutation.  The dual of a generalised Reed-Solomon code
+is again one, so it is MDS and any R'_k rows of its basis are
+independent: :func:`choose_permutation` gives the reserved nodes
+exponents 1..R'_k by index alone.  The one elimination left in
+:func:`make_plan` is :func:`choose_zeta`'s determinant.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import Field
-from .linalg import Matrix, NullBasis
+from .linalg import Matrix
 from .sdr import SdrAssignment, find_sdr, validate_sdr
 
 RANDOM_TRIALS_PER_ROW = 64  # scaling-search budget is 64 * N draws
@@ -97,14 +103,12 @@ class Plan:
         """User k's |A_k| x R'_k permuted null-basis rows at index k-1, aligned
         with the sorted access set; built on first use, off the fields that
         plan equality, ``repr`` and plan files see."""
-        return [
-            _permuted_basis_rows(tail_basis(self.field, quota, len(nodes)), perm)
-            for quota, nodes, perm in zip(self.quotas, self.access.sets, self.perms)
-        ]
+        return _basis_rows(self.field, self.quotas, self.perms)
 
 
-def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
-    """Null-space basis of user k's tail-coefficient matrix, in closed form.
+def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
+    """Null-space basis vectors of user k's tail-coefficient matrix, in
+    closed form.
 
     With m = quota, n = set_size, q = n - m and x_j = gamma^(j+1) for the
     0-indexed column j, the matrix (:func:`linalg.build_B`) is the q x n
@@ -128,18 +132,19 @@ def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
     the (x_f - x_i), and the q factors x_j^m prod_{i != j} (x_j - x_i)
     are inverted together with one ``pow``: O(q^2 + q*m) multiplications
     and no elimination.  The result equals ``linalg.null_space`` of that
-    matrix entry for entry.  With m == n the matrix has no rows and the
-    basis is the identity.
+    matrix entry for entry.  With m == n >= 0 the matrix has no rows and
+    the basis is the identity.
 
     Raises:
-        BadShapeError: m < 0 or m > n (m == n is answered before any check).
+        BadShapeError: m < 0 or m > n, except m == n >= 0, which is
+            answered before any check.
         FieldTooSmallError: n exceeds p-1, so evaluation points collide.
     """
-    if quota == set_size:
-        return NullBasis(dim=set_size, vectors=linalg.identity(set_size))
+    if 0 <= quota == set_size:
+        return linalg.identity(set_size)
     linalg.check_tail_shape(field, quota, set_size)
     if quota == 0:
-        return NullBasis(dim=0, vectors=[])
+        return []
     p, g = field.p, field.gamma
     m, q = quota, set_size - quota
     x = [pow(g, j, p) for j in range(1, set_size + 1)]
@@ -173,40 +178,36 @@ def tail_basis(field: Field, quota: int, set_size: int) -> NullBasis:
             v[j] = lead * suffix[j + 1] % p * scale[j] % p
             lead = lead * diffs[j] % p
         vectors.append(v)
-    return NullBasis(dim=m, vectors=vectors)
+    return vectors
 
 
-def choose_permutation(field: Field, basis: NullBasis, sorted_set: list, zblock: Sequence[int]) -> tuple:
+def choose_permutation(sorted_set: list, zblock: Sequence[int]) -> tuple:
     """Deterministic exponent permutation for one user.
 
-    Picks the lexicographically first nonsingular subset of basis rows
-    and routes those rows to the positions of the reserved nodes, both
-    taken in ascending order; every remaining row keeps ascending order
-    over the remaining positions.  Row j of the basis is column j of the
-    quota x size matrix ``basis.vectors``, so that subset is its set of
-    pivot columns.  Returns pi as a tuple with pi[i-1] = pi(i).
+    The reserved positions, in ascending order, take exponents 1..R'_k
+    (R'_k = len(zblock)), and the other positions take R'_k+1..|A_k| in
+    ascending order.  Exponent j selects row j of the user's null basis
+    (:func:`tail_basis`), and the reserved rows must be independent.  Any
+    R'_k rows are: the tail matrix generates a generalised Reed-Solomon
+    code, whose dual is MDS, so no elimination looks for them.  Returns
+    pi as a tuple with pi[i-1] = pi(i).
     """
-    size = len(sorted_set)
-    quota = basis.dim
-    if quota == 0:
-        return tuple(range(1, size + 1))
-    selected = [j + 1 for j in linalg._echelon(field, basis.vectors)[1]]
-    if len(selected) != quota:
-        raise SingularMatrixError("null basis lost rank; field data inconsistent")
-    zpositions = sorted(sorted_set.index(n) + 1 for n in zblock)
-    rest_rows = [j for j in range(1, size + 1) if j not in selected]
-    rest_positions = [i for i in range(1, size + 1) if i not in zpositions]
-    pi = [0] * size
-    for pos, row in zip(zpositions, selected):
-        pi[pos - 1] = row
-    for pos, row in zip(rest_positions, rest_rows):
-        pi[pos - 1] = row
+    reserved = {sorted_set.index(n) for n in zblock}
+    order = sorted(range(len(sorted_set)), key=lambda i: (i not in reserved, i))
+    pi = [0] * len(order)
+    for exponent, i in enumerate(order, 1):
+        pi[i] = exponent
     return tuple(pi)
 
 
-def _permuted_basis_rows(basis: NullBasis, perm: Sequence[int]) -> Matrix:
-    rows = basis.as_columns_matrix()
-    return [rows[e - 1] for e in perm] if basis.dim else [[] for _ in perm]
+def _basis_rows(field: Field, quotas: Sequence[int], perms: Sequence) -> list:
+    """Each user's |A_k| x R'_k null-basis rows, in the order of its
+    exponent permutation: row i is entry pi(i) of every basis vector."""
+    rows = []
+    for quota, perm in zip(quotas, perms):
+        vectors = tail_basis(field, quota, len(perm))
+        rows.append([[v[e - 1] for v in vectors] for e in perm])
+    return rows
 
 
 def correctness_matrix(
@@ -306,12 +307,10 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     _check_field_size(field, acc)
     quotas = augment_quotas(acc, rates)
     reserved = find_sdr(acc, quotas)
-    bases = [tail_basis(field, quotas[k - 1], len(acc.user_set(k))) for k in range(1, acc.K + 1)]
     perms = tuple(
-        choose_permutation(field, bases[k - 1], acc.sorted_set(k), reserved.sorted_block(k))
-        for k in range(1, acc.K + 1)
+        choose_permutation(acc.sorted_set(k), reserved.sorted_block(k)) for k in range(1, acc.K + 1)
     )
-    rows = [_permuted_basis_rows(b, perm) for b, perm in zip(bases, perms)]
+    rows = _basis_rows(field, quotas, perms)
     c = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n in reserved.block(k)))
     d = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n not in reserved.block(k)))
     zeta = choose_zeta(field, c, d, seed)
@@ -368,6 +367,8 @@ def plan_from_parameters(
     if not validate_sdr(acc, quotas, reserved):
         raise ValueError("reserved blocks are not a valid distinct-representative pick")
     _check_field_size(field, acc)
+    if len(perms) != acc.K or len(alphas) != acc.K:
+        raise ValueError(f"need {acc.K} permutations and scaling maps, got {len(perms)} and {len(alphas)}")
     for k in range(1, acc.K + 1):
         size = len(acc.user_set(k))
         if sorted(perms[k - 1]) != list(range(1, size + 1)):

@@ -78,7 +78,7 @@ def check_privacy(target) -> PrivacyReport:
     k_count = len(tm.rates)
     cols = tm.input_dim
     kernels = [
-        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=cols).vectors
+        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=cols)
         for k2 in range(1, k_count + 1)
     ]
     pairs = []

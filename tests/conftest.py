@@ -134,19 +134,20 @@ def slow_det(field, a):
 def slow_tail_basis(field, quota, set_size):
     """The tail null basis by elimination: ``null_space`` of the tail
     matrix ``build_B``, or the identity when that matrix has no rows."""
-    if quota == set_size:
+    if 0 <= quota == set_size:
         return linalg.null_space(field, [], cols=set_size)
     return linalg.null_space(field, linalg.build_B(field, quota, set_size))
 
 
-def slow_choose_permutation(field, basis, sorted_set, zblock):
-    """The exponent permutation with the reserved rows picked greedily:
-    row j joins when it raises the rank of the rows picked so far."""
+def slow_choose_permutation(field, vectors, sorted_set, zblock):
+    """The exponent permutation with the reserved rows of the null basis
+    ``vectors`` picked greedily: row j joins when it raises the rank of
+    the rows picked so far."""
     size = len(sorted_set)
-    quota = basis.dim
+    quota = len(vectors)
     if quota == 0:
         return tuple(range(1, size + 1))
-    rows = basis.as_columns_matrix()  # size x quota; row j <-> exponent j+1
+    rows = linalg.transpose(vectors)  # size x quota; row j <-> exponent j+1
     selected = []
     picked_rows = []
     for j in range(size):

@@ -111,6 +111,13 @@ def test_access_structure_validation():
         AccessStructure.of([[0, 1]])
 
 
+def test_access_structure_node_ids_are_ints():
+    # a float or bool id would reach the planner, a str id the sort
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="node ids"):
+            AccessStructure.of([[bad, 2], [2, 3]])
+
+
 # --- constraint generation --------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """Planning: permutation choice, row scalings, full plan assembly."""
 
 import dataclasses
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
 from dmuss.codec import encode, transfer_map
 from dmuss.errors import (
+    BadShapeError,
     BadSymbolError,
     DmussError,
     FieldTooSmallError,
@@ -26,7 +30,6 @@ from dmuss.errors import (
 )
 from dmuss.files import plan_from_dict, plan_to_dict
 from dmuss.gf import Field
-from dmuss.linalg import NullBasis
 from dmuss.planner import (
     choose_permutation,
     choose_zeta,
@@ -44,6 +47,19 @@ REF_SETS = [[1, 6, 7, 8], [1, 3, 4, 7], [1, 2, 3, 8], [2, 4, 5, 6, 7]]
 
 def ref_access():
     return AccessStructure.of(REF_SETS)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def random_nonsingular(rng, field, n):
@@ -71,13 +87,22 @@ def split_matrices(plan):
 
 def test_tail_basis_dimensions():
     for quota, size in [(0, 4), (1, 4), (3, 4), (4, 4)]:
-        nb = tail_basis(F11, quota, size)
-        assert nb.dim == quota
+        vectors = tail_basis(F11, quota, size)
+        assert len(vectors) == quota
         if quota < size:
             b = linalg.build_B(F11, quota, size)
-            for v in nb.vectors:
+            for v in vectors:
                 assert linalg.mat_vec(F11, b, v) == [0] * (size - quota)
-    assert tail_basis(F11, 4, 4).vectors == linalg.identity(4)
+    assert tail_basis(F11, 4, 4) == linalg.identity(4)
+
+
+def test_tail_basis_rejects_negative_sizes():
+    # m == n is answered without a check only when it is a real size
+    for quota, size in [(-1, -1), (-2, -2), (-3, -2), (0, -1)]:
+        with pytest.raises(BadShapeError):
+            tail_basis(F11, quota, size)
+    assert tail_basis(F11, 0, 0) == []
+    assert tail_basis(Field(3), 5, 5) == linalg.identity(5)
 
 
 def tail_outcome(fn, field, quota, size):
@@ -107,26 +132,19 @@ def test_tail_basis_matches_elimination_fuzz(p):
         for quota, size in bad:
             got = tail_outcome(tail_basis, f, quota, size)
             assert got == tail_outcome(slow_tail_basis, f, quota, size), (f, quota, size)
-            assert type(got) is tuple or quota == size, (f, quota, size)
+            assert type(got) is tuple, (f, quota, size)
 
 
 def test_plan_load_eliminates_once(monkeypatch):
     # tail bases are written down, not eliminated: loading a plan runs
     # one elimination, the det check of its correctness matrix
-    calls = []
-    real = linalg._echelon
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
     rng = random.Random(12)
     f = Field(65537)
     sets = compress_nodes([frozenset(n for n in range(1, 33) if rng.random() < 0.5) for _ in range(8)])
     acc = AccessStructure.of([sorted(s) for s in sets])
     plan = make_plan(f, acc, random_rates_in_region(rng, acc, stop_prob=0), seed=3)
     doc = plan_to_dict(plan)
-    monkeypatch.setattr(linalg, "_echelon", counting)
+    calls = count_calls(monkeypatch, linalg, "_echelon")
     for size in range(25):
         for quota in range(size + 1):
             tail_basis(f, quota, size)
@@ -143,58 +161,38 @@ def test_choose_permutation_published_five_node_case():
     # the known worked instance: reserved block {5, 6, 7} inside
     # {2, 4, 5, 6, 7}; the first three basis rows are independent and land
     # on positions 3..5, the rest keep ascending order
-    basis = NullBasis(
-        dim=3,
-        vectors=[[1, 5, 2, 6, 1], [1, 6, 3, 4, 4], [1, 1, 1, 10, 7]],
-    )
-    pi = choose_permutation(F11, basis, [2, 4, 5, 6, 7], [5, 6, 7])
-    assert pi == (4, 5, 1, 2, 3)
+    published = [[1, 5, 2, 6, 1], [1, 6, 3, 4, 4], [1, 1, 1, 10, 7]]
+    nodes, zblock = [2, 4, 5, 6, 7], [5, 6, 7]
+    assert choose_permutation(nodes, zblock) == (4, 5, 1, 2, 3)
+    assert slow_choose_permutation(F11, published, nodes, zblock) == (4, 5, 1, 2, 3)
 
 
 def test_choose_permutation_single_column_case():
-    basis = NullBasis(dim=1, vectors=[[1, 8, 4, 7]])
-    pi = choose_permutation(F11, basis, [1, 6, 7, 8], [8])
-    assert sorted(pi) == [1, 2, 3, 4]
+    pi = choose_permutation([1, 6, 7, 8], [8])
     assert pi[3] == 1  # the independent row goes to the reserved node's slot
     assert pi == (2, 3, 4, 1)
+    assert slow_choose_permutation(F11, [[1, 8, 4, 7]], [1, 6, 7, 8], [8]) == pi
 
 
 def test_choose_permutation_identity_for_zero_block():
-    basis = NullBasis(dim=0, vectors=[])
-    assert choose_permutation(F11, basis, [1, 2, 3], []) == (1, 2, 3)
-
-
-def test_choose_permutation_skips_dependent_prefix():
-    # basis rows come out as [1, 2], [2, 4], [3, 5]: the second is parallel
-    # to the first, so the greedy subset is rows {1, 3}
-    nb = NullBasis(dim=2, vectors=[[1, 2, 3], [2, 4, 5]])
-    pi = choose_permutation(F11, nb, [1, 2, 3], [1, 2])
-    assert pi == (1, 3, 2)
+    assert choose_permutation([1, 2, 3], []) == (1, 2, 3)
 
 
 def test_choose_permutation_matches_greedy_rank_extension_fuzz():
-    # the pivot columns of basis.vectors are the rows the greedy
-    # top-down rank extension picks
+    # any R'_k rows of a tail basis are independent (its dual code is
+    # MDS), so routing exponents 1..R'_k to the reserved positions picks
+    # the rows the greedy top-down rank extension picks; every shape up
+    # to 24 points, a random reserved block each
     rng = random.Random(35)
-    for trial in range(300):
-        p = rng.choice([2, 3, 5, 11, 13, 65537])
-        f = Field(p)
-        size = rng.randint(1, min(p - 1, 9))
-        quota = rng.randint(0, size)
-        if trial % 3:
-            basis = tail_basis(f, quota, size)
-        else:  # arbitrary independent rows, dependent prefixes included
-            vectors = []
-            while len(vectors) < quota:
-                v = [rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(size)]
-                if linalg.rank(f, vectors + [v]) == len(vectors) + 1:
-                    vectors.append(v)
-            basis = NullBasis(dim=quota, vectors=vectors)
-        nodes = sorted(rng.sample(range(1, 3 * size + 1), size))
-        zblock = rng.sample(nodes, quota)
-        assert choose_permutation(f, basis, nodes, zblock) == slow_choose_permutation(
-            f, basis, nodes, zblock
-        )
+    fields = [Field(p) for p in (2, 3, 5, 7, 11, 13, 17, 257, 65537, 2**31 - 1)]
+    fields += [Field(11, gamma=7), Field(13, gamma=11), Field(65537, gamma=5)]
+    for f in fields:
+        for size in range(min(f.p - 1, 24) + 1):
+            for quota in range(size + 1):
+                nodes = sorted(rng.sample(range(1, 3 * size + 1), size))
+                zblock = rng.sample(nodes, quota)
+                want = slow_choose_permutation(f, tail_basis(f, quota, size), nodes, zblock)
+                assert choose_permutation(nodes, zblock) == want, (f, quota, size)
 
 
 def test_choose_permutation_reserved_rows_are_invertible():
@@ -207,12 +205,9 @@ def test_choose_permutation_reserved_rows_are_invertible():
             quota = plan.quotas[k - 1]
             if quota == 0:
                 continue
-            basis = tail_basis(plan.field, quota, len(acc.user_set(k)))
-            rows = basis.as_columns_matrix()
-            nodes = acc.sorted_set(k)
             picked = [
-                rows[plan.perms[k - 1][i] - 1]
-                for i, n in enumerate(nodes)
+                row
+                for n, row in zip(acc.sorted_set(k), plan.basis_rows[k - 1])
                 if n in plan.reserved.block(k)
             ]
             assert linalg.rank(plan.field, picked) == quota
@@ -316,14 +311,7 @@ def test_decomposition_structure():
 
 
 def test_plan_derives_its_basis_rows_once(monkeypatch):
-    calls = []
-    real = planner.tail_basis
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(planner, "tail_basis", counting)
+    calls = count_calls(monkeypatch, planner, "tail_basis")
     acc = ref_access()
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
@@ -350,6 +338,38 @@ def test_basis_rows_stay_off_the_plan_value():
         assert plan_to_dict(plan) == doc and repr(plan) == text
         assert plan.basis_rows == fresh.basis_rows
     assert plan_from_dict(doc) == plan
+
+
+def load_bench_gen(monkeypatch):
+    """``bench/gen.py``, which makes the benchmark's inputs without dmuss."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_plan_eliminates_only_for_zeta(monkeypatch):
+    # permutations and tail bases take no elimination: every one make_plan
+    # runs is a determinant of choose_zeta's, and the benchmark's store
+    # and retrieve plans take one (the first draw)
+    eliminations = count_calls(monkeypatch, linalg, "_echelon")
+    dets = count_calls(monkeypatch, linalg, "det")
+    rng = random.Random(36)
+    for _ in range(30):
+        acc = random_access(rng, max_users=5, max_nodes=9)
+        rates = random_rates_in_region(rng, acc)
+        eliminations.clear()
+        dets.clear()
+        make_plan(Field(rng.choice([11, 13, 65537])), acc, rates, seed=rng.randrange(1000))
+        assert len(eliminations) == len(dets)
+    gen = load_bench_gen(monkeypatch)
+    for seed in (1, 2):
+        for inp in (gen.store_input(seed), gen.retrieve_input(seed)):
+            eliminations.clear()
+            make_plan(Field(inp.p), AccessStructure.of(inp.access), inp.rates, seed=seed)
+            assert len(eliminations) == 1
 
 
 def test_make_plan_round_trips_fuzz():
@@ -384,7 +404,7 @@ def test_make_plan_deterministic():
 
 
 def test_make_plan_pinned_constants():
-    # frozen planner output: permutations from the pivot columns, zeta
+    # frozen planner output: permutations routed by index, zeta
     # from the seeded draws against the reserved/rest split; the second
     # instance pads users 1 and 3
     cases = [
@@ -438,6 +458,20 @@ def test_plan_from_parameters_rejects_bad_constants():
         plan_from_parameters(
             F11, acc, good.rates, (2, 2, 2, 2), good.reserved, good.perms, good.alphas
         )
+
+
+def test_plan_from_parameters_needs_one_entry_per_user():
+    acc = ref_access()
+    good = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
+    args = (F11, acc, good.rates, good.quotas, good.reserved)
+    for perms, alphas in [
+        (good.perms[:-1], good.alphas),
+        (good.perms, good.alphas[:-1]),
+        (good.perms + good.perms[:1], good.alphas),
+        (good.perms, good.alphas + good.alphas[:1]),
+    ]:
+        with pytest.raises(ValueError, match="permutations and scaling maps"):
+            plan_from_parameters(*args, perms, alphas)
 
 
 def test_plan_from_parameters_singular_scalings_rejected():
