@@ -27,6 +27,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from . import demo as demo_mod
@@ -160,16 +161,14 @@ def cmd_plan(args) -> int:
 def cmd_encode(args) -> int:
     scheme = load_any_plan(load_json(args.plan))
     p_msgs, blocks = messages_from_dict(load_json(args.messages))
-    plans = scheme.block_plans if isinstance(scheme, MemoryShare) else None
     base_plan = scheme.plan_a if isinstance(scheme, MemoryShare) else scheme
     if p_msgs != base_plan.field.p:
         raise FileFormatError(f"message modulus {p_msgs} != plan modulus {base_plan.field.p}")
-    if plans is None:
-        plans = [scheme] * len(blocks)
-    elif len(blocks) != len(plans):
+    if isinstance(scheme, MemoryShare) and len(blocks) != scheme.blocks_total:
         raise FileFormatError(
-            f"composite plan needs exactly {len(plans)} message blocks, got {len(blocks)}"
+            f"composite plan needs exactly {scheme.blocks_total} message blocks, got {len(blocks)}"
         )
+    plans = scheme.block_plans if isinstance(scheme, MemoryShare) else repeat(scheme)
     rng = random.Random(args.seed)
     results = []
     for plan, block in zip(plans, blocks):

@@ -15,8 +15,11 @@ per plan) annihilate B_k, so multiplying by P_k^T leaves
 P_k^T diag(alpha_k) Y_{A_k} = P_k^T s_k.  Stacked over all users, that is
 V^T Y = h with V the planner's N x N correctness matrix
 (:func:`~dmuss.planner.plan_decomposition`), which the plan guarantees
-invertible -- so encoding is one N x N solve.  Each tail then comes back
-from the user's own interpolation.  Decoding is purely local to one
+invertible -- so encoding is one N x N solve, on the V^T the plan keeps
+(:attr:`~dmuss.planner.Plan.correctness_transpose`).  The shares do not
+need the tails, so encoding does not compute them: they are derived on
+first read of ``pads.tail`` or ``solution``, each from the user's own
+interpolation, and kept.  Decoding is purely local to one
 user: interpolate the degree-|A_k|-1 polynomial through the user's
 scaled shares and read the low coefficients back off.
 
@@ -32,7 +35,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -41,22 +46,52 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .planner import Plan, plan_decomposition
+from .planner import Plan
 
 
-@dataclass
 class PadSet:
-    """Per-user randomness: the freely drawn block and the solved tail."""
+    """Per-user randomness: the freely drawn block and the tail.
 
-    free: list  # free[k-1]: list of length R'_k - R_k
-    tail: list  # tail[k-1]: list of length |A_k| - R'_k
+    The tails are the master node's internal randomness: no node or user
+    receives them, and encoding never needs them.  ``tail`` derives them
+    from the shares on first read, by each user's own interpolation
+    (:func:`decode`), and keeps them.  Equality and ``repr`` cover both
+    blocks.
+    """
+
+    def __init__(self, free: list, plan: Plan, shares: list):
+        self.free = free  # free[k-1]: list of length R'_k - R_k
+        self._plan = plan
+        self._shares = list(shares)  # the encode's shares, whatever the caller does to its own
+
+    @cached_property
+    def tail(self) -> list:
+        """tail[k-1]: the |A_k| - R'_k tail coefficients of user k."""
+        plan = self._plan
+        return [
+            decode(plan, k, self._shares).pads[plan.quotas[k - 1] - plan.rates[k - 1] :]
+            for k in range(1, plan.K + 1)
+        ]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PadSet):
+            return NotImplemented
+        return (self.free, self.tail) == (other.free, other.tail)
+
+    def __repr__(self) -> str:
+        return f"PadSet(free={self.free!r}, tail={self.tail!r})"
 
 
 @dataclass
 class EncodeResult:
     shares: list  # Y_1..Y_N
     pads: PadSet
-    solution: list  # full unknown vector (tails, then shares)
+
+    @property
+    def solution(self) -> list:
+        """The full unknown vector of the lifted system: every user's
+        tail, then the shares.  Reading it derives the tails."""
+        return [v for tail in self.pads.tail for v in tail] + self.shares
 
 
 def _check_message_shape(plan: Plan, msgs: Sequence) -> None:
@@ -127,16 +162,8 @@ def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeR
     """
     s = rhs_vector(plan, msgs, pads_free)
     h = _project(plan.field.p, plan.basis_rows, s)
-    shares = linalg.solve(plan.field, linalg.transpose(plan_decomposition(plan)), h)
-    tails = [
-        decode(plan, k, shares).pads[plan.quotas[k - 1] - plan.rates[k - 1] :]
-        for k in range(1, plan.K + 1)
-    ]
-    return EncodeResult(
-        shares=shares,
-        pads=PadSet(free=[list(b) for b in pads_free], tail=tails),
-        solution=[v for tail in tails for v in tail] + shares,
-    )
+    shares = linalg.solve(plan.field, plan.correctness_transpose, h)
+    return EncodeResult(shares=shares, pads=PadSet([list(b) for b in pads_free], plan, shares))
 
 
 def draw_pads(plan: Plan, rng: random.Random) -> list:
@@ -271,7 +298,7 @@ def transfer_map(plan: Plan) -> TransferMap:
                 h[row + t][j] = -sum(c * g for c, g in zip(col, powers)) % p
             powers = [x * g % p for x, g in zip(powers, gammas)]
         row += quota
-    vt = linalg.transpose(plan_decomposition(plan))
+    vt = plan.correctness_transpose
     reduced, pivots = linalg.rref(plan.field, [vt_row + h_row for vt_row, h_row in zip(vt, h)])
     if pivots != list(range(n)):
         raise SingularMatrixError("correctness matrix is singular")
@@ -307,9 +334,12 @@ class MemoryShare:
             )
 
     @property
-    def block_plans(self) -> list:
-        return [self.plan_a] * self.blocks_a + [self.plan_b] * (
-            self.blocks_total - self.blocks_a
+    def block_plans(self) -> Iterator[Plan]:
+        """Each block's plan in order, as a fresh iterator: a list would
+        hold blocks_total entries, which a plan file sets."""
+        return chain(
+            repeat(self.plan_a, self.blocks_a),
+            repeat(self.plan_b, self.blocks_total - self.blocks_a),
         )
 
     @property
@@ -355,10 +385,11 @@ class MemoryShare:
 
     def encode(self, msgs: Sequence, seed: int | None = None) -> list:
         """Encode flat per-user messages; returns one EncodeResult per block."""
+        blocks = self.split_messages(msgs)
         rng = random.Random(seed)
         return [
             encode_with_pads(plan, block_msgs, draw_pads(plan, rng))
-            for plan, block_msgs in zip(self.block_plans, self.split_messages(msgs))
+            for plan, block_msgs in zip(self.block_plans, blocks)
         ]
 
     def decode(self, k: int, share_blocks: Sequence) -> list:

@@ -5,7 +5,8 @@ floating point anywhere.  One forward pass, :func:`_echelon`, does all
 elimination: columns left to right, the first row with a nonzero entry
 becomes the pivot, so every derived object (rank profile, null-space
 basis, solution vector) is reproducible.  rank counts its pivots, det is
-its signed pivot product, and rref adds back-substitution.
+its signed pivot product, and rref and solve add back-substitution
+(:func:`_reduce`); solve unpacks only its solution column.
 
 Inside the elimination each row is one Python int holding its entries
 as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
@@ -14,7 +15,7 @@ row: the packing of Dumas, Fousse and Salvy, "Simultaneous modular
 reduction and Kronecker substitution for small finite fields" (J. Symb.
 Comput. 2011).  Fields are reduced mod p only when a row becomes a pivot
 row and when the result is unpacked; W leaves room for the unreduced
-sums in between (see :func:`_echelon` and :func:`rref`).
+sums in between (see :func:`_echelon` and :func:`_reduce`).
 """
 
 from __future__ import annotations
@@ -136,18 +137,17 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
     return r, pivots, d
 
 
-def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form: :func:`_echelon`, then back-substitution.
+def _reduce(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
+    """:func:`_echelon`, then back-substitution, on the packed rows.
 
     Back-substitution uses the same packed update, bottom pivot first.
     Each pivot row is re-reduced mod p before it is used, since it has
     taken updates from the pivots below it; so again a row takes at most
-    rows - 1 updates between reductions and no field overflows.  The rows
-    are unpacked once, at the end.
+    rows - 1 updates between reductions and no field overflows.
 
     Returns:
-        (R, pivots) where R is the reduced form of ``a`` and pivots lists
-        the pivot column of each nonzero row, in order.
+        (R, pivots, W): the packed rows of the reduced form, with fields
+        not yet reduced mod p, their pivot columns and the field width.
     """
     p = field.p
     rows = len(a)
@@ -163,6 +163,20 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
             f = (r[i] >> shift & mask) % p
             if f:
                 r[i] += (p - f) * lead_row
+    return r, pivots, w
+
+
+def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form: :func:`_reduce`, unpacked once at the end.
+
+    Returns:
+        (R, pivots) where R is the reduced form of ``a`` and pivots lists
+        the pivot column of each nonzero row, in order.
+    """
+    p = field.p
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r, pivots, w = _reduce(field, a)
     reduced = [[x % p for x in _fields(row, w, cols)] for row in r[: len(pivots)]]
     return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
 
@@ -192,11 +206,12 @@ def solve(field: Field, a: Matrix, s: list[int]) -> list[int]:
         raise ShapeMismatchError("coefficient matrix must be square")
     if len(s) != n:
         raise ShapeMismatchError(f"right-hand side has length {len(s)}, expected {n}")
-    aug = [row[:] + [rhs] for row, rhs in zip(a, s)]
-    r, pivots = rref(field, aug)
+    p = field.p
+    r, pivots, w = _reduce(field, [row[:] + [rhs] for row, rhs in zip(a, s)])
     if n in pivots or len(pivots) != n:
         raise SingularMatrixError("system is singular")
-    return [r[i][n] for i in range(n)]
+    shift, mask = n * w, (1 << w) - 1
+    return [(row >> shift & mask) % p for row in r]  # only the solution column is unpacked
 
 
 def inverse(field: Field, a: Matrix) -> Matrix:

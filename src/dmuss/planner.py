@@ -14,7 +14,9 @@ Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
 nonsingular; :func:`correctness_matrix` writes it, from the rows a plan
-derives once (:attr:`Plan.basis_rows`).  Only inside
+derives once (:attr:`Plan.basis_rows`), and a plan keeps its transpose
+(:attr:`Plan.correctness_transpose`) for the determinant check, the
+encode and the transfer map.  Only inside
 :func:`make_plan`, before the reserved rows' scalings zeta are chosen,
 is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
 unscaled and D the other rows.  C is block-diagonal up to row
@@ -104,6 +106,15 @@ class Plan:
         with the sorted access set; built on first use, off the fields that
         plan equality, ``repr`` and plan files see."""
         return _basis_rows(self.field, self.quotas, self.perms)
+
+    @cached_property
+    def correctness_transpose(self) -> Matrix:
+        """V^T, the transposed correctness matrix, built on first use and
+        kept off the value fields like :attr:`basis_rows`.  The plan's own
+        determinant check, :func:`~dmuss.codec.encode_with_pads` and
+        :func:`~dmuss.codec.transfer_map` share it, so callers must not
+        mutate it; :func:`plan_decomposition` returns a fresh V."""
+        return linalg.transpose(plan_decomposition(self))
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
@@ -388,6 +399,6 @@ def plan_from_parameters(
         perms=tuple(tuple(p_) for p_ in perms),
         alphas=tuple(dict(a) for a in alphas),
     )
-    if linalg.det(field, plan_decomposition(plan)) == 0:
+    if linalg.det(field, plan.correctness_transpose) == 0:  # det V^T = det V
         raise SingularMatrixError("supplied constants give a singular correctness matrix")
     return plan

@@ -5,13 +5,13 @@ from dataclasses import dataclass
 
 import pytest
 
-from dmuss import AccessStructure, Field, linalg
+from dmuss import AccessStructure, Field, codec, linalg
 from dmuss.access import in_capacity_region
 from dmuss.codec import rhs_vector
 from dmuss.demo import demo_encode, demo_messages, demo_plan
 from dmuss.errors import ShapeMismatchError, SingularMatrixError
 from dmuss.planner import plan_decomposition
-from dmuss.verify import PairPrivacy
+from dmuss.verify import CorrectnessReport, PairPrivacy
 
 # (number, name, passed) triples filled in by the acceptance suite; echoed
 # after the run so each criterion's verdict is one visible line
@@ -65,6 +65,20 @@ def random_rates_in_region(rng: random.Random, acc: AccessStructure, stop_prob=0
         rates[rng.choice(candidates)] += 1
 
 
+def spy(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that each call appends ``record(*args)`` to
+    the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 # --- elimination: the slow references for linalg and the permutation choice ----
 
 
@@ -101,6 +115,20 @@ def slow_rref(field, a):
         if lead == rows:
             break
     return r, pivots
+
+
+def slow_solve(field, a, s):
+    """The square system a @ b = s read off the last column of
+    :func:`slow_rref` of [a | s]."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeMismatchError("coefficient matrix must be square")
+    if len(s) != n:
+        raise ShapeMismatchError(f"right-hand side has length {len(s)}, expected {n}")
+    r, pivots = slow_rref(field, [row[:] + [rhs] for row, rhs in zip(a, s)])
+    if n in pivots or len(pivots) != n:
+        raise SingularMatrixError("system is singular")
+    return [r[i][n] for i in range(n)]
 
 
 def slow_det(field, a):
@@ -293,6 +321,48 @@ def slow_transfer_map(plan) -> linalg.Matrix:
             h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
         hs.append(h)
     return mat_mul(plan.field, inv, linalg.transpose(hs))
+
+
+# --- the round-trip check that reads the encode's tails: slow reference ----------
+
+
+def slow_check_correctness(plan, trials=100, seed=0) -> CorrectnessReport:
+    """The round trips of ``check_correctness`` with the share identity
+    read off the encode's own ``pads.tail``, which derives each tail by
+    one more decode: 2K decodes a trial, not K.  ``codec.encode`` and
+    ``codec.decode`` are looked up on each call, so a test can inject a
+    fault into both."""
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
+    rng = random.Random(seed)
+    p = plan.field.p
+    failures = 0
+    first = None
+
+    def note(msg):
+        nonlocal failures, first
+        failures += 1
+        if first is None:
+            first = msg
+
+    for trial in range(trials):
+        msgs = [[rng.randrange(p) for _ in range(r)] for r in plan.rates]
+        res = codec.encode(plan, msgs, seed=rng.randrange(1 << 30))
+        for k in range(1, plan.K + 1):
+            got = codec.decode(plan, k, res.shares)
+            if got.message != msgs[k - 1]:
+                note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")
+        for k in range(1, plan.K + 1):
+            coeffs = (
+                list(msgs[k - 1]) + list(res.pads.free[k - 1]) + list(res.pads.tail[k - 1])
+            )
+            for g, n in zip(plan.gammas(k), plan.access.sorted_set(k)):
+                val = 0
+                for c in reversed(coeffs):
+                    val = (val * g + c) % p
+                if val != -plan.alpha(k, n) * res.shares[n - 1] % p:
+                    note(f"trial {trial}: user {k} node {n}: share identity broken")
+    return CorrectnessReport(trials=trials, failures=failures, first_failure=first)
 
 
 @pytest.fixture(scope="session")

@@ -17,14 +17,18 @@ from conftest import (
     random_rates_in_region,
     slow_det,
     slow_rref,
+    slow_solve,
     slow_tail_basis,
     slow_transfer_map,
+    spy,
     system_layout,
     system_matrix,
 )
-from dmuss import linalg, planner
+from dmuss import codec, linalg, planner
 from dmuss.access import AccessStructure, in_capacity_region
 from dmuss.codec import (
+    EncodeResult,
+    PadSet,
     decode,
     encode,
     encode_with_pads,
@@ -140,6 +144,45 @@ def test_encode_reference_frozen(ref_plan, ref_messages, ref_encoded):
     assert ref_encoded.shares == REF_SHARES
     assert ref_encoded.pads.free == [[], [], [], []]
     assert ref_encoded.pads.tail == [REF_PADS[k] for k in range(1, 5)]
+
+
+def test_encode_solves_only_for_the_shares(monkeypatch, ref_plan, ref_messages):
+    # one N x N solve per encode; the K tail decodes wait for the first read
+    solves = spy(monkeypatch, linalg, "solve", lambda field, a, s: len(a))
+    decodes = spy(monkeypatch, codec, "decode", lambda plan, k, shares: k)
+    tails = [REF_PADS[k] for k in range(1, 5)]
+    for first in ("tail", "solution"):
+        res = encode_with_pads(ref_plan, ref_messages, [[] for _ in range(4)])
+        assert solves == [ref_plan.N] and decodes == []
+        if first == "tail":
+            assert res.pads.tail == tails
+        else:
+            assert res.solution == REF_SOLUTION
+        assert decodes == [1, 2, 3, 4]
+        assert res.pads.tail == tails and res.solution == REF_SOLUTION
+        assert decodes == [1, 2, 3, 4]  # later reads derive nothing
+        solves.clear()
+        decodes.clear()
+    encode(ref_plan, ref_messages, seed=3)
+    assert solves == [ref_plan.N] and decodes == []
+    res = encode_with_pads(ref_plan, ref_messages, [[] for _ in range(4)])
+    res.shares[0] = (res.shares[0] + 1) % 11
+    assert res.pads.tail == tails  # derived from the encode's shares, not the caller's list
+
+
+def test_encode_result_equality_covers_the_tails(ref_plan):
+    # the same shares and free pads under another plan's scalings meet
+    # other tails, so the results differ only there
+    other = make_plan(ref_plan.field, ref_plan.access, ref_plan.rates, seed=5)
+    free = [[] for _ in range(4)]
+    ours = EncodeResult(shares=list(REF_SHARES), pads=PadSet(free, ref_plan, list(REF_SHARES)))
+    theirs = EncodeResult(shares=list(REF_SHARES), pads=PadSet(free, other, list(REF_SHARES)))
+    assert ours.shares == theirs.shares and ours.pads.free == theirs.pads.free
+    assert ours.pads.tail != theirs.pads.tail
+    assert ours != theirs and ours.pads != theirs.pads
+    twin = EncodeResult(shares=list(REF_SHARES), pads=PadSet(free, ref_plan, list(REF_SHARES)))
+    assert ours == twin and repr(ours) == repr(twin)
+    assert f"tail={[REF_PADS[k] for k in range(1, 5)]!r}" in repr(ours)
 
 
 def test_encode_zero_everything_gives_zero_shares():
@@ -325,7 +368,7 @@ def test_memory_share_rates_and_lengths(ref_plan):
     ms = memory_share(ref_plan, zero, 1, 2)
     assert ms.rates() == (Fraction(1, 2), Fraction(1), Fraction(1), Fraction(3, 2))
     assert ms.message_lengths() == (1, 2, 2, 3)
-    assert len(ms.block_plans) == 2
+    assert list(ms.block_plans) == [ref_plan, zero]
 
 
 def test_memory_share_round_trip(ref_plan, ref_messages):
@@ -401,6 +444,7 @@ def pipeline(field, acc, rates, seed):
     rng = random.Random(seed)
     msgs = [[rng.randrange(field.p) for _ in range(r)] for r in rates]
     enc = encode(plan, msgs, seed=seed)
+    enc.solution  # derives the tails here, under this run's elimination
     decoded = [decode(plan, k, enc.shares) for k in range(1, plan.K + 1)]
     assert [d.message for d in decoded] == msgs
     return plan, enc, decoded, transfer_map(plan).matrix
@@ -418,6 +462,7 @@ def test_pipeline_at_benchmark_sizes_matches_slow_elimination(monkeypatch, p, n,
     acc, rates = sized_instance(random.Random(p), n, sizes)
     fast = pipeline(field, acc, rates, seed=5)
     monkeypatch.setattr(linalg, "rref", slow_rref)
+    monkeypatch.setattr(linalg, "solve", slow_solve)
     monkeypatch.setattr(linalg, "rank", lambda f, a: len(slow_rref(f, a)[1]))
     monkeypatch.setattr(linalg, "det", slow_det)
     monkeypatch.setattr(planner, "tail_basis", slow_tail_basis)

@@ -7,6 +7,7 @@ runs exactly as a shell user would drive it.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from dmuss import cli, demo
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
-from dmuss.errors import NotInRegionError, NotPrimeError, SingularMatrixError
+from dmuss.errors import NotInRegionError, NotPrimeError, ShapeMismatchError, SingularMatrixError
 from dmuss.files import (
     FileFormatError,
     instance_from_dict,
@@ -466,6 +467,30 @@ def test_cli_files_that_do_not_fit_the_plan(tmp_path, capsys):
     shares_path = write_doc(tmp_path, "shares.json", one_block)
     assert main(["decode", mix_path, shares_path, "--user", "1"]) == 2
     assert "expected 2 share blocks, got 1" in capsys.readouterr().err
+
+
+def test_block_count_is_checked_before_any_block_plan(tmp_path, capsys):
+    # blocks_total comes from the plan file: a count check that first
+    # listed one plan per block would allocate 8 bytes a block (8 MB
+    # here, gigabytes at counts a file can just as easily carry)
+    plan = demo.demo_plan()
+    zero = make_plan(plan.field, plan.access, (0, 0, 0, 0), seed=3)
+    ms = memory_share(plan, zero, 1, 10**6)
+    mix_path = write_doc(tmp_path, "mix.json", mix_to_dict(ms))
+    msg_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    wrong = [[1, 1], [2, 6], [4, 0], [3, 5, 7]]
+    tracemalloc.start()
+    try:
+        assert main(["encode", mix_path, msg_path]) == 2
+        cli_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ShapeMismatchError):
+            ms.encode(wrong, seed=0)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "needs exactly 1000000 message blocks, got 1" in capsys.readouterr().err
+    assert cli_peak < 10**6 and encode_peak < 10**6, (cli_peak, encode_peak)
 
 
 @pytest.mark.parametrize("bad", [11, 13, -1, True])

@@ -3,16 +3,16 @@
 The determinant tests are checked against a test-local cofactor-expansion
 oracle, and the null-space regressions pin span-level expectations (the
 basis convention is echelon-reduced, so span equality is what matters).
-The one forward elimination under rref, rank and det is fuzzed against
-the Gauss-Jordan reduction and the separate determinant loop it replaced
-(``slow_rref`` and ``slow_det`` in conftest).
+The one forward elimination under rref, solve, rank and det is fuzzed
+against the Gauss-Jordan reduction and the separate determinant loop it
+replaced (``slow_rref``, ``slow_solve`` and ``slow_det`` in conftest).
 """
 
 import random
 
 import pytest
 
-from conftest import mat_mul, slow_det, slow_rref
+from conftest import mat_mul, slow_det, slow_rref, slow_solve
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -293,6 +293,14 @@ def fuzz_matrix(rng, field, rows, cols, kind):
     return random_matrix(rng, p, rows, cols)
 
 
+def solve_outcome(solver, field, a, s):
+    """A solver's solution, or the type of the error it raised."""
+    try:
+        return solver(field, a, s)
+    except (ShapeMismatchError, SingularMatrixError) as exc:
+        return type(exc)
+
+
 def test_elimination_matches_slow_references_fuzz():
     rng = random.Random(61)
     kinds = ["dense", "zero", "sparse", "low-rank", "repeated"]
@@ -315,6 +323,8 @@ def test_elimination_matches_slow_references_fuzz():
         if rows == cols:
             assert linalg.det(field, a) == slow_det(field, a)
             seen.add(("det", len(want_pivots) == rows))
+            s = [rng.randrange(field.p) for _ in range(rows)]
+            assert solve_outcome(linalg.solve, field, a, s) == solve_outcome(slow_solve, field, a, s)
         else:
             with pytest.raises(ShapeMismatchError):
                 linalg.det(field, a)
@@ -370,3 +380,8 @@ def test_packed_elimination_at_real_sizes_matches_slow_references():
             assert linalg.null_space(field, a) == slow_null_vectors(field, a, want), (field.p, kind)
             if len(a) == len(a[0]):
                 assert linalg.det(field, a) == slow_det(field, a), (field.p, kind)
+            elif len(a) < len(a[0]):  # the square left part, solved for the next column
+                n = len(a)
+                sq, rhs = [row[:n] for row in a], [row[n] for row in a]
+                got = solve_outcome(linalg.solve, field, sq, rhs)
+                assert got == solve_outcome(slow_solve, field, sq, rhs), (field.p, kind)

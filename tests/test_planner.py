@@ -329,14 +329,31 @@ def test_plan_derives_its_basis_rows_once(monkeypatch):
     assert len(calls) == acc.K
 
 
+def test_plan_builds_its_correctness_transpose_once(monkeypatch):
+    # the load's det check, every encode and the transfer map share one V^T
+    calls = count_calls(monkeypatch, planner, "plan_decomposition")
+    msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
+    plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    loaded = plan_from_dict(plan_to_dict(plan))
+    assert len(calls) == 1
+    for p in (loaded, plan):
+        for seed in range(3):
+            encode(p, msgs, seed=seed)
+        transfer_map(p)
+    assert len(calls) == 2
+    want = linalg.transpose(correctness_matrix(F11, plan.access, plan.quotas, plan.basis_rows, plan.alpha))
+    assert plan.correctness_transpose == loaded.correctness_transpose == want
+
+
 def test_basis_rows_stay_off_the_plan_value():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     fresh = dataclasses.replace(plan)
     doc, text = plan_to_dict(fresh), repr(fresh)
-    for _ in range(2):  # before, then after, the rows are derived
+    for _ in range(2):  # before, then after, the rows and V^T are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
         assert plan.basis_rows == fresh.basis_rows
+        assert plan.correctness_transpose == fresh.correctness_transpose
     assert plan_from_dict(doc) == plan
 
 

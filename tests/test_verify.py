@@ -12,10 +12,17 @@ import random
 
 import pytest
 
-from conftest import compress_nodes, random_access, random_rates_in_region, slow_check_privacy
-from dmuss import linalg
+from conftest import (
+    compress_nodes,
+    random_access,
+    random_rates_in_region,
+    slow_check_correctness,
+    slow_check_privacy,
+    spy,
+)
+from dmuss import codec, linalg, verify
 from dmuss.access import AccessStructure
-from dmuss.codec import TransferMap, transfer_map
+from dmuss.codec import DecodeResult, TransferMap, transfer_map
 from dmuss.errors import TooLargeError
 from dmuss.gf import Field
 from dmuss.planner import make_plan
@@ -156,6 +163,63 @@ def test_correctness_on_fresh_plan():
     for trials in (0, -3):
         with pytest.raises(ValueError):
             check_correctness(plan, trials=trials)
+
+
+def test_correctness_trial_costs_one_share_solve_and_k_decodes(monkeypatch):
+    rng = random.Random(95)
+    acc = random_access(rng, min_users=4, max_users=6, max_nodes=12)
+    plan = make_plan(Field(65537), acc, random_rates_in_region(rng, acc), seed=2)
+    solves = spy(monkeypatch, linalg, "solve", lambda field, a, s: len(a))
+    checked = spy(monkeypatch, verify, "decode", lambda plan, k, shares: k)
+    derived = spy(monkeypatch, codec, "decode", lambda plan, k, shares: k)  # tails
+    assert check_correctness(plan, trials=1).ok
+    assert checked == list(range(1, acc.K + 1)) and derived == []
+    assert sorted(solves) == sorted([acc.N] + [len(s) for s in acc.sets])
+
+
+def faulty_decode(real, fault):
+    """``real`` decode with ``fault`` applied to the result of the user
+    with the longest tail whenever the share vector sums to an even
+    number, so some trials fail and others pass."""
+
+    def decode(plan, k, shares):
+        got = real(plan, k, shares)
+        tails = [len(s) - q for s, q in zip(plan.access.sets, plan.quotas)]
+        if k != tails.index(max(tails)) + 1 or sum(shares) % 2:
+            return got
+        p = plan.field.p
+        message, pads = list(got.message), list(got.pads)
+        if fault in ("message", "both") and message:
+            message[0] = (message[0] + 1) % p
+        if fault in ("tail", "both") and pads:
+            pads[-1] = (pads[-1] + 1) % p
+        return DecodeResult(message=message, pads=pads)
+
+    return decode
+
+
+def test_correctness_matches_slow_reference_fuzz(monkeypatch):
+    # the share identity reads the tails check_correctness decoded itself;
+    # the reference reads pads.tail, derived by K more decodes.  Reports
+    # agree, and under a faulty decode their failure paths agree too.
+    rng = random.Random(96)
+    real = codec.decode
+    failed = set()
+    for _ in range(40):
+        acc = random_access(rng, max_users=4, max_nodes=8)
+        p = rng.choice([11, 13, 65537])
+        plan = make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
+        trials, seed = rng.randint(1, 4), rng.randrange(10**6)
+        for fault in (None, "message", "tail", "both"):
+            decode = real if fault is None else faulty_decode(real, fault)
+            monkeypatch.setattr(codec, "decode", decode)
+            monkeypatch.setattr(verify, "decode", decode)
+            got = check_correctness(plan, trials=trials, seed=seed)
+            assert got == slow_check_correctness(plan, trials=trials, seed=seed), fault
+            if not got.ok:
+                failed.add((fault, "identity" if "identity" in got.first_failure else "decode"))
+    assert {("message", "decode"), ("tail", "identity"), ("both", "decode")} <= failed
+    assert all(fault is not None for fault, _ in failed)
 
 
 def test_correctness_report_semantics():
