@@ -14,10 +14,13 @@ family has 2^K - 1 members but is never enumerated to test membership:
 by max-flow/min-cut it holds iff a flow from a source through the users
 (user k taking R_k) and the nodes each user reads into a sink (one unit
 per node) saturates every user.  :class:`_CutsetFlow` is that flow, and
-region membership, quota augmentation, quota validation and enumeration
-all ask it, so none of them is exponential in K.  Only
-:func:`capacity_constraints`, which lists every inequality, is; it keeps
-a hard user cap.
+region membership, quota augmentation, quota validation, enumeration and
+the reserved blocks of :mod:`dmuss.sdr` all ask it, so none of them is
+exponential in K.  Only :func:`capacity_constraints`, which lists every
+inequality, is; it keeps a hard user cap.  Its one augmenting-path search
+is depth-first, free nodes before full ones, and runs in capacity-scaling
+phases, since plain depth-first search can take a number of searches that
+grows with the rates' common denominator d: O(E log d) per user.
 
 The cutset bound function is a monotone submodular set function, which
 is what makes the greedy augmentation in :func:`augment_quotas` safe: the
@@ -81,12 +84,14 @@ class AccessStructure:
 
     def user_set(self, k: int) -> frozenset:
         """Access set of user k (1-indexed)."""
+        if not 1 <= k <= len(self.sets):
+            raise ValueError(f"no user {k}: users are 1..{len(self.sets)}")
         return self.sets[k - 1]
 
     def sorted_set(self, k: int) -> list[int]:
         """Access set of user k as an ascending node list; position i of
         this list is the scheme's i-th evaluation slot for the user."""
-        return sorted(self.sets[k - 1])
+        return sorted(self.user_set(k))
 
     def union_size(self, users: Iterable[int]) -> int:
         members = [self.sets[k - 1] for k in users]
@@ -163,74 +168,87 @@ class _CutsetFlow:
     ``sum_{k in S} demand[k] <= unit * |union of A_k over S|`` for every
     group S, that is iff ``demand / unit`` meets every cutset bound.
 
-    Users are routed one at a time along shortest residual paths.  A user
-    that cannot reach the sink never can again after later augmentations,
-    so once every user has been routed the flow is maximum.  Users are
-    0-indexed here.
+    Users (0-indexed here) are routed one at a time along :meth:`_search`
+    paths.  A user that cannot reach the sink never can again after later
+    augmentations, so once every user has been routed the flow is maximum.
+    With unit 1 the search order makes ``held`` the canonical blocks.
+
+    A plain depth-first flow is not bounded in ``unit``: 31,858 searches
+    for demand (1999973, 1140014, 1068651, 597004) on
+    ``[[1,3],[1,2,3,4],[1,2,3],[4]]`` at unit 10^6.  So :meth:`route`
+    scales capacities (Edmonds & Karp, J. ACM 1972): phases whose step
+    halves from the largest power of two <= ``unit`` to 1 use only
+    residual edges of capacity >= step, each augments O(E) times, and a
+    user takes O(E log unit) searches.
     """
 
     def __init__(self, acc: AccessStructure, demand: Sequence[int], unit: int = 1):
         self.sets = [acc.sorted_set(k) for k in range(1, acc.K + 1)]
         self.unit = unit
         self.load = [0] * (acc.N + 1)  # flow into the sink through node n
-        self.held = [{} for _ in range(acc.N + 1)]  # node -> {user: flow}
+        self.room = unit * acc.N  # sink capacity left over all nodes
+        self.held = [{} for _ in range(acc.N + 1)]  # node -> {user: flow}, maybe 0
         self.unmet = [d - self.route(k, d) for k, d in enumerate(demand)]
 
     @property
     def saturated(self) -> bool:
         return not any(self.unmet)
 
-    def _search(self, starts: Sequence[int]) -> tuple:
-        """Breadth-first search of the residual graph from ``starts``.
+    def _search(self, starts: Sequence[int], step: int = 1) -> tuple:
+        """Depth-first search from ``starts`` over residual edges of
+        capacity >= ``step``.  A user takes its lowest node with room for
+        ``step``, or else tries its full nodes ascending and enters the
+        users holding >= ``step`` of each.  A node is tried once; a user
+        entered again resumes its one node iterator.
 
-        Returns ``(path, reached)``.  ``path`` lists the hops of a
-        shortest path to the sink, last hop first, as ``(user, node it
-        gains, node it gives up or None)``, or is None when the sink is
-        out of reach.  ``reached`` maps each reached user to the node
-        through which it was reached.
+        Returns ``(path, reached)``: the hops to the sink, last first, as
+        ``(user, node it gains, node it gives up or None)``, or None; and
+        the users entered.
         """
-        reached = dict.fromkeys(starts)
-        parent: dict = {}  # node -> user it was reached from
-        queue = list(starts)
-        for u in queue:
-            for n in self.sets[u]:
-                if n in parent:
-                    continue
-                parent[n] = u
-                if self.load[n] < self.unit:
-                    path = []
-                    while n is not None:
-                        u = parent[n]
-                        path.append((u, n, reached[u]))
-                        n = reached[u]
-                    return path, reached
-                for j in self.held[n]:
-                    if j not in reached:
-                        reached[j] = n
-                        queue.append(j)
-        return None, reached
+        full = self.unit - step  # a node loaded above this has no room
+        load, held = self.load, self.held
+        order: dict = {}  # user -> its node iterator for this search
+        via: dict = {}  # node -> hop (user that tried it, node, node it came in by)
+        stack = [(k, None) for k in starts]
+        while stack:
+            u, old = stack[-1]
+            if u not in order:
+                free = [n for n in self.sets[u] if load[n] <= full]
+                if free:
+                    path = [(u, free[0], old)]
+                    while path[-1][2] is not None:
+                        path.append(via[path[-1][2]])
+                    return path, order
+                order[u] = iter(self.sets[u])
+            for n in order[u]:
+                if n not in via:
+                    via[n] = u, n, old
+                    stack += [(j, n) for j, f in held[n].items() if f >= step]
+                    break
+            else:
+                stack.pop()
+        return None, order
 
     def route(self, k: int, amount: int) -> int:
         """Send up to ``amount`` more units from user k; returns how many went."""
         sent = 0
-        while sent < amount:
-            path, _ = self._search([k])
-            if path is None:
-                break
-            sink_node = path[0][1]
-            delta = min(
-                amount - sent,
-                self.unit - self.load[sink_node],
-                *(self.held[old][u] for u, _, old in path if old is not None),
-            )
-            for u, new, old in path:
-                self.held[new][u] = self.held[new].get(u, 0) + delta
-                if old is not None:
-                    self.held[old][u] -= delta
-                    if not self.held[old][u]:
-                        del self.held[old][u]
-            self.load[sink_node] += delta
-            sent += delta
+        step = 1 << (self.unit.bit_length() - 1)
+        while step:
+            while step <= min(amount - sent, self.room):  # else no path carries step
+                path, _ = self._search([k], step)
+                if path is None:
+                    break
+                sink_node = path[0][1]
+                backs = [self.held[old][u] for u, _, old in path if old is not None]
+                delta = min(amount - sent, self.unit - self.load[sink_node], *backs)
+                for u, new, old in path:
+                    self.held[new][u] = self.held[new].get(u, 0) + delta
+                    if old is not None:
+                        self.held[old][u] -= delta
+                self.load[sink_node] += delta
+                self.room -= delta
+                sent += delta
+            step >>= 1
         return sent
 
     def min_cut_users(self) -> tuple:
@@ -255,9 +273,17 @@ def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
     ``sum R - |union of A|`` (that group is unique).  ``checked`` counts
     every inequality of :func:`capacity_constraints`, whatever the verdict.
     """
+    return _region(acc, rates)[0]
+
+
+def _region(acc: AccessStructure, rates: Sequence) -> tuple:
+    """:func:`in_capacity_region`'s report and cutset flow (None if pairwise failed)."""
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
-    rates = [Fraction(r) for r in rates]
+    try:
+        rates = [Fraction(r) for r in rates]
+    except OverflowError as exc:  # an infinite float; NaN raises ValueError itself
+        raise ValueError(f"rates must be finite: {exc}") from None
     if any(r < 0 for r in rates):
         raise ValueError("rates must be nonnegative")
     checked = (acc.K if acc.K >= 2 else 0) + (1 << acc.K) - 1
@@ -275,13 +301,13 @@ def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
         for k in range(1, acc.K + 1):
             bound = pairwise_bound(acc, k)
             if rates[k - 1] > bound:
-                return rejected(Constraint("pairwise", (k,), bound))
+                return rejected(Constraint("pairwise", (k,), bound)), None
     unit = lcm(*(r.denominator for r in rates))
     flow = _CutsetFlow(acc, [int(r * unit) for r in rates], unit)
     if not flow.saturated:
         users = flow.min_cut_users()
-        return rejected(Constraint("cutset", users, acc.union_size(users)))
-    return RegionReport(ok=True, pairwise_vacuous=acc.K == 1, checked=checked)
+        return rejected(Constraint("cutset", users, acc.union_size(users))), flow
+    return RegionReport(ok=True, pairwise_vacuous=acc.K == 1, checked=checked), flow
 
 
 def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
@@ -306,11 +332,10 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
     if any(int(r) != Fraction(r) for r in rates):
         raise NotInRegionError(f"augmentation needs integer rates, got {tuple(rates)}")
-    report = in_capacity_region(acc, rates)
+    report, flow = _region(acc, rates)  # integer rates: the flow has unit 1
     if not report.ok:
         raise NotInRegionError(report.describe())
     quotas = [int(r) for r in rates]
-    flow = _CutsetFlow(acc, quotas)
     for k in range(acc.K):
         quotas[k] += flow.route(k, acc.N)
     if sum(quotas) != acc.N:
@@ -320,13 +345,13 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
 
 def validate_quotas(acc: AccessStructure, rates: Sequence[int], quotas: Sequence[int]) -> bool:
     """Check the three augmentation invariants for an explicit tuple."""
-    if len(quotas) != acc.K or any(int(x) != x or x < 0 for x in quotas):
+    if len(quotas) != acc.K or any(type(x) is not int or x < 0 for x in quotas):
         return False
     if any(p < r for p, r in zip(quotas, rates)):
         return False
     if sum(quotas) != acc.N:
         return False
-    return _CutsetFlow(acc, [int(x) for x in quotas]).saturated
+    return _CutsetFlow(acc, quotas).saturated
 
 
 def enumerate_integer_region(acc: AccessStructure) -> list:

@@ -1,19 +1,14 @@
-"""Disjoint node-block selection via bipartite matching.
+"""Disjoint node-block selection.
 
 Planning must reserve, for each user k, a block of exactly R'_k nodes
 inside that user's access set, with blocks of different users disjoint.
-Cloning user k R'_k times turns this into a perfect matching problem on
-clones vs nodes; Hall's condition for the clone graph is exactly the
-cutset family ``sum_{k in S} R'_k <= |union of A_k|``, so a matching
-exists precisely when the padded tuple satisfies those bounds.
-
-The matcher is augmenting-path search with a deterministic preference
-order: clones are processed in (user, copy) order and each search visits
-currently-free nodes (ascending) before trying to displace earlier
-matches (also ascending).  The preference keeps small instances intuitive
--- two identical users {1,2}, {1,2} end up with blocks {1} and {2}, not
-the reshuffled assignment a plain search produces -- and any failed
-search yields a Hall violation witness for free.
+The blocks are a unit flow of :class:`dmuss.access._CutsetFlow` with
+demand R'_k at user k, so (Hall's condition) they exist precisely when
+the padded tuple meets every cutset bound.  The flow's search order
+makes them canonical: users go in index order, one node at a time, and
+each search takes a free node (ascending) before displacing earlier
+picks (also ascending), so two identical users {1,2}, {1,2} get {1} and
+{2}.  Without blocks, the flow's minimum cut names the deficient group.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .access import AccessStructure
+from .access import AccessStructure, _CutsetFlow
 from .errors import NoSdrError
 
 
@@ -65,47 +60,26 @@ def find_sdr(acc: AccessStructure, quotas: Sequence[int]) -> SdrAssignment:
     """Pick disjoint node blocks within each A_k, with |block k| = R'_k.
 
     Raises:
+        ValueError: the quotas are not K nonnegative ints.
         NoSdrError: no such blocks exist; carries a
-            :class:`DeficiencyCertificate` naming a clone set D with
-            |union of access sets| < |D|.
+            :class:`DeficiencyCertificate`: clones 1..min(R'_k, |union| + 1)
+            of each user k of the minimal group with the largest excess.
     """
     if len(quotas) != acc.K:
         raise ValueError(f"expected {acc.K} block sizes, got {len(quotas)}")
-    if any(r < 0 or int(r) != r for r in quotas):
+    if any(type(r) is not int or r < 0 for r in quotas):
         raise ValueError("block sizes must be nonnegative integers")
 
-    clones = [(k, j) for k in range(1, acc.K + 1) for j in range(1, quotas[k - 1] + 1)]
-    neighbours = {k: acc.sorted_set(k) for k in range(1, acc.K + 1)}
-    owner: dict[int, tuple] = {}  # node -> clone currently holding it
-
-    def extend(clone, visited: set) -> bool:
-        k = clone[0]
-        # free nodes first, then displaceable ones, each group ascending
-        order = sorted(neighbours[k], key=lambda n: (n in owner, n))
-        for n in order:
-            if n in visited:
-                continue
-            visited.add(n)
-            held_by = owner.get(n)
-            if held_by is None or extend(held_by, visited):
-                owner[n] = clone
-                return True
-        return False
-
-    for clone in clones:
-        visited: set = set()
-        if not extend(clone, visited):
-            deficient = [clone] + sorted(owner[n] for n in visited)
-            cert = DeficiencyCertificate(
-                clones=tuple(sorted(deficient)),
-                nodes=tuple(sorted(visited | set(neighbours[clone[0]]))),
-            )
-            raise NoSdrError(f"no distinct representatives: {cert.describe()}", cert)
-
-    blocks = [set() for _ in range(acc.K)]
-    for n, (k, _) in owner.items():
-        blocks[k - 1].add(n)
-    return SdrAssignment(blocks=tuple(frozenset(b) for b in blocks))
+    flow = _CutsetFlow(acc, quotas)
+    if not flow.saturated:
+        users = flow.min_cut_users()
+        nodes = tuple(sorted(frozenset().union(*(acc.user_set(k) for k in users))))
+        cap = len(nodes) + 1  # copies of one user that already outnumber the nodes
+        clones = tuple((k, j) for k in users for j in range(1, min(quotas[k - 1], cap) + 1))
+        cert = DeficiencyCertificate(clones=clones, nodes=nodes)
+        raise NoSdrError(f"no distinct representatives: {cert.describe()}", cert)
+    blocks = [frozenset(n for n, h in enumerate(flow.held) if h.get(k)) for k in range(acc.K)]
+    return SdrAssignment(blocks=tuple(blocks))
 
 
 def validate_sdr(acc: AccessStructure, quotas: Sequence[int], assignment: SdrAssignment) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
@@ -9,8 +10,9 @@ from dmuss import AccessStructure, Field, codec, linalg
 from dmuss.access import in_capacity_region
 from dmuss.codec import rhs_vector
 from dmuss.demo import demo_encode, demo_messages, demo_plan
-from dmuss.errors import ShapeMismatchError, SingularMatrixError
+from dmuss.errors import NoSdrError, ShapeMismatchError, SingularMatrixError
 from dmuss.planner import plan_decomposition
+from dmuss.sdr import DeficiencyCertificate, SdrAssignment
 from dmuss.verify import CorrectnessReport, PairPrivacy
 
 # (number, name, passed) triples filled in by the acceptance suite; echoed
@@ -77,6 +79,57 @@ def spy(monkeypatch, module, name, record):
 
     monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+# --- reserved blocks: the per-clone matcher, slow reference for find_sdr ---------
+# Clone (k, j) for j = 1..R'_k, matched in (user, copy) order by a recursive
+# augmenting search; it builds sum R'_k clones and recurses once per hop.
+
+def slow_find_sdr(acc: AccessStructure, quotas: Sequence[int]) -> SdrAssignment:
+    """Pick disjoint node blocks within each A_k, with |block k| = R'_k.
+
+    Raises:
+        NoSdrError: no such blocks exist; carries a
+            :class:`DeficiencyCertificate` naming a clone set D with
+            |union of access sets| < |D|.
+    """
+    if len(quotas) != acc.K:
+        raise ValueError(f"expected {acc.K} block sizes, got {len(quotas)}")
+    if any(r < 0 or int(r) != r for r in quotas):
+        raise ValueError("block sizes must be nonnegative integers")
+
+    clones = [(k, j) for k in range(1, acc.K + 1) for j in range(1, quotas[k - 1] + 1)]
+    neighbours = {k: acc.sorted_set(k) for k in range(1, acc.K + 1)}
+    owner: dict[int, tuple] = {}  # node -> clone currently holding it
+
+    def extend(clone, visited: set) -> bool:
+        k = clone[0]
+        # free nodes first, then displaceable ones, each group ascending
+        order = sorted(neighbours[k], key=lambda n: (n in owner, n))
+        for n in order:
+            if n in visited:
+                continue
+            visited.add(n)
+            held_by = owner.get(n)
+            if held_by is None or extend(held_by, visited):
+                owner[n] = clone
+                return True
+        return False
+
+    for clone in clones:
+        visited: set = set()
+        if not extend(clone, visited):
+            deficient = [clone] + sorted(owner[n] for n in visited)
+            cert = DeficiencyCertificate(
+                clones=tuple(sorted(deficient)),
+                nodes=tuple(sorted(visited | set(neighbours[clone[0]]))),
+            )
+            raise NoSdrError(f"no distinct representatives: {cert.describe()}", cert)
+
+    blocks = [set() for _ in range(acc.K)]
+    for n, (k, _) in owner.items():
+        blocks[k - 1].add(n)
+    return SdrAssignment(blocks=tuple(frozenset(b) for b in blocks))
 
 
 # --- elimination: the slow references for linalg and the permutation choice ----

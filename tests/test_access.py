@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compress_nodes, random_access, random_rates_in_region
+from conftest import compress_nodes, random_access, random_rates_in_region, spy
 from dmuss.access import (
     AccessStructure,
+    _CutsetFlow,
     augment_quotas,
     capacity_constraints,
     enumerate_integer_region,
@@ -111,6 +112,17 @@ def test_access_structure_validation():
         AccessStructure.of([[0, 1]])
 
 
+def test_user_index_out_of_range():
+    acc = ref_access()
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError, match="no user"):
+            acc.user_set(k)
+        with pytest.raises(ValueError, match="no user"):
+            acc.sorted_set(k)
+        with pytest.raises(ValueError, match="no user"):
+            pairwise_bound(acc, k)
+
+
 def test_access_structure_node_ids_are_ints():
     # a float or bool id would reach the planner, a str id the sort
     for bad in (1.0, True, "1"):
@@ -192,6 +204,22 @@ def test_too_many_users():
     assert outside.violation.bound == acc.union_size(outside.violation.users)
 
 
+def test_scaled_flow_search_count(monkeypatch):
+    """Counting the minimum-cut search, a plain depth-first flow takes
+    31,859 searches on the first demand and 7,735 on the second at unit
+    10^6; capacity scaling keeps the count within 4 K log2(unit), whatever
+    the unit."""
+    acc = AccessStructure.of([[1, 3], [1, 2, 3, 4], [1, 2, 3], [4]])
+    searches = spy(monkeypatch, _CutsetFlow, "_search", lambda *args: None)
+    for first, cut in ((1999973, (1, 2, 3, 4)), (999973, ())):  # 4.80 and 3.80 of 4 nodes
+        demand = (first, 1140014, 1068651, 597004)  # in millionths
+        for unit in (10**6, 10**9, 10**12):
+            searches.clear()
+            flow = _CutsetFlow(acc, [d * (unit // 10**6) for d in demand], unit)
+            assert flow.min_cut_users() == cut
+            assert len(searches) <= 4 * acc.K * unit.bit_length()
+
+
 # --- membership ---------------------------------------------------------------------
 
 
@@ -219,6 +247,9 @@ def test_membership_input_validation():
         in_capacity_region(acc, (1, 2, 2))
     with pytest.raises(ValueError):
         in_capacity_region(acc, (-1, 0, 0, 0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            in_capacity_region(acc, (bad, 0, 0, 0))
 
 
 def test_single_user_region_vacuous_pairwise():
@@ -338,6 +369,8 @@ def test_validate_quotas_negatives():
     assert not validate_quotas(acc, (1, 2, 2, 3), (0, 2, 2, 4))  # drops below rates
     assert not validate_quotas(acc, (0, 0, 0, 0), (4, 2, 2, 0))  # {1,2,3} cutset broken
     assert validate_quotas(acc, (1, 2, 2, 3), (1, 2, 2, 3))
+    for bad in (None, "a", 1.0, True):
+        assert not validate_quotas(acc, (1, 2, 2, 3), (bad, 2, 2, 3))
 
 
 # --- enumeration ---------------------------------------------------------------------
