@@ -272,18 +272,26 @@ def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
     of the inclusion-minimal user group with the largest excess
     ``sum R - |union of A|`` (that group is unique).  ``checked`` counts
     every inequality of :func:`capacity_constraints`, whatever the verdict.
+
+    Raises:
+        ValueError: not K rates, or one is negative or not a finite number.
     """
     return _region(acc, rates)[0]
 
 
-def _region(acc: AccessStructure, rates: Sequence) -> tuple:
-    """:func:`in_capacity_region`'s report and cutset flow (None if pairwise failed)."""
+def _fractions(acc: AccessStructure, rates: Sequence) -> list:
+    """The K rates as Fractions; ValueError for a wrong count, None, inf or NaN."""
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
     try:
-        rates = [Fraction(r) for r in rates]
-    except OverflowError as exc:  # an infinite float; NaN raises ValueError itself
-        raise ValueError(f"rates must be finite: {exc}") from None
+        return [Fraction(r) for r in rates]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"rates must be finite numbers, got {tuple(rates)}: {exc}") from None
+
+
+def _region(acc: AccessStructure, rates: Sequence) -> tuple:
+    """:func:`in_capacity_region`'s report and cutset flow (None if pairwise failed)."""
+    rates = _fractions(acc, rates)
     if any(r < 0 for r in rates):
         raise ValueError("rates must be nonnegative")
     checked = (acc.K if acc.K >= 2 else 0) + (1 << acc.K) - 1
@@ -326,11 +334,10 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
     raises each user in turn for as long as it has a path.
 
     Raises:
+        ValueError: not K rates, or one is not a finite number.
         NotInRegionError: rates are not integers or fail the region test.
     """
-    if len(rates) != acc.K:
-        raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
-    if any(int(r) != Fraction(r) for r in rates):
+    if any(r.denominator != 1 for r in _fractions(acc, rates)):
         raise NotInRegionError(f"augmentation needs integer rates, got {tuple(rates)}")
     report, flow = _region(acc, rates)  # integer rates: the flow has unit 1
     if not report.ok:
@@ -344,7 +351,9 @@ def augment_quotas(acc: AccessStructure, rates: Sequence[int]) -> tuple:
 
 
 def validate_quotas(acc: AccessStructure, rates: Sequence[int], quotas: Sequence[int]) -> bool:
-    """Check the three augmentation invariants for an explicit tuple."""
+    """Check the three augmentation invariants for an explicit tuple;
+    ValueError unless the rates are K finite numbers."""
+    rates = _fractions(acc, rates)
     if len(quotas) != acc.K or any(type(x) is not int or x < 0 for x in quotas):
         return False
     if any(p < r for p, r in zip(quotas, rates)):

@@ -7,27 +7,23 @@ minus the scaled share of the i-th node in A_k:
 
     g_k(gamma_{k,i}) = -alpha_{k,n} * Y_n .
 
-Move the known low coefficients to the right: user k's equations read
-B_k t_k + diag(alpha_k) Y_{A_k} = s_k, with t_k the unknown tail
-coefficients and s_k from :func:`rhs_vector`.  The permuted null-basis
-rows P_k (the plan's :attr:`~dmuss.planner.Plan.basis_rows`, derived once
-per plan) annihilate B_k, so multiplying by P_k^T leaves
-P_k^T diag(alpha_k) Y_{A_k} = P_k^T s_k.  Stacked over all users, that is
-V^T Y = h with V the planner's N x N correctness matrix
-(:func:`~dmuss.planner.plan_decomposition`), which the plan guarantees
-invertible -- so encoding is one N x N solve, on the V^T the plan keeps
-(:attr:`~dmuss.planner.Plan.correctness_transpose`).  The shares do not
+Move the known low coefficients x_k (w_k, then the free pads) to the
+right: user k's equations read B_k t_k + diag(alpha_k) Y_{A_k} = -G_k x_k,
+with t_k the unknown tail coefficients and G_k[i][d] = gamma_{k,i}^d.  The
+permuted null-basis rows P_k annihilate B_k, so multiplying by P_k^T
+leaves P_k^T diag(alpha_k) Y_{A_k} = H_k x_k with H_k = -P_k^T G_k.
+Stacked over all users, that is V^T Y = H x, with V the planner's N x N
+correctness matrix, which the plan guarantees invertible, and H the
+plan's input blocks.  A plan builds both once
+(:attr:`~dmuss.planner.Plan.correctness_transpose`,
+:attr:`~dmuss.planner.Plan.input_blocks`): encoding is one N x N solve,
+and the transfer map T = V^T^-1 H from (messages, free pads) to shares
+is one reduction of [V^T | H] (:func:`transfer_map`).  The shares do not
 need the tails, so encoding does not compute them: they are derived on
 first read of ``pads.tail`` or ``solution``, each from the user's own
-interpolation, and kept.  Decoding is purely local to one
-user: interpolate the degree-|A_k|-1 polynomial through the user's
-scaled shares and read the low coefficients back off.
-
-The transfer map T from (messages, free pads) to shares solves the same
-system for every input basis vector at once: V^T T = H, where column j
-of H is the projection h(e_j), nonzero only in the R'_k rows of the user
-that owns input j.  :func:`transfer_map` builds H directly and reads T
-off one reduction of [V^T | H].
+interpolation, and kept.  Decoding is purely local to one user:
+interpolate the degree-|A_k|-1 polynomial through the user's scaled
+shares and read the low coefficients back off.
 """
 
 from __future__ import annotations
@@ -121,8 +117,9 @@ def _check_symbols(p: int, values: Sequence, what: str) -> None:
             raise BadSymbolError(f"{what}: {v!r} is not an element of GF({p})")
 
 
-def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
-    """Right-hand side: the known low coefficients evaluated and negated.
+def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
+    """Deterministic encode with caller-supplied free pads: one N x N
+    solve of V^T Y = H x, with H the plan's input blocks.
 
     Raises:
         ShapeMismatchError: a message or pad block has the wrong length.
@@ -131,37 +128,11 @@ def rhs_vector(plan: Plan, msgs: Sequence, pads_free: Sequence) -> list:
     _check_message_shape(plan, msgs)
     _check_pad_shape(plan, pads_free)
     p = plan.field.p
-    s = []
-    for k in range(1, plan.K + 1):
-        known = list(msgs[k - 1]) + list(pads_free[k - 1])  # degrees 0..R'_k-1
+    h = []
+    for k, (block, msg, free) in enumerate(zip(plan.input_blocks, msgs, pads_free), start=1):
+        known = list(msg) + list(free)  # degrees 0..R'_k-1
         _check_symbols(p, known, f"user {k} message or pad")
-        for g in plan.gammas(k):
-            acc_val = 0
-            power = 1
-            for coeff in known:
-                acc_val = (acc_val + coeff * power) % p
-                power = power * g % p
-            s.append(-acc_val % p)
-    return s
-
-
-def _project(p: int, basis_rows: Sequence, s: Sequence[int]) -> list:
-    """h = P_k^T s_k for every user k, stacked in user order."""
-    h, pos = [], 0
-    for rows in basis_rows:
-        block = s[pos : pos + len(rows)]
-        pos += len(rows)
-        h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
-    return h
-
-
-def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
-    """Deterministic encode with caller-supplied free pads.
-
-    Messages and pads are checked as :func:`rhs_vector` says.
-    """
-    s = rhs_vector(plan, msgs, pads_free)
-    h = _project(plan.field.p, plan.basis_rows, s)
+        h.extend(linalg.mat_vec(plan.field, block, known))
     shares = linalg.solve(plan.field, plan.correctness_transpose, h)
     return EncodeResult(shares=shares, pads=PadSet([list(b) for b in pads_free], plan, shares))
 
@@ -266,38 +237,36 @@ class TransferMap:
         return linalg.mat_vec(self.field, self.matrix, x)
 
     def rows_for_nodes(self, nodes: Sequence[int]) -> linalg.Matrix:
-        return [self.matrix[n - 1] for n in sorted(nodes)]
+        """The given nodes' rows, ascending; ValueError unless all are in 1..N."""
+        order = sorted(nodes)
+        if order and not 1 <= order[0] <= order[-1] <= len(self.matrix):  # 0 would read node N
+            raise ValueError(f"nodes are 1..{len(self.matrix)}, got {order}")
+        return [self.matrix[n - 1] for n in order]
 
 
 def transfer_map(plan: Plan) -> TransferMap:
     """Build the input-to-shares matrix T with one reduction of [V^T | H].
 
-    Input j, coefficient d of user k's known block, has the right-hand
-    side -gamma_{k,i}^d on k's equations and 0 elsewhere, so its
-    projection h(e_j) = -P_k^T (gamma_{k,i}^d)_i is nonzero only in k's
-    R'_k rows.  Column j of H is h(e_j), and V^T T = H.
+    H places each user's input block H_k (:attr:`Plan.input_blocks`) at
+    the user's R'_k rows and at its message and free-pad input columns;
+    every other entry is 0.  V^T T = H.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
     """
-    p, n = plan.field.p, plan.N
+    n = plan.N
     tm = TransferMap(
         field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]
     )
     h = linalg.zeros(n, n)
     row = 0
-    for k, (rows, msg_off, pad_off) in enumerate(
-        zip(plan.basis_rows, tm.message_offsets, tm.pad_offsets), start=1
+    for block, r_k, quota, msg_off, pad_off in zip(
+        plan.input_blocks, plan.rates, plan.quotas, tm.message_offsets, tm.pad_offsets
     ):
-        r_k, quota = plan.rates[k - 1], plan.quotas[k - 1]
-        inputs = list(range(msg_off, msg_off + r_k)) + list(range(pad_off, pad_off + quota - r_k))
-        gammas = plan.gammas(k)
-        powers = [1] * len(gammas)  # gamma_{k,i}^d for the current degree d
-        for j in inputs:
-            for t, col in enumerate(zip(*rows)):
-                h[row + t][j] = -sum(c * g for c, g in zip(col, powers)) % p
-            powers = [x * g % p for x, g in zip(powers, gammas)]
-        row += quota
+        for block_row in block:  # message columns, then free-pad columns
+            h[row][msg_off : msg_off + r_k] = block_row[:r_k]
+            h[row][pad_off : pad_off + quota - r_k] = block_row[r_k:]
+            row += 1
     vt = plan.correctness_transpose
     reduced, pivots = linalg.rref(plan.field, [vt_row + h_row for vt_row, h_row in zip(vt, h)])
     if pivots != list(range(n)):
@@ -326,8 +295,8 @@ class MemoryShare:
             raise IncompatiblePlansError("plans use different field moduli")
         if self.plan_a.access != self.plan_b.access:
             raise IncompatiblePlansError("plans use different access structures")
-        if not (isinstance(self.blocks_a, int) and isinstance(self.blocks_total, int)):
-            raise IncompatiblePlansError("block counts must be integers")
+        if type(self.blocks_a) is not int or type(self.blocks_total) is not int:
+            raise IncompatiblePlansError("block counts must be ints (not bools)")
         if not 0 <= self.blocks_a <= self.blocks_total or self.blocks_total < 1:
             raise IncompatiblePlansError(
                 f"need 0 <= a <= b with b >= 1, got a={self.blocks_a}, b={self.blocks_total}"

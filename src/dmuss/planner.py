@@ -14,9 +14,10 @@ Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
 nonsingular; :func:`correctness_matrix` writes it, from the rows a plan
-derives once (:attr:`Plan.basis_rows`), and a plan keeps its transpose
-(:attr:`Plan.correctness_transpose`) for the determinant check, the
-encode and the transfer map.  Only inside
+derives once (:attr:`Plan.basis_rows`).  A plan keeps its transpose V^T
+(:attr:`Plan.correctness_transpose`), for the determinant check, and
+the input map H (:attr:`Plan.input_blocks`): encoding solves V^T Y = H x,
+and the transfer map is V^T^-1 H.  Only inside
 :func:`make_plan`, before the reserved rows' scalings zeta are chosen,
 is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
 unscaled and D the other rows.  C is block-diagonal up to row
@@ -94,10 +95,13 @@ class Plan:
 
     def gammas(self, k: int) -> list:
         """Evaluation points of user k, aligned with the sorted access set."""
+        self.access.user_set(k)  # ValueError unless k is in 1..K: perms[-1] is user K
         g, p = self.field.gamma, self.field.p
         return [pow(g, e, p) for e in self.perms[k - 1]]
 
     def alpha(self, k: int, n: int) -> int:
+        """Node n's scaling in user k's equations."""
+        self.access.user_set(k)  # ValueError unless k is in 1..K
         return self.alphas[k - 1][n]
 
     @cached_property
@@ -115,6 +119,20 @@ class Plan:
         :func:`~dmuss.codec.transfer_map` share it, so callers must not
         mutate it; :func:`plan_decomposition` returns a fresh V."""
         return linalg.transpose(plan_decomposition(self))
+
+    @cached_property
+    def input_blocks(self) -> list:
+        """User k's R'_k x R'_k input map H_k = -P_k^T G_k at index k-1, with
+        P_k = ``basis_rows[k-1]`` and G_k[i][d] = gamma_{k,i}^d (d < R'_k).
+        Built on first use and kept off the value fields like :attr:`basis_rows`;
+        encode and the transfer map share it, so callers must not mutate it."""
+        p = self.field.p
+        blocks = []
+        for k, (rows, quota) in enumerate(zip(self.basis_rows, self.quotas), start=1):
+            gammas = self.gammas(k)
+            minus_gt = [[-pow(g, d, p) % p for g in gammas] for d in range(quota)]  # -G_k^T
+            blocks.append([linalg.mat_vec(self.field, minus_gt, col) for col in zip(*rows)])
+        return blocks
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:

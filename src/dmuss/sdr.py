@@ -50,10 +50,13 @@ class SdrAssignment:
     blocks: tuple  # tuple of frozensets of node ids
 
     def block(self, k: int) -> frozenset:
+        """User k's block; ValueError unless k is in 1..K (0 would read user K's)."""
+        if not 1 <= k <= len(self.blocks):
+            raise ValueError(f"no user {k}: users are 1..{len(self.blocks)}")
         return self.blocks[k - 1]
 
     def sorted_block(self, k: int) -> list[int]:
-        return sorted(self.blocks[k - 1])
+        return sorted(self.block(k))
 
 
 def find_sdr(acc: AccessStructure, quotas: Sequence[int]) -> SdrAssignment:

@@ -138,10 +138,10 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     user's polynomial -- the message, the free pads and the tail
     coefficients that decode recovered -- meets its scaled shares at
     every evaluation point.  A trial costs one N x N solve and K
-    decodes.  Raises ValueError when trials is below 1.
+    decodes.  Raises ValueError unless trials is an int (not a bool) >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"need an int of at least 1 trial, got {trials!r}")
     rng = random.Random(seed)
     p = plan.field.p
     failures = 0

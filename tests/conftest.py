@@ -8,7 +8,7 @@ import pytest
 
 from dmuss import AccessStructure, Field, codec, linalg
 from dmuss.access import in_capacity_region
-from dmuss.codec import rhs_vector
+from dmuss.codec import _check_message_shape, _check_pad_shape, _check_symbols
 from dmuss.demo import demo_encode, demo_messages, demo_plan
 from dmuss.errors import NoSdrError, ShapeMismatchError, SingularMatrixError
 from dmuss.planner import plan_decomposition
@@ -281,6 +281,44 @@ def system_layout(plan) -> SystemLayout:
     )
 
 
+def rhs_vector(plan, msgs: Sequence, pads_free: Sequence) -> list:
+    """Right-hand side: the known low coefficients evaluated and negated.
+
+    Raises:
+        ShapeMismatchError: a message or pad block has the wrong length.
+        BadSymbolError: a message or pad symbol is not in GF(p).
+    """
+    _check_message_shape(plan, msgs)
+    _check_pad_shape(plan, pads_free)
+    p = plan.field.p
+    s = []
+    for k in range(1, plan.K + 1):
+        known = list(msgs[k - 1]) + list(pads_free[k - 1])  # degrees 0..R'_k-1
+        _check_symbols(p, known, f"user {k} message or pad")
+        for g in plan.gammas(k):
+            acc_val = 0
+            power = 1
+            for coeff in known:
+                acc_val = (acc_val + coeff * power) % p
+                power = power * g % p
+            s.append(-acc_val % p)
+    return s
+
+
+def slow_projection(plan, msgs: Sequence, pads_free: Sequence) -> list:
+    """h = P_k^T s_k for every user k, stacked in user order, with s the
+    :func:`rhs_vector` and P_k the plan's ``basis_rows[k-1]``: the right-hand
+    side of V^T Y = h."""
+    s = rhs_vector(plan, msgs, pads_free)
+    p = plan.field.p
+    h, pos = [], 0
+    for rows in plan.basis_rows:
+        block = s[pos : pos + len(rows)]
+        pos += len(rows)
+        h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
+    return h
+
+
 def system_matrix(plan) -> linalg.Matrix:
     """The M x M lifted system, M = sum |A_k|: one row per (user, node of
     A_k) stating g_k(gamma_{k,i}) = -alpha_{k,n} Y_n, with the tail
@@ -353,7 +391,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
     """T = inverse(V^T) @ [h(e_1) .. h(e_N)], each h(e_j) the per-user
     projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j."""
     inv = linalg.inverse(plan.field, linalg.transpose(plan_decomposition(plan)))
-    p, n = plan.field.p, plan.N
+    n = plan.N
     hs = []
     for j in range(n):
         unit = [0] * n
@@ -366,13 +404,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
         for r, quota in zip(plan.rates, plan.quotas):
             pads.append(unit[pos : pos + quota - r])
             pos += quota - r
-        s = rhs_vector(plan, msgs, pads)
-        h, pos = [], 0
-        for rows in plan.basis_rows:
-            block = s[pos : pos + len(rows)]
-            pos += len(rows)
-            h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
-        hs.append(h)
+        hs.append(slow_projection(plan, msgs, pads))
     return mat_mul(plan.field, inv, linalg.transpose(hs))
 
 

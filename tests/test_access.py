@@ -252,6 +252,20 @@ def test_membership_input_validation():
             in_capacity_region(acc, (bad, 0, 0, 0))
 
 
+def test_rates_that_are_not_finite_numbers_raise_value_error():
+    # None used to raise TypeError everywhere and inf OverflowError in augment_quotas
+    acc = AccessStructure.of([[1, 2], [2, 3]])
+    for bad in (None, float("inf"), float("nan"), [1]):
+        with pytest.raises(ValueError, match="finite numbers"):
+            in_capacity_region(acc, (bad, 1))
+        with pytest.raises(ValueError, match="finite numbers"):
+            augment_quotas(acc, (bad, 1))
+        with pytest.raises(ValueError, match="finite numbers"):
+            validate_quotas(acc, (bad, 1), (2, 1))
+        with pytest.raises(ValueError, match="finite numbers"):
+            make_plan(Field(11), acc, (bad, 1))
+
+
 def test_single_user_region_vacuous_pairwise():
     acc = AccessStructure.of([[1, 2, 3]])
     report = in_capacity_region(acc, (3,))

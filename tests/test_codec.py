@@ -15,7 +15,9 @@ from conftest import (
     message_selector,
     random_access,
     random_rates_in_region,
+    rhs_vector,
     slow_det,
+    slow_projection,
     slow_rref,
     slow_solve,
     slow_tail_basis,
@@ -33,7 +35,6 @@ from dmuss.codec import (
     encode,
     encode_with_pads,
     memory_share,
-    rhs_vector,
     transfer_map,
 )
 from dmuss.errors import BadSymbolError, DmussError, IncompatiblePlansError, ShapeMismatchError
@@ -111,12 +112,12 @@ def test_rhs_zero_length_user_contributes_zero_rows():
 
 
 def test_shape_validation(ref_plan):
-    with pytest.raises(ShapeMismatchError):
-        rhs_vector(ref_plan, [[1], [2, 6], [4, 0]], [[]] * 4)
-    with pytest.raises(ShapeMismatchError):
-        rhs_vector(ref_plan, [[1, 1], [2, 6], [4, 0], [3, 5, 7]], [[]] * 4)
-    with pytest.raises(ShapeMismatchError):
-        rhs_vector(ref_plan, [[1], [2, 6], [4, 0], [3, 5, 7]], [[1]] * 4)
+    with pytest.raises(ShapeMismatchError, match="expected 4 user messages, got 3"):
+        encode_with_pads(ref_plan, [[1], [2, 6], [4, 0]], [[]] * 4)
+    with pytest.raises(ShapeMismatchError, match="user 1: message length 2 != rate 1"):
+        encode_with_pads(ref_plan, [[1, 1], [2, 6], [4, 0], [3, 5, 7]], [[]] * 4)
+    with pytest.raises(ShapeMismatchError, match="user 1: pad block length 1 != 0"):
+        encode_with_pads(ref_plan, [[1], [2, 6], [4, 0], [3, 5, 7]], [[1]] * 4)
 
 
 @pytest.mark.parametrize("bad", [11, 13, -1, True, 1.0])
@@ -328,6 +329,36 @@ def test_transfer_map_matches_encode_fuzz():
             assert tm.apply(x) == encode_with_pads(plan, msgs, pads).shares
 
 
+def test_input_blocks_match_projection_oracle_fuzz():
+    # column d of H_k is the projection P_k^T s of the rhs_vector of user
+    # k's input e_d, and that projection is 0 outside k's R'_k rows
+    rng = random.Random(45)
+    empty = full = big_field = 0
+    for _ in range(200):
+        acc = random_access(rng, max_users=5, max_nodes=8)
+        rates = random_rates_in_region(rng, acc)
+        p = rng.choice([11, 13, 17, 65537])
+        plan = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
+        assert len(plan.input_blocks) == plan.K
+        row = 0
+        for k, block in enumerate(plan.input_blocks, start=1):
+            r, quota = plan.rates[k - 1], plan.quotas[k - 1]
+            assert len(block) == quota and all(len(b) == quota for b in block)
+            for d in range(quota):
+                known = [int(i == d) for i in range(quota)]
+                msgs = [[0] * rj for rj in plan.rates]
+                pads = [[0] * (qj - rj) for rj, qj in zip(plan.rates, plan.quotas)]
+                msgs[k - 1], pads[k - 1] = known[:r], known[r:]
+                want = [0] * plan.N
+                want[row : row + quota] = [b[d] for b in block]
+                assert slow_projection(plan, msgs, pads) == want
+            row += quota
+            empty += quota == 0
+            full += quota == len(acc.user_set(k))
+        big_field += p == 65537
+    assert empty >= 100 and full >= 100 and big_field >= 30
+
+
 def test_transfer_map_matches_column_oracle_fuzz():
     # one reduction of [V^T | H] must equal inverse(V^T) times the
     # column-by-column projections, bit for bit
@@ -358,6 +389,24 @@ def test_transfer_map_selectors(ref_plan):
     sel = message_selector(tm, 4)
     assert len(sel) == 3
     assert sel[0][5] == 1 and sum(sel[0]) == 1
+
+
+def test_user_and_node_indices_outside_the_range_raise(ref_plan):
+    # 0 used to read user K's (or node N's) data, N + 1 a bare IndexError
+    tm = transfer_map(ref_plan)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError, match="no user"):
+            ref_plan.gammas(k)
+        with pytest.raises(ValueError, match="no user"):
+            ref_plan.alpha(k, 1)
+        with pytest.raises(ValueError, match="no user"):
+            ref_plan.reserved.block(k)
+        with pytest.raises(ValueError, match="no user"):
+            ref_plan.reserved.sorted_block(k)
+    for nodes in ([0], [9], [1, 0], [-1]):
+        with pytest.raises(ValueError, match="nodes are 1..8"):
+            tm.rows_for_nodes(nodes)
+    assert tm.rows_for_nodes([8, 1]) == [tm.matrix[0], tm.matrix[7]]
 
 
 # --- rate mixing ------------------------------------------------------------------

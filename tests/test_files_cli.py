@@ -16,7 +16,13 @@ from dmuss import cli, demo
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
-from dmuss.errors import NotInRegionError, NotPrimeError, ShapeMismatchError, SingularMatrixError
+from dmuss.errors import (
+    IncompatiblePlansError,
+    NotInRegionError,
+    NotPrimeError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from dmuss.files import (
     FileFormatError,
     instance_from_dict,
@@ -165,6 +171,11 @@ def test_mix_round_trip():
     again = mix_from_dict(doc)
     assert again.rates() == ms.rates()
     assert again.blocks_a == 1 and again.blocks_total == 2
+    assert load_any_plan(json.loads(json.dumps(doc))) == ms
+    # a bool count used to be accepted, and then its own plan file was refused
+    for a, b in ((True, 2), (1, True), (False, True)):
+        with pytest.raises(IncompatiblePlansError):
+            memory_share(plan_a, plan_b, a, b)
 
 
 def test_load_any_plan_dispatch():

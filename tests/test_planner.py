@@ -14,6 +14,7 @@ from conftest import (
     random_rates_in_region,
     slow_choose_permutation,
     slow_tail_basis,
+    spy,
     system_matrix,
 )
 from dmuss import linalg, planner
@@ -40,6 +41,7 @@ from dmuss.planner import (
     tail_basis,
 )
 from dmuss.sdr import SdrAssignment, validate_sdr
+from dmuss.verify import check_correctness
 
 F11 = Field(11, gamma=8)
 REF_SETS = [[1, 6, 7, 8], [1, 3, 4, 7], [1, 2, 3, 8], [2, 4, 5, 6, 7]]
@@ -345,15 +347,32 @@ def test_plan_builds_its_correctness_transpose_once(monkeypatch):
     assert plan.correctness_transpose == loaded.correctness_transpose == want
 
 
+def test_plan_builds_its_input_blocks_once(monkeypatch):
+    # planning and loading never need H; the transfer map and every encode share it
+    calls = spy(monkeypatch, planner.Plan.__dict__["input_blocks"], "func", id)
+    msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
+    plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    loaded = plan_from_dict(plan_to_dict(plan))
+    assert calls == []
+    transfer_map(plan)
+    for seed in range(3):
+        encode(plan, msgs, seed=seed)
+    check_correctness(plan, trials=2)
+    assert calls == [id(plan)]
+    encode(loaded, msgs, seed=1)
+    assert calls == [id(plan), id(loaded)]
+
+
 def test_basis_rows_stay_off_the_plan_value():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     fresh = dataclasses.replace(plan)
     doc, text = plan_to_dict(fresh), repr(fresh)
-    for _ in range(2):  # before, then after, the rows and V^T are derived
+    for _ in range(2):  # before, then after, the rows, V^T and H are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
         assert plan.basis_rows == fresh.basis_rows
         assert plan.correctness_transpose == fresh.correctness_transpose
+        assert plan.input_blocks == fresh.input_blocks
     assert plan_from_dict(doc) == plan
 
 

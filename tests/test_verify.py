@@ -160,7 +160,7 @@ def test_correctness_on_fresh_plan():
     plan = make_plan(f, acc, (1, 1, 1), seed=5)
     rep = check_correctness(plan, trials=40, seed=1)
     assert rep.ok and rep.trials == 40
-    for trials in (0, -3):
+    for trials in (0, -3, True, 2.5, "2"):  # True ran one trial, 2.5 raised TypeError
         with pytest.raises(ValueError):
             check_correctness(plan, trials=trials)
 
