@@ -83,9 +83,9 @@ class AccessStructure:
         return len(frozenset().union(*self.sets))
 
     def user_set(self, k: int) -> frozenset:
-        """Access set of user k (1-indexed)."""
-        if not 1 <= k <= len(self.sets):
-            raise ValueError(f"no user {k}: users are 1..{len(self.sets)}")
+        """Access set of user k; ValueError unless k is an int (not a bool) in 1..K."""
+        if type(k) is not int or not 1 <= k <= len(self.sets):
+            raise ValueError(f"no user {k!r}: users are 1..{len(self.sets)}")
         return self.sets[k - 1]
 
     def sorted_set(self, k: int) -> list[int]:
@@ -280,10 +280,13 @@ def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
 
 
 def _fractions(acc: AccessStructure, rates: Sequence) -> list:
-    """The K rates as Fractions; ValueError for a wrong count, None, inf or NaN."""
+    """The K rates as Fractions; ValueError for a wrong count, a str or bool,
+    None, inf or NaN."""
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
     try:
+        if any(isinstance(r, (str, bool)) for r in rates):  # Fraction reads '1/2' and True
+            raise TypeError("a str or bool is not a rate")
         return [Fraction(r) for r in rates]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"rates must be finite numbers, got {tuple(rates)}: {exc}") from None

@@ -117,18 +117,11 @@ def cmd_plan(args) -> int:
         corner_a = _parse_corner(args.corner_a, acc.K)
         corner_b = _parse_corner(args.corner_b, acc.K)
         blocks_a, blocks_total = _mix_weights(rates, corner_a, corner_b)
-        plan_a = make_plan(field, acc, corner_a, seed=seed)
-        plan_b = make_plan(field, acc, corner_b, seed=seed + 1)
-        ms = memory_share(plan_a, plan_b, blocks_a, blocks_total)
-        _emit(mix_to_dict(ms), args.out)
-        print(
-            f"mixed plan: {blocks_a}/{blocks_total} blocks at {corner_a},"
-            f" rest at {corner_b}; node storage {blocks_total} symbols",
-            file=sys.stderr,
+        note = (
+            f"{blocks_a}/{blocks_total} blocks at {corner_a}, rest at {corner_b};"
+            f" node storage {blocks_total} symbols"
         )
-        return 0
-
-    if all(r.denominator == 1 for r in rates):
+    elif all(r.denominator == 1 for r in rates):
         plan = make_plan(field, acc, [int(r) for r in rates], seed=seed)
         _emit(plan_to_dict(plan), args.out)
         print(
@@ -137,24 +130,22 @@ def cmd_plan(args) -> int:
             file=sys.stderr,
         )
         return 0
+    else:
+        blocks_a, blocks_total = 1, lcm(*[r.denominator for r in rates])
+        scaled = [r * blocks_total for r in rates]
+        report = in_capacity_region(acc, scaled)
+        if not report.ok:
+            raise NotInRegionError(
+                f"scaled tuple {[str(s) for s in scaled]} leaves the region"
+                f" ({report.violation}); supply --corner-a/--corner-b instead"
+            )
+        corner_a, corner_b = [int(s) for s in scaled], [0] * acc.K
+        note = f"scaled corner {corner_a} on 1 of {blocks_total} blocks (zero-rate elsewhere)"
 
-    denom = lcm(*[r.denominator for r in rates])
-    scaled = [r * denom for r in rates]
-    report = in_capacity_region(acc, scaled)
-    if not report.ok:
-        raise NotInRegionError(
-            f"scaled tuple {[str(s) for s in scaled]} leaves the region"
-            f" ({report.violation}); supply --corner-a/--corner-b instead"
-        )
-    plan_a = make_plan(field, acc, [int(s) for s in scaled], seed=seed)
-    plan_b = make_plan(field, acc, [0] * acc.K, seed=seed + 1)
-    ms = memory_share(plan_a, plan_b, 1, denom)
-    _emit(mix_to_dict(ms), args.out)
-    print(
-        f"mixed plan: scaled corner {[int(s) for s in scaled]} on 1 of {denom} blocks"
-        f" (zero-rate elsewhere)",
-        file=sys.stderr,
-    )
+    plan_a = make_plan(field, acc, corner_a, seed=seed)
+    plan_b = make_plan(field, acc, corner_b, seed=seed + 1)
+    _emit(mix_to_dict(memory_share(plan_a, plan_b, blocks_a, blocks_total)), args.out)
+    print(f"mixed plan: {note}", file=sys.stderr)
     return 0
 
 

@@ -16,12 +16,13 @@ Stacked over all users, that is V^T Y = H x, with V the planner's N x N
 correctness matrix, which the plan guarantees invertible, and H the
 plan's input blocks.  A plan builds both once
 (:attr:`~dmuss.planner.Plan.correctness_transpose`,
-:attr:`~dmuss.planner.Plan.input_blocks`): encoding is one N x N solve,
-and the transfer map T = V^T^-1 H from (messages, free pads) to shares
-is one reduction of [V^T | H] (:func:`transfer_map`).  The shares do not
-need the tails, so encoding does not compute them: they are derived on
-first read of ``pads.tail`` or ``solution``, each from the user's own
-interpolation, and kept.  Decoding is purely local to one user:
+:attr:`~dmuss.planner.Plan.input_blocks`): encoding is the N x N solve
+V^T Y = H x, and the transfer map T = V^T^-1 H from (messages, free
+pads) to shares is that solve with H for H x (:func:`transfer_map`).
+The shares do not need the tails, so encoding does not compute them:
+they are derived on first read of ``pads.tail`` or ``solution``, each
+from the user's own interpolation, and kept.  Decoding is purely local
+to one user:
 interpolate the degree-|A_k|-1 polynomial through the user's scaled
 shares and read the low coefficients back off.
 """
@@ -40,7 +41,6 @@ from .errors import (
     BadSymbolError,
     IncompatiblePlansError,
     ShapeMismatchError,
-    SingularMatrixError,
 )
 from .planner import Plan
 
@@ -237,19 +237,22 @@ class TransferMap:
         return linalg.mat_vec(self.field, self.matrix, x)
 
     def rows_for_nodes(self, nodes: Sequence[int]) -> linalg.Matrix:
-        """The given nodes' rows, ascending; ValueError unless all are in 1..N."""
-        order = sorted(nodes)
-        if order and not 1 <= order[0] <= order[-1] <= len(self.matrix):  # 0 would read node N
+        """The given nodes' rows, ascending; ValueError unless all are ints (not
+        bools) in 1..N."""
+        order = list(nodes)
+        # 0 would read node N's row, and True node 1's
+        if any(type(n) is not int or not 1 <= n <= len(self.matrix) for n in order):
             raise ValueError(f"nodes are 1..{len(self.matrix)}, got {order}")
-        return [self.matrix[n - 1] for n in order]
+        return [self.matrix[n - 1] for n in sorted(order)]
 
 
 def transfer_map(plan: Plan) -> TransferMap:
-    """Build the input-to-shares matrix T with one reduction of [V^T | H].
+    """Build the input-to-shares matrix T: encode's solve of V^T T = H,
+    with all of H as the right-hand side instead of H x.
 
     H places each user's input block H_k (:attr:`Plan.input_blocks`) at
     the user's R'_k rows and at its message and free-pad input columns;
-    every other entry is 0.  V^T T = H.
+    every other entry is 0.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
@@ -267,11 +270,7 @@ def transfer_map(plan: Plan) -> TransferMap:
             h[row][msg_off : msg_off + r_k] = block_row[:r_k]
             h[row][pad_off : pad_off + quota - r_k] = block_row[r_k:]
             row += 1
-    vt = plan.correctness_transpose
-    reduced, pivots = linalg.rref(plan.field, [vt_row + h_row for vt_row, h_row in zip(vt, h)])
-    if pivots != list(range(n)):
-        raise SingularMatrixError("correctness matrix is singular")
-    tm.matrix = [r[n:] for r in reduced]
+    tm.matrix = linalg.solve(plan.field, plan.correctness_transpose, h)
     return tm
 
 

@@ -4,9 +4,9 @@ Matrices are plain lists of row lists holding ints in ``[0, p-1]``; no
 floating point anywhere.  One forward pass, :func:`_echelon`, does all
 elimination: columns left to right, the first row with a nonzero entry
 becomes the pivot, so every derived object (rank profile, null-space
-basis, solution vector) is reproducible.  rank counts its pivots, det is
-its signed pivot product, and rref and solve add back-substitution
-(:func:`_reduce`); solve unpacks only its solution column.
+basis, solution) is reproducible.  rank counts its pivots, det is its
+signed pivot product, and rref and solve add back-substitution
+(:func:`_reduce`); solve, the one reader of [A | B], serves inverse too.
 
 Inside the elimination each row is one Python int holding its entries
 as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
@@ -49,8 +49,8 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
     p = field.p
-    if a and len(a[0]) != len(v):
-        raise ShapeMismatchError(f"matrix has {len(a[0])} columns, vector has {len(v)}")
+    if any(len(row) != len(v) for row in a):
+        raise ShapeMismatchError(f"every matrix row needs the vector's {len(v)} entries")
     return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
@@ -194,36 +194,38 @@ def det(field: Field, a: Matrix) -> int:
     return d if len(pivots) == n else 0
 
 
-def solve(field: Field, a: Matrix, s: list[int]) -> list[int]:
-    """Solve the square system a @ b = s.
+def solve(field: Field, a: Matrix, b: list) -> list:
+    """Solve a @ x = b, with b a length-n vector or an n x m block of row
+    lists whose columns are right-hand sides; x has the shape of b.  a is
+    singular unless [a | b] pivots on columns 0..n-1 exactly; only x's
+    columns are unpacked.
 
     Raises:
-        ShapeMismatchError: a is not square or s has the wrong length.
-        SingularMatrixError: the system has no unique solution.
+        ShapeMismatchError: a is not square, b does not have n rows, or
+            the rows of a block b are not lists of one length.
+        SingularMatrixError: a is singular.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("coefficient matrix must be square")
-    if len(s) != n:
-        raise ShapeMismatchError(f"right-hand side has length {len(s)}, expected {n}")
-    p = field.p
-    r, pivots, w = _reduce(field, [row[:] + [rhs] for row, rhs in zip(a, s)])
-    if n in pivots or len(pivots) != n:
+    if len(b) != n:
+        raise ShapeMismatchError(f"right-hand side has {len(b)} rows, expected {n}")
+    block = n > 0 and isinstance(b[0], list)
+    if block and not all(isinstance(row, list) for row in b):
+        raise ShapeMismatchError("right-hand side mixes rows and entries")
+    rhs = b if block else [[x] for x in b]
+    r, pivots, w = _reduce(field, [row + cols for row, cols in zip(a, rhs)])
+    if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
-    shift, mask = n * w, (1 << w) - 1
-    return [(row >> shift & mask) % p for row in r]  # only the solution column is unpacked
+    p, shift, mask = field.p, n * w, (1 << w) - 1
+    if block:
+        return [[x % p for x in _fields(row >> shift, w, len(b[0]))] for row in r]
+    return [(row >> shift & mask) % p for row in r]  # one column: no per-row list
 
 
 def inverse(field: Field, a: Matrix) -> Matrix:
-    """Matrix inverse via elimination on [a | I]."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ShapeMismatchError("inverse needs a square matrix")
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    r, pivots = rref(field, aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in r]
+    """Matrix inverse: :func:`solve` against the identity."""
+    return solve(field, a, identity(len(a)))
 
 
 def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:

@@ -95,13 +95,16 @@ class Plan:
 
     def gammas(self, k: int) -> list:
         """Evaluation points of user k, aligned with the sorted access set."""
-        self.access.user_set(k)  # ValueError unless k is in 1..K: perms[-1] is user K
+        self.access.user_set(k)  # ValueError unless k is an int in 1..K: perms[-1] is user K
         g, p = self.field.gamma, self.field.p
         return [pow(g, e, p) for e in self.perms[k - 1]]
 
     def alpha(self, k: int, n: int) -> int:
-        """Node n's scaling in user k's equations."""
-        self.access.user_set(k)  # ValueError unless k is in 1..K
+        """Node n's scaling in user k's equations; ValueError unless k is a
+        user and n an int (not a bool) node of A_k."""
+        mine = self.access.user_set(k)
+        if type(n) is not int or n not in mine:  # True would read node 1's
+            raise ValueError(f"node {n!r} is not in user {k}'s access set")
         return self.alphas[k - 1][n]
 
     @cached_property

@@ -50,9 +50,10 @@ class SdrAssignment:
     blocks: tuple  # tuple of frozensets of node ids
 
     def block(self, k: int) -> frozenset:
-        """User k's block; ValueError unless k is in 1..K (0 would read user K's)."""
-        if not 1 <= k <= len(self.blocks):
-            raise ValueError(f"no user {k}: users are 1..{len(self.blocks)}")
+        """User k's block; ValueError unless k is an int (not a bool) in 1..K
+        (0 would read user K's)."""
+        if type(k) is not int or not 1 <= k <= len(self.blocks):
+            raise ValueError(f"no user {k!r}: users are 1..{len(self.blocks)}")
         return self.blocks[k - 1]
 
     def sorted_block(self, k: int) -> list[int]:

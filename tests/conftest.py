@@ -170,18 +170,23 @@ def slow_rref(field, a):
     return r, pivots
 
 
-def slow_solve(field, a, s):
-    """The square system a @ b = s read off the last column of
-    :func:`slow_rref` of [a | s]."""
+def slow_solve(field, a, b):
+    """The square system a @ x = b read off the last m columns of
+    :func:`slow_rref` of [a | b], with b a length-n vector (m = 1, read
+    back as a vector) or an n x m block whose columns are right-hand sides."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("coefficient matrix must be square")
-    if len(s) != n:
-        raise ShapeMismatchError(f"right-hand side has length {len(s)}, expected {n}")
-    r, pivots = slow_rref(field, [row[:] + [rhs] for row, rhs in zip(a, s)])
-    if n in pivots or len(pivots) != n:
+    if len(b) != n:
+        raise ShapeMismatchError(f"right-hand side has {len(b)} rows, expected {n}")
+    block = n > 0 and isinstance(b[0], list)
+    rhs = b if block else [[x] for x in b]
+    if any(len(row) != len(rhs[0]) for row in rhs):
+        raise ShapeMismatchError("right-hand side rows differ in length")
+    r, pivots = slow_rref(field, [row + cols for row, cols in zip(a, rhs)])
+    if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
-    return [r[i][n] for i in range(n)]
+    return [row[n:] for row in r] if block else [row[n] for row in r]
 
 
 def slow_det(field, a):
@@ -388,10 +393,11 @@ def slow_check_privacy(tm) -> list:
 
 
 def slow_transfer_map(plan) -> linalg.Matrix:
-    """T = inverse(V^T) @ [h(e_1) .. h(e_N)], each h(e_j) the per-user
-    projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j."""
-    inv = linalg.inverse(plan.field, linalg.transpose(plan_decomposition(plan)))
+    """T = V^T^-1 @ [h(e_1) .. h(e_N)], each h(e_j) the per-user
+    projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j, and
+    V^T^-1 from :func:`slow_solve` against the identity."""
     n = plan.N
+    inv = slow_solve(plan.field, linalg.transpose(plan_decomposition(plan)), linalg.identity(n))
     hs = []
     for j in range(n):
         unit = [0] * n

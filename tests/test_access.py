@@ -26,7 +26,7 @@ from dmuss.access import (
 )
 from dmuss.errors import NotInRegionError, SingleUserError, TooLargeError, TooManyUsersError
 from dmuss.gf import Field
-from dmuss.planner import make_plan
+from dmuss.planner import make_plan, plan_from_parameters
 
 REF_SETS = [[1, 6, 7, 8], [1, 3, 4, 7], [1, 2, 3, 8], [2, 4, 5, 6, 7]]
 
@@ -113,8 +113,9 @@ def test_access_structure_validation():
 
 
 def test_user_index_out_of_range():
+    # True used to read user 1's set, 1.0 raised a bare TypeError
     acc = ref_access()
-    for k in (0, -1, 5):
+    for k in (0, -1, 5, True, False, 1.0, "1", None):
         with pytest.raises(ValueError, match="no user"):
             acc.user_set(k)
         with pytest.raises(ValueError, match="no user"):
@@ -253,17 +254,28 @@ def test_membership_input_validation():
 
 
 def test_rates_that_are_not_finite_numbers_raise_value_error():
-    # None used to raise TypeError everywhere and inf OverflowError in augment_quotas
+    # None used to raise TypeError everywhere and inf OverflowError in
+    # augment_quotas; Fraction read '1', '1/2' and True as rates
     acc = AccessStructure.of([[1, 2], [2, 3]])
-    for bad in (None, float("inf"), float("nan"), [1]):
+    plan = make_plan(Field(11), acc, (1, 1))
+    params = (plan.quotas, plan.reserved, plan.perms, plan.alphas)
+    for bad in (None, float("inf"), float("nan"), [1], "1", "1/2", True, False):
         with pytest.raises(ValueError, match="finite numbers"):
             in_capacity_region(acc, (bad, 1))
+        with pytest.raises(ValueError, match="finite numbers"):
+            in_capacity_region(acc, (1, bad))
         with pytest.raises(ValueError, match="finite numbers"):
             augment_quotas(acc, (bad, 1))
         with pytest.raises(ValueError, match="finite numbers"):
             validate_quotas(acc, (bad, 1), (2, 1))
         with pytest.raises(ValueError, match="finite numbers"):
             make_plan(Field(11), acc, (bad, 1))
+        with pytest.raises(ValueError, match="finite numbers"):
+            plan_from_parameters(Field(11), acc, (bad, 1), *params)
+    # ints, Fractions and finite floats stay rates
+    assert in_capacity_region(acc, (1, Fraction(1, 2))).ok
+    assert in_capacity_region(acc, (0.5, 1.0)).ok
+    assert augment_quotas(acc, (1, 1.0)) == (2, 1)
 
 
 def test_single_user_region_vacuous_pairwise():

@@ -360,7 +360,7 @@ def test_input_blocks_match_projection_oracle_fuzz():
 
 
 def test_transfer_map_matches_column_oracle_fuzz():
-    # one reduction of [V^T | H] must equal inverse(V^T) times the
+    # the solve of V^T T = H must equal V^T's inverse times the
     # column-by-column projections, bit for bit
     rng = random.Random(44)
     with_pads = small_field = 0
@@ -373,6 +373,19 @@ def test_transfer_map_matches_column_oracle_fuzz():
         with_pads += plan.quotas != plan.rates
         small_field += p < 65537
     assert with_pads >= 50 and small_field >= 100
+
+
+def test_transfer_map_is_one_solve_with_h_as_its_right_hand_side(monkeypatch):
+    # encode solves V^T Y = H x; the transfer map is that solve with all
+    # of H, N columns, and reduces nothing else
+    plan = make_plan(Field(13), AccessStructure.of([[1, 2, 3], [2, 3, 4], [1, 4, 5]]), (1, 1, 1))
+    assert plan.quotas != plan.rates
+    solves = spy(monkeypatch, linalg, "solve", lambda f, a, b: (len(a), [len(row) for row in b]))
+    rrefs = spy(monkeypatch, linalg, "rref", lambda f, a: len(a))
+    tm = transfer_map(plan)
+    assert solves == [(plan.N, [plan.N] * plan.N)]
+    assert rrefs == []
+    assert tm.matrix == slow_transfer_map(plan)
 
 
 def test_transfer_map_reference(ref_plan, ref_messages, ref_encoded):
@@ -392,9 +405,11 @@ def test_transfer_map_selectors(ref_plan):
 
 
 def test_user_and_node_indices_outside_the_range_raise(ref_plan):
-    # 0 used to read user K's (or node N's) data, N + 1 a bare IndexError
+    # 0 used to read user K's (or node N's) data, N + 1 a bare IndexError,
+    # True user 1's (or node 1's), 1.0 a bare TypeError, and a node
+    # outside A_k a bare KeyError
     tm = transfer_map(ref_plan)
-    for k in (0, -1, 5):
+    for k in (0, -1, 5, True, False, 1.0, "1", None):
         with pytest.raises(ValueError, match="no user"):
             ref_plan.gammas(k)
         with pytest.raises(ValueError, match="no user"):
@@ -403,10 +418,18 @@ def test_user_and_node_indices_outside_the_range_raise(ref_plan):
             ref_plan.reserved.block(k)
         with pytest.raises(ValueError, match="no user"):
             ref_plan.reserved.sorted_block(k)
-    for nodes in ([0], [9], [1, 0], [-1]):
+    # A_1 = {1, 6, 7, 8}
+    for n in (2, 0, 9, -1, True, 1.0, 6.0, "1", None):
+        with pytest.raises(ValueError, match="not in user 1's access set"):
+            ref_plan.alpha(1, n)
+    assert [ref_plan.alpha(1, n) for n in (1, 6, 7, 8)] == [
+        ref_plan.alphas[0][n] for n in (1, 6, 7, 8)
+    ]
+    for nodes in ([0], [9], [1, 0], [-1], [True], [1.5], [2, 1.0], ["1"], [None, 1]):
         with pytest.raises(ValueError, match="nodes are 1..8"):
             tm.rows_for_nodes(nodes)
     assert tm.rows_for_nodes([8, 1]) == [tm.matrix[0], tm.matrix[7]]
+    assert tm.rows_for_nodes(n for n in (2, 1)) == [tm.matrix[0], tm.matrix[1]]
 
 
 # --- rate mixing ------------------------------------------------------------------

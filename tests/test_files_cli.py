@@ -379,6 +379,33 @@ def test_cli_fractional_rates_without_corners_scales(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["symbols"] == [9]
 
 
+def test_cli_corner_and_automatic_mix_notes_and_files(tmp_path, capsys):
+    # rates (1/2, 1, 1, 3/2) on the README instance: the corner mix of
+    # (1, 2, 2, 3) and 0 at weight 1/2, and the automatic mix of the
+    # doubled tuple with the zero plan, plan the same corners
+    inst = write_doc(tmp_path, "inst.json", dict(REF_INSTANCE, rates=["1/2", 1, 1, "3/2"]))
+    corner_path, auto_path = str(tmp_path / "corner.json"), str(tmp_path / "auto.json")
+    corners = ["--corner-a", "1,2,2,3", "--corner-b", "0,0,0,0"]
+    assert main(["plan", inst, *corners, "--out", corner_path]) == 0
+    corner = capsys.readouterr()
+    assert main(["plan", inst, "--out", auto_path]) == 0
+    auto = capsys.readouterr()
+    assert (corner.out, auto.out) == ("", "")
+    assert corner.err == (
+        "mixed plan: 1/2 blocks at [1, 2, 2, 3], rest at [0, 0, 0, 0]; node storage 2 symbols\n"
+    )
+    assert auto.err == "mixed plan: scaled corner [1, 2, 2, 3] on 1 of 2 blocks (zero-rate elsewhere)\n"
+    msgs = [[1], [2, 3], [4, 5], [6, 7, 8]]
+    for path in (corner_path, auto_path):
+        doc = load_json(path)
+        ms = mix_from_dict(doc)
+        assert mix_to_dict(ms) == doc
+        assert ms.rates() == (Fraction(1, 2), 1, 1, Fraction(3, 2))
+        share_blocks = [res.shares for res in ms.encode(msgs, seed=4)]
+        assert [ms.decode(k, share_blocks) for k in range(1, 5)] == msgs
+    assert load_json(corner_path) == load_json(auto_path)
+
+
 def test_cli_fractional_rates_outside_scaled_region(tmp_path, capsys):
     doc = {
         "format": "dmuss.instance/1",

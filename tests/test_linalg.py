@@ -207,6 +207,8 @@ def test_solve_identity_and_errors():
         linalg.solve(F11, [[1, 2], [3, 4]], [1, 2, 3])
     with pytest.raises(ShapeMismatchError):
         linalg.solve(F11, [[1, 2, 3], [4, 5, 6]], [1, 2])
+    with pytest.raises(ShapeMismatchError):  # a block whose second row is an entry
+        linalg.solve(F11, linalg.identity(2), [[1], 2])
 
 
 def test_solve_round_trip_fuzz():
@@ -241,11 +243,20 @@ def test_inverse_fuzz():
         done += 1
     with pytest.raises(SingularMatrixError):
         linalg.inverse(F11, [[1, 2], [2, 4]])
+    with pytest.raises(ShapeMismatchError):
+        linalg.inverse(F11, [[1, 2, 3], [4, 5, 6]])
+    assert linalg.inverse(F11, []) == []
 
 
 def test_mat_ops_shapes():
     with pytest.raises(ShapeMismatchError):
         linalg.mat_vec(F11, [[1, 2]], [1, 2, 3])
+    # mat_vec used to check row 0 only: [[1, 2], [3]] @ [1, 2] gave [5, 3]
+    for ragged, v in (([[1, 2], [3]], [1, 2]), ([[1], [3, 4]], [1]), ([[1], []], [1])):
+        with pytest.raises(ShapeMismatchError):
+            linalg.mat_vec(F11, ragged, v)
+    assert linalg.mat_vec(F11, [[1, 2], [3, 4]], [1, 2]) == [5, 0]
+    assert linalg.mat_vec(F11, [], [1, 2]) == []
     # ragged rows must not be truncated or padded with zeros
     for ragged in ([[1], [3, 4]], [[1, 2], [3]]):
         for op in (linalg.rref, linalg.rank, linalg.null_space):
@@ -301,6 +312,61 @@ def solve_outcome(solver, field, a, s):
         return type(exc)
 
 
+def column_solves(field, a, b, m):
+    """The vector solves of the m columns of the block b, put back as a
+    block, or the one error type they all raise."""
+    outcomes = [solve_outcome(linalg.solve, field, a, [row[j] for row in b]) for j in range(m)]
+    errors = {x for x in outcomes if isinstance(x, type)}
+    if errors:
+        (error,) = errors
+        return error
+    return linalg.transpose(outcomes)
+
+
+def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
+    # a block of 0, 1, 3 or n right-hand sides: the same solution as the
+    # vector solves of its columns and as slow_solve, or the same error
+    rng = random.Random(71)
+    cases = ["nonsingular", "singular", "ragged block", "ragged a", "short block"]
+    seen = set()
+    for _ in range(900):
+        field = rng.choice(FUZZ_FIELDS)
+        case = rng.choice(cases)
+        n = rng.randint(2 if case == "ragged block" else 1, 12)  # one row is never ragged
+        width = rng.choice(["0", "1", "3", "n"])
+        m = {"0": 0, "1": 1, "3": 3, "n": n}[width]
+        while True:
+            a = fuzz_matrix(rng, field, n, n, "low-rank" if case == "singular" else "dense")
+            if case == "singular" or linalg.det(field, a):
+                break
+        b = random_matrix(rng, field.p, n, m)
+        if case == "ragged block":
+            b[rng.randrange(n)].append(rng.randrange(field.p))
+        elif case == "ragged a":
+            a[rng.randrange(n)].append(rng.randrange(field.p))
+        elif case == "short block":
+            b.pop(rng.randrange(n))
+        got = solve_outcome(linalg.solve, field, a, b)
+        assert got == solve_outcome(slow_solve, field, a, b), (field.p, n, m, case)
+        if case != "ragged block" and m:
+            assert got == column_solves(field, a, b, m), (field.p, n, m, case)
+        if not isinstance(got, type):
+            assert mat_mul(field, a, got) == b if m else got == [[]] * n
+        seen.add((case, got if isinstance(got, type) else "solved"))
+        seen.add((field.p, width, case))
+    assert seen >= {
+        ("nonsingular", "solved"),
+        ("singular", SingularMatrixError),
+        ("ragged block", ShapeMismatchError),
+        ("ragged a", ShapeMismatchError),
+        ("short block", ShapeMismatchError),
+    }
+    for field in FUZZ_FIELDS:
+        for width in ("0", "1", "3", "n"):
+            for case in cases:
+                assert (field.p, width, case) in seen
+
+
 def test_elimination_matches_slow_references_fuzz():
     rng = random.Random(61)
     kinds = ["dense", "zero", "sparse", "low-rank", "repeated"]
@@ -325,6 +391,9 @@ def test_elimination_matches_slow_references_fuzz():
             seen.add(("det", len(want_pivots) == rows))
             s = [rng.randrange(field.p) for _ in range(rows)]
             assert solve_outcome(linalg.solve, field, a, s) == solve_outcome(slow_solve, field, a, s)
+            ident = linalg.identity(rows)
+            got = solve_outcome(linalg.solve, field, a, ident)
+            assert got == solve_outcome(slow_solve, field, a, ident)
         else:
             with pytest.raises(ShapeMismatchError):
                 linalg.det(field, a)
@@ -380,6 +449,9 @@ def test_packed_elimination_at_real_sizes_matches_slow_references():
             assert linalg.null_space(field, a) == slow_null_vectors(field, a, want), (field.p, kind)
             if len(a) == len(a[0]):
                 assert linalg.det(field, a) == slow_det(field, a), (field.p, kind)
+                ident = linalg.identity(len(a))
+                got = solve_outcome(linalg.solve, field, a, ident)
+                assert got == solve_outcome(slow_solve, field, a, ident), (field.p, kind)
             elif len(a) < len(a[0]):  # the square left part, solved for the next column
                 n = len(a)
                 sq, rhs = [row[:n] for row in a], [row[n] for row in a]

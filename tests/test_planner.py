@@ -120,16 +120,35 @@ OTHER_GAMMAS = {
 }
 
 
+def power_table(field, size):
+    """F[r][j] = gamma^(r*(j+1)) for r, j < size: its rows m.. are
+    ``build_B(field, m, size)``, so one table serves every quota."""
+    p = field.p
+    table = []
+    for r in range(size):
+        step, power, row = pow(field.gamma, r, p), 1, []
+        for _ in range(size):
+            power = power * step % p
+            row.append(power)
+        table.append(row)
+    return table
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 65537, 2**31 - 1, 2**61 - 1])
 def test_tail_basis_matches_elimination_fuzz(p):
-    # the closed form against null_space(build_B): the same canonical
+    # the closed form against the null space of the tail matrix
+    # build_B(m, n) = F[m:], F the size's power table: the same canonical
     # vectors for every shape up to 64 points (32 under the explicit
-    # generators), the same errors outside
+    # generators), the same errors outside (slow_tail_basis, on build_B)
     fields = [(Field(p), 64)] + [(Field(p, gamma=g), 32) for g in OTHER_GAMMAS.get(p, [])]
     for f, cap in fields:
         for size in range(min(f.p - 1, cap) + 1):
+            table = power_table(f, size)
             for quota in range(size + 1):
-                assert tail_basis(f, quota, size) == slow_tail_basis(f, quota, size), (f, quota, size)
+                if size <= 24 and quota < size:
+                    assert table[quota:] == linalg.build_B(f, quota, size), (f, quota, size)
+                want = linalg.null_space(f, table[quota:], cols=size)  # the identity at quota == size
+                assert tail_basis(f, quota, size) == want, (f, quota, size)
         bad = [(-1, 0), (-1, 3), (1, 0), (5, 3), (0, f.p), (f.p - 1, f.p), (-2, -2)]
         for quota, size in bad:
             got = tail_outcome(tail_basis, f, quota, size)
