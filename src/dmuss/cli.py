@@ -39,7 +39,6 @@ from .codec import (
     draw_pads,
     encode_with_pads,
     memory_share,
-    transfer_map,
 )
 from .errors import DmussError, NotInRegionError, ShapeMismatchError
 from .files import (
@@ -208,9 +207,8 @@ def _verify_one(plan: Plan, which: set, trials: int, seed: int) -> tuple:
     """Run the selected checks on one plan; returns (report dict, ok)."""
     out = {}
     ok = True
-    tm = transfer_map(plan) if which & {"privacy", "entropy"} else None
     if "privacy" in which:
-        rep = check_privacy(tm)
+        rep = check_privacy(plan)
         out["privacy"] = {
             "all_private": rep.all_private,
             "vacuous": rep.vacuous,
@@ -218,7 +216,7 @@ def _verify_one(plan: Plan, which: set, trials: int, seed: int) -> tuple:
         }
         ok &= rep.all_private
     if "entropy" in which:
-        rep = check_entropy(tm)
+        rep = check_entropy(plan)
         out["entropy"] = {"rank": rep.rank, "nodes": rep.nodes, "full": rep.full}
         ok &= rep.full
     if "roundtrip" in which:

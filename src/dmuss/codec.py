@@ -203,8 +203,11 @@ class TransferMap:
 
     Input coordinates stack every user's message block first, then every
     user's free-pad block; the input dimension always equals N because the
-    padded lengths sum to N.  Verification reduces the scheme's secrecy
-    and storage-entropy claims to rank computations on this matrix.
+    padded lengths sum to N.  The scheme's secrecy and storage-entropy
+    claims are rank statements about this matrix.  Given a plan,
+    :func:`~dmuss.verify.check_privacy` and :func:`~dmuss.verify.check_entropy`
+    read them off T's factors and never build it; given a bare map, they
+    and :func:`~dmuss.verify.brute_force_audit` work on the matrix.
     """
 
     field: object

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .errors import (
     BadShapeError,
+    BadSymbolError,
     FieldTooSmallError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -99,7 +100,9 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         before scaling times the sign of the row swaps (the determinant
         when ``a`` is square and has a pivot in every column).
 
-    Raises ShapeMismatchError when the rows of ``a`` differ in length.
+    Raises ShapeMismatchError when the rows of ``a`` differ in length,
+    and BadSymbolError when an entry is not an int (a float, a string,
+    None, a list, ...).
     """
     p = field.p
     rows = len(a)
@@ -108,7 +111,10 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
     mask = (1 << w) - 1
-    r = [_pack(row, w, p) for row in a]
+    try:  # the one pass that reads the caller's entries
+        r = [_pack(row, w, p) for row in a]
+    except TypeError as exc:
+        raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
     pivots: list[int] = []
     d = 1
     lead = 0

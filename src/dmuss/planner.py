@@ -17,7 +17,8 @@ nonsingular; :func:`correctness_matrix` writes it, from the rows a plan
 derives once (:attr:`Plan.basis_rows`).  A plan keeps its transpose V^T
 (:attr:`Plan.correctness_transpose`), for the determinant check, and
 the input map H (:attr:`Plan.input_blocks`): encoding solves V^T Y = H x,
-and the transfer map is V^T^-1 H.  Only inside
+the transfer map is V^T^-1 H, and privacy and entropy are read off
+these factors.  Only inside
 :func:`make_plan`, before the reserved rows' scalings zeta are chosen,
 is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
 unscaled and D the other rows.  C is block-diagonal up to row
@@ -118,10 +119,20 @@ class Plan:
     def correctness_transpose(self) -> Matrix:
         """V^T, the transposed correctness matrix, built on first use and
         kept off the value fields like :attr:`basis_rows`.  The plan's own
-        determinant check, :func:`~dmuss.codec.encode_with_pads` and
-        :func:`~dmuss.codec.transfer_map` share it, so callers must not
-        mutate it; :func:`plan_decomposition` returns a fresh V."""
+        determinant check, :func:`~dmuss.codec.encode_with_pads`,
+        :func:`~dmuss.codec.transfer_map` and :func:`~dmuss.verify.check_privacy`
+        share it, so callers must not mutate it; :func:`plan_decomposition`
+        returns a fresh V."""
         return linalg.transpose(plan_decomposition(self))
+
+    @cached_property
+    def _correctness_det(self) -> int:
+        """det V (= det V^T), computed on first use and kept off the value
+        fields like :attr:`correctness_transpose`.  :func:`plan_from_parameters`
+        computes it to accept a plan, so a loaded plan's later checks
+        (:func:`~dmuss.verify.check_privacy`, :func:`~dmuss.verify.check_entropy`)
+        read it without another N x N elimination."""
+        return linalg.det(self.field, self.correctness_transpose)
 
     @cached_property
     def input_blocks(self) -> list:
@@ -420,6 +431,6 @@ def plan_from_parameters(
         perms=tuple(tuple(p_) for p_ in perms),
         alphas=tuple(dict(a) for a in alphas),
     )
-    if linalg.det(field, plan.correctness_transpose) == 0:  # det V^T = det V
+    if plan._correctness_det == 0:
         raise SingularMatrixError("supplied constants give a singular correctness matrix")
     return plan

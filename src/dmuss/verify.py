@@ -9,9 +9,23 @@ map T from (messages, free pads) to shares, with the inputs uniform:
   the rank by exactly R_k (every message value stays equally likely).
   With Z a basis of ker(T's rows on A_{k'}), a combination of selector
   rows lies in their row space (= ker^perp) exactly when it vanishes on
-  Z, so the rank rises by rank(Z cut to w_k's coordinates): one null
-  space per observer serves every secret user;
+  Z, so the rank rises by rank(Z cut to w_k's coordinates);
 * correctness: each user's local interpolation returns its message.
+
+Given a :class:`~dmuss.planner.Plan`, the rank checks never build T.  A
+plan holds T's factors, T = V^T^-1 H, with V the correctness matrix
+(nonsingular, or both checks raise) and H block-diagonal by user up to
+the order of its columns: user k's R'_k x R'_k block H_k
+(:attr:`~dmuss.planner.Plan.input_blocks`) maps its message and free
+pads to its R'_k rows.  So rank(T) = rank(H) = sum_k rank(H_k), and when
+every H_k is invertible, T^-1 = H^-1 V^T: the rows of T^-1 for w_k are
+M_k, the first R_k rows of H_k^-1 times user k's R'_k rows of V^T, and
+they vanish outside A_k.  T has full rank then, so T's rows on A_{k'}
+have rank |A_{k'}| and their kernel is spanned by T^-1's columns at the
+nodes outside A_{k'}: pair (k, k') costs one rank of M_k on the columns
+A_k minus A_{k'}, and the plan costs K small solves.  A bare
+:class:`~dmuss.codec.TransferMap`, or a plan with a singular H_k, takes
+one null space per observer instead.
 
 The rank criteria are exact, not statistical.  For tiny instances
 :func:`brute_force_audit` additionally enumerates every input and checks
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .codec import TransferMap, decode, encode, transfer_map
-from .errors import TooLargeError
+from .errors import SingularMatrixError, TooLargeError
 from .planner import Plan
 
 AUDIT_INPUT_CAP = 20000  # p**N beyond this refuses to enumerate
@@ -65,31 +79,99 @@ class PrivacyReport:
         return all(p.private for p in self.pairs)
 
 
+def _require_nonsingular(plan: Plan) -> None:
+    if plan._correctness_det == 0:
+        raise SingularMatrixError("the plan's correctness matrix is singular")
+
+
+def _message_rows(plan: Plan) -> list | None:
+    """M_k at index k-1: the rows of T^-1 for user k's message, on the
+    columns of the sorted A_k (the others are zero), or None when some H_k
+    is singular and T^-1 = H^-1 V^T does not hold.
+
+    M_k is the first R_k rows of the solve of H_k M = user k's R'_k rows of
+    V^T cut to A_k's columns.  Raises SingularMatrixError when V is.
+    """
+    _require_nonsingular(plan)
+    vt = plan.correctness_transpose
+    rows, off = [], 0
+    for k, (block, r_k, quota) in enumerate(
+        zip(plan.input_blocks, plan.rates, plan.quotas), start=1
+    ):
+        nodes = plan.access.sorted_set(k)
+        vt_k = [[row[n - 1] for n in nodes] for row in vt[off : off + quota]]
+        off += quota
+        try:
+            rows.append(linalg.solve(plan.field, block, vt_k)[:r_k])
+        except SingularMatrixError:
+            return None
+    return rows
+
+
+def _factored_ranks(plan: Plan, message_rows: list):
+    """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus the
+    rank of M_k on the columns A_k minus A_{k'}."""
+    nodes = [plan.access.sorted_set(k) for k in range(1, plan.K + 1)]
+
+    def ranks(k: int, k2: int) -> tuple:
+        seen = plan.access.user_set(k2)
+        hidden = [i for i, n in enumerate(nodes[k - 1]) if n not in seen]
+        cut = [[row[i] for i in hidden] for row in message_rows[k - 1]]
+        return len(seen), len(seen) + linalg.rank(plan.field, cut)
+
+    return ranks
+
+
+def _kernel_ranks(tm: TransferMap):
+    """(base, joint) ranks of pair (k, k'): N - dim Z, and that plus the
+    rank of Z cut to w_k's coordinates, with Z a basis of ker(T[A_{k'}])."""
+    kernels = [
+        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=tm.input_dim)
+        for k2 in range(1, len(tm.rates) + 1)
+    ]
+    offsets = tm.message_offsets
+
+    def ranks(k: int, k2: int) -> tuple:
+        kernel, off = kernels[k2 - 1], offsets[k - 1]
+        base = tm.input_dim - len(kernel)
+        return base, base + linalg.rank(tm.field, [v[off : off + tm.rates[k - 1]] for v in kernel])
+
+    return ranks
+
+
 def check_privacy(target) -> PrivacyReport:
     """Exact pairwise-privacy check via ranks on the transfer map.
 
     For observer k' with rows O = T[A_{k'}] and kernel basis Z of O,
     rank([O; E_k]) = rank(O) + rank(Z[w_k, :]) for the selector E_k of
     user k's message coordinates w_k, because rowspace(O) = ker(O)^perp.
-    So each observer costs one null space, and each (secret user,
-    observer) pair one rank of a dim Z x R_k matrix.
+
+    Given a plan whose input blocks H_k are all invertible, T is
+    invertible, rank(O) = |A_{k'}| and the columns of T^-1 = H^-1 V^T at
+    the nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the rank
+    of T^-1's w_k rows on those columns, which vanish outside A_k.  Each
+    user costs one R'_k x R'_k solve for its rows of T^-1, and each
+    (secret user, observer) pair one rank of an R_k x |A_k minus A_{k'}|
+    matrix; T is never built.  Otherwise (a bare transfer map, or a
+    singular H_k) each observer costs one null space of O, and each pair
+    one rank of a dim Z x R_k matrix.
+
+    Raises:
+        SingularMatrixError: the plan's correctness matrix is singular.
     """
-    tm = _as_transfer_map(target)
-    k_count = len(tm.rates)
-    cols = tm.input_dim
-    kernels = [
-        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=cols)
-        for k2 in range(1, k_count + 1)
-    ]
+    message_rows = _message_rows(target) if isinstance(target, Plan) else None
+    if message_rows is not None:
+        ranks = _factored_ranks(target, message_rows)
+    else:
+        ranks = _kernel_ranks(_as_transfer_map(target))
+    k_count = len(target.rates)
     pairs = []
-    for k, off in enumerate(tm.message_offsets, start=1):
-        required = tm.rates[k - 1]
+    for k in range(1, k_count + 1):
+        required = target.rates[k - 1]
         for k2 in range(1, k_count + 1):
             if k2 == k:
                 continue
-            kernel = kernels[k2 - 1]
-            base = cols - len(kernel)
-            joint = base + linalg.rank(tm.field, [v[off : off + required] for v in kernel])
+            base, joint = ranks(k, k2)
             pairs.append(
                 PairPrivacy(
                     secret_user=k,
@@ -114,9 +196,19 @@ class EntropyReport:
 
 
 def check_entropy(target) -> EntropyReport:
-    """Shares are jointly uniform iff the transfer map has full rank."""
-    tm = _as_transfer_map(target)
-    return EntropyReport(rank=linalg.rank(tm.field, tm.matrix), nodes=len(tm.matrix))
+    """Shares are jointly uniform iff the transfer map has full rank.
+
+    Given a plan, T = V^T^-1 H is never built: V is nonsingular, so
+    rank(T) = rank(H) = sum_k rank(H_k), one R'_k x R'_k rank per user.
+
+    Raises:
+        SingularMatrixError: the plan's correctness matrix is singular.
+    """
+    if isinstance(target, Plan):
+        _require_nonsingular(target)
+        rank = sum(linalg.rank(target.field, block) for block in target.input_blocks)
+        return EntropyReport(rank=rank, nodes=target.N)
+    return EntropyReport(rank=linalg.rank(target.field, target.matrix), nodes=len(target.matrix))
 
 
 @dataclass

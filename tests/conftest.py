@@ -69,13 +69,13 @@ def random_rates_in_region(rng: random.Random, acc: AccessStructure, stop_prob=0
 
 def spy(monkeypatch, module, name, record):
     """Wrap ``module.name`` so that each call appends ``record(*args)`` to
-    the returned list."""
+    the returned list; keyword arguments pass through unrecorded."""
     calls = []
     real = getattr(module, name)
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         calls.append(record(*args))
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
     return calls

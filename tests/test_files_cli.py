@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from dmuss import cli, demo
+from conftest import spy
+from dmuss import demo, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
@@ -625,20 +626,26 @@ def test_cli_verify_selected_checks_only(tmp_path, capsys):
     assert set(report) == {"entropy", "ok"}
 
 
-def test_cli_verify_builds_transfer_map_only_for_rank_checks(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = cli.transfer_map
-
-    def counting(plan):
-        calls.append(1)
-        return real(plan)
-
-    monkeypatch.setattr(cli, "transfer_map", counting)
-    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
-    assert main(["verify", plan_path, "--roundtrip", "--trials", "3"]) == 0
-    assert calls == []
-    assert main(["verify", plan_path, "--privacy", "--entropy", "--trials", "3"]) == 0
-    assert len(calls) == 1
+def test_cli_verify_builds_transfer_map_only_for_brute_force(tmp_path, capsys, monkeypatch):
+    """Default verify reads privacy and entropy off the plan's factors: no
+    transfer map, no null space, no N x N rank, and one N x N determinant,
+    the one that loading the plan file takes.  Only --brute-force builds T."""
+    plan = demo.demo_plan()
+    n = plan.N
+    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(plan))
+    built = spy(monkeypatch, verify, "transfer_map", lambda plan: 1)
+    kernels = spy(monkeypatch, linalg, "null_space", lambda *args: 1)
+    dets = spy(monkeypatch, linalg, "det", lambda f, a: len(a) == n)
+    ranks = spy(monkeypatch, linalg, "rank", lambda f, a: len(a) == n and len(a[0]) == n)
+    assert main(["verify", plan_path, "--trials", "3"]) == 0
+    assert main(["verify", plan_path, "--privacy", "--entropy"]) == 0
+    assert built == [] and kernels == [] and not any(ranks)
+    assert dets.count(True) == 2  # one load per run
+    micro = {"format": "dmuss.instance/1", "p": 3, "access": [[1, 2], [2, 3]], "rates": [1, 1]}
+    micro_plan = str(tmp_path / "micro.json")
+    assert main(["plan", write_doc(tmp_path, "micro-inst.json", micro), "--out", micro_plan]) == 0
+    assert main(["verify", micro_plan, "--brute-force"]) == 0
+    assert built == [1]
     capsys.readouterr()
 
 

@@ -16,6 +16,7 @@ from conftest import mat_mul, slow_det, slow_rref, slow_solve
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
+    BadSymbolError,
     FieldTooSmallError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -209,6 +210,25 @@ def test_solve_identity_and_errors():
         linalg.solve(F11, [[1, 2, 3], [4, 5, 6]], [1, 2])
     with pytest.raises(ShapeMismatchError):  # a block whose second row is an entry
         linalg.solve(F11, linalg.identity(2), [[1], 2])
+
+
+def test_entries_that_are_not_ints_raise_bad_symbol_error():
+    """Every elimination reads the caller's entries in one pass; an entry
+    that is not an int raises BadSymbolError there, not a TypeError."""
+    eye = linalg.identity(2)
+    for x in ([2], "a", "%d", 1.5, 2.0, None):
+        for fn, *args in (
+            (linalg.solve, eye, [1, x]),  # a vector right-hand side
+            (linalg.solve, eye, [[1], [x]]),  # a block
+            (linalg.solve, [[1, 0], [0, x]], [1, 1]),
+            (linalg.rank, [[x, 2]]),
+            (linalg.det, [[x]]),
+            (linalg.rref, [[1, 2], [x, 3]]),
+            (linalg.null_space, [[1, x]]),
+        ):
+            with pytest.raises(BadSymbolError):
+                fn(F11, *args)
+    assert linalg.solve(F11, linalg.identity(2), [[1], [True]]) == [[1], [1]]  # bools are ints
 
 
 def test_solve_round_trip_fuzz():

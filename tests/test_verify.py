@@ -8,6 +8,7 @@ maps with known leaks and against fuzzed instances, and require the two
 roads to agree pair for pair.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from conftest import (
 from dmuss import codec, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.codec import DecodeResult, TransferMap, transfer_map
-from dmuss.errors import TooLargeError
+from dmuss.errors import SingularMatrixError, TooLargeError
 from dmuss.gf import Field
 from dmuss.planner import make_plan
 from dmuss.verify import (
@@ -365,3 +366,112 @@ def test_privacy_takes_one_null_space_per_observer(monkeypatch):
     rep = check_privacy(tm)
     assert acc.K == 12 and len(rep.pairs) == 12 * 11
     assert len(calls) == 12
+
+
+# --- the plan's own factors against the transfer map --------------------------------
+
+
+def planned(rng, min_users=1):
+    """A planned in-region instance over a small or a large field."""
+    p = rng.choice([5, 7, 11, 13, 65537])
+    acc = random_access(rng, min_users=min_users, max_users=6, max_nodes=10, max_set_size=p - 1)
+    return make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
+
+
+def leaky(rng, plan):
+    """The plan with its rates raised at random toward its quotas.  V and H
+    depend only on the quotas, perms and alphas, so T is unchanged and the
+    pairs whose hidden nodes no longer cover R_k really leak."""
+    rates = tuple(rng.randint(r, q) for r, q in zip(plan.rates, plan.quotas))
+    return dataclasses.replace(plan, rates=rates)
+
+
+def repeated_exponent(rng, plan):
+    """The plan with one exponent of one user copied over another, or None
+    when no user has two points: V, some H_k, or neither turns singular."""
+    users = [k for k, perm in enumerate(plan.perms) if len(perm) > 1]
+    if not users:
+        return None
+    k = rng.choice(users)
+    perm = list(plan.perms[k])
+    i, j = rng.sample(range(len(perm)), 2)
+    perm[i] = perm[j]
+    return dataclasses.replace(plan, perms=plan.perms[:k] + (tuple(perm),) + plan.perms[k + 1 :])
+
+
+def test_factored_checks_match_transfer_map_and_slow_reference_fuzz(monkeypatch):
+    """check_privacy and check_entropy on a plan equal the TransferMap path
+    and slow_check_privacy on planned, leaky and repeated-exponent plans.
+    Only a plan with a singular H_k builds T, once, for its privacy; a
+    singular V raises from both checks."""
+    rng = random.Random(151)
+    built = spy(monkeypatch, verify, "transfer_map", lambda plan: plan)
+    leaked = singular_v = singular_h = 0
+    for _ in range(300):
+        plan = planned(rng)
+        targets = [plan, leaky(rng, plan)]
+        broken = repeated_exponent(rng, plan)
+        if broken is not None:
+            try:
+                transfer_map(broken)
+            except SingularMatrixError:
+                singular_v += 1
+                with pytest.raises(SingularMatrixError):
+                    check_privacy(broken)
+                with pytest.raises(SingularMatrixError):
+                    check_entropy(broken)
+            else:
+                targets.append(broken)
+        for target in targets:
+            h_ok = all(
+                linalg.rank(target.field, block) == len(block) for block in target.input_blocks
+            )
+            singular_h += not h_ok
+            built.clear()
+            privacy = check_privacy(target)
+            entropy = check_entropy(target)
+            assert built == ([] if h_ok else [target])
+            tm = transfer_map(target)
+            assert privacy == check_privacy(tm)
+            assert privacy.pairs == slow_check_privacy(tm)
+            assert entropy == check_entropy(tm)
+            leaked += sum(not pair.private for pair in privacy.pairs)
+    assert leaked >= 300 and singular_v >= 50 and singular_h >= 5
+
+
+def test_leak_is_the_excess_over_the_pairwise_bound():
+    """Every pair leaks max(0, R_k - |A_k minus A_k'|) symbols: T^-1's rows
+    for w_k are Vandermonde-like, so any |S| of their columns have rank
+    min(R_k, |S|).  Planned in-region rates meet the pairwise bound and
+    leak nothing."""
+    rng = random.Random(152)
+    leaky_pairs = 0
+    for _ in range(150):
+        plan = planned(rng, min_users=2)
+        for target in (plan, leaky(rng, plan)):
+            for pair in check_privacy(target).pairs:
+                sets = target.access.user_set(pair.secret_user), target.access.user_set(pair.observer)
+                want = max(0, target.rates[pair.secret_user - 1] - len(sets[0] - sets[1]))
+                assert pair.leaked == want
+                assert target is not plan or want == 0
+                leaky_pairs += want > 0
+    assert leaky_pairs >= 200
+
+
+def test_plan_checks_eliminate_nothing_n_by_n(monkeypatch):
+    """On a planned instance, privacy and entropy take no null space, build
+    no transfer map, and run one N x N elimination: V's determinant, on
+    first use, kept by the plan."""
+    rng = random.Random(153)
+    sets = [rng.sample(range(1, 17), rng.randint(3, 8)) for _ in range(12)]
+    acc = AccessStructure.of(compress_nodes(sets))
+    plan = make_plan(Field(65537), acc, random_rates_in_region(rng, acc), seed=1)
+    n = plan.N
+    kernels = spy(monkeypatch, linalg, "null_space", lambda *args: 1)
+    built = spy(monkeypatch, verify, "transfer_map", lambda plan: 1)
+    dets = spy(monkeypatch, linalg, "det", lambda f, a: len(a))
+    ranks = spy(monkeypatch, linalg, "rank", lambda f, a: len(a) == n and len(a[0]) == n)
+    for _ in range(2):
+        assert check_privacy(plan).all_private and check_entropy(plan).full
+    assert kernels == [] and built == [] and not any(ranks)
+    assert dets == [n]
