@@ -212,7 +212,17 @@ def _verify_one(plan: Plan, which: set, trials: int, seed: int) -> tuple:
         out["privacy"] = {
             "all_private": rep.all_private,
             "vacuous": rep.vacuous,
-            "pairs": [dataclasses.asdict(pair) for pair in rep.pairs],
+            "pairs": [
+                {  # PairPrivacy's fields in order: asdict's deep copy is K^2 recursions
+                    "secret_user": pair.secret_user,
+                    "observer": pair.observer,
+                    "base_rank": pair.base_rank,
+                    "joint_rank": pair.joint_rank,
+                    "required": pair.required,
+                    "private": pair.private,
+                }
+                for pair in rep.pairs
+            ],
         }
         ok &= rep.all_private
     if "entropy" in which:

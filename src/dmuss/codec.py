@@ -42,6 +42,7 @@ from .errors import (
     IncompatiblePlansError,
     ShapeMismatchError,
 )
+from .gf import _powers
 from .planner import Plan
 
 
@@ -190,8 +191,9 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
     gammas = plan.gammas(k)
     size = len(gammas)
     nodes = plan.access.sorted_set(k)
-    vander = [[pow(g, r, p) for r in range(size)] for g in gammas]
-    rhs = [-plan.alpha(k, n) * y % p for n, y in zip(nodes, vals)]
+    vander = [_powers(g, size, p) for g in gammas]
+    alpha = plan.alphas[k - 1]
+    rhs = [-alpha[n] * y % p for n, y in zip(nodes, vals)]
     coeffs = linalg.solve(field, vander, rhs)
     r_k = plan.rates[k - 1]
     return DecodeResult(message=coeffs[:r_k], pads=coeffs[r_k:])

@@ -63,6 +63,14 @@ def _int_list(values, what: str) -> list:
     return list(values)
 
 
+def _node_list(values, what: str) -> list:
+    """:func:`_int_list` with no node listed twice: a set written as a list."""
+    nodes = _int_list(values, what)
+    if len(set(nodes)) != len(nodes):
+        raise FileFormatError(f"{what} lists a node more than once")
+    return nodes
+
+
 def _symbol_list(values, p: int, what: str) -> list:
     """Field symbols: integers (JSON numbers, not booleans) in [0, p)."""
     if not isinstance(values, list) or not all(type(v) is int and 0 <= v < p for v in values):
@@ -173,7 +181,7 @@ def plan_from_dict(doc: dict) -> Plan:
     p = _require(doc, "p", int)
     gamma = _require(doc, "gamma", int)
     raw_access = _require(doc, "access", list)
-    sets = [_int_list(s, "access set") for s in raw_access]
+    sets = [_node_list(s, "access set") for s in raw_access]
     try:
         acc = AccessStructure.of(sets)
     except ValueError as exc:
@@ -187,7 +195,7 @@ def plan_from_dict(doc: dict) -> Plan:
     if not (len(rates) == len(quotas) == len(reserved_lists) == len(perms) == len(alphas_lists) == k_count):
         raise FileFormatError("per-user lists disagree with the number of access sets")
     reserved = SdrAssignment(
-        blocks=tuple(frozenset(_int_list(z, "reserved block")) for z in reserved_lists)
+        blocks=tuple(frozenset(_node_list(z, "reserved block")) for z in reserved_lists)
     )
     alphas = []
     for entries in alphas_lists:
@@ -195,13 +203,14 @@ def plan_from_dict(doc: dict) -> Plan:
             raise FileFormatError("alphas must be lists of [node, value] pairs")
         per_user = {}
         for item in entries:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(_is_int(v) for v in item)
-            ):
+            if not isinstance(item, list) or len(item) != 2:
                 raise FileFormatError(f"bad alpha entry {item!r}")
-            per_user[item[0]] = item[1]
+            node, value = item
+            if type(node) is not int or type(value) is not int:  # JSON ints, not booleans
+                raise FileFormatError(f"bad alpha entry {item!r}")
+            if node in per_user:
+                raise FileFormatError(f"alphas list node {node} more than once")
+            per_user[node] = value
         alphas.append(per_user)
     try:
         field = Field(p, gamma=gamma)

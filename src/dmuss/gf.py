@@ -110,6 +110,17 @@ def _prime_factors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _powers(x: int, count: int, p: int) -> list[int]:
+    """[1, x, x^2, ..., x^(count-1)] mod p: one multiplication per power,
+    where a ``pow`` per power would redo the square-and-multiply each time."""
+    out = []
+    y = 1
+    for _ in range(count):
+        out.append(y)
+        y = y * x % p
+    return out
+
+
 class Field:
     """GF(p) for prime p, with a designated primitive element ``gamma``.
 

@@ -49,10 +49,20 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
+    """a @ v.  ShapeMismatchError unless a is a list of rows as long as v;
+    BadSymbolError for an entry that cannot be multiplied and summed (a
+    str, None, a list)."""
     p = field.p
-    if any(len(row) != len(v) for row in a):
+    try:
+        ragged = any(len(row) != len(v) for row in a)
+    except TypeError as exc:
+        raise ShapeMismatchError(f"need a list of row lists and a vector: {exc}") from exc
+    if ragged:
         raise ShapeMismatchError(f"every matrix row needs the vector's {len(v)} entries")
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
+    try:
+        return [sum(x * y for x, y in zip(row, v)) % p for row in a]
+    except TypeError as exc:
+        raise BadSymbolError(f"matrix and vector entries must be ints: {exc}") from exc
 
 
 def _width(p: int, rows: int) -> int:
@@ -100,14 +110,18 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         before scaling times the sign of the row swaps (the determinant
         when ``a`` is square and has a pivot in every column).
 
-    Raises ShapeMismatchError when the rows of ``a`` differ in length,
-    and BadSymbolError when an entry is not an int (a float, a string,
-    None, a list, ...).
+    Raises ShapeMismatchError when ``a`` is not a list of rows of one
+    length, and BadSymbolError when an entry is not an int (a float, a
+    string, None, a list, ...).
     """
     p = field.p
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
+    try:
+        rows = len(a)
+        cols = len(a[0]) if rows else 0
+        ragged = any(len(row) != cols for row in a)
+    except TypeError as exc:
+        raise ShapeMismatchError(f"a matrix is a list of row lists: {exc}") from exc
+    if ragged:
         raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
     mask = (1 << w) - 1
@@ -156,11 +170,11 @@ def _reduce(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         not yet reduced mod p, their pivot columns and the field width.
     """
     p = field.p
+    r, pivots, _ = _echelon(field, a)  # checks the shape
     rows = len(a)
     cols = len(a[0]) if rows else 0
     w = _width(p, rows)
     mask = (1 << w) - 1
-    r, pivots, _ = _echelon(field, a)
     for lead in range(len(pivots) - 1, 0, -1):
         col = pivots[lead]
         shift = col * w
@@ -180,9 +194,9 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
         the pivot column of each nonzero row, in order.
     """
     p = field.p
+    r, pivots, w = _reduce(field, a)
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    r, pivots, w = _reduce(field, a)
     reduced = [[x % p for x in _fields(row, w, cols)] for row in r[: len(pivots)]]
     return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
 
@@ -191,13 +205,22 @@ def rank(field: Field, a: Matrix) -> int:
     return len(_echelon(field, a)[1])
 
 
+def _square(a: Matrix) -> bool:
+    """True iff ``a`` is n rows of length n; ShapeMismatchError unless it
+    is a list of row lists."""
+    try:
+        n = len(a)
+        return all(len(row) == n for row in a)
+    except TypeError as exc:
+        raise ShapeMismatchError(f"a matrix is a list of row lists: {exc}") from exc
+
+
 def det(field: Field, a: Matrix) -> int:
     """Determinant: the signed pivot product of :func:`_echelon`."""
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if not _square(a):
         raise ShapeMismatchError("determinant needs a square matrix")
     _, pivots, d = _echelon(field, a)
-    return d if len(pivots) == n else 0
+    return d if len(pivots) == len(a) else 0
 
 
 def solve(field: Field, a: Matrix, b: list) -> list:
@@ -211,16 +234,24 @@ def solve(field: Field, a: Matrix, b: list) -> list:
             the rows of a block b are not lists of one length.
         SingularMatrixError: a is singular.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if not _square(a):
         raise ShapeMismatchError("coefficient matrix must be square")
-    if len(b) != n:
-        raise ShapeMismatchError(f"right-hand side has {len(b)} rows, expected {n}")
+    n = len(a)
+    try:
+        m = len(b)
+    except TypeError as exc:
+        raise ShapeMismatchError(f"right-hand side must be a list: {exc}") from exc
+    if m != n:
+        raise ShapeMismatchError(f"right-hand side has {m} rows, expected {n}")
     block = n > 0 and isinstance(b[0], list)
     if block and not all(isinstance(row, list) for row in b):
         raise ShapeMismatchError("right-hand side mixes rows and entries")
     rhs = b if block else [[x] for x in b]
-    r, pivots, w = _reduce(field, [row + cols for row, cols in zip(a, rhs)])
+    try:
+        augmented = [row + cols for row, cols in zip(a, rhs)]
+    except TypeError as exc:  # a tuple row, say
+        raise ShapeMismatchError(f"matrix rows must be lists: {exc}") from exc
+    r, pivots, w = _reduce(field, augmented)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
     p, shift, mask = field.p, n * w, (1 << w) - 1
@@ -247,8 +278,8 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:
         if cols is None:
             raise ShapeMismatchError("column count needed for an empty matrix")
         return identity(cols)
-    ncols = len(a[0])
     r, pivots = rref(field, a)
+    ncols = len(a[0])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     p = field.p

@@ -53,7 +53,13 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import linalg
-from .access import AccessStructure, augment_quotas, in_capacity_region, validate_quotas
+from .access import (
+    AccessStructure,
+    augment_quotas,
+    in_capacity_region,
+    pairwise_bound,
+    validate_quotas,
+)
 from .errors import (
     BadSymbolError,
     FieldTooSmallError,
@@ -61,7 +67,7 @@ from .errors import (
     PlanningFailedError,
     SingularMatrixError,
 )
-from .gf import Field
+from .gf import Field, _powers
 from .linalg import Matrix
 from .sdr import SdrAssignment, find_sdr, validate_sdr
 
@@ -144,7 +150,11 @@ class Plan:
         blocks = []
         for k, (rows, quota) in enumerate(zip(self.basis_rows, self.quotas), start=1):
             gammas = self.gammas(k)
-            minus_gt = [[-pow(g, d, p) % p for g in gammas] for d in range(quota)]  # -G_k^T
+            minus_gt = []  # -G_k^T, row d = -gamma^d: one multiplication per entry
+            row = [p - 1] * len(gammas)
+            for _ in range(quota):
+                minus_gt.append(row)
+                row = [y * g % p for y, g in zip(row, gammas)]
             blocks.append([linalg.mat_vec(self.field, minus_gt, col) for col in zip(*rows)])
         return blocks
 
@@ -171,12 +181,13 @@ def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
       that is v_j = -(x_f / x_j)^m l_j(x_f), with
       l_j(x) = prod_{i<q, i != j} (x - x_i) / (x_j - x_i).
 
-    The numerators of l_j(x_f) come from prefix and suffix products of
-    the (x_f - x_i), and the q factors x_j^m prod_{i != j} (x_j - x_i)
-    are inverted together with one ``pow``: O(q^2 + q*m) multiplications
-    and no elimination.  The result equals ``linalg.null_space`` of that
-    matrix entry for entry.  With m == n >= 0 the matrix has no rows and
-    the basis is the identity.
+    The points and their m-th powers are walked, one multiplication
+    each.  The numerators of l_j(x_f) come from prefix and suffix
+    products of the (x_f - x_i), and the q factors
+    x_j^m prod_{i != j} (x_j - x_i) are inverted together with one
+    ``pow``: O(q^2 + q*m) multiplications and no elimination.  The result
+    equals ``linalg.null_space`` of that matrix entry for entry.  With
+    m == n >= 0 the matrix has no rows and the basis is the identity.
 
     Raises:
         BadShapeError: m < 0 or m > n, except m == n >= 0, which is
@@ -190,11 +201,12 @@ def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
         return []
     p, g = field.p, field.gamma
     m, q = quota, set_size - quota
-    x = [pow(g, j, p) for j in range(1, set_size + 1)]
+    x = _powers(g, set_size + 1, p)[1:]
+    xm = _powers(pow(g, m, p), set_size + 1, p)[1:]  # xm[j] = x_j^m = (g^m)^(j+1)
     # scale[j] = 1 / (x_j^m * prod_{i != j} (x_j - x_i)), one inversion for all j
     dens = []
     for j in range(q):
-        d = pow(x[j], m, p)
+        d = xm[j]
         for i in range(q):
             if i != j:
                 d = d * (x[j] - x[i]) % p
@@ -216,7 +228,7 @@ def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
             suffix[i] = suffix[i + 1] * diffs[i] % p
         v = [0] * set_size
         v[f] = 1
-        lead = -pow(xf, m, p)  # -x_f^m times the prefix product so far
+        lead = -xm[f]  # -x_f^m times the prefix product so far
         for j in range(q):
             v[j] = lead * suffix[j + 1] % p * scale[j] % p
             lead = lead * diffs[j] % p
@@ -375,7 +387,39 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
 def plan_decomposition(plan: Plan) -> Matrix:
     """A finished plan's N x N correctness matrix V: its
     :attr:`Plan.basis_rows` scaled by its alphas."""
-    return correctness_matrix(plan.field, plan.access, plan.quotas, plan.basis_rows, plan.alpha)
+    alphas = plan.alphas
+    return correctness_matrix(
+        plan.field, plan.access, plan.quotas, plan.basis_rows, lambda k, n: alphas[k - 1][n]
+    )
+
+
+def _certified(
+    acc: AccessStructure, rates: Sequence, quotas: Sequence, reserved: SdrAssignment
+) -> bool:
+    """True when the plan's constants prove themselves in the region.
+
+    The rates must be ints (not bools) >= 0 within the K pairwise bounds,
+    the quotas ints >= the rates summing to N, and the reserved blocks
+    disjoint, inside their access sets and of sizes R'_k.  Such blocks
+    are a saturating unit flow for R' (Hall's theorem), so R' meets every
+    cutset bound, and so does R <= R': the region check and the quota
+    invariants hold with no :class:`~dmuss.access._CutsetFlow`.  False
+    only means this shortcut does not apply, malformed containers
+    included: the ordered checks then name the fault.
+    """
+    k_count = acc.K
+    try:
+        if len(rates) != k_count or len(quotas) != k_count:
+            return False
+        if any(type(r) is not int or r < 0 for r in rates):
+            return False
+        if any(type(q) is not int or q < r for q, r in zip(quotas, rates)) or sum(quotas) != acc.N:
+            return False
+        if k_count >= 2 and any(r > pairwise_bound(acc, k) for k, r in enumerate(rates, 1)):
+            return False
+        return validate_sdr(acc, quotas, reserved)
+    except (TypeError, AttributeError):
+        return False
 
 
 def plan_from_parameters(
@@ -393,6 +437,14 @@ def plan_from_parameters(
     examples.  All structural invariants are rechecked, and the
     correctness matrix must come out invertible.
 
+    The region and the quotas are first read off the plan's own
+    certificate (:func:`_certified`): int rates within the pairwise
+    bounds, int quotas at least the rates and summing to N, and reserved
+    blocks that :func:`~dmuss.sdr.validate_sdr` accepts.  Only when that
+    fails do :func:`~dmuss.access.in_capacity_region` and
+    :func:`~dmuss.access.validate_quotas` run, in the order below, so
+    every error keeps its type and message.
+
     Raises:
         NotInRegionError: the rates leave the capacity region.
         BadSymbolError: a scaling is not an int (not a bool) in [1, p).
@@ -400,15 +452,16 @@ def plan_from_parameters(
             among them).
         SingularMatrixError: the correctness matrix is singular.
     """
-    report = in_capacity_region(acc, rates)
-    if not report.ok:
-        raise NotInRegionError(report.describe())
-    if any(int(r) != Fraction(r) for r in rates):
-        raise NotInRegionError("plans carry integral rates only")
-    if not validate_quotas(acc, rates, quotas):
-        raise ValueError("padded lengths fail the augmentation invariants")
-    if not validate_sdr(acc, quotas, reserved):
-        raise ValueError("reserved blocks are not a valid distinct-representative pick")
+    if not _certified(acc, rates, quotas, reserved):
+        report = in_capacity_region(acc, rates)
+        if not report.ok:
+            raise NotInRegionError(report.describe())
+        if any(int(r) != Fraction(r) for r in rates):
+            raise NotInRegionError("plans carry integral rates only")
+        if not validate_quotas(acc, rates, quotas):
+            raise ValueError("padded lengths fail the augmentation invariants")
+        if not validate_sdr(acc, quotas, reserved):
+            raise ValueError("reserved blocks are not a valid distinct-representative pick")
     _check_field_size(field, acc)
     if len(perms) != acc.K or len(alphas) != acc.K:
         raise ValueError(f"need {acc.K} permutations and scaling maps, got {len(perms)} and {len(alphas)}")

@@ -2,17 +2,24 @@
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
 from dmuss import AccessStructure, Field, codec, linalg
-from dmuss.access import in_capacity_region
+from dmuss.access import in_capacity_region, validate_quotas
 from dmuss.codec import _check_message_shape, _check_pad_shape, _check_symbols
 from dmuss.demo import demo_encode, demo_messages, demo_plan
-from dmuss.errors import NoSdrError, ShapeMismatchError, SingularMatrixError
-from dmuss.planner import plan_decomposition
-from dmuss.sdr import DeficiencyCertificate, SdrAssignment
+from dmuss.errors import (
+    BadSymbolError,
+    NoSdrError,
+    NotInRegionError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
+from dmuss.planner import Plan, _check_field_size, plan_decomposition
+from dmuss.sdr import DeficiencyCertificate, SdrAssignment, validate_sdr
 from dmuss.verify import CorrectnessReport, PairPrivacy
 
 # (number, name, passed) triples filled in by the acceptance suite; echoed
@@ -223,6 +230,47 @@ def slow_tail_basis(field, quota, set_size):
     if 0 <= quota == set_size:
         return linalg.null_space(field, [], cols=set_size)
     return linalg.null_space(field, linalg.build_B(field, quota, set_size))
+
+
+def slow_plan_from_parameters(field, acc, rates, quotas, reserved, perms, alphas) -> Plan:
+    """``plan_from_parameters`` with every check on every load, in order:
+    the region by ``in_capacity_region`` and the quotas by
+    ``validate_quotas`` (a cutset flow each), then the reserved blocks,
+    the field size, the permutations and scalings, and det V."""
+    report = in_capacity_region(acc, rates)
+    if not report.ok:
+        raise NotInRegionError(report.describe())
+    if any(int(r) != Fraction(r) for r in rates):
+        raise NotInRegionError("plans carry integral rates only")
+    if not validate_quotas(acc, rates, quotas):
+        raise ValueError("padded lengths fail the augmentation invariants")
+    if not validate_sdr(acc, quotas, reserved):
+        raise ValueError("reserved blocks are not a valid distinct-representative pick")
+    _check_field_size(field, acc)
+    if len(perms) != acc.K or len(alphas) != acc.K:
+        raise ValueError(f"need {acc.K} permutations and scaling maps, got {len(perms)} and {len(alphas)}")
+    for k in range(1, acc.K + 1):
+        size = len(acc.user_set(k))
+        if sorted(perms[k - 1]) != list(range(1, size + 1)):
+            raise ValueError(f"user {k}: not a permutation of 1..{size}")
+        per_user = alphas[k - 1]
+        if set(per_user) != acc.user_set(k) or 0 in per_user.values():
+            raise ValueError(f"user {k}: scalings must cover the access set and be nonzero")
+        for n, a in per_user.items():
+            if type(a) is not int or not 1 <= a < field.p:
+                raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
+    plan = Plan(
+        field=field,
+        access=acc,
+        rates=tuple(int(r) for r in rates),
+        quotas=tuple(int(r) for r in quotas),
+        reserved=reserved,
+        perms=tuple(tuple(p_) for p_ in perms),
+        alphas=tuple(dict(a) for a in alphas),
+    )
+    if slow_det(field, plan_decomposition(plan)) == 0:
+        raise SingularMatrixError("supplied constants give a singular correctness matrix")
+    return plan
 
 
 def slow_choose_permutation(field, vectors, sorted_set, zblock):

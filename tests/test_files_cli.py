@@ -6,6 +6,7 @@ the emitted files, so the full plan -> encode -> decode -> verify chain
 runs exactly as a shell user would drive it.
 """
 
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -150,6 +151,44 @@ def test_plan_bad_permutation_is_format_error():
     doc["perms"][0] = [1, 1, 2, 3]
     with pytest.raises(FileFormatError):
         plan_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, user, repeat",
+    [
+        ("access", 0, 8), ("access", 3, 2), ("reserved", 1, 3), ("reserved", 0, 8),
+        ("alphas", 0, [1, 5]), ("alphas", 3, [7, 1]),
+    ],
+)
+def test_plan_repeated_node_is_format_error(tmp_path, capsys, key, user, repeat):
+    # a set written as a list names each node once: a repeat used to
+    # collapse silently (and a repeated alpha's later value won)
+    doc = plan_to_dict(demo.demo_plan())
+    doc[key][user].append(repeat)
+    with pytest.raises(FileFormatError, match="more than once"):
+        plan_from_dict(doc)
+    path = write_doc(tmp_path, "plan.json", doc)
+    assert main(["verify", path]) == 2
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_plan_to_dict_never_repeats_a_node():
+    small = make_plan(Field(13), AccessStructure.of([[1, 2, 3], [3, 4]]), (1, 1), seed=4)
+    for plan in (demo.demo_plan(), small):
+        doc = plan_to_dict(plan)
+        lists = doc["access"] + doc["reserved"] + [[n for n, _ in pairs] for pairs in doc["alphas"]]
+        assert all(len(set(nodes)) == len(nodes) for nodes in lists)
+        assert plan_from_dict(doc) == plan
+
+
+def test_cli_verify_pair_dicts_are_the_report_fields(tmp_path, capsys):
+    plan = demo.demo_plan()
+    path = write_doc(tmp_path, "plan.json", plan_to_dict(plan))
+    assert main(["verify", path, "--privacy"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["privacy"]["pairs"]
+    assert pairs == [dataclasses.asdict(pair) for pair in verify.check_privacy(plan).pairs]
+    names = [f.name for f in dataclasses.fields(verify.PairPrivacy)]
+    assert all(list(pair) == names for pair in pairs)  # the keys in field order
 
 
 def test_plan_singular_constants_is_domain_error():

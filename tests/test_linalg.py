@@ -286,6 +286,31 @@ def test_mat_ops_shapes():
     assert linalg.transpose([]) == []
 
 
+def test_malformed_shapes_raise_domain_errors_not_type_errors():
+    """A matrix that is not a list of row lists, or a right-hand side
+    with no length, is a ShapeMismatchError; an entry mat_vec cannot
+    multiply is a BadSymbolError.  Each of these was a bare TypeError."""
+    for fn, *args in (
+        (linalg.rank, [1, 2]),
+        (linalg.rank, 5),
+        (linalg.rref, [1, 2]),
+        (linalg.null_space, [1, 2]),
+        (linalg.det, [1]),
+        (linalg.det, None),
+        (linalg.solve, [1], [1]),
+        (linalg.solve, [[1]], 5),
+        (linalg.solve, [(1, 0), (0, 1)], [1, 2]),  # tuple rows cannot take the right-hand side
+        (linalg.mat_vec, [1], [1]),
+        (linalg.mat_vec, [[1]], 5),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            fn(F11, *args)
+    for v in ([1, "a"], [1, None], [1, [2]]):
+        with pytest.raises(BadSymbolError):
+            linalg.mat_vec(F11, [[1, 2]], v)
+    assert linalg.det(F11, [(1, 2), (3, 4)]) == 9  # tuple rows still eliminate
+
+
 
 # --- the one forward pass against the slow references ------------------------------
 

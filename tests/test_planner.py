@@ -4,6 +4,9 @@ import dataclasses
 import importlib.util
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -13,10 +16,12 @@ from conftest import (
     random_access,
     random_rates_in_region,
     slow_choose_permutation,
+    slow_plan_from_parameters,
     slow_tail_basis,
     spy,
     system_matrix,
 )
+from dmuss import access as planner_access
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
 from dmuss.codec import encode, transfer_map
@@ -134,26 +139,110 @@ def power_table(field, size):
     return table
 
 
+def packed_columns(field, table):
+    """The power table's columns, each one int holding its entries w bits
+    apart, and w: room for a sum of len(table) products of two symbols."""
+    w = 2 * field.p.bit_length() + len(table).bit_length() + 1
+    return [sum(x << i * w for i, x in enumerate(col)) for col in zip(*table)], w
+
+
+def is_canonical_null_basis(field, table, quota, vectors, packed=None):
+    """Whether ``vectors`` is ``null_space(field, b)`` for the tail matrix
+    b = table[quota:] (q = n - m rows, m = quota), checked without an
+    elimination.
+
+    * There are m vectors, and vector t carries 1 at column q + t and 0
+      at the other columns q..n-1 (the free-column identity pattern).
+    * Each is in the null space: b @ v = 0 in exact integers, one big-int
+      dot product per vector over b's packed columns
+      (:func:`packed_columns`, shifted past the first m rows).
+    * b's first q columns are independent: with x_j = gamma^(j+1) they
+      are a generalised Vandermonde matrix whose determinant is
+      prod_j x_j^m * prod_{i<j} (x_j - x_i), and that is nonzero.
+
+    So reduction pivots on columns 0..q-1, and the free-column pattern
+    then fixes each vector's other entries: the canonical basis, uniquely.
+    """
+    p, size, m = field.p, len(table), quota
+    q = size - m
+    if len(vectors) != m or any(len(v) != size for v in vectors):
+        return False
+    if any(v[q:] != [int(t == u) for u in range(m)] for t, v in enumerate(vectors)):
+        return False
+    cols, w = packed or packed_columns(field, table)
+    mask = (1 << w) - 1
+    rows_b = [c >> m * w for c in cols]  # column j of b, packed
+    for v in vectors:
+        total = sum(map(mul, v, rows_b))  # field i: row i of b times v, unreduced
+        if any((total >> i * w & mask) % p for i in range(q)):
+            return False
+    x = [pow(field.gamma, j, p) for j in range(1, q + 1)]
+    minor = 1
+    for j in range(q):
+        minor = minor * pow(x[j], m, p) % p
+        for i in range(j):
+            minor = minor * (x[j] - x[i]) % p
+    return minor != 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 65537, 2**31 - 1, 2**61 - 1])
 def test_tail_basis_matches_elimination_fuzz(p):
     # the closed form against the null space of the tail matrix
     # build_B(m, n) = F[m:], F the size's power table: the same canonical
     # vectors for every shape up to 64 points (32 under the explicit
-    # generators), the same errors outside (slow_tail_basis, on build_B)
+    # generators), the same errors outside (slow_tail_basis, on build_B).
+    # The two large moduli check the vectors exactly without eliminating
+    # (is_canonical_null_basis); the others against null_space itself
     fields = [(Field(p), 64)] + [(Field(p, gamma=g), 32) for g in OTHER_GAMMAS.get(p, [])]
     for f, cap in fields:
         for size in range(min(f.p - 1, cap) + 1):
             table = power_table(f, size)
+            packed = packed_columns(f, table)
             for quota in range(size + 1):
                 if size <= 24 and quota < size:
                     assert table[quota:] == linalg.build_B(f, quota, size), (f, quota, size)
-                want = linalg.null_space(f, table[quota:], cols=size)  # the identity at quota == size
-                assert tail_basis(f, quota, size) == want, (f, quota, size)
+                got = tail_basis(f, quota, size)
+                if p < 2**31 - 1:
+                    want = linalg.null_space(f, table[quota:], cols=size)  # the identity at quota == size
+                    assert got == want, (f, quota, size)
+                else:
+                    assert is_canonical_null_basis(f, table, quota, got, packed), (f, quota, size)
         bad = [(-1, 0), (-1, 3), (1, 0), (5, 3), (0, f.p), (f.p - 1, f.p), (-2, -2)]
         for quota, size in bad:
             got = tail_outcome(tail_basis, f, quota, size)
             assert got == tail_outcome(slow_tail_basis, f, quota, size), (f, quota, size)
             assert type(got) is tuple, (f, quota, size)
+
+
+def test_canonical_null_basis_check_rejects_other_bases():
+    # the exact check is no weaker than the elimination: every basis it
+    # accepts equals null_space, and other spanning sets are refused
+    f = Field(2**61 - 1)
+    rng = random.Random(5)
+    for size in range(1, 10):
+        table = power_table(f, size)
+        for quota in range(size + 1):
+            want = linalg.null_space(f, table[quota:], cols=size)
+            assert is_canonical_null_basis(f, table, quota, want)
+            if quota:
+                t = rng.randrange(quota)
+                scaled = [v[:] for v in want]
+                scaled[t] = [2 * x % f.p for x in scaled[t]]  # in the null space, wrong pattern
+                assert not is_canonical_null_basis(f, table, quota, scaled)
+                assert not is_canonical_null_basis(f, table, quota, want[:-1])
+                if quota < size:
+                    off = [v[:] for v in want]
+                    off[t][0] = (off[t][0] + 1) % f.p  # right pattern, not in the null space
+                    assert not is_canonical_null_basis(f, table, quota, off)
+    # 8 points in GF(7) repeat (x_0 = x_6 and x_1 = x_7 for gamma = 3), so
+    # e_7 - e_1 is in the null space with the free-column pattern, but the
+    # first 7 columns are dependent: only the minor rules it out
+    f7 = Field(7)
+    table = power_table(f7, 8)
+    v = [0, f7.p - 1, 0, 0, 0, 0, 0, 1]
+    assert linalg.mat_vec(f7, table[1:], v) == [0] * 7
+    assert not is_canonical_null_basis(f7, table, 1, [v])
+    assert linalg.null_space(f7, table[1:]) != [v]
 
 
 def test_plan_load_eliminates_once(monkeypatch):
@@ -527,6 +616,131 @@ def test_plan_from_parameters_needs_one_entry_per_user():
     ]:
         with pytest.raises(ValueError, match="permutations and scaling maps"):
             plan_from_parameters(*args, perms, alphas)
+
+
+def load_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DmussError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def tampered_parameters(rng, plan):
+    """(what, parameters) pairs: the plan's own constants, then copies
+    with one field tampered with (a quota moves with its block)."""
+    acc, k_count = plan.access, plan.K
+
+    def params(rates=plan.rates, quotas=plan.quotas, blocks=plan.reserved.blocks):
+        return plan.field, acc, rates, quotas, SdrAssignment(tuple(blocks)), plan.perms, plan.alphas
+
+    def rates_with(k, value):
+        return params(rates=plan.rates[:k] + (value,) + plan.rates[k + 1 :])
+
+    def blocks_with(i, block):
+        return plan.reserved.blocks[:i] + (block,) + plan.reserved.blocks[i + 1 :]
+
+    yield "as planned", params()
+    k = rng.randrange(k_count)
+    if k_count >= 2:
+        yield "past pairwise", rates_with(k, planner.pairwise_bound(acc, k + 1) + 1)
+    yield "raised to quota", rates_with(k, plan.quotas[k])
+    past = list(plan.quotas)  # sums to N + 1: past the grand cutset, or a pairwise bound
+    past[k] += 1
+    yield "past cutset", params(rates=tuple(past))
+    r = plan.rates[k]
+    for what, value in [
+        ("float", float(r)), ("Fraction", Fraction(r)), ("True", True), ("False", False),
+        ("-1", -1), ("str", "1"), ("None", None), ("raised", r + 1),
+    ]:
+        yield f"rate {what}", rates_with(k, value)
+    q = plan.quotas[k]
+    for what, value in [("float", float(q)), ("Fraction", Fraction(q)), ("bool", bool(q))]:
+        yield f"quota {what}", params(quotas=plan.quotas[:k] + (value,) + plan.quotas[k + 1 :])
+    blocks = list(plan.reserved.blocks)
+    i, j = rng.sample(range(k_count), 2) if k_count >= 2 else (0, 0)
+    if blocks[i]:
+        node = min(blocks[i])
+        shifted, short, moved = list(plan.quotas), list(plan.quotas), blocks[:]
+        shifted[i] -= 1
+        shifted[j] += 1
+        yield "quota shifted", params(quotas=tuple(shifted))
+        if node in acc.sets[j] and i != j:
+            moved[i], moved[j] = blocks[i] - {node}, blocks[j] | {node}
+            yield "block node moved", params(quotas=tuple(shifted), blocks=moved)
+        short[i] -= 1  # the quotas then sum to N - 1
+        yield "block node dropped", params(quotas=tuple(short), blocks=blocks_with(i, blocks[i] - {node}))
+        outside = sorted(set(range(1, plan.N + 1)) - acc.sets[i])
+        if outside:
+            yield "node outside A_k", params(blocks=blocks_with(i, blocks[i] - {node} | {rng.choice(outside)}))
+        others = [j for j in range(k_count) if j != i and node in acc.sets[j] and blocks[j]]
+        if others:
+            j = rng.choice(others)
+            yield "node listed twice", params(blocks=blocks_with(j, blocks[j] - {min(blocks[j])} | {node}))
+    yield "quotas short", params(quotas=plan.quotas[:-1])
+    yield "blocks short", params(blocks=blocks[:-1])
+
+
+def test_certified_load_matches_slow_reference_fuzz():
+    # the reserved blocks certify the region: the result is the same plan,
+    # or the same exception type and message, as the ordered checks
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(150):
+        f = Field(rng.choice([3, 5, 7, 11, 13, 65537]))
+        acc = random_access(rng, min_users=1, max_users=5, max_nodes=min(f.p - 1, 8))
+        plan = make_plan(f, acc, random_rates_in_region(rng, acc), seed=rng.randrange(100))
+        for what, params in tampered_parameters(rng, plan):
+            got = load_outcome(plan_from_parameters, *params)
+            assert got == load_outcome(slow_plan_from_parameters, *params), (what, params)
+            if what == "as planned":
+                assert got == plan
+            if isinstance(got, planner.Plan):
+                seen[what, "plan"] += 1
+            else:
+                bound = got[1].split("(")[-1].split(")")[0] if got[0] is NotInRegionError else None
+                seen[what, bound if bound in ("pairwise", "cutset") else got[0].__name__] += 1
+    for outcome in [
+        ("as planned", "plan"), ("past pairwise", "pairwise"), ("past cutset", "cutset"),
+        ("raised to quota", "plan"), ("rate raised", "cutset"), ("rate float", "plan"),
+        ("rate Fraction", "plan"), ("rate True", "ValueError"), ("rate -1", "ValueError"),
+        ("quota float", "ValueError"), ("quota bool", "ValueError"), ("quota shifted", "plan"),
+        ("quota shifted", "ValueError"), ("block node moved", "plan"),
+        ("block node dropped", "ValueError"), ("node outside A_k", "ValueError"),
+        ("node listed twice", "ValueError"),
+    ]:
+        assert seen[outcome], (outcome, seen)
+
+
+def test_certified_load_builds_no_cutset_flow(monkeypatch):
+    # a valid plan's blocks prove the region: loading it runs no flow, and
+    # a load that fails the certificate falls back to the flows
+    plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    doc = plan_to_dict(plan)
+    flows = count_calls(monkeypatch, planner_access._CutsetFlow, "__init__")
+    assert plan_from_dict(doc) == plan
+    assert flows == []
+    doc["rates"] = [2, 2, 2, 3]  # within the pairwise bounds, past the grand cutset
+    with pytest.raises(NotInRegionError, match="cutset"):
+        plan_from_dict(doc)
+    assert len(flows) == 1
+
+
+def test_certificate_falls_back_on_malformed_containers():
+    # a container the certificate cannot read is not a verdict: the
+    # ordered checks run and raise what they raised before it existed
+    acc = ref_access()
+    good = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
+    rest = (good.perms, good.alphas)
+    listed = SdrAssignment(blocks=[[8], [3, 4], [1, 2], [5, 6, 7]])  # lists, not sets
+    cases = [
+        ((2, 2, 2, 3), None, good.reserved),  # rates past the grand cutset
+        ((0, 0, 0, 0), (5, 1, 1, 1), None),  # quota 5 on user 1's 4 nodes
+        ((0, 0, 0, 0), (5, 1, 1, 1), listed),
+    ]
+    for rates, quotas, reserved in cases:
+        args = (F11, acc, rates, quotas, reserved, *rest)
+        got = load_outcome(plan_from_parameters, *args)
+        assert type(got) is tuple and got == load_outcome(slow_plan_from_parameters, *args)
 
 
 def test_plan_from_parameters_singular_scalings_rejected():
