@@ -7,24 +7,23 @@ minus the scaled share of the i-th node in A_k:
 
     g_k(gamma_{k,i}) = -alpha_{k,n} * Y_n .
 
-Move the known low coefficients x_k (w_k, then the free pads) to the
-right: user k's equations read B_k t_k + diag(alpha_k) Y_{A_k} = -G_k x_k,
-with t_k the unknown tail coefficients and G_k[i][d] = gamma_{k,i}^d.  The
-permuted null-basis rows P_k annihilate B_k, so multiplying by P_k^T
-leaves P_k^T diag(alpha_k) Y_{A_k} = H_k x_k with H_k = -P_k^T G_k.
-Stacked over all users, that is V^T Y = H x, with V the planner's N x N
-correctness matrix, which the plan guarantees invertible, and H the
-plan's input blocks.  A plan builds both once
-(:attr:`~dmuss.planner.Plan.correctness_transpose`,
-:attr:`~dmuss.planner.Plan.input_blocks`): encoding is the N x N solve
-V^T Y = H x, and the transfer map T = V^T^-1 H from (messages, free
-pads) to shares is that solve with H for H x (:func:`transfer_map`).
-The shares do not need the tails, so encoding does not compute them:
-they are derived on first read of ``pads.tail`` or ``solution``, each
-from the user's own interpolation, and kept.  Decoding is purely local
-to one user:
-interpolate the degree-|A_k|-1 polynomial through the user's scaled
-shares and read the low coefficients back off.
+So user k's low coefficients x_k are the low rows of the inverse
+Vandermonde on its points times -alpha_k Y_{A_k}, and stacked over all
+users that is D Y = x, with D the plan's N x N decode rows
+(:attr:`~dmuss.planner.Plan.decode_rows`), which the plan guarantees
+invertible.  Encoding is the one N x N solve D Y = x, and the transfer
+map T = D^-1 P from (messages, free pads) to shares is that solve with
+P, the permutation from the input order to the users' order, for x
+(:func:`transfer_map`).  The shares do not need the tails (the high
+coefficients), so encoding does not compute them: they are derived on
+first read of ``pads.tail`` or ``solution``, by :func:`decode_all`, and
+kept.
+
+Decoding is local to each user: interpolate the degree-|A_k|-1
+polynomial through the user's scaled shares and read the low
+coefficients back off.  User k's points are gamma^1..gamma^|A_k| in the
+order of its exponent permutation, so users with equal set sizes share
+one Vandermonde, and :func:`decode_all` solves it once for all of them.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _powers
-from .planner import Plan
+from .planner import Plan, _check_exponents
 
 
 class PadSet:
@@ -51,8 +50,8 @@ class PadSet:
 
     The tails are the master node's internal randomness: no node or user
     receives them, and encoding never needs them.  ``tail`` derives them
-    from the shares on first read, by each user's own interpolation
-    (:func:`decode`), and keeps them.  Equality and ``repr`` cover both
+    from the shares on first read, by every user's own interpolation
+    (:func:`decode_all`), and keeps them.  Equality and ``repr`` cover both
     blocks.
     """
 
@@ -66,8 +65,8 @@ class PadSet:
         """tail[k-1]: the |A_k| - R'_k tail coefficients of user k."""
         plan = self._plan
         return [
-            decode(plan, k, self._shares).pads[plan.quotas[k - 1] - plan.rates[k - 1] :]
-            for k in range(1, plan.K + 1)
+            got.pads[quota - r_k :]
+            for got, r_k, quota in zip(decode_all(plan, self._shares), plan.rates, plan.quotas)
         ]
 
     def __eq__(self, other) -> bool:
@@ -120,7 +119,8 @@ def _check_symbols(p: int, values: Sequence, what: str) -> None:
 
 def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
     """Deterministic encode with caller-supplied free pads: one N x N
-    solve of V^T Y = H x, with H the plan's input blocks.
+    solve of D Y = x, with D the plan's decode rows and x every user's
+    message then free pads.
 
     Raises:
         ShapeMismatchError: a message or pad block has the wrong length.
@@ -129,12 +129,12 @@ def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeR
     _check_message_shape(plan, msgs)
     _check_pad_shape(plan, pads_free)
     p = plan.field.p
-    h = []
-    for k, (block, msg, free) in enumerate(zip(plan.input_blocks, msgs, pads_free), start=1):
+    x = []
+    for k, (msg, free) in enumerate(zip(msgs, pads_free), start=1):
         known = list(msg) + list(free)  # degrees 0..R'_k-1
         _check_symbols(p, known, f"user {k} message or pad")
-        h.extend(linalg.mat_vec(plan.field, block, known))
-    shares = linalg.solve(plan.field, plan.correctness_transpose, h)
+        x.extend(known)
+    shares = linalg.solve(plan.field, plan.decode_rows, x)
     return EncodeResult(shares=shares, pads=PadSet([list(b) for b in pads_free], plan, shares))
 
 
@@ -171,8 +171,60 @@ def _shares_for_user(plan: Plan, k: int, shares) -> list:
     return [shares[n - 1] for n in nodes]
 
 
+def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
+    """The DecodeResult of each user in ``users``, in that order: one
+    solve of the natural-order Vandermonde on gamma^1..gamma^n per set
+    size n, whose right-hand sides hold each user's -alpha y at the rows
+    of its exponents."""
+    field = plan.field
+    p = field.p
+    by_size: dict = {}  # set size -> [(user, right-hand side)]
+    for k in users:
+        vals = _shares_for_user(plan, k, shares)
+        _check_symbols(p, vals, f"user {k} share")
+        nodes = plan.access.sorted_set(k)
+        perm = plan.perms[k - 1]
+        _check_exponents(k, perm, len(nodes))
+        alpha = plan.alphas[k - 1]
+        rhs = [0] * len(nodes)
+        for e, n, y in zip(perm, nodes, vals):
+            rhs[e - 1] = -alpha[n] * y % p
+        by_size.setdefault(len(nodes), []).append((k, rhs))
+    coeffs = {}
+    for size, members in by_size.items():
+        vander = [_powers(x, size, p) for x in _powers(field.gamma, size + 1, p)[1:]]
+        if len(members) == 1:  # a one-column block would unpack a list per row
+            k, rhs = members[0]
+            coeffs[k] = linalg.solve(field, vander, rhs)
+            continue
+        block = [list(row) for row in zip(*(rhs for _, rhs in members))]
+        solved = linalg.solve(field, vander, block)
+        for j, (k, _) in enumerate(members):
+            coeffs[k] = [row[j] for row in solved]
+    return [
+        DecodeResult(message=coeffs[k][: plan.rates[k - 1]], pads=coeffs[k][plan.rates[k - 1] :])
+        for k in users
+    ]
+
+
+def decode_all(plan: Plan, shares) -> list:
+    """Every user's DecodeResult, in user order, from one share vector or
+    mapping (as :func:`decode` takes).  Users with the same set size share
+    their points, so each distinct size costs one Vandermonde solve
+    against a block of right-hand sides.
+
+    Raises:
+        ShapeMismatchError: shares are missing for some node.
+        BadSymbolError: a share on some A_k is not in GF(p).
+        SingularMatrixError: some user's exponents are not a permutation
+            of 1..|A_k|, or |A_k| exceeds p - 1.
+    """
+    return _decode_users(plan, range(1, plan.K + 1), shares)
+
+
 def decode(plan: Plan, k: int, shares) -> DecodeResult:
-    """Recover user k's message from the shares on its access set.
+    """Recover user k's message from the shares on its access set: the
+    one-user case of :func:`decode_all`.
 
     ``shares`` is either the full length-N share vector or a mapping
     node -> symbol covering at least A_k.
@@ -181,22 +233,12 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
         ShapeMismatchError: k is not an int (not a bool) in 1..K, or
             shares are missing for some node of A_k.
         BadSymbolError: a share on A_k is not in GF(p).
+        SingularMatrixError: user k's exponents are not a permutation of
+            1..|A_k|, or |A_k| exceeds p - 1.
     """
     if type(k) is not int or not 1 <= k <= plan.K:
         raise ShapeMismatchError(f"user {k!r} is not in 1..{plan.K}")
-    field = plan.field
-    p = field.p
-    vals = _shares_for_user(plan, k, shares)
-    _check_symbols(p, vals, f"user {k} share")
-    gammas = plan.gammas(k)
-    size = len(gammas)
-    nodes = plan.access.sorted_set(k)
-    vander = [_powers(g, size, p) for g in gammas]
-    alpha = plan.alphas[k - 1]
-    rhs = [-alpha[n] * y % p for n, y in zip(nodes, vals)]
-    coeffs = linalg.solve(field, vander, rhs)
-    r_k = plan.rates[k - 1]
-    return DecodeResult(message=coeffs[:r_k], pads=coeffs[r_k:])
+    return _decode_users(plan, (k,), shares)[0]
 
 
 @dataclass
@@ -208,8 +250,9 @@ class TransferMap:
     padded lengths sum to N.  The scheme's secrecy and storage-entropy
     claims are rank statements about this matrix.  Given a plan,
     :func:`~dmuss.verify.check_privacy` and :func:`~dmuss.verify.check_entropy`
-    read them off T's factors and never build it; given a bare map, they
-    and :func:`~dmuss.verify.brute_force_audit` work on the matrix.
+    read them off T's inverse, the plan's decode rows, and never build it;
+    given a bare map, they and :func:`~dmuss.verify.brute_force_audit` work
+    on the matrix.
     """
 
     field: object
@@ -252,12 +295,13 @@ class TransferMap:
 
 
 def transfer_map(plan: Plan) -> TransferMap:
-    """Build the input-to-shares matrix T: encode's solve of V^T T = H,
-    with all of H as the right-hand side instead of H x.
+    """Build the input-to-shares matrix T: encode's solve of D T = P,
+    with P for x.
 
-    H places each user's input block H_k (:attr:`Plan.input_blocks`) at
-    the user's R'_k rows and at its message and free-pad input columns;
-    every other entry is 0.
+    D is the plan's decode rows, whose row (k, d) reads user k's
+    coefficient d; P is the 0/1 permutation that puts input column j at
+    the row of the coefficient it feeds: user k's message, then its free
+    pads.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
@@ -266,16 +310,15 @@ def transfer_map(plan: Plan) -> TransferMap:
     tm = TransferMap(
         field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]
     )
-    h = linalg.zeros(n, n)
+    perm = linalg.zeros(n, n)
     row = 0
-    for block, r_k, quota, msg_off, pad_off in zip(
-        plan.input_blocks, plan.rates, plan.quotas, tm.message_offsets, tm.pad_offsets
+    for r_k, quota, msg_off, pad_off in zip(
+        plan.rates, plan.quotas, tm.message_offsets, tm.pad_offsets
     ):
-        for block_row in block:  # message columns, then free-pad columns
-            h[row][msg_off : msg_off + r_k] = block_row[:r_k]
-            h[row][pad_off : pad_off + quota - r_k] = block_row[r_k:]
+        for d in range(quota):  # message columns, then free-pad columns
+            perm[row][msg_off + d if d < r_k else pad_off + d - r_k] = 1
             row += 1
-    tm.matrix = linalg.solve(plan.field, plan.correctness_transpose, h)
+    tm.matrix = linalg.solve(plan.field, plan.decode_rows, perm)
     return tm
 
 

@@ -133,7 +133,7 @@ def instance_from_dict(doc: dict) -> tuple:
     raw_access = _require(doc, "access", list)
     if not raw_access or not all(isinstance(s, list) for s in raw_access):
         raise FileFormatError("access must be a list of node lists")
-    sets = [_int_list(s, "access set") for s in raw_access]
+    sets = [_node_list(s, "access set") for s in raw_access]
     try:
         acc = AccessStructure.of(sets)
         field = Field(p)

@@ -121,6 +121,20 @@ def _powers(x: int, count: int, p: int) -> list[int]:
     return out
 
 
+def _inverses(values: list[int], p: int) -> list[int]:
+    """The inverses of nonzero ``values`` mod p with one ``pow``: prefix
+    products, one inversion of their total, then a backward walk."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], p - 2, p)
+    out = [0] * len(values)
+    for j in range(len(values) - 1, -1, -1):
+        out[j] = inv * prefix[j] % p
+        inv = inv * values[j] % p
+    return out
+
+
 class Field:
     """GF(p) for prime p, with a designated primitive element ``gamma``.
 

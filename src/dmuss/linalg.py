@@ -20,6 +20,8 @@ sums in between (see :func:`_echelon` and :func:`_reduce`).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import (
     BadShapeError,
     BadSymbolError,
@@ -50,8 +52,9 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
     """a @ v.  ShapeMismatchError unless a is a list of rows as long as v;
-    BadSymbolError for an entry that cannot be multiplied and summed (a
-    str, None, a list)."""
+    BadSymbolError for an entry that is not an int (a float, a str, None,
+    a list), as the eliminations refuse them: a float would leave the
+    field."""
     p = field.p
     try:
         ragged = any(len(row) != len(v) for row in a)
@@ -59,10 +62,10 @@ def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
         raise ShapeMismatchError(f"need a list of row lists and a vector: {exc}") from exc
     if ragged:
         raise ShapeMismatchError(f"every matrix row needs the vector's {len(v)} entries")
-    try:
-        return [sum(x * y for x, y in zip(row, v)) % p for row in a]
-    except TypeError as exc:
-        raise BadSymbolError(f"matrix and vector entries must be ints: {exc}") from exc
+    for x in chain(v, *a):
+        if not isinstance(x, int):
+            raise BadSymbolError(f"matrix and vector entries must be ints, got {x!r}")
+    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
 def _width(p: int, rows: int) -> int:

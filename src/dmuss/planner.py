@@ -13,22 +13,37 @@ A finished :class:`Plan` fixes, for every user k:
 Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
-nonsingular; :func:`correctness_matrix` writes it, from the rows a plan
-derives once (:attr:`Plan.basis_rows`).  A plan keeps its transpose V^T
-(:attr:`Plan.correctness_transpose`), for the determinant check, and
-the input map H (:attr:`Plan.input_blocks`): encoding solves V^T Y = H x,
-the transfer map is V^T^-1 H, and privacy and entropy are read off
-these factors.  Only inside
-:func:`make_plan`, before the reserved rows' scalings zeta are chosen,
-is it split as ``diag(zeta) @ C + D``: C holds the reserved nodes' rows
-unscaled and D the other rows.  C is block-diagonal up to row
-permutation, hence nonsingular by construction, which makes
-det(diag(zeta) @ C + D) a multilinear polynomial in zeta whose leading
-coefficient det(C) is nonzero -- so suitable all-nonzero scalings zeta
-always exist over GF(p), p >= 3, and a deterministic sweep can find one
-when random sampling runs out of luck.
+nonsingular.  :func:`correctness_matrix` writes V (:func:`plan_decomposition`,
+which ``dmuss demo`` prints), from the rows :attr:`Plan.basis_rows`
+derives once.
 
-The null-space bases need no elimination.  User k's tail matrix
+A plan checks that condition on an operator that needs no null basis.
+User k's polynomial has degree |A_k| - 1, its low R'_k coefficients are
+its message and free pads, and its value at gamma^{pi_k(i)} is minus the
+i-th node's scaled share; so the map from the N shares to every user's
+(message, free pads) stacks each user's low inverse-Vandermonde rows,
+scaled by -alpha: :attr:`Plan.decode_rows`, written in closed form by
+:func:`_lagrange_rows`.  That matrix is H^-1 V^T, where H_k = -P_k^T G_k
+maps user k's low coefficients to its R'_k rows of V^T Y (P_k its basis
+rows, G_k[i][d] = gamma_{k,i}^d).  Every H_k is invertible: a
+polynomial of degree < R'_k that agrees at |A_k| distinct points with
+one spanned by x^R'_k..x^(|A_k|-1) is 0.  So det(decode_rows) != 0
+exactly when det V != 0, and the load's determinant, encoding, the
+transfer map and the privacy and entropy checks all read decode_rows.
+
+Only inside :func:`make_plan`, before the reserved nodes' scalings zeta
+are chosen, is its transpose split as ``diag(zeta) @ C + D``: C holds
+the reserved nodes' rows unscaled and D the other rows.  C is
+block-diagonal up to row permutation, hence nonsingular by
+construction, which makes det(diag(zeta) @ C + D) a multilinear
+polynomial in zeta whose leading coefficient det(C) is nonzero -- so
+suitable all-nonzero scalings zeta always exist over GF(p), p >= 3, and
+a deterministic sweep can find one when random sampling runs out of
+luck.  The split is V's own split times H^-T, so every determinant
+:func:`choose_zeta` takes is V's times the same zeta-free factor
+prod_k det H_k^-1, and zeta is the one V's split would give.
+
+The null-space bases need no elimination either.  User k's tail matrix
 evaluates the monomials x^m..x^(n-1) (m = R'_k, n = |A_k|) at n distinct
 nonzero points, so it generates a generalised Reed-Solomon code and its
 null space is the dual code, written down by Lagrange interpolation on
@@ -61,13 +76,14 @@ from .access import (
     validate_quotas,
 )
 from .errors import (
+    BadShapeError,
     BadSymbolError,
     FieldTooSmallError,
     NotInRegionError,
     PlanningFailedError,
     SingularMatrixError,
 )
-from .gf import Field, _powers
+from .gf import Field, _inverses, _powers
 from .linalg import Matrix
 from .sdr import SdrAssignment, find_sdr, validate_sdr
 
@@ -122,41 +138,38 @@ class Plan:
         return _basis_rows(self.field, self.quotas, self.perms)
 
     @cached_property
-    def correctness_transpose(self) -> Matrix:
-        """V^T, the transposed correctness matrix, built on first use and
-        kept off the value fields like :attr:`basis_rows`.  The plan's own
-        determinant check, :func:`~dmuss.codec.encode_with_pads`,
-        :func:`~dmuss.codec.transfer_map` and :func:`~dmuss.verify.check_privacy`
-        share it, so callers must not mutate it; :func:`plan_decomposition`
-        returns a fresh V."""
-        return linalg.transpose(plan_decomposition(self))
+    def decode_rows(self) -> Matrix:
+        """The N x N map from the shares to every user's (message, free pads).
+
+        Row (k, d), for d < R'_k and in user order, holds
+        -alpha_{k,n} L[d][pi_k(i)] at the i-th node n of the sorted A_k,
+        with L user k's :func:`_lagrange_rows`, and 0 off A_k.  It equals
+        H^-1 V^T (see the module docstring), so it is nonsingular exactly
+        when V is.  Built on first use and kept off the value fields like
+        :attr:`basis_rows`; the load's determinant check,
+        :func:`~dmuss.codec.encode_with_pads`, :func:`~dmuss.codec.transfer_map`
+        and the privacy and entropy checks share it, so callers must not
+        mutate it.
+
+        Raises:
+            SingularMatrixError: some user's exponents are not a
+                permutation of 1..|A_k| (see :func:`_check_exponents`).
+            FieldTooSmallError: some |A_k| exceeds p - 1.
+            BadShapeError: some R'_k is not in 0..|A_k|.
+        """
+        alphas = self.alphas
+        return _decode_rows(
+            self.field, self.access, self.quotas, self.perms, lambda k, n: alphas[k - 1][n]
+        )
 
     @cached_property
-    def _correctness_det(self) -> int:
-        """det V (= det V^T), computed on first use and kept off the value
-        fields like :attr:`correctness_transpose`.  :func:`plan_from_parameters`
+    def _decode_det(self) -> int:
+        """det :attr:`decode_rows`, zero exactly when det V is, computed on
+        first use and kept off the value fields.  :func:`plan_from_parameters`
         computes it to accept a plan, so a loaded plan's later checks
         (:func:`~dmuss.verify.check_privacy`, :func:`~dmuss.verify.check_entropy`)
         read it without another N x N elimination."""
-        return linalg.det(self.field, self.correctness_transpose)
-
-    @cached_property
-    def input_blocks(self) -> list:
-        """User k's R'_k x R'_k input map H_k = -P_k^T G_k at index k-1, with
-        P_k = ``basis_rows[k-1]`` and G_k[i][d] = gamma_{k,i}^d (d < R'_k).
-        Built on first use and kept off the value fields like :attr:`basis_rows`;
-        encode and the transfer map share it, so callers must not mutate it."""
-        p = self.field.p
-        blocks = []
-        for k, (rows, quota) in enumerate(zip(self.basis_rows, self.quotas), start=1):
-            gammas = self.gammas(k)
-            minus_gt = []  # -G_k^T, row d = -gamma^d: one multiplication per entry
-            row = [p - 1] * len(gammas)
-            for _ in range(quota):
-                minus_gt.append(row)
-                row = [y * g % p for y, g in zip(row, gammas)]
-            blocks.append([linalg.mat_vec(self.field, minus_gt, col) for col in zip(*rows)])
-        return blocks
+        return linalg.det(self.field, self.decode_rows)
 
 
 def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
@@ -211,14 +224,7 @@ def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
             if i != j:
                 d = d * (x[j] - x[i]) % p
         dens.append(d)
-    prefix = [1]
-    for d in dens:
-        prefix.append(prefix[-1] * d % p)
-    inv = pow(prefix[q], p - 2, p)
-    scale = [0] * q
-    for j in range(q - 1, -1, -1):
-        scale[j] = inv * prefix[j] % p
-        inv = inv * dens[j] % p
+    scale = _inverses(dens, p)
     vectors = []
     for f in range(q, set_size):
         xf = x[f]
@@ -265,6 +271,106 @@ def _basis_rows(field: Field, quotas: Sequence[int], perms: Sequence) -> list:
     return rows
 
 
+def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
+    """The low ``count`` rows of the inverse Vandermonde on gamma^1..gamma^n.
+
+    With n = ``size`` and x_e = gamma^e, entry [d][e-1] is L_n[d][e], the
+    x^d coefficient of the Lagrange basis polynomial
+    l_e = omega / ((x - x_e) omega'(x_e)), omega = prod_e (x - x_e): so
+    row d of the result times the values of a polynomial of degree < n at
+    x_1..x_n is its x^d coefficient (Macon and Spitzbart, "Inverses of
+    Vandermonde matrices", Amer. Math. Monthly 1958).  The low
+    coefficients of the quotient q = omega / (x - x_e) follow from
+    omega = (x - x_e) q: q_0 = -omega_0 / x_e, q_d = (q_{d-1} - omega_d) / x_e.
+
+    The points are a geometric progression, so omega and omega' need no
+    product expansion.  With c_t = gamma^t - 1 (nonzero for t < p - 1)
+    and P_t = c_1 ... c_t:
+
+    * omega'(x_e) = prod_{j != e} (x_e - x_j)
+      = (-1)^(n-e) gamma^(e(e-1)/2 + e(n-e)) P_{e-1} P_{n-e};
+    * omega_d = (-1)^(n-d) gamma^(k(k+1)/2) [n, d]_gamma with k = n - d,
+      by Gauss's q-binomial theorem, and the Gaussian binomial
+      [n, d] = c_n c_{n-1} ... c_{n-d+1} / P_d.
+
+    The n slopes and the P_d are inverted together with one ``pow``:
+    O(n * count) multiplications, the size of the result, and no
+    elimination.
+
+    Raises:
+        BadShapeError: unless 0 <= count <= size.
+        FieldTooSmallError: size exceeds p-1, so the points collide.
+    """
+    if not 0 <= count <= size:
+        raise BadShapeError(f"need 0 <= R'_k <= |A_k|, got {count} and {size}")
+    if size > field.p - 1:
+        raise FieldTooSmallError(f"{size} evaluation points need p-1 >= {size}, got p={field.p}")
+    p, g, n = field.p, field.gamma, size
+    x = _powers(g, n + 1, p)  # x[e] = gamma^e
+    inv_x = _powers(pow(g, p - 2, p), n + 1, p)  # gamma^-e
+    prefix = [1]  # P_t, t < n
+    for t in range(1, n):
+        prefix.append(prefix[-1] * (x[t] - 1) % p)
+    slopes, lift = [], 1
+    for e in range(1, n + 1):
+        lift = lift * x[n - e] % p  # the exponent grows by n - e
+        s = lift * prefix[e - 1] % p * prefix[n - e] % p
+        slopes.append(s if (n - e) % 2 == 0 else p - s)
+    inverses = _inverses(slopes + prefix[:count], p)
+    inv_slopes, inv_prefix = inverses[:n], inverses[n:]
+    omega, lift, top = [], pow(g, n * (n + 1) // 2 % (p - 1), p), 1
+    for d in range(count):
+        w = lift * top % p * inv_prefix[d] % p
+        omega.append(w if (n - d) % 2 == 0 else -w % p)
+        lift = lift * inv_x[n - d] % p  # k(k+1)/2 falls by k
+        top = top * (x[n - d] - 1) % p
+    table, q = [], [0] * n
+    for w in omega:
+        q = [(qe - w) * ix % p for qe, ix in zip(q, inv_x[1:])]
+        table.append([qe * s % p for qe, s in zip(q, inv_slopes)])
+    return table
+
+
+def _check_exponents(k: int, perm: Sequence[int], size: int) -> None:
+    """SingularMatrixError unless user k's exponents are a permutation of
+    1..size: a repeat repeats a point, and the natural-order tables
+    (:func:`_lagrange_rows`, decode's Vandermonde) hold no other."""
+    if sorted(perm) != list(range(1, size + 1)):
+        raise SingularMatrixError(f"user {k}: exponents {list(perm)} are not a permutation of 1..{size}")
+
+
+def _decode_rows(
+    field: Field,
+    acc: AccessStructure,
+    quotas: Sequence[int],
+    perms: Sequence,
+    scale: Callable[[int, int], int],
+    tables: dict | None = None,
+) -> Matrix:
+    """:attr:`Plan.decode_rows` with node scalings ``scale(k, n)``: row
+    (k, d) holds -scale(k, n) L[d][pi_k(i)] at the i-th node n of the
+    sorted A_k.  L is built once per distinct (|A_k|, R'_k) and kept in
+    ``tables``, which calls on the same field may share."""
+    p, n_total = field.p, acc.N
+    tables = {} if tables is None else tables
+    rows = []
+    for k, (quota, perm) in enumerate(zip(quotas, perms), start=1):
+        nodes = acc.sorted_set(k)
+        key = (len(nodes), quota)
+        if key not in tables:
+            tables[key] = _lagrange_rows(field, *key)
+        _check_exponents(k, perm, len(nodes))
+        cols = [n - 1 for n in nodes]
+        slots = [e - 1 for e in perm]
+        minus = [-scale(k, n) for n in nodes]
+        for lag in tables[key]:
+            row = [0] * n_total
+            for c, e, a in zip(cols, slots, minus):
+                row[c] = a * lag[e] % p
+            rows.append(row)
+    return rows
+
+
 def correctness_matrix(
     field: Field,
     acc: AccessStructure,
@@ -293,8 +399,8 @@ def correctness_matrix(
 def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
     """All-nonzero row scalings with det(diag(zeta) @ c + d) != 0.
 
-    c and d are :func:`make_plan`'s split of the correctness matrix (see
-    the module docstring).
+    c and d are :func:`make_plan`'s split of the transposed decode rows
+    (see the module docstring).
 
     Phase one samples each coordinate uniformly from the nonzero elements
     with a seeded generator, up to 64 * N full draws.  Phase two walks the
@@ -365,9 +471,9 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     perms = tuple(
         choose_permutation(acc.sorted_set(k), reserved.sorted_block(k)) for k in range(1, acc.K + 1)
     )
-    rows = _basis_rows(field, quotas, perms)
-    c = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n in reserved.block(k)))
-    d = correctness_matrix(field, acc, quotas, rows, lambda k, n: int(n not in reserved.block(k)))
+    args, tables = (field, acc, quotas, perms), {}
+    c = linalg.transpose(_decode_rows(*args, lambda k, n: int(n in reserved.block(k)), tables))
+    d = linalg.transpose(_decode_rows(*args, lambda k, n: int(n not in reserved.block(k)), tables))
     zeta = choose_zeta(field, c, d, seed)
     alphas = [
         {n: zeta[n - 1] if n in reserved.block(k) else 1 for n in acc.sorted_set(k)}
@@ -435,7 +541,10 @@ def plan_from_parameters(
 
     Used for deserialization and for reproducing published worked
     examples.  All structural invariants are rechecked, and the
-    correctness matrix must come out invertible.
+    correctness matrix V must come out invertible.  That is checked on
+    :attr:`Plan.decode_rows` = H^-1 V^T, whose determinant is det V over
+    prod_k det H_k, nonzero for every user (see the module docstring):
+    one N x N elimination, which the plan keeps for its later checks.
 
     The region and the quotas are first read off the plan's own
     certificate (:func:`_certified`): int rates within the pairwise
@@ -484,6 +593,6 @@ def plan_from_parameters(
         perms=tuple(tuple(p_) for p_ in perms),
         alphas=tuple(dict(a) for a in alphas),
     )
-    if plan._correctness_det == 0:
+    if plan._decode_det == 0:
         raise SingularMatrixError("supplied constants give a singular correctness matrix")
     return plan

@@ -12,20 +12,17 @@ map T from (messages, free pads) to shares, with the inputs uniform:
   Z, so the rank rises by rank(Z cut to w_k's coordinates);
 * correctness: each user's local interpolation returns its message.
 
-Given a :class:`~dmuss.planner.Plan`, the rank checks never build T.  A
-plan holds T's factors, T = V^T^-1 H, with V the correctness matrix
-(nonsingular, or both checks raise) and H block-diagonal by user up to
-the order of its columns: user k's R'_k x R'_k block H_k
-(:attr:`~dmuss.planner.Plan.input_blocks`) maps its message and free
-pads to its R'_k rows.  So rank(T) = rank(H) = sum_k rank(H_k), and when
-every H_k is invertible, T^-1 = H^-1 V^T: the rows of T^-1 for w_k are
-M_k, the first R_k rows of H_k^-1 times user k's R'_k rows of V^T, and
-they vanish outside A_k.  T has full rank then, so T's rows on A_{k'}
-have rank |A_{k'}| and their kernel is spanned by T^-1's columns at the
-nodes outside A_{k'}: pair (k, k') costs one rank of M_k on the columns
-A_k minus A_{k'}, and the plan costs K small solves.  A bare
-:class:`~dmuss.codec.TransferMap`, or a plan with a singular H_k, takes
-one null space per observer instead.
+Given a :class:`~dmuss.planner.Plan`, the rank checks never build T.
+A plan holds T's inverse up to the order of its rows: the decode rows D
+(:attr:`~dmuss.planner.Plan.decode_rows`), whose rows for user k map the
+shares to its message and free pads, and which vanish outside A_k.  D is
+nonsingular (or both checks raise), so T has full rank N.  T's rows on
+A_{k'} then have rank |A_{k'}|, and their kernel is spanned by T^-1's
+columns at the nodes outside A_{k'}: pair (k, k') costs one rank of M_k,
+D's rows for w_k, on the columns A_k minus A_{k'}, and the plan costs no
+solve beyond D's determinant, which the plan keeps.  A bare
+:class:`~dmuss.codec.TransferMap` takes one null space per observer
+instead.
 
 The rank criteria are exact, not statistical.  For tiny instances
 :func:`brute_force_audit` additionally enumerates every input and checks
@@ -41,15 +38,11 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .codec import TransferMap, decode, encode, transfer_map
+from .codec import TransferMap, decode_all, encode, transfer_map
 from .errors import SingularMatrixError, TooLargeError
 from .planner import Plan
 
 AUDIT_INPUT_CAP = 20000  # p**N beyond this refuses to enumerate
-
-
-def _as_transfer_map(target) -> TransferMap:
-    return transfer_map(target) if isinstance(target, Plan) else target
 
 
 @dataclass
@@ -80,43 +73,25 @@ class PrivacyReport:
 
 
 def _require_nonsingular(plan: Plan) -> None:
-    if plan._correctness_det == 0:
+    if plan._decode_det == 0:
         raise SingularMatrixError("the plan's correctness matrix is singular")
 
 
-def _message_rows(plan: Plan) -> list | None:
-    """M_k at index k-1: the rows of T^-1 for user k's message, on the
-    columns of the sorted A_k (the others are zero), or None when some H_k
-    is singular and T^-1 = H^-1 V^T does not hold.
-
-    M_k is the first R_k rows of the solve of H_k M = user k's R'_k rows of
-    V^T cut to A_k's columns.  Raises SingularMatrixError when V is.
-    """
-    _require_nonsingular(plan)
-    vt = plan.correctness_transpose
-    rows, off = [], 0
-    for k, (block, r_k, quota) in enumerate(
-        zip(plan.input_blocks, plan.rates, plan.quotas), start=1
-    ):
-        nodes = plan.access.sorted_set(k)
-        vt_k = [[row[n - 1] for n in nodes] for row in vt[off : off + quota]]
-        off += quota
-        try:
-            rows.append(linalg.solve(plan.field, block, vt_k)[:r_k])
-        except SingularMatrixError:
-            return None
-    return rows
-
-
-def _factored_ranks(plan: Plan, message_rows: list):
+def _decode_row_ranks(plan: Plan):
     """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus the
-    rank of M_k on the columns A_k minus A_{k'}."""
-    nodes = [plan.access.sorted_set(k) for k in range(1, plan.K + 1)]
+    rank of M_k on the columns A_k minus A_{k'}, with M_k the first R_k of
+    user k's decode rows.  Raises SingularMatrixError when the plan's
+    correctness matrix is singular."""
+    _require_nonsingular(plan)
+    message_rows, off = [], 0
+    for r_k, quota in zip(plan.rates, plan.quotas):
+        message_rows.append(plan.decode_rows[off : off + r_k])
+        off += quota
 
     def ranks(k: int, k2: int) -> tuple:
         seen = plan.access.user_set(k2)
-        hidden = [i for i, n in enumerate(nodes[k - 1]) if n not in seen]
-        cut = [[row[i] for i in hidden] for row in message_rows[k - 1]]
+        hidden = [n - 1 for n in plan.access.sorted_set(k) if n not in seen]
+        cut = [[row[c] for c in hidden] for row in message_rows[k - 1]]
         return len(seen), len(seen) + linalg.rank(plan.field, cut)
 
     return ranks
@@ -146,24 +121,18 @@ def check_privacy(target) -> PrivacyReport:
     rank([O; E_k]) = rank(O) + rank(Z[w_k, :]) for the selector E_k of
     user k's message coordinates w_k, because rowspace(O) = ker(O)^perp.
 
-    Given a plan whose input blocks H_k are all invertible, T is
-    invertible, rank(O) = |A_{k'}| and the columns of T^-1 = H^-1 V^T at
-    the nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the rank
-    of T^-1's w_k rows on those columns, which vanish outside A_k.  Each
-    user costs one R'_k x R'_k solve for its rows of T^-1, and each
-    (secret user, observer) pair one rank of an R_k x |A_k minus A_{k'}|
-    matrix; T is never built.  Otherwise (a bare transfer map, or a
-    singular H_k) each observer costs one null space of O, and each pair
-    one rank of a dim Z x R_k matrix.
+    Given a plan, T is invertible, rank(O) = |A_{k'}| and the columns of
+    T^-1 at the nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the
+    rank of T^-1's w_k rows on those columns.  Those rows are user k's
+    first R_k decode rows, which vanish outside A_k, so each (secret user,
+    observer) pair costs one rank of an R_k x |A_k minus A_{k'}| matrix and
+    T is never built.  Given a bare transfer map, each observer costs one
+    null space of O, and each pair one rank of a dim Z x R_k matrix.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
     """
-    message_rows = _message_rows(target) if isinstance(target, Plan) else None
-    if message_rows is not None:
-        ranks = _factored_ranks(target, message_rows)
-    else:
-        ranks = _kernel_ranks(_as_transfer_map(target))
+    ranks = _decode_row_ranks(target) if isinstance(target, Plan) else _kernel_ranks(target)
     k_count = len(target.rates)
     pairs = []
     for k in range(1, k_count + 1):
@@ -198,16 +167,16 @@ class EntropyReport:
 def check_entropy(target) -> EntropyReport:
     """Shares are jointly uniform iff the transfer map has full rank.
 
-    Given a plan, T = V^T^-1 H is never built: V is nonsingular, so
-    rank(T) = rank(H) = sum_k rank(H_k), one R'_k x R'_k rank per user.
+    Given a plan, T is never built: its inverse, up to the order of its
+    rows, is the plan's decode rows, so T has rank N once their
+    determinant is nonzero.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
     """
     if isinstance(target, Plan):
         _require_nonsingular(target)
-        rank = sum(linalg.rank(target.field, block) for block in target.input_blocks)
-        return EntropyReport(rank=rank, nodes=target.N)
+        return EntropyReport(rank=target.N, nodes=target.N)
     return EntropyReport(rank=linalg.rank(target.field, target.matrix), nodes=len(target.matrix))
 
 
@@ -229,8 +198,9 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     once.  It checks that the decode returns the message, and that the
     user's polynomial -- the message, the free pads and the tail
     coefficients that decode recovered -- meets its scaled shares at
-    every evaluation point.  A trial costs one N x N solve and K
-    decodes.  Raises ValueError unless trials is an int (not a bool) >= 1.
+    every evaluation point.  A trial costs one N x N solve and one
+    :func:`~dmuss.codec.decode_all`: one Vandermonde solve per distinct
+    set size.  Raises ValueError unless trials is an int (not a bool) >= 1.
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"need an int of at least 1 trial, got {trials!r}")
@@ -248,7 +218,7 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     for trial in range(trials):
         msgs = [[rng.randrange(p) for _ in range(r)] for r in plan.rates]
         res = encode(plan, msgs, seed=rng.randrange(1 << 30))
-        decoded = [decode(plan, k, res.shares) for k in range(1, plan.K + 1)]
+        decoded = decode_all(plan, res.shares)
         for k, got in enumerate(decoded, start=1):
             if got.message != msgs[k - 1]:
                 note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")
@@ -310,7 +280,7 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
             AUDIT_INPUT_CAP).
     """
     plan = target if isinstance(target, Plan) else None
-    tm = _as_transfer_map(target)
+    tm = target if plan is None else transfer_map(plan)
     p = tm.field.p
     n = len(tm.matrix)
     total = p ** tm.input_dim
@@ -339,9 +309,9 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
             key = (tuple(w), obs)
             counts[pair][key] = counts[pair].get(key, 0) + 1
         if plan is not None:
-            for k in range(1, k_count + 1):
+            for k, got in enumerate(decode_all(plan, y), start=1):
                 w = x[msg_offsets[k - 1] : msg_offsets[k - 1] + tm.rates[k - 1]]
-                if decode(plan, k, y).message != list(w):
+                if got.message != list(w):
                     roundtrip_failures += 1
 
     pair_reports = []

@@ -399,6 +399,41 @@ def system_matrix(plan) -> linalg.Matrix:
     return a
 
 
+def slow_decode_rows(plan) -> linalg.Matrix:
+    """H^-1 V^T by :func:`slow_solve`, with column (k, d) of H the
+    :func:`slow_projection` of user k's input e_d (its message, then its
+    free pads) and V the plan's correctness matrix."""
+    n = plan.N
+    columns = []
+    for k in range(1, plan.K + 1):
+        for d in range(plan.quotas[k - 1]):
+            msgs = [[0] * r for r in plan.rates]
+            pads = [[0] * (q - r) for r, q in zip(plan.rates, plan.quotas)]
+            r = plan.rates[k - 1]
+            if d < r:
+                msgs[k - 1][d] = 1
+            else:
+                pads[k - 1][d - r] = 1
+            columns.append(slow_projection(plan, msgs, pads))
+    h = linalg.transpose(columns) if n else []
+    return slow_solve(plan.field, h, linalg.transpose(plan_decomposition(plan)))
+
+
+def slow_decode(plan, k, shares) -> codec.DecodeResult:
+    """User k's own Vandermonde on its points in the order of its sorted
+    access set, built with ``pow`` and solved by :func:`slow_solve`
+    against the scaled shares; ``shares`` is a length-N vector or a
+    mapping node -> symbol."""
+    p = plan.field.p
+    nodes = plan.access.sorted_set(k)
+    vals = [shares[n] for n in nodes] if isinstance(shares, dict) else [shares[n - 1] for n in nodes]
+    vander = [[pow(g, d, p) for d in range(len(nodes))] for g in plan.gammas(k)]
+    rhs = [-plan.alpha(k, n) * y % p for n, y in zip(nodes, vals)]
+    coeffs = slow_solve(plan.field, vander, rhs)
+    r = plan.rates[k - 1]
+    return codec.DecodeResult(message=coeffs[:r], pads=coeffs[r:])
+
+
 # --- pairwise privacy and the column-by-column transfer map: slow references ------
 
 
@@ -467,10 +502,10 @@ def slow_transfer_map(plan) -> linalg.Matrix:
 
 def slow_check_correctness(plan, trials=100, seed=0) -> CorrectnessReport:
     """The round trips of ``check_correctness`` with the share identity
-    read off the encode's own ``pads.tail``, which derives each tail by
-    one more decode: 2K decodes a trial, not K.  ``codec.encode`` and
-    ``codec.decode`` are looked up on each call, so a test can inject a
-    fault into both."""
+    read off the encode's own ``pads.tail``, which derives the tails by
+    one more decode of every user: two ``decode_all`` a trial, not one.
+    ``codec.encode`` and ``codec.decode_all`` are looked up on each call,
+    so a test can inject a fault into both."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
     rng = random.Random(seed)
@@ -487,8 +522,7 @@ def slow_check_correctness(plan, trials=100, seed=0) -> CorrectnessReport:
     for trial in range(trials):
         msgs = [[rng.randrange(p) for _ in range(r)] for r in plan.rates]
         res = codec.encode(plan, msgs, seed=rng.randrange(1 << 30))
-        for k in range(1, plan.K + 1):
-            got = codec.decode(plan, k, res.shares)
+        for k, got in enumerate(codec.decode_all(plan, res.shares), start=1):
             if got.message != msgs[k - 1]:
                 note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")
         for k in range(1, plan.K + 1):

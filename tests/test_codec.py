@@ -6,7 +6,9 @@ of the worked example; structural tests recompute expectations
 independently from the defining polynomial identity.
 """
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from conftest import (
     random_access,
     random_rates_in_region,
     rhs_vector,
+    slow_decode,
+    slow_decode_rows,
     slow_det,
-    slow_projection,
     slow_rref,
     slow_solve,
     slow_tail_basis,
@@ -32,14 +35,23 @@ from dmuss.codec import (
     EncodeResult,
     PadSet,
     decode,
+    decode_all,
     encode,
     encode_with_pads,
     memory_share,
     transfer_map,
 )
-from dmuss.errors import BadSymbolError, DmussError, IncompatiblePlansError, ShapeMismatchError
+from dmuss.errors import (
+    BadSymbolError,
+    DmussError,
+    FieldTooSmallError,
+    IncompatiblePlansError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from dmuss.gf import Field
 from dmuss.planner import make_plan
+from dmuss.verify import check_entropy, check_privacy
 
 # frozen regression values for the reference instance
 REF_RHS = [-v % 11 for v in [1, 1, 1, 1, 5, 1, 6, 4, 4, 4, 4, 4, 3, 5, 7, 10, 10]]
@@ -148,9 +160,10 @@ def test_encode_reference_frozen(ref_plan, ref_messages, ref_encoded):
 
 
 def test_encode_solves_only_for_the_shares(monkeypatch, ref_plan, ref_messages):
-    # one N x N solve per encode; the K tail decodes wait for the first read
+    # one N x N solve per encode; the tails' decode of every user waits
+    # for the first read
     solves = spy(monkeypatch, linalg, "solve", lambda field, a, s: len(a))
-    decodes = spy(monkeypatch, codec, "decode", lambda plan, k, shares: k)
+    decodes = spy(monkeypatch, codec, "decode_all", lambda plan, shares: len(shares))
     tails = [REF_PADS[k] for k in range(1, 5)]
     for first in ("tail", "solution"):
         res = encode_with_pads(ref_plan, ref_messages, [[] for _ in range(4)])
@@ -159,9 +172,9 @@ def test_encode_solves_only_for_the_shares(monkeypatch, ref_plan, ref_messages):
             assert res.pads.tail == tails
         else:
             assert res.solution == REF_SOLUTION
-        assert decodes == [1, 2, 3, 4]
+        assert decodes == [ref_plan.N]
         assert res.pads.tail == tails and res.solution == REF_SOLUTION
-        assert decodes == [1, 2, 3, 4]  # later reads derive nothing
+        assert decodes == [ref_plan.N]  # later reads derive nothing
         solves.clear()
         decodes.clear()
     encode(ref_plan, ref_messages, seed=3)
@@ -329,39 +342,98 @@ def test_transfer_map_matches_encode_fuzz():
             assert tm.apply(x) == encode_with_pads(plan, msgs, pads).shares
 
 
-def test_input_blocks_match_projection_oracle_fuzz():
-    # column d of H_k is the projection P_k^T s of the rhs_vector of user
-    # k's input e_d, and that projection is 0 outside k's R'_k rows
+def test_decode_rows_match_slow_reference_fuzz():
+    # the closed-form rows equal H^-1 V^T by elimination, and user k's
+    # rows equal the low rows of its own Vandermonde's inverse times
+    # -alpha on A_k, 0 elsewhere
     rng = random.Random(45)
-    empty = full = big_field = 0
+    seen = Counter()
     for _ in range(200):
-        acc = random_access(rng, max_users=5, max_nodes=8)
-        rates = random_rates_in_region(rng, acc)
-        p = rng.choice([11, 13, 17, 65537])
-        plan = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
-        assert len(plan.input_blocks) == plan.K
-        row = 0
-        for k, block in enumerate(plan.input_blocks, start=1):
-            r, quota = plan.rates[k - 1], plan.quotas[k - 1]
-            assert len(block) == quota and all(len(b) == quota for b in block)
+        p = rng.choice([3, 5, 7, 11, 13, 65537, 2**31 - 1])
+        acc = random_access(rng, max_users=5, max_nodes=8, max_set_size=p - 1)
+        plan = make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
+        rows = plan.decode_rows
+        assert rows == slow_decode_rows(plan)
+        off = 0
+        for k in range(1, plan.K + 1):
+            nodes, quota = acc.sorted_set(k), plan.quotas[k - 1]
+            g = plan.gammas(k)
+            inv = linalg.inverse(plan.field, [[pow(x, d, p) for d in range(len(g))] for x in g])
             for d in range(quota):
-                known = [int(i == d) for i in range(quota)]
-                msgs = [[0] * rj for rj in plan.rates]
-                pads = [[0] * (qj - rj) for rj, qj in zip(plan.rates, plan.quotas)]
-                msgs[k - 1], pads[k - 1] = known[:r], known[r:]
                 want = [0] * plan.N
-                want[row : row + quota] = [b[d] for b in block]
-                assert slow_projection(plan, msgs, pads) == want
-            row += quota
-            empty += quota == 0
-            full += quota == len(acc.user_set(k))
-        big_field += p == 65537
-    assert empty >= 100 and full >= 100 and big_field >= 30
+                for i, n in enumerate(nodes):
+                    want[n - 1] = -plan.alpha(k, n) * inv[d][i] % p
+                assert rows[off + d] == want, (plan, k, d)
+            off += quota
+            seen["empty"] += quota == 0
+            seen["full"] += quota == len(nodes)
+        seen["single user"] += plan.K == 1
+        seen[p] += 1
+    assert seen["empty"] >= 100 and seen["full"] >= 100 and seen["single user"] >= 10
+    assert all(seen[p] >= 15 for p in (3, 5, 7, 11, 13, 65537, 2**31 - 1)), seen
+
+
+def test_decode_all_matches_slow_decode_fuzz():
+    # one Vandermonde solve per set size gives every user's per-user
+    # solve, from share vectors and from share maps
+    rng = random.Random(46)
+    shared = distinct = maps = 0
+    for _ in range(150):
+        p = rng.choice([5, 11, 13, 65537])
+        acc = random_access(rng, max_users=6, max_nodes=9, max_set_size=p - 1)
+        plan = make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
+        for _ in range(3):
+            shares = [rng.randrange(p) for _ in range(plan.N)]
+            if rng.random() < 0.5:
+                shares = {n: y for n, y in enumerate(shares, start=1)}
+                maps += 1
+            want = [slow_decode(plan, k, shares) for k in range(1, plan.K + 1)]
+            assert decode_all(plan, shares) == want
+            assert [decode(plan, k, shares) for k in range(1, plan.K + 1)] == want
+        sizes = [len(s) for s in acc.sets]
+        shared += len(set(sizes)) < len(sizes)
+        distinct += len(set(sizes)) > 1
+    assert shared >= 50 and distinct >= 50 and maps >= 150
+
+
+def test_decode_all_solves_once_per_set_size(monkeypatch, ref_plan, ref_encoded):
+    solves = spy(monkeypatch, linalg, "solve", lambda f, a, b: (len(a), isinstance(b[0], list) and len(b[0])))
+    got = decode_all(ref_plan, ref_encoded.shares)
+    assert [g.message for g in got] == [REF_DECODED[k] for k in range(1, 5)]
+    assert [g.pads for g in got] == [REF_PADS[k] for k in range(1, 5)]
+    assert solves == [(4, 3), (5, False)]  # users 1-3 share four points; user 4 alone: a vector
+    with pytest.raises(ShapeMismatchError):
+        decode_all(ref_plan, {1: 0, 3: 0})
+    with pytest.raises(BadSymbolError):
+        decode_all(ref_plan, [11] + ref_encoded.shares[1:])
+
+
+def test_malformed_plans_raise_from_every_reader(ref_plan):
+    # exponents that are not a permutation of 1..|A_k| repeat a point, and
+    # |A_k| > p - 1 points collide: the decode rows refuse both, and so
+    # does everything that reads them
+    twice = dataclasses.replace(ref_plan, perms=((1, 1, 2, 3),) + ref_plan.perms[1:])
+    small = dataclasses.replace(ref_plan, field=Field(3))  # sets of 4 and 5 points
+    readers = [
+        lambda plan: plan.decode_rows,
+        lambda plan: encode(plan, [[0] * r for r in plan.rates], seed=1),
+        transfer_map,
+        check_privacy,
+        check_entropy,
+    ]
+    for plan, error in [(twice, SingularMatrixError), (small, FieldTooSmallError)]:
+        for read in readers:
+            with pytest.raises(error):
+                read(plan)
+    with pytest.raises(SingularMatrixError):
+        decode(twice, 1, REF_SHARES)
+    with pytest.raises(SingularMatrixError):
+        decode_all(small, [0] * 8)
 
 
 def test_transfer_map_matches_column_oracle_fuzz():
-    # the solve of V^T T = H must equal V^T's inverse times the
-    # column-by-column projections, bit for bit
+    # the solve of D T = P against the decode rows must equal V^T's
+    # inverse times the column-by-column projections, bit for bit
     rng = random.Random(44)
     with_pads = small_field = 0
     for _ in range(200):
@@ -375,15 +447,18 @@ def test_transfer_map_matches_column_oracle_fuzz():
     assert with_pads >= 50 and small_field >= 100
 
 
-def test_transfer_map_is_one_solve_with_h_as_its_right_hand_side(monkeypatch):
-    # encode solves V^T Y = H x; the transfer map is that solve with all
-    # of H, N columns, and reduces nothing else
+def test_transfer_map_is_one_solve_against_the_input_permutation(monkeypatch):
+    # encode solves D Y = x with D the decode rows; the transfer map is
+    # that solve with the 0/1 input permutation, N columns, and reduces
+    # nothing else
     plan = make_plan(Field(13), AccessStructure.of([[1, 2, 3], [2, 3, 4], [1, 4, 5]]), (1, 1, 1))
     assert plan.quotas != plan.rates
-    solves = spy(monkeypatch, linalg, "solve", lambda f, a, b: (len(a), [len(row) for row in b]))
+    solves = spy(monkeypatch, linalg, "solve", lambda f, a, b: (a, b))
     rrefs = spy(monkeypatch, linalg, "rref", lambda f, a: len(a))
     tm = transfer_map(plan)
-    assert solves == [(plan.N, [plan.N] * plan.N)]
+    [(a, b)] = solves
+    assert a is plan.decode_rows
+    assert sorted(b) == sorted(linalg.identity(plan.N)) and b != linalg.identity(plan.N)
     assert rrefs == []
     assert tm.matrix == slow_transfer_map(plan)
 

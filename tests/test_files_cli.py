@@ -172,6 +172,18 @@ def test_plan_repeated_node_is_format_error(tmp_path, capsys, key, user, repeat)
     assert "more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "plan"])
+def test_instance_repeated_node_is_format_error(tmp_path, capsys, command):
+    # [[1, 1, 2], [2, 3]] used to load as {1, 2} and {2, 3}: check and plan
+    # answered for another instance than the file states
+    doc = {"format": "dmuss.instance/1", "p": 11, "access": [[1, 1, 2], [2, 3]], "rates": [1, 1]}
+    with pytest.raises(FileFormatError, match="more than once"):
+        instance_from_dict(doc)
+    assert main([command, write_doc(tmp_path, "inst.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "access set lists a node more than once" in captured.err
+
+
 def test_plan_to_dict_never_repeats_a_node():
     small = make_plan(Field(13), AccessStructure.of([[1, 2, 3], [3, 4]]), (1, 1), seed=4)
     for plan in (demo.demo_plan(), small):
@@ -666,7 +678,7 @@ def test_cli_verify_selected_checks_only(tmp_path, capsys):
 
 
 def test_cli_verify_builds_transfer_map_only_for_brute_force(tmp_path, capsys, monkeypatch):
-    """Default verify reads privacy and entropy off the plan's factors: no
+    """Default verify reads privacy and entropy off the plan's decode rows: no
     transfer map, no null space, no N x N rank, and one N x N determinant,
     the one that loading the plan file takes.  Only --brute-force builds T."""
     plan = demo.demo_plan()

@@ -308,6 +308,10 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
     for v in ([1, "a"], [1, None], [1, [2]]):
         with pytest.raises(BadSymbolError):
             linalg.mat_vec(F11, [[1, 2]], v)
+    # floats used to pass through: [[1.5, 2]] @ [2, 1] gave [5.0]
+    for a, v in (([[1.5, 2]], [2, 1]), ([[1, 2]], [2.0, 1]), ([[1, 2], [3, 4.0]], [1, 1])):
+        with pytest.raises(BadSymbolError, match="must be ints"):
+            linalg.mat_vec(F11, a, v)
     assert linalg.det(F11, [(1, 2), (3, 4)]) == 9  # tuple rows still eliminate
 
 

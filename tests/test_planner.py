@@ -16,6 +16,7 @@ from conftest import (
     random_access,
     random_rates_in_region,
     slow_choose_permutation,
+    slow_decode_rows,
     slow_plan_from_parameters,
     slow_tail_basis,
     spy,
@@ -46,7 +47,7 @@ from dmuss.planner import (
     tail_basis,
 )
 from dmuss.sdr import SdrAssignment, validate_sdr
-from dmuss.verify import check_correctness
+from dmuss.verify import check_correctness, check_entropy, check_privacy
 
 F11 = Field(11, gamma=8)
 REF_SETS = [[1, 6, 7, 8], [1, 3, 4, 7], [1, 2, 3, 8], [2, 4, 5, 6, 7]]
@@ -264,6 +265,23 @@ def test_plan_load_eliminates_once(monkeypatch):
     assert loaded == plan and loaded.basis_rows == plan.basis_rows
 
 
+def test_lagrange_rows_are_the_low_inverse_vandermonde_rows():
+    # the closed form (q-binomial omega, product-formula slopes) against
+    # the inverse of the natural-order Vandermonde, for every shape up to
+    # 20 points, p - 1 points included (omega = x^(p-1) - 1 there)
+    fields = [Field(p) for p in (2, 3, 5, 7, 11, 13, 17, 65537, 2**31 - 1)]
+    fields += [Field(5, gamma=3), Field(11, gamma=7), Field(13, gamma=11), Field(65537, gamma=5)]
+    for f in fields:
+        for size in range(min(f.p - 1, 20) + 1):
+            vander = [[pow(f.gamma, e * d, f.p) for d in range(size)] for e in range(1, size + 1)]
+            inv = linalg.inverse(f, vander)
+            for count in range(size + 1):
+                assert planner._lagrange_rows(f, size, count) == inv[:count], (f, size, count)
+    for count, size, error in [(-1, 3, BadShapeError), (4, 3, BadShapeError), (0, 5, FieldTooSmallError)]:
+        with pytest.raises(error):
+            planner._lagrange_rows(Field(5), size, count)
+
+
 # --- permutation choice ------------------------------------------------------------
 
 
@@ -421,67 +439,108 @@ def test_decomposition_structure():
 
 
 def test_plan_derives_its_basis_rows_once(monkeypatch):
+    # planning, loading, encoding and the transfer map read no null basis;
+    # the correctness matrix V derives the rows on first use, once a plan
     calls = count_calls(monkeypatch, planner, "tail_basis")
     acc = ref_access()
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
-    calls.clear()
-    encode(plan, msgs, seed=1)
-    assert len(calls) == acc.K
-    calls.clear()
+    loaded = plan_from_dict(plan_to_dict(plan))
     for seed in range(3):
         encode(plan, msgs, seed=seed)
-    transfer_map(plan)
-    plan_decomposition(plan)
+    transfer_map(loaded)
+    check_correctness(loaded, trials=2)
     assert calls == []
-    loaded = plan_from_dict(plan_to_dict(plan))
-    encode(loaded, msgs, seed=1)
+    plan_decomposition(plan)
+    assert len(calls) == acc.K
+    plan_decomposition(plan)
     assert len(calls) == acc.K
 
 
 def test_plan_builds_its_correctness_transpose_once(monkeypatch):
-    # the load's det check, every encode and the transfer map share one V^T
-    calls = count_calls(monkeypatch, planner, "plan_decomposition")
+    # V^T is carried as H^-1 V^T, the decode rows: planning never builds
+    # them, V^T itself is never built, and the load's det check, every
+    # encode, the transfer map and verify share one per plan
+    calls = spy(monkeypatch, planner.Plan.__dict__["decode_rows"], "func", id)
+    v_builds = count_calls(monkeypatch, planner, "correctness_matrix")
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    assert calls == []
     loaded = plan_from_dict(plan_to_dict(plan))
-    assert len(calls) == 1
+    assert calls == [id(loaded)]
     for p in (loaded, plan):
         for seed in range(3):
             encode(p, msgs, seed=seed)
         transfer_map(p)
-    assert len(calls) == 2
-    want = linalg.transpose(correctness_matrix(F11, plan.access, plan.quotas, plan.basis_rows, plan.alpha))
-    assert plan.correctness_transpose == loaded.correctness_transpose == want
+        check_correctness(p, trials=2)
+        check_privacy(p)
+        check_entropy(p)
+    assert calls == [id(loaded), id(plan)]
+    assert v_builds == []
+    assert plan.decode_rows == loaded.decode_rows == slow_decode_rows(plan)
 
 
 def test_plan_builds_its_input_blocks_once(monkeypatch):
-    # planning and loading never need H; the transfer map and every encode share it
-    calls = spy(monkeypatch, planner.Plan.__dict__["input_blocks"], "func", id)
+    # each user's block of the decode rows reads the Lagrange table of its
+    # shape (|A_k|, R'_k): make_plan's zeta split builds one per distinct
+    # shape for both halves, each plan's decode rows one more, and the
+    # encodes, the transfer map and verify build none
+    calls = spy(monkeypatch, planner, "_lagrange_rows", lambda f, size, count: (size, count))
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
-    plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
+    acc = ref_access()
+    plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
+    shapes = sorted({(len(s), q) for s, q in zip(acc.sets, plan.quotas)})
+    assert len(shapes) < acc.K  # two users share a table
+    assert sorted(calls) == shapes
+    calls.clear()
     loaded = plan_from_dict(plan_to_dict(plan))
-    assert calls == []
-    transfer_map(plan)
-    for seed in range(3):
-        encode(plan, msgs, seed=seed)
-    check_correctness(plan, trials=2)
-    assert calls == [id(plan)]
-    encode(loaded, msgs, seed=1)
-    assert calls == [id(plan), id(loaded)]
+    assert sorted(calls) == shapes
+    for p in (loaded, plan):
+        for seed in range(3):
+            encode(p, msgs, seed=seed)
+        transfer_map(p)
+        check_correctness(p, trials=2)
+        check_privacy(p)
+        check_entropy(p)
+    assert sorted(calls) == sorted(shapes * 2)
 
 
 def test_basis_rows_stay_off_the_plan_value():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     fresh = dataclasses.replace(plan)
     doc, text = plan_to_dict(fresh), repr(fresh)
-    for _ in range(2):  # before, then after, the rows, V^T and H are derived
+    for _ in range(2):  # before, then after, the rows and the decode rows are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
         assert plan.basis_rows == fresh.basis_rows
-        assert plan.correctness_transpose == fresh.correctness_transpose
-        assert plan.input_blocks == fresh.input_blocks
+        assert plan.decode_rows == fresh.decode_rows
     assert plan_from_dict(doc) == plan
+
+
+@pytest.mark.parametrize("budget", ["random", "sweep"])
+def test_zeta_from_decode_row_split_equals_zeta_from_v_split(monkeypatch, budget):
+    # the decode-row split is V's split times H^-T, so every determinant
+    # choose_zeta takes scales by one zeta-free factor: both splits give
+    # the same zeta, in the random phase and, with no draws, in the sweep
+    if budget == "sweep":
+        monkeypatch.setattr(planner, "RANDOM_TRIALS_PER_ROW", 0)
+    rng = random.Random(37)
+    cases = []
+    for _ in range(60):
+        f = Field(rng.choice([3, 5, 7, 11, 13, 65537]))
+        acc = random_access(rng, max_users=5, max_nodes=9, max_set_size=f.p - 1)
+        cases.append((f, acc, random_rates_in_region(rng, acc), rng.randrange(1000)))
+    gen = load_bench_gen(monkeypatch)
+    for seed in (1, 2):
+        for inp in (gen.store_input(seed), gen.retrieve_input(seed)):
+            cases.append((Field(inp.p), AccessStructure.of(inp.access), inp.rates, seed))
+    for f, acc, rates, seed in cases:
+        plan = make_plan(f, acc, rates, seed=seed)
+        reserved = plan.reserved
+        args = (f, acc, plan.quotas, plan.basis_rows)
+        c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
+        d = correctness_matrix(*args, lambda k, n: int(n not in reserved.block(k)))
+        assert choose_zeta(f, c, d, seed) == split_matrices(plan)[2], (f, acc, rates, seed)
 
 
 def load_bench_gen(monkeypatch):

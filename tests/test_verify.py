@@ -166,45 +166,49 @@ def test_correctness_on_fresh_plan():
             check_correctness(plan, trials=trials)
 
 
-def test_correctness_trial_costs_one_share_solve_and_k_decodes(monkeypatch):
+def test_correctness_trial_costs_one_share_solve_and_one_decode_per_set_size(monkeypatch):
     rng = random.Random(95)
     acc = random_access(rng, min_users=4, max_users=6, max_nodes=12)
     plan = make_plan(Field(65537), acc, random_rates_in_region(rng, acc), seed=2)
+    sizes = {len(s) for s in acc.sets}
+    assert len(sizes) < acc.K  # some users share a point set
     solves = spy(monkeypatch, linalg, "solve", lambda field, a, s: len(a))
-    checked = spy(monkeypatch, verify, "decode", lambda plan, k, shares: k)
-    derived = spy(monkeypatch, codec, "decode", lambda plan, k, shares: k)  # tails
+    checked = spy(monkeypatch, verify, "decode_all", lambda plan, shares: len(shares))
+    derived = spy(monkeypatch, codec, "decode_all", lambda plan, shares: len(shares))  # tails
     assert check_correctness(plan, trials=1).ok
-    assert checked == list(range(1, acc.K + 1)) and derived == []
-    assert sorted(solves) == sorted([acc.N] + [len(s) for s in acc.sets])
+    assert checked == [acc.N] and derived == []
+    assert sorted(solves) == sorted([acc.N, *sizes])
 
 
-def faulty_decode(real, fault):
-    """``real`` decode with ``fault`` applied to the result of the user
-    with the longest tail whenever the share vector sums to an even
+def faulty_decode_all(real, fault):
+    """``real`` decode_all with ``fault`` applied to the result of the
+    user with the longest tail whenever the share vector sums to an even
     number, so some trials fail and others pass."""
 
-    def decode(plan, k, shares):
-        got = real(plan, k, shares)
-        tails = [len(s) - q for s, q in zip(plan.access.sets, plan.quotas)]
-        if k != tails.index(max(tails)) + 1 or sum(shares) % 2:
+    def decode_all(plan, shares):
+        got = real(plan, shares)
+        if sum(shares) % 2:
             return got
+        tails = [len(s) - q for s, q in zip(plan.access.sets, plan.quotas)]
+        k = tails.index(max(tails))
         p = plan.field.p
-        message, pads = list(got.message), list(got.pads)
+        message, pads = list(got[k].message), list(got[k].pads)
         if fault in ("message", "both") and message:
             message[0] = (message[0] + 1) % p
         if fault in ("tail", "both") and pads:
             pads[-1] = (pads[-1] + 1) % p
-        return DecodeResult(message=message, pads=pads)
+        return got[:k] + [DecodeResult(message=message, pads=pads)] + got[k + 1 :]
 
-    return decode
+    return decode_all
 
 
 def test_correctness_matches_slow_reference_fuzz(monkeypatch):
     # the share identity reads the tails check_correctness decoded itself;
-    # the reference reads pads.tail, derived by K more decodes.  Reports
-    # agree, and under a faulty decode their failure paths agree too.
+    # the reference reads pads.tail, derived by one more decode of every
+    # user.  Reports agree, and under a faulty decode their failure paths
+    # agree too.
     rng = random.Random(96)
-    real = codec.decode
+    real = codec.decode_all
     failed = set()
     for _ in range(40):
         acc = random_access(rng, max_users=4, max_nodes=8)
@@ -212,9 +216,9 @@ def test_correctness_matches_slow_reference_fuzz(monkeypatch):
         plan = make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
         trials, seed = rng.randint(1, 4), rng.randrange(10**6)
         for fault in (None, "message", "tail", "both"):
-            decode = real if fault is None else faulty_decode(real, fault)
-            monkeypatch.setattr(codec, "decode", decode)
-            monkeypatch.setattr(verify, "decode", decode)
+            decode_all = real if fault is None else faulty_decode_all(real, fault)
+            monkeypatch.setattr(codec, "decode_all", decode_all)
+            monkeypatch.setattr(verify, "decode_all", decode_all)
             got = check_correctness(plan, trials=trials, seed=seed)
             assert got == slow_check_correctness(plan, trials=trials, seed=seed), fault
             if not got.ok:
@@ -368,7 +372,7 @@ def test_privacy_takes_one_null_space_per_observer(monkeypatch):
     assert len(calls) == 12
 
 
-# --- the plan's own factors against the transfer map --------------------------------
+# --- the plan's decode rows against the transfer map --------------------------------
 
 
 def planned(rng, min_users=1):
@@ -379,16 +383,17 @@ def planned(rng, min_users=1):
 
 
 def leaky(rng, plan):
-    """The plan with its rates raised at random toward its quotas.  V and H
-    depend only on the quotas, perms and alphas, so T is unchanged and the
-    pairs whose hidden nodes no longer cover R_k really leak."""
+    """The plan with its rates raised at random toward its quotas.  The
+    decode rows depend only on the quotas, perms and alphas, so T is
+    unchanged and the pairs whose hidden nodes no longer cover R_k really
+    leak."""
     rates = tuple(rng.randint(r, q) for r, q in zip(plan.rates, plan.quotas))
     return dataclasses.replace(plan, rates=rates)
 
 
 def repeated_exponent(rng, plan):
     """The plan with one exponent of one user copied over another, or None
-    when no user has two points: V, some H_k, or neither turns singular."""
+    when no user has two points."""
     users = [k for k, perm in enumerate(plan.perms) if len(perm) > 1]
     if not users:
         return None
@@ -401,42 +406,31 @@ def repeated_exponent(rng, plan):
 
 def test_factored_checks_match_transfer_map_and_slow_reference_fuzz(monkeypatch):
     """check_privacy and check_entropy on a plan equal the TransferMap path
-    and slow_check_privacy on planned, leaky and repeated-exponent plans.
-    Only a plan with a singular H_k builds T, once, for its privacy; a
-    singular V raises from both checks."""
+    and slow_check_privacy on planned and leaky plans, and build no T.  A
+    repeated exponent repeats a point: the transfer map and both checks
+    raise."""
     rng = random.Random(151)
     built = spy(monkeypatch, verify, "transfer_map", lambda plan: plan)
-    leaked = singular_v = singular_h = 0
+    leaked = repeated = 0
     for _ in range(300):
         plan = planned(rng)
-        targets = [plan, leaky(rng, plan)]
         broken = repeated_exponent(rng, plan)
         if broken is not None:
-            try:
-                transfer_map(broken)
-            except SingularMatrixError:
-                singular_v += 1
+            repeated += 1
+            for check in (transfer_map, check_privacy, check_entropy):
                 with pytest.raises(SingularMatrixError):
-                    check_privacy(broken)
-                with pytest.raises(SingularMatrixError):
-                    check_entropy(broken)
-            else:
-                targets.append(broken)
-        for target in targets:
-            h_ok = all(
-                linalg.rank(target.field, block) == len(block) for block in target.input_blocks
-            )
-            singular_h += not h_ok
+                    check(broken)
+        for target in (plan, leaky(rng, plan)):
             built.clear()
             privacy = check_privacy(target)
             entropy = check_entropy(target)
-            assert built == ([] if h_ok else [target])
+            assert built == []
             tm = transfer_map(target)
             assert privacy == check_privacy(tm)
             assert privacy.pairs == slow_check_privacy(tm)
             assert entropy == check_entropy(tm)
             leaked += sum(not pair.private for pair in privacy.pairs)
-    assert leaked >= 300 and singular_v >= 50 and singular_h >= 5
+    assert leaked >= 300 and repeated >= 200
 
 
 def test_leak_is_the_excess_over_the_pairwise_bound():
