@@ -123,11 +123,14 @@ def _powers(x: int, count: int, p: int) -> list[int]:
 
 def _inverses(values: list[int], p: int) -> list[int]:
     """The inverses of nonzero ``values`` mod p with one ``pow``: prefix
-    products, one inversion of their total, then a backward walk."""
+    products, one inversion of their total, then a backward walk.  The
+    inversion is ``pow(x, -1, p)``, the extended Euclidean algorithm,
+    which takes O(log p) divisions where Fermat's x^(p-2) squares
+    log p times."""
     prefix = [1]
     for v in values:
         prefix.append(prefix[-1] * v % p)
-    inv = pow(prefix[-1], p - 2, p)
+    inv = pow(prefix[-1], -1, p)
     out = [0] * len(values)
     for j in range(len(values) - 1, -1, -1):
         out[j] = inv * prefix[j] % p

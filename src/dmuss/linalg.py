@@ -147,7 +147,7 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
             d = -d
         pivot = column[0]
         d = d * pivot % p
-        inv = pow(pivot, p - 2, p)
+        inv = pow(pivot, -1, p)
         tail = _fields(r[lead] >> shift, w, cols - col)  # the fields left of col are 0 mod p
         lead_row = r[lead] = _pack([x * inv for x in tail], w, p) << shift
         for i, f in enumerate(column[1:], lead + 1):

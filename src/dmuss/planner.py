@@ -307,7 +307,7 @@ def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
         raise FieldTooSmallError(f"{size} evaluation points need p-1 >= {size}, got p={field.p}")
     p, g, n = field.p, field.gamma, size
     x = _powers(g, n + 1, p)  # x[e] = gamma^e
-    inv_x = _powers(pow(g, p - 2, p), n + 1, p)  # gamma^-e
+    inv_x = _powers(pow(g, -1, p), n + 1, p)  # gamma^-e
     prefix = [1]  # P_t, t < n
     for t in range(1, n):
         prefix.append(prefix[-1] * (x[t] - 1) % p)
@@ -432,7 +432,7 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
         work[i] = d[i]
         delta = linalg.det(field, work)
         # det as a function of this coordinate v is v * kappa + delta
-        forbidden = -delta * pow(kappa, p - 2, p) % p
+        forbidden = -delta * pow(kappa, -1, p) % p
         v = next((cand for cand in range(1, p) if cand != forbidden), None)
         if v is None:
             raise PlanningFailedError(

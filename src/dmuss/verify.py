@@ -12,17 +12,35 @@ map T from (messages, free pads) to shares, with the inputs uniform:
   Z, so the rank rises by rank(Z cut to w_k's coordinates);
 * correctness: each user's local interpolation returns its message.
 
-Given a :class:`~dmuss.planner.Plan`, the rank checks never build T.
-A plan holds T's inverse up to the order of its rows: the decode rows D
+Given a :class:`~dmuss.planner.Plan`, the rank checks never build T and
+eliminate nothing beyond D's determinant, which the plan keeps.  A plan
+holds T's inverse up to the order of its rows: the decode rows D
 (:attr:`~dmuss.planner.Plan.decode_rows`), whose rows for user k map the
 shares to its message and free pads, and which vanish outside A_k.  D is
 nonsingular (or both checks raise), so T has full rank N.  T's rows on
 A_{k'} then have rank |A_{k'}|, and their kernel is spanned by T^-1's
-columns at the nodes outside A_{k'}: pair (k, k') costs one rank of M_k,
-D's rows for w_k, on the columns A_k minus A_{k'}, and the plan costs no
-solve beyond D's determinant, which the plan keeps.  A bare
-:class:`~dmuss.codec.TransferMap` takes one null space per observer
-instead.
+columns at the nodes outside A_{k'}: pair (k, k') raises the rank by the
+rank of M_k, D's rows for w_k, on the columns A_k minus A_{k'}.  M_k is
+the low R_k rows of the inverse Vandermonde on gamma^1..gamma^|A_k|,
+its columns permuted by pi_k and scaled by -alpha, so the lemma below
+gives that rank as min(R_k, |A_k minus A_{k'}|): the pair is private
+exactly when R_k <= |A_k minus A_{k'}|, the paper's pairwise bound.  A
+bare :class:`~dmuss.codec.TransferMap` takes one null space per observer
+and one rank per pair instead.
+
+The lemma: for distinct nonzero points x_1..x_n and r <= n, any set S
+of columns of the low r rows of the inverse Vandermonde has rank
+min(r, |S|) (its entries are the Lagrange coefficients of Macon and
+Spitzbart, "Inverses of Vandermonde matrices", 1958).  Column j holds
+the low r coefficients of the Lagrange polynomial l_j.  Suppose
+|S| <= r and sum_{j in S} c_j l_j has no coefficient below degree r.
+It is x^r Q with deg Q <= n - 1 - r, and it vanishes at the n - |S|
+points outside S, which are nonzero, so Q does too: more roots than
+its degree allows, so Q = 0, and c = 0 since the l_j are independent.
+For |S| > r any r of the columns already have rank r.  Scaling a column
+by a nonzero alpha keeps the rank, and one scaled by 0 drops out.  The
+gamma^e qualify: the determinant check refuses exponents that are not a
+permutation of 1..|A_k| and any |A_k| > p - 1.
 
 The rank criteria are exact, not statistical.  For tiny instances
 :func:`brute_force_audit` additionally enumerates every input and checks
@@ -39,7 +57,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .codec import TransferMap, decode_all, encode, transfer_map
-from .errors import SingularMatrixError, TooLargeError
+from .errors import ShapeMismatchError, SingularMatrixError, TooLargeError
+from .gf import _powers
 from .planner import Plan
 
 AUDIT_INPUT_CAP = 20000  # p**N beyond this refuses to enumerate
@@ -77,22 +96,30 @@ def _require_nonsingular(plan: Plan) -> None:
         raise SingularMatrixError("the plan's correctness matrix is singular")
 
 
-def _decode_row_ranks(plan: Plan):
-    """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus the
-    rank of M_k on the columns A_k minus A_{k'}, with M_k the first R_k of
-    user k's decode rows.  Raises SingularMatrixError when the plan's
-    correctness matrix is singular."""
+def _pairwise_ranks(plan: Plan):
+    """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus
+    min(R_k, |A_k minus A_{k'}|), the rank of M_k (user k's first R_k
+    decode rows) on those columns by the lemma in the module docstring.
+    A node whose scaling is 0 mod p gives M_k a zero column and is not
+    counted.  No elimination.
+
+    Raises:
+        SingularMatrixError: the plan's correctness matrix is singular.
+        ShapeMismatchError: some R_k is not an int in 0..R'_k, so M_k is
+            not among user k's decode rows.
+    """
     _require_nonsingular(plan)
-    message_rows, off = [], 0
-    for r_k, quota in zip(plan.rates, plan.quotas):
-        message_rows.append(plan.decode_rows[off : off + r_k])
-        off += quota
+    acc, p = plan.access, plan.field.p
+    for k, (r_k, quota) in enumerate(zip(plan.rates, plan.quotas), start=1):
+        if type(r_k) is not int or not 0 <= r_k <= quota:
+            raise ShapeMismatchError(f"user {k}: rate {r_k!r} is not an int in 0..R'_k = {quota}")
+    scaled = [
+        {n for n in acc.user_set(k) if alphas[n] % p} for k, alphas in enumerate(plan.alphas, start=1)
+    ]
 
     def ranks(k: int, k2: int) -> tuple:
-        seen = plan.access.user_set(k2)
-        hidden = [n - 1 for n in plan.access.sorted_set(k) if n not in seen]
-        cut = [[row[c] for c in hidden] for row in message_rows[k - 1]]
-        return len(seen), len(seen) + linalg.rank(plan.field, cut)
+        seen = acc.user_set(k2)
+        return len(seen), len(seen) + min(plan.rates[k - 1], len(scaled[k - 1] - seen))
 
     return ranks
 
@@ -124,15 +151,19 @@ def check_privacy(target) -> PrivacyReport:
     Given a plan, T is invertible, rank(O) = |A_{k'}| and the columns of
     T^-1 at the nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the
     rank of T^-1's w_k rows on those columns.  Those rows are user k's
-    first R_k decode rows, which vanish outside A_k, so each (secret user,
-    observer) pair costs one rank of an R_k x |A_k minus A_{k'}| matrix and
-    T is never built.  Given a bare transfer map, each observer costs one
-    null space of O, and each pair one rank of a dim Z x R_k matrix.
+    first R_k decode rows, which vanish outside A_k: the low R_k rows of
+    an inverse Vandermonde at distinct nonzero points, whose columns on
+    A_k minus A_{k'} have rank min(R_k, |A_k minus A_{k'}|) (the lemma in
+    the module docstring).  So a plan's pairs cost no elimination beyond
+    the determinant the plan keeps, and T is never built.  Given a bare
+    transfer map, each observer costs one null space of O, and each pair
+    one rank of a dim Z x R_k matrix.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
+        ShapeMismatchError: a plan's rate R_k is not an int in 0..R'_k.
     """
-    ranks = _decode_row_ranks(target) if isinstance(target, Plan) else _kernel_ranks(target)
+    ranks = _pairwise_ranks(target) if isinstance(target, Plan) else _kernel_ranks(target)
     k_count = len(target.rates)
     pairs = []
     for k in range(1, k_count + 1):
@@ -208,6 +239,7 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     p = plan.field.p
     failures = 0
     first = None
+    users = None  # each user's nodes, points and scalings
 
     def note(msg):
         nonlocal failures, first
@@ -219,19 +251,23 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
         msgs = [[rng.randrange(p) for _ in range(r)] for r in plan.rates]
         res = encode(plan, msgs, seed=rng.randrange(1 << 30))
         decoded = decode_all(plan, res.shares)
+        if users is None:  # once decode_all has checked each perm is 1..|A_k|
+            users = []
+            for k, perm in enumerate(plan.perms, start=1):
+                x = _powers(plan.field.gamma, len(perm) + 1, p)
+                users.append((plan.access.sorted_set(k), [x[e] for e in perm], plan.alphas[k - 1]))
         for k, got in enumerate(decoded, start=1):
             if got.message != msgs[k - 1]:
                 note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")
         # defining identity: g_k(gamma_{k,i}) == -alpha * Y_n
-        for k, got in enumerate(decoded, start=1):
+        for k, (got, (nodes, points, alphas)) in enumerate(zip(decoded, users), start=1):
             free = res.pads.free[k - 1]
             coeffs = list(msgs[k - 1]) + list(free) + got.pads[len(free) :]
-            nodes = plan.access.sorted_set(k)
-            for g, n in zip(plan.gammas(k), nodes):
+            for g, n in zip(points, nodes):
                 val = 0
                 for c in reversed(coeffs):
                     val = (val * g + c) % p
-                want = -plan.alpha(k, n) * res.shares[n - 1] % p
+                want = -alphas[n] * res.shares[n - 1] % p
                 if val != want:
                     note(f"trial {trial}: user {k} node {n}: share identity broken")
     return CorrectnessReport(trials=trials, failures=failures, first_failure=first)

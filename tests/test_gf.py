@@ -1,11 +1,12 @@
-"""Field layer: primality, generators, factoring p-1."""
+"""Field layer: primality, generators, factoring p-1, batched inverses."""
 
+import random
 import time
 
 import pytest
 
 from dmuss.errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
-from dmuss.gf import Field, _prime_factors, is_prime
+from dmuss.gf import Field, _inverses, _prime_factors, is_prime
 
 # the least strong pseudoprime to every prime base <= 41
 PSEUDOPRIME = 3317044064679887385961981
@@ -150,3 +151,11 @@ def test_large_safe_prime_field_is_fast():
     field = Field(4611686018427377339)  # 62-bit safe prime
     assert time.perf_counter() - start < 0.5
     assert field.is_primitive(field.gamma)
+
+
+def test_inverses_agree_with_fermat_inversion():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 11, 65537, 2**31 - 1, 2**61 - 1):
+        for count in (0, 1, 2, 7, 40):
+            values = [rng.randrange(1, p) for _ in range(count)]
+            assert _inverses(values, p) == [pow(v, p - 2, p) for v in values], (p, values)

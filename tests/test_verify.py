@@ -19,14 +19,15 @@ from conftest import (
     random_rates_in_region,
     slow_check_correctness,
     slow_check_privacy,
+    slow_rref,
     spy,
 )
 from dmuss import codec, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.codec import DecodeResult, TransferMap, transfer_map
-from dmuss.errors import SingularMatrixError, TooLargeError
+from dmuss.errors import ShapeMismatchError, SingularMatrixError, TooLargeError
 from dmuss.gf import Field
-from dmuss.planner import make_plan
+from dmuss.planner import _lagrange_rows, make_plan
 from dmuss.verify import (
     CorrectnessReport,
     brute_force_audit,
@@ -469,3 +470,77 @@ def test_plan_checks_eliminate_nothing_n_by_n(monkeypatch):
         assert check_privacy(plan).all_private and check_entropy(plan).full
     assert kernels == [] and built == [] and not any(ranks)
     assert dets == [n]
+
+
+# --- the lemma behind the plan's pairs ----------------------------------------------
+
+
+def test_any_columns_of_low_inverse_vandermonde_rows_have_rank_min_r_s_fuzz():
+    """The lemma on its own: any S columns of the low r rows of the
+    inverse Vandermonde on gamma^1..gamma^n have rank min(r, |S|)."""
+    rng = random.Random(154)
+    fields = [Field(p) for p in (2, 3, 5, 7, 11, 13, 65537, 2**31 - 1)]
+    for field in fields:
+        for _ in range(150):
+            n = rng.randint(0, min(field.p - 1, 24))
+            r = rng.randint(0, n)
+            table = _lagrange_rows(field, n, r)
+            cols = rng.sample(range(n), rng.randint(0, n))
+            cut = [[row[c] for c in cols] for row in table]
+            want = min(r, len(cols))
+            assert linalg.rank(field, cut) == want, (field.p, n, r, cols)
+            if field.p <= 13:
+                assert len(slow_rref(field, cut)[1]) == want, (field.p, n, r, cols)
+
+
+def test_plan_privacy_takes_one_det_and_no_rank(monkeypatch):
+    """A plan's pairs are arithmetic: the one elimination is the plan's
+    determinant, on first use."""
+    plan = planned(random.Random(155), min_users=2)
+    eliminations = spy(monkeypatch, linalg, "_echelon", lambda f, a: len(a))
+    ranks = spy(monkeypatch, linalg, "rank", lambda f, a: len(a))
+    for _ in range(2):
+        check_privacy(plan)
+    assert ranks == [] and eliminations == [plan.N]
+
+
+def test_plan_privacy_refuses_rates_outside_the_quotas():
+    """A rate above its quota used to read the next user's decode rows:
+    rates (4, 1, 1) on quotas (3, 2, 1) gave pair (1, 2) joint rank 5
+    here and 6 on the transfer map."""
+    plan = make_plan(Field(11), AccessStructure.of([[1, 2, 3], [3, 4, 5], [1, 5, 6]]), [1, 1, 1], seed=1)
+    assert plan.quotas == (3, 2, 1)
+    for rates in ((4, 1, 1), (1, 3, 1), (-1, 1, 1), (1.0, 1, 1), (True, 1, 1)):
+        broken = dataclasses.replace(plan, rates=rates)
+        with pytest.raises(ShapeMismatchError, match="rate"):
+            check_privacy(broken)
+    with pytest.raises(ShapeMismatchError):
+        check_correctness(dataclasses.replace(plan, rates=(4, 1, 1)), trials=1)
+
+
+def test_zero_scaling_drops_its_column_fuzz():
+    """A hand-built plan with one scaling of 0 can stay nonsingular when
+    another user reads that node; its column of M_k is then zero, and the
+    pairs still equal the transfer map's."""
+    rng = random.Random(156)
+    nonsingular = shifted = 0
+    for _ in range(500):
+        plan = planned(rng, min_users=2)
+        k = rng.randrange(plan.K)
+        alphas = list(plan.alphas)
+        alphas[k] = {**alphas[k], rng.choice(plan.access.sorted_set(k + 1)): 0}
+        target = leaky(rng, dataclasses.replace(plan, alphas=tuple(alphas)))
+        if target._decode_det == 0:
+            continue
+        nonsingular += 1
+        privacy = check_privacy(target)
+        tm = transfer_map(target)
+        assert privacy == check_privacy(tm)
+        assert privacy.pairs == slow_check_privacy(tm)
+        acc = target.access
+        shifted += any(
+            pair.joint_rank - pair.base_rank
+            != min(pair.required, len(acc.user_set(pair.secret_user) - acc.user_set(pair.observer)))
+            for pair in privacy.pairs
+        )
+    assert nonsingular >= 200 and shifted >= 5
