@@ -14,7 +14,10 @@ users that is D Y = x, with D the plan's N x N decode rows
 invertible.  Encoding is the one N x N solve D Y = x, and the transfer
 map T = D^-1 P from (messages, free pads) to shares is that solve with
 P, the permutation from the input order to the users' order, for x
-(:func:`transfer_map`).  The shares do not need the tails (the high
+(:func:`transfer_map`).  The plan packs D's rows once
+(:func:`~dmuss.linalg.pack`), so each of these solves packs only its
+right-hand side, eliminates [D | x] and back-substitutes on x's fields
+alone.  The shares do not need the tails (the high
 coefficients), so encoding does not compute them: they are derived on
 first read of ``pads.tail`` or ``solution``, by :func:`decode_all`, and
 kept.
@@ -111,6 +114,15 @@ def _check_pad_shape(plan: Plan, pads: Sequence) -> None:
             )
 
 
+def _check_rates(plan: Plan) -> None:
+    """ShapeMismatchError unless every R_k is an int (not a bool) in
+    0..R'_k: otherwise user k's message block is not among its R'_k
+    coefficients, and the offsets of the blocks after it shift."""
+    for k, (r_k, quota) in enumerate(zip(plan.rates, plan.quotas), start=1):
+        if type(r_k) is not int or not 0 <= r_k <= quota:
+            raise ShapeMismatchError(f"user {k}: rate {r_k!r} is not an int in 0..R'_k = {quota}")
+
+
 def _check_symbols(p: int, values: Sequence, what: str) -> None:
     for v in values:
         if type(v) is not int or not 0 <= v < p:
@@ -119,8 +131,8 @@ def _check_symbols(p: int, values: Sequence, what: str) -> None:
 
 def encode_with_pads(plan: Plan, msgs: Sequence, pads_free: Sequence) -> EncodeResult:
     """Deterministic encode with caller-supplied free pads: one N x N
-    solve of D Y = x, with D the plan's decode rows and x every user's
-    message then free pads.
+    solve of D Y = x, with D the plan's decode rows, packed once per
+    plan, and x every user's message then free pads.
 
     Raises:
         ShapeMismatchError: a message or pad block has the wrong length.
@@ -296,7 +308,7 @@ class TransferMap:
 
 def transfer_map(plan: Plan) -> TransferMap:
     """Build the input-to-shares matrix T: encode's solve of D T = P,
-    with P for x.
+    with P for x, against the same packed D.
 
     D is the plan's decode rows, whose row (k, d) reads user k's
     coefficient d; P is the 0/1 permutation that puts input column j at
@@ -304,8 +316,10 @@ def transfer_map(plan: Plan) -> TransferMap:
     pads.
 
     Raises:
+        ShapeMismatchError: some R_k is not an int in 0..R'_k.
         SingularMatrixError: the plan's correctness matrix is singular.
     """
+    _check_rates(plan)
     n = plan.N
     tm = TransferMap(
         field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]

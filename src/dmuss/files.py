@@ -87,9 +87,11 @@ def load_json(path: str) -> dict:
 
 
 def save_json(path: str, doc: dict) -> None:
+    """``doc`` as indented JSON and a newline, in one write: ``json.dump``
+    writes each token separately."""
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _rate_to_json(r: Fraction):

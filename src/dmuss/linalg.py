@@ -4,9 +4,11 @@ Matrices are plain lists of row lists holding ints in ``[0, p-1]``; no
 floating point anywhere.  One forward pass, :func:`_echelon`, does all
 elimination: columns left to right, the first row with a nonzero entry
 becomes the pivot, so every derived object (rank profile, null-space
-basis, solution) is reproducible.  rank counts its pivots, det is its
-signed pivot product, and rref and solve add back-substitution
-(:func:`_reduce`); solve, the one reader of [A | B], serves inverse too.
+basis, solution) is reproducible.  rank counts its pivots and det is its
+signed pivot product.  rref and solve read their results off its unit
+pivot rows by one back-substitution (:func:`_back_substitute`): rref
+over every field of a row, solve over the right-hand sides' fields
+only.  solve, the one reader of [A | B], serves inverse too.
 
 Inside the elimination each row is one Python int holding its entries
 as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
@@ -14,13 +16,17 @@ one row update is one big-int multiply-add instead of a loop over the
 row: the packing of Dumas, Fousse and Salvy, "Simultaneous modular
 reduction and Kronecker substitution for small finite fields" (J. Symb.
 Comput. 2011).  Fields are reduced mod p only when a row becomes a pivot
-row and when the result is unpacked; W leaves room for the unreduced
-sums in between (see :func:`_echelon` and :func:`_reduce`).
+row and when back-substitution finishes a row; W leaves room for the
+unreduced sums in between (see :func:`_echelon` and
+:func:`_back_substitute`).  A matrix that is eliminated again and again
+can be packed once (:func:`pack`): det, rank, rref and solve then read
+its packed rows instead of packing its entries on every call.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import mul
 
 from .errors import (
     BadShapeError,
@@ -74,7 +80,8 @@ def _width(p: int, rows: int) -> int:
     A field starts reduced (below p) and takes at most rows - 1 updates
     before it is reduced again, each adding (p - f) * y < p**2, so it
     stays below rows * p**2 < 2**(W - 1): no carry reaches the next
-    field, with one bit to spare.
+    field, with one bit to spare.  Back-substitution's fields stay below
+    p + rows * p**2 < 2**W (see :func:`_back_substitute`).
     """
     return 2 * p.bit_length() + rows.bit_length() + 1
 
@@ -93,25 +100,24 @@ def _fields(packed: int, w: int, n: int) -> list[int]:
     return [packed >> s & mask for s in range(0, n * w, w)]
 
 
-def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
-    """Forward elimination with unit pivots: the one elimination loop.
+class Packed(list):
+    """A matrix's rows, each also packed once into W-bit fields for GF(p).
 
-    Each row is held packed in one int: entry c sits in the field at bits
-    [c*W, (c+1)*W) with W = :func:`_width` (2*bits(p) + bits(rows) + 1),
-    and reads as ``(R >> c*W & mask) % p``.  The pivot row is unpacked,
-    scaled to a unit pivot, reduced mod p and repacked as L; each row
-    below is then updated by one big-int operation, R_i += (p - f)*L.
-    Rows below the pivot are never reduced in this pass, so they take at
-    most rows - 1 updates, each field gaining less than p**2: no field
-    overflows into the next.
+    It is the list of the rows it was made from, so it compares, prints
+    and indexes as that matrix does; :func:`det`, :func:`rank`,
+    :func:`rref` and :func:`solve` over the same field read its packed
+    ints instead of packing its entries again.  The ints do not follow
+    later changes to the rows, so the rows must not be mutated.  Made by
+    :func:`pack`.
+    """
 
-    Returns:
-        (E, pivots, d) where E holds the packed rows of a row echelon
-        form of ``a`` whose pivot entries are 1 (the pivot rows reduced
-        mod p, the rows below them zero mod p), pivots lists the pivot
-        column of each nonzero row, and d is the product of the pivots
-        before scaling times the sign of the row swaps (the determinant
-        when ``a`` is square and has a pivot in every column).
+    __slots__ = ("p", "cols", "ints")
+
+
+def pack(field: Field, a: Matrix) -> Packed:
+    """``a`` with each row packed for elimination over ``field`` (see
+    :class:`Packed`): the one pass that reads a coefficient matrix's
+    entries.
 
     Raises ShapeMismatchError when ``a`` is not a list of rows of one
     length, and BadSymbolError when an entry is not an int (a float, a
@@ -127,11 +133,57 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
     if ragged:
         raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
-    mask = (1 << w) - 1
-    try:  # the one pass that reads the caller's entries
-        r = [_pack(row, w, p) for row in a]
+    out = Packed(a)
+    out.p, out.cols = p, cols
+    try:
+        out.ints = [_pack(row, w, p) for row in a]
     except TypeError as exc:
         raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
+    return out
+
+
+def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list[int], int]:
+    """Forward elimination with unit pivots: the one elimination loop.
+
+    Each row is held packed in one int: entry c sits in the field at bits
+    [c*W, (c+1)*W) with W = :func:`_width` (2*bits(p) + bits(rows) + 1),
+    and reads as ``(R >> c*W & mask) % p``.  The rows are ``a``'s
+    :class:`Packed` ints when ``a`` is packed for this field, else
+    :func:`pack` packs them here; the rows of ``rhs`` (as many as a's,
+    all of one length), when given, follow in the fields after a's
+    columns.  Pivots are sought in a's columns only, and rhs's fields
+    are carried through every row operation.  Each pivot row is scaled
+    to a unit pivot, reduced mod p and repacked in one pass; each row
+    below is then updated by one big-int operation, R_i += (p - f)*L.
+    Rows below the pivot are never reduced in this pass, so they take at
+    most rows - 1 updates, each field gaining less than p**2: no field
+    overflows into the next.
+
+    Returns:
+        (E, pivots, d) where E holds the packed rows of a row echelon
+        form of [a | rhs] whose pivot entries are 1 (the pivot rows
+        reduced mod p and 0 left of their pivots, the rows below them
+        zero mod p in a's columns), pivots lists the pivot column of
+        each nonzero row, and d is the product of the pivots before
+        scaling times the sign of the row swaps (the determinant when
+        ``a`` is square and has a pivot in every column).
+
+    Raises ShapeMismatchError when ``a`` is not a list of rows of one
+    length, and BadSymbolError when an entry is not an int (a float, a
+    string, None, a list, ...).
+    """
+    p = field.p
+    packed = a if isinstance(a, Packed) and a.p == p else pack(field, a)
+    rows, cols = len(packed), packed.cols
+    w = _width(p, rows)
+    mask = (1 << w) - 1
+    total = cols + (len(rhs[0]) if rhs else 0)
+    r = list(packed.ints)
+    if rhs:
+        try:
+            r = [x | _pack(row, w, p) << cols * w for x, row in zip(r, rhs)]
+        except TypeError as exc:
+            raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
     pivots: list[int] = []
     d = 1
     lead = 0
@@ -148,8 +200,10 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
         pivot = column[0]
         d = d * pivot % p
         inv = pow(pivot, -1, p)
-        tail = _fields(r[lead] >> shift, w, cols - col)  # the fields left of col are 0 mod p
-        lead_row = r[lead] = _pack([x * inv for x in tail], w, p) << shift
+        lead_row = 0  # the fields left of col are 0 mod p, and become 0
+        for x in reversed(_fields(r[lead] >> shift, w, total - col)):
+            lead_row = lead_row << w | x * inv % p
+        lead_row = r[lead] = lead_row << shift
         for i, f in enumerate(column[1:], lead + 1):
             if f:
                 r[i] += (p - f) * lead_row
@@ -160,47 +214,59 @@ def _echelon(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
     return r, pivots, d
 
 
-def _reduce(field: Field, a: Matrix) -> tuple[list[int], list[int], int]:
-    """:func:`_echelon`, then back-substitution, on the packed rows.
+def _back_substitute(
+    p: int, w: int, r: list[int], pivots: list[int], lo: int, count: int
+) -> list[int]:
+    """Back-substitution on :func:`_echelon`'s pivot rows, read off the
+    fields lo..lo+count-1 only.
 
-    Back-substitution uses the same packed update, bottom pivot first.
-    Each pivot row is re-reduced mod p before it is used, since it has
-    taken updates from the pivots below it; so again a row takes at most
-    rows - 1 updates between reductions and no field overflows.
+    Reduced row i is echelon row i minus, for each pivot j below it,
+    row i's entry in pivot column j times reduced row j.  Bottom row
+    first, each row costs one ``sum(map(mul, ...))`` of its pivot-column
+    entries against the reduced rows below, each held as one packed int
+    of count fields (one field, a plain residue, for solve's vector).
+    The pivot rows are reduced mod p, so each product is below p**2 in
+    every field and the sum, over fewer than n = len(pivots) rows,
+    below n*p**2.  Adding n*p**2 to every field first keeps each field
+    non-negative and below p + n*p**2 < 2**W, since n <= rows (see
+    :func:`_width`): no field borrows from or carries into the next.
+    Each row is then reduced mod p, field by field, before the rows
+    above read it.
 
     Returns:
-        (R, pivots, W): the packed rows of the reduced form, with fields
-        not yet reduced mod p, their pivot columns and the field width.
+        The n reduced rows, top first, as packed ints of count fields
+        reduced mod p.
     """
-    p = field.p
-    r, pivots, _ = _echelon(field, a)  # checks the shape
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    w = _width(p, rows)
-    mask = (1 << w) - 1
-    for lead in range(len(pivots) - 1, 0, -1):
-        col = pivots[lead]
-        shift = col * w
-        lead_row = r[lead] = _pack(_fields(r[lead] >> shift, w, cols - col), w, p) << shift
-        for i in range(lead):
-            f = (r[i] >> shift & mask) % p
-            if f:
-                r[i] += (p - f) * lead_row
-    return r, pivots, w
+    mask, window = (1 << w) - 1, (1 << count * w) - 1
+    n = len(pivots)
+    offset = 0
+    for _ in range(count):
+        offset = offset << w | n * p * p
+    shift = lo * w
+    done: list[int] = []  # the reduced rows, bottom first
+    for i in range(n - 1, -1, -1):
+        row = r[i]
+        coeffs = [row >> c * w & mask for c in reversed(pivots[i + 1 :])]
+        acc = (row >> shift & window) + offset - sum(map(mul, coeffs, done))
+        done.append(acc % p if count == 1 else _pack(_fields(acc, w, count), w, p))
+    done.reverse()
+    return done
 
 
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form: :func:`_reduce`, unpacked once at the end.
+    """Reduced row echelon form: :func:`_echelon`, then
+    :func:`_back_substitute` over every field, unpacked once at the end.
 
     Returns:
         (R, pivots) where R is the reduced form of ``a`` and pivots lists
         the pivot column of each nonzero row, in order.
     """
     p = field.p
-    r, pivots, w = _reduce(field, a)
+    r, pivots, _ = _echelon(field, a)  # checks the shape
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    reduced = [[x % p for x in _fields(row, w, cols)] for row in r[: len(pivots)]]
+    w = _width(p, rows)
+    reduced = [_fields(row, w, cols) for row in _back_substitute(p, w, r, pivots, 0, cols)]
     return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
 
 
@@ -219,7 +285,8 @@ def _square(a: Matrix) -> bool:
 
 
 def det(field: Field, a: Matrix) -> int:
-    """Determinant: the signed pivot product of :func:`_echelon`."""
+    """Determinant: the signed pivot product of :func:`_echelon`.  A
+    :func:`pack` result is not packed again."""
     if not _square(a):
         raise ShapeMismatchError("determinant needs a square matrix")
     _, pivots, d = _echelon(field, a)
@@ -228,13 +295,20 @@ def det(field: Field, a: Matrix) -> int:
 
 def solve(field: Field, a: Matrix, b: list) -> list:
     """Solve a @ x = b, with b a length-n vector or an n x m block of row
-    lists whose columns are right-hand sides; x has the shape of b.  a is
-    singular unless [a | b] pivots on columns 0..n-1 exactly; only x's
-    columns are unpacked.
+    lists whose columns are right-hand sides; x has the shape of b.
+
+    One :func:`_echelon` of a, carrying b's rows in the fields after a's
+    columns; a is singular unless it pivots on columns 0..n-1 exactly.
+    :func:`_back_substitute` then reads x off b's fields alone: each x_i
+    is b_i minus sum_{j>i} U_ij x_j, with U the unit upper triangular
+    echelon form of a, over scalars for a vector and over packed rows of
+    m fields for a block.  A :func:`pack` result for ``a`` is not packed
+    again: only b is packed per call.
 
     Raises:
-        ShapeMismatchError: a is not square, b does not have n rows, or
-            the rows of a block b are not lists of one length.
+        ShapeMismatchError: a is not square, b does not have n rows, the
+            rows of a block b are not lists of one length, or a row of
+            a is not a list.
         SingularMatrixError: a is singular.
     """
     if not _square(a):
@@ -249,18 +323,18 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     block = n > 0 and isinstance(b[0], list)
     if block and not all(isinstance(row, list) for row in b):
         raise ShapeMismatchError("right-hand side mixes rows and entries")
+    if not all(isinstance(row, list) for row in a):  # a tuple row, say
+        raise ShapeMismatchError("matrix rows must be lists")
     rhs = b if block else [[x] for x in b]
-    try:
-        augmented = [row + cols for row, cols in zip(a, rhs)]
-    except TypeError as exc:  # a tuple row, say
-        raise ShapeMismatchError(f"matrix rows must be lists: {exc}") from exc
-    r, pivots, w = _reduce(field, augmented)
+    width = len(rhs[0]) if n else 0
+    if any(len(row) != width for row in rhs):
+        raise ShapeMismatchError("right-hand side rows differ in length")
+    r, pivots, _ = _echelon(field, a, rhs)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
-    p, shift, mask = field.p, n * w, (1 << w) - 1
-    if block:
-        return [[x % p for x in _fields(row >> shift, w, len(b[0]))] for row in r]
-    return [(row >> shift & mask) % p for row in r]  # one column: no per-row list
+    w = _width(field.p, n)
+    x = _back_substitute(field.p, w, r, pivots, n, width)
+    return [_fields(row, w, width) for row in x] if block else x  # one field: x is its ints
 
 
 def inverse(field: Field, a: Matrix) -> Matrix:

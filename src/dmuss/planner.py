@@ -29,7 +29,8 @@ rows, G_k[i][d] = gamma_{k,i}^d).  Every H_k is invertible: a
 polynomial of degree < R'_k that agrees at |A_k| distinct points with
 one spanned by x^R'_k..x^(|A_k|-1) is 0.  So det(decode_rows) != 0
 exactly when det V != 0, and the load's determinant, encoding, the
-transfer map and the privacy and entropy checks all read decode_rows.
+transfer map and the privacy and entropy checks all read decode_rows,
+which the plan packs for elimination once.
 
 Only inside :func:`make_plan`, before the reserved nodes' scalings zeta
 are chosen, is its transpose split as ``diag(zeta) @ C + D``: C holds
@@ -145,10 +146,14 @@ class Plan:
         -alpha_{k,n} L[d][pi_k(i)] at the i-th node n of the sorted A_k,
         with L user k's :func:`_lagrange_rows`, and 0 off A_k.  It equals
         H^-1 V^T (see the module docstring), so it is nonsingular exactly
-        when V is.  Built on first use and kept off the value fields like
-        :attr:`basis_rows`; the load's determinant check,
-        :func:`~dmuss.codec.encode_with_pads`, :func:`~dmuss.codec.transfer_map`
-        and the privacy and entropy checks share it, so callers must not
+        when V is.  Built on first use, packed once by
+        :func:`~dmuss.linalg.pack` (a :class:`~dmuss.linalg.Packed`, which
+        compares and prints as its rows) and kept off the value fields
+        like :attr:`basis_rows`.  The load's determinant check, every
+        :func:`~dmuss.codec.encode_with_pads`,
+        :func:`~dmuss.codec.transfer_map` and the privacy and entropy
+        checks share it, and the eliminations read its packed rows
+        instead of packing D's N**2 entries per call; so callers must not
         mutate it.
 
         Raises:
@@ -158,9 +163,10 @@ class Plan:
             BadShapeError: some R'_k is not in 0..|A_k|.
         """
         alphas = self.alphas
-        return _decode_rows(
+        rows = _decode_rows(
             self.field, self.access, self.quotas, self.perms, lambda k, n: alphas[k - 1][n]
         )
+        return linalg.pack(self.field, rows)
 
     @cached_property
     def _decode_det(self) -> int:

@@ -56,8 +56,8 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .codec import TransferMap, decode_all, encode, transfer_map
-from .errors import ShapeMismatchError, SingularMatrixError, TooLargeError
+from .codec import TransferMap, _check_rates, decode_all, encode, transfer_map
+from .errors import SingularMatrixError, TooLargeError
 from .gf import _powers
 from .planner import Plan
 
@@ -109,10 +109,8 @@ def _pairwise_ranks(plan: Plan):
             not among user k's decode rows.
     """
     _require_nonsingular(plan)
+    _check_rates(plan)
     acc, p = plan.access, plan.field.p
-    for k, (r_k, quota) in enumerate(zip(plan.rates, plan.quotas), start=1):
-        if type(r_k) is not int or not 0 <= r_k <= quota:
-            raise ShapeMismatchError(f"user {k}: rate {r_k!r} is not an int in 0..R'_k = {quota}")
     scaled = [
         {n for n in acc.user_set(k) if alphas[n] % p} for k, alphas in enumerate(plan.alphas, start=1)
     ]

@@ -463,6 +463,22 @@ def test_transfer_map_is_one_solve_against_the_input_permutation(monkeypatch):
     assert tm.matrix == slow_transfer_map(plan)
 
 
+def test_transfer_map_refuses_rates_outside_the_quotas():
+    # rates (4, 1, 1) on quotas (3, 2, 1) used to give message offsets
+    # [0, 4, 5] and pad offsets [6, 5, 6], and a rate of True passed as 1;
+    # the map now refuses them as check_privacy does, with its error
+    plan = make_plan(Field(11), AccessStructure.of([[1, 2, 3], [3, 4, 5], [1, 5, 6]]), [1, 1, 1], seed=1)
+    assert plan.quotas == (3, 2, 1)
+    for rates in ((4, 1, 1), (True, 1, 1)):
+        broken = dataclasses.replace(plan, rates=rates)
+        with pytest.raises(ShapeMismatchError) as got:
+            transfer_map(broken)
+        with pytest.raises(ShapeMismatchError) as want:
+            check_privacy(broken)
+        assert str(got.value) == str(want.value) == f"user 1: rate {rates[0]!r} is not an int in 0..R'_k = 3"
+    assert transfer_map(dataclasses.replace(plan, rates=(3, 0, 0))).message_offsets == [0, 3, 3]
+
+
 def test_transfer_map_reference(ref_plan, ref_messages, ref_encoded):
     tm = transfer_map(ref_plan)
     x = [c for m in ref_messages for c in m]  # rates are tight: no pads

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import spy
-from dmuss import demo, linalg, verify
+from dmuss import demo, files, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
@@ -137,6 +137,49 @@ def test_plan_doc_survives_disk(tmp_path):
     doc = plan_to_dict(demo.demo_plan())
     path = write_doc(tmp_path, "plan.json", doc)
     assert load_json(path) == doc
+
+
+def test_save_json_writes_json_dumps_bytes_in_one_write(tmp_path, monkeypatch):
+    # plan, mix and share files come out byte for byte as json.dump wrote
+    # them token by token, now in one write per file
+    plan = demo.demo_plan()
+    plan_b = make_plan(plan.field, plan.access, (0, 0, 0, 0), seed=1)
+    ms = memory_share(plan, plan_b, 1, 2)
+    results = ms.encode([[1], [2, 6], [4, 0], [3, 5, 7]], seed=7)
+    pads = [{"free": r.pads.free, "tail": r.pads.tail} for r in results]
+    docs = {
+        "plan": plan_to_dict(plan),
+        "mix": mix_to_dict(ms),
+        "shares": shares_to_dict(11, list(range(1, plan.N + 1)), [r.shares for r in results], pads),
+    }
+    writes = []
+    real_open = open
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            self.fh.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(files, "open", lambda *a, **kw: Counted(real_open(*a, **kw)), raising=False)
+    for name, doc in docs.items():
+        writes.clear()
+        path = tmp_path / f"{name}.json"
+        save_json(str(path), doc)
+        assert len(writes) == 1, name
+        with real_open(tmp_path / f"{name}.ref.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / f"{name}.ref.json").read_bytes(), name
 
 
 def test_plan_zero_alpha_is_format_error():

@@ -361,10 +361,15 @@ def solve_outcome(solver, field, a, s):
         return type(exc)
 
 
-def column_solves(field, a, b, m):
+def packed_solve(field, a, b):
+    """:func:`linalg.solve` on ``a`` packed first by :func:`linalg.pack`."""
+    return linalg.solve(field, linalg.pack(field, a), b)
+
+
+def column_solves(field, a, b, m, solver=linalg.solve):
     """The vector solves of the m columns of the block b, put back as a
     block, or the one error type they all raise."""
-    outcomes = [solve_outcome(linalg.solve, field, a, [row[j] for row in b]) for j in range(m)]
+    outcomes = [solve_outcome(solver, field, a, [row[j] for row in b]) for j in range(m)]
     errors = {x for x in outcomes if isinstance(x, type)}
     if errors:
         (error,) = errors
@@ -374,7 +379,8 @@ def column_solves(field, a, b, m):
 
 def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
     # a block of 0, 1, 3 or n right-hand sides: the same solution as the
-    # vector solves of its columns and as slow_solve, or the same error
+    # vector solves of its columns and as slow_solve, or the same error;
+    # and the same again, block and vectors, with the matrix packed first
     rng = random.Random(71)
     cases = ["nonsingular", "singular", "ragged block", "ragged a", "short block"]
     seen = set()
@@ -397,8 +403,10 @@ def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
             b.pop(rng.randrange(n))
         got = solve_outcome(linalg.solve, field, a, b)
         assert got == solve_outcome(slow_solve, field, a, b), (field.p, n, m, case)
+        assert solve_outcome(packed_solve, field, a, b) == got, (field.p, n, m, case)
         if case != "ragged block" and m:
             assert got == column_solves(field, a, b, m), (field.p, n, m, case)
+            assert got == column_solves(field, a, b, m, packed_solve), (field.p, n, m, case)
         if not isinstance(got, type):
             assert mat_mul(field, a, got) == b if m else got == [[]] * n
         seen.add((case, got if isinstance(got, type) else "solved"))
@@ -414,6 +422,40 @@ def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
         for width in ("0", "1", "3", "n"):
             for case in cases:
                 assert (field.p, width, case) in seen
+
+
+def test_packed_matrix_serves_every_elimination_fuzz():
+    # a packed matrix is its rows: the same det and rref as the slow
+    # references, solvable again after a solve, and packed again when
+    # eliminated over another field
+    rng = random.Random(73)
+    for _ in range(300):
+        field = rng.choice(FUZZ_FIELDS)
+        n = rng.randint(1, 10)
+        a = fuzz_matrix(rng, field, n, n, rng.choice(["dense", "sparse", "low-rank"]))
+        packed = linalg.pack(field, a)
+        assert packed == a and repr(packed) == repr(a)
+        assert linalg.det(field, packed) == slow_det(field, a)
+        assert linalg.rref(field, packed) == slow_rref(field, a)
+        b = random_matrix(rng, field.p, n, rng.choice([1, 3, n]))
+        want = solve_outcome(slow_solve, field, a, b)
+        for _ in range(2):
+            assert solve_outcome(linalg.solve, field, packed, b) == want, (field.p, n)
+        other = rng.choice([f for f in FUZZ_FIELDS if f.p != field.p])
+        plain = solve_outcome(linalg.solve, other, [row[:] for row in a], b)
+        assert solve_outcome(linalg.solve, other, packed, b) == plain, (field.p, other.p, n)
+
+
+def test_pack_refuses_what_the_eliminations_refuse():
+    for a in (5, [1, 2], [[1, 2], [3]]):
+        with pytest.raises(ShapeMismatchError):
+            linalg.pack(F11, a)
+    for a in ([[1, 2.0]], [[1, "a"]], [[None]]):
+        with pytest.raises(BadSymbolError):
+            linalg.pack(F11, a)
+    with pytest.raises(ShapeMismatchError):
+        linalg.det(F11, linalg.pack(F11, [[1, 2, 3], [4, 5, 6]]))
+    assert linalg.pack(F11, []) == [] and linalg.det(F11, linalg.pack(F11, [])) == 1
 
 
 def test_elimination_matches_slow_references_fuzz():
@@ -471,7 +513,10 @@ def carry_stressors(rng, field):
     forward update is (p - 1) times a pivot row of p - 1 entries, the
     largest a field can take), and stacks of a few random rows (many rows
     reduce to zero after taking one update per pivot).  L @ U has 63 rows:
-    bits(63) = 6 leaves the packing no slack for its near-63 * p**2 sums."""
+    bits(63) = 6 leaves the packing no slack for its near-63 * p**2 sums.
+    The square upper unit-triangular matrix and the square L @ U give
+    back-substitution its largest sums: a row's entries above the
+    diagonal are all p - 1, against solution entries up to p - 1."""
     p = field.p
     top = p - 1
     lower = [[1 if i == j else top if j < i else 0 for j in range(64)] for i in range(64)]
@@ -482,7 +527,9 @@ def carry_stressors(rng, field):
     yield "all p-1 square", [[top] * 64 for _ in range(64)]
     yield "lower unit-triangular", lower
     yield "upper unit-triangular", upper
+    yield "upper unit-triangular square", [row[:64] for row in upper]
     yield "L @ U", mat_mul(field, ones_below, upper[:63])
+    yield "L @ U square", mat_mul(field, ones_below, [row[:63] for row in upper[:63]])
     block = random_matrix(rng, p, 5, 96)
     yield "rank-deficient stack", [block[i % 5][:] for i in range(64)]
     yield "tall low-rank", mat_mul(field, random_matrix(rng, p, 64, 9), random_matrix(rng, p, 9, 40))
@@ -501,6 +548,10 @@ def test_packed_elimination_at_real_sizes_matches_slow_references():
                 ident = linalg.identity(len(a))
                 got = solve_outcome(linalg.solve, field, a, ident)
                 assert got == solve_outcome(slow_solve, field, a, ident), (field.p, kind)
+                for m in (1, 3, len(a)):  # back-substitution's sums, at their largest entries
+                    b = [[field.p - 1] * m for _ in a]
+                    got = solve_outcome(linalg.solve, field, a, b)
+                    assert got == solve_outcome(slow_solve, field, a, b), (field.p, kind, m)
             elif len(a) < len(a[0]):  # the square left part, solved for the next column
                 n = len(a)
                 sq, rhs = [row[:n] for row in a], [row[n] for row in a]

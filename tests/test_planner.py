@@ -480,6 +480,25 @@ def test_plan_builds_its_correctness_transpose_once(monkeypatch):
     assert plan.decode_rows == loaded.decode_rows == slow_decode_rows(plan)
 
 
+def test_plan_packs_its_decode_rows_once(monkeypatch):
+    # the decode rows are packed on first use and kept: the load's det,
+    # every encode, the transfer map and check_privacy read the packed
+    # rows (test_basis_rows_stay_off_the_plan_value keeps them off the
+    # plan's value)
+    plan = make_plan(Field(65537), ref_access(), (1, 2, 2, 3), seed=5)
+    packs = spy(monkeypatch, linalg, "pack", lambda f, a: len(a))
+    loaded = plan_from_dict(plan_to_dict(plan))
+    assert packs == [loaded.N]
+    msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
+    for seed in range(3):
+        encode(loaded, msgs, seed=seed)
+    transfer_map(loaded)
+    check_privacy(loaded)
+    check_entropy(loaded)
+    assert packs == [loaded.N]
+    assert isinstance(loaded.decode_rows, linalg.Packed) and loaded.decode_rows == slow_decode_rows(plan)
+
+
 def test_plan_builds_its_input_blocks_once(monkeypatch):
     # each user's block of the decode rows reads the Lagrange table of its
     # shape (|A_k|, R'_k): make_plan's zeta split builds one per distinct
@@ -509,11 +528,12 @@ def test_basis_rows_stay_off_the_plan_value():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     fresh = dataclasses.replace(plan)
     doc, text = plan_to_dict(fresh), repr(fresh)
-    for _ in range(2):  # before, then after, the rows and the decode rows are derived
+    for _ in range(2):  # before, then after, the rows and the packed decode rows are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
         assert plan.basis_rows == fresh.basis_rows
         assert plan.decode_rows == fresh.decode_rows
+    assert isinstance(plan.decode_rows, linalg.Packed)
     assert plan_from_dict(doc) == plan
 
 
