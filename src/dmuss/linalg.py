@@ -19,8 +19,11 @@ Comput. 2011).  Fields are reduced mod p only when a row becomes a pivot
 row and when back-substitution finishes a row; W leaves room for the
 unreduced sums in between (see :func:`_echelon` and
 :func:`_back_substitute`).  A matrix that is eliminated again and again
-can be packed once (:func:`pack`): det, rank, rref and solve then read
-its packed rows instead of packing its entries on every call.
+can be held packed (:class:`Packed`), by :func:`pack` or written
+straight into packed ints by its maker: det, rank, rref and solve then
+read its ints instead of packing its entries on every call, and its
+fields may start unreduced, below p**2 (see :func:`_width`).  Every
+reader takes a list of row lists (or tuples) or a :class:`Packed`.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
 def _width(p: int, rows: int) -> int:
     """Bits per packed field.
 
-    A field starts reduced (below p) and takes at most rows - 1 updates
-    before it is reduced again, each adding (p - f) * y < p**2, so it
-    stays below rows * p**2 < 2**(W - 1): no carry reaches the next
-    field, with one bit to spare.  Back-substitution's fields stay below
-    p + rows * p**2 < 2**W (see :func:`_back_substitute`).
+    A field starts below p**2 (reduced, or unreduced as in a
+    :class:`Packed` draw row z * C + D, at most (p - 1)**2 + p - 1) and
+    takes at most rows - 1 updates before it is reduced again, each
+    adding (p - f) * y < p**2, so it stays below rows * p**2 < 2**(W - 1):
+    no carry reaches the next field, with one bit to spare.
+    Back-substitution's fields stay below p + rows * p**2 < 2**W (see
+    :func:`_back_substitute`).
     """
     return 2 * p.bit_length() + rows.bit_length() + 1
 
@@ -100,18 +105,52 @@ def _fields(packed: int, w: int, n: int) -> list[int]:
     return [packed >> s & mask for s in range(0, n * w, w)]
 
 
-class Packed(list):
-    """A matrix's rows, each also packed once into W-bit fields for GF(p).
+class Packed:
+    """A matrix over GF(p) held as one packed int per row: entry c of a
+    row sits in the W-bit field at bits [c*W, (c+1)*W), W = :func:`_width`
+    of p and the row count.
 
-    It is the list of the rows it was made from, so it compares, prints
-    and indexes as that matrix does; :func:`det`, :func:`rank`,
-    :func:`rref` and :func:`solve` over the same field read its packed
-    ints instead of packing its entries again.  The ints do not follow
-    later changes to the rows, so the rows must not be mutated.  Made by
-    :func:`pack`.
+    :func:`det`, :func:`rank`, :func:`rref` and :func:`solve` over the
+    same field read ``ints`` instead of packing entries.  A field may
+    start unreduced, below p**2: a row ``z * C + D`` of two reduced
+    packed rows with 0 <= z < p (:func:`~dmuss.planner.choose_zeta`'s
+    draws) is one.  The elimination bound rows * p**2 < 2**(W - 1) holds
+    from there (see :func:`_width`).  The rows are unpacked, reduced mod
+    p, only when something reads them as a matrix (iteration, indexing,
+    ``==``, ``repr``); ``len`` is the row count without unpacking.  Made
+    by :func:`pack` from a matrix, whose rows it then keeps as given, or
+    directly from ints.  Neither the ints nor the rows may be mutated.
     """
 
-    __slots__ = ("p", "cols", "ints")
+    __slots__ = ("p", "cols", "ints", "_rows")
+
+    def __init__(self, p: int, cols: int, ints: list[int], rows: Matrix | None = None):
+        self.p, self.cols, self.ints, self._rows = p, cols, ints, rows
+
+    @property
+    def rows(self) -> Matrix:
+        if self._rows is None:
+            p, cols = self.p, self.cols
+            w = _width(p, len(self.ints))
+            self._rows = [[f % p for f in _fields(x, w, cols)] for x in self.ints]
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other) -> bool:
+        return self.rows == (other.rows if isinstance(other, Packed) else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
 
 
 def pack(field: Field, a: Matrix) -> Packed:
@@ -133,13 +172,16 @@ def pack(field: Field, a: Matrix) -> Packed:
     if ragged:
         raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
-    out = Packed(a)
-    out.p, out.cols = p, cols
     try:
-        out.ints = [_pack(row, w, p) for row in a]
+        ints = [_pack(row, w, p) for row in a]
     except TypeError as exc:
         raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
-    return out
+    return Packed(p, cols, ints, list(a))
+
+
+def packed(field: Field, a: Matrix) -> Packed:
+    """``a`` itself when it is packed for ``field``, else :func:`pack` of it."""
+    return a if isinstance(a, Packed) and a.p == field.p else pack(field, a)
 
 
 def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list[int], int]:
@@ -173,12 +215,12 @@ def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list
     string, None, a list, ...).
     """
     p = field.p
-    packed = a if isinstance(a, Packed) and a.p == p else pack(field, a)
-    rows, cols = len(packed), packed.cols
+    m = packed(field, a)
+    rows, cols = len(m), m.cols
     w = _width(p, rows)
     mask = (1 << w) - 1
     total = cols + (len(rhs[0]) if rhs else 0)
-    r = list(packed.ints)
+    r = list(m.ints)
     if rhs:
         try:
             r = [x | _pack(row, w, p) << cols * w for x, row in zip(r, rhs)]
@@ -262,9 +304,9 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
         the pivot column of each nonzero row, in order.
     """
     p = field.p
-    r, pivots, _ = _echelon(field, a)  # checks the shape
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    m = packed(field, a)  # checks the shape
+    r, pivots, _ = _echelon(field, m)
+    rows, cols = len(m), m.cols
     w = _width(p, rows)
     reduced = [_fields(row, w, cols) for row in _back_substitute(p, w, r, pivots, 0, cols)]
     return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
@@ -277,6 +319,8 @@ def rank(field: Field, a: Matrix) -> int:
 def _square(a: Matrix) -> bool:
     """True iff ``a`` is n rows of length n; ShapeMismatchError unless it
     is a list of row lists."""
+    if isinstance(a, Packed):
+        return a.cols == len(a)
     try:
         n = len(a)
         return all(len(row) == n for row in a)
@@ -306,9 +350,8 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     again: only b is packed per call.
 
     Raises:
-        ShapeMismatchError: a is not square, b does not have n rows, the
-            rows of a block b are not lists of one length, or a row of
-            a is not a list.
+        ShapeMismatchError: a is not square, b does not have n rows, or
+            the rows of a block b are not lists of one length.
         SingularMatrixError: a is singular.
     """
     if not _square(a):
@@ -323,8 +366,6 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     block = n > 0 and isinstance(b[0], list)
     if block and not all(isinstance(row, list) for row in b):
         raise ShapeMismatchError("right-hand side mixes rows and entries")
-    if not all(isinstance(row, list) for row in a):  # a tuple row, say
-        raise ShapeMismatchError("matrix rows must be lists")
     rhs = b if block else [[x] for x in b]
     width = len(rhs[0]) if n else 0
     if any(len(row) != width for row in rhs):

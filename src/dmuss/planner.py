@@ -23,26 +23,30 @@ its message and free pads, and its value at gamma^{pi_k(i)} is minus the
 i-th node's scaled share; so the map from the N shares to every user's
 (message, free pads) stacks each user's low inverse-Vandermonde rows,
 scaled by -alpha: :attr:`Plan.decode_rows`, written in closed form by
-:func:`_lagrange_rows`.  That matrix is H^-1 V^T, where H_k = -P_k^T G_k
-maps user k's low coefficients to its R'_k rows of V^T Y (P_k its basis
-rows, G_k[i][d] = gamma_{k,i}^d).  Every H_k is invertible: a
-polynomial of degree < R'_k that agrees at |A_k| distinct points with
-one spanned by x^R'_k..x^(|A_k|-1) is 0.  So det(decode_rows) != 0
-exactly when det V != 0, and the load's determinant, encoding, the
-transfer map and the privacy and entropy checks all read decode_rows,
-which the plan packs for elimination once.
+:func:`_lagrange_rows`, one table per distinct set size, straight into
+packed rows (:class:`~dmuss.linalg.Packed`).  That matrix is H^-1 V^T,
+where H_k = -P_k^T G_k maps user k's low coefficients to its R'_k rows
+of V^T Y (P_k its basis rows, G_k[i][d] = gamma_{k,i}^d).  Every H_k is
+invertible: a polynomial of degree < R'_k that agrees at |A_k| distinct
+points with one spanned by x^R'_k..x^(|A_k|-1) is 0.  So
+det(decode_rows) != 0 exactly when det V != 0, and the load's
+determinant, encoding, the transfer map and the privacy and entropy
+checks all read decode_rows' packed ints.
 
 Only inside :func:`make_plan`, before the reserved nodes' scalings zeta
 are chosen, is its transpose split as ``diag(zeta) @ C + D``: C holds
-the reserved nodes' rows unscaled and D the other rows.  C is
-block-diagonal up to row permutation, hence nonsingular by
-construction, which makes det(diag(zeta) @ C + D) a multilinear
-polynomial in zeta whose leading coefficient det(C) is nonzero -- so
-suitable all-nonzero scalings zeta always exist over GF(p), p >= 3, and
-a deterministic sweep can find one when random sampling runs out of
-luck.  The split is V's own split times H^-T, so every determinant
-:func:`choose_zeta` takes is V's times the same zeta-free factor
-prod_k det H_k^-1, and zeta is the one V's split would give.
+the reserved nodes' rows unscaled and D the other rows, written packed
+node by node from the same tables (:func:`_zeta_split`), so each of
+:func:`choose_zeta`'s draws is N big-int multiply-adds and one
+determinant.  C is block-diagonal up to row permutation, hence
+nonsingular by construction, which makes det(diag(zeta) @ C + D) a
+multilinear polynomial in zeta whose leading coefficient det(C) is
+nonzero -- so suitable all-nonzero scalings zeta always exist over
+GF(p), p >= 3, and a deterministic sweep can find one when random
+sampling runs out of luck.  The split is V's own split times H^-T, so
+every determinant :func:`choose_zeta` takes is V's times the same
+zeta-free factor prod_k det H_k^-1, and zeta is the one V's split would
+give.
 
 The null-space bases need no elimination either.  User k's tail matrix
 evaluates the monomials x^m..x^(n-1) (m = R'_k, n = |A_k|) at n distinct
@@ -82,10 +86,11 @@ from .errors import (
     FieldTooSmallError,
     NotInRegionError,
     PlanningFailedError,
+    ShapeMismatchError,
     SingularMatrixError,
 )
 from .gf import Field, _inverses, _powers
-from .linalg import Matrix
+from .linalg import Matrix, Packed, _pack, _width
 from .sdr import SdrAssignment, find_sdr, validate_sdr
 
 RANDOM_TRIALS_PER_ROW = 64  # scaling-search budget is 64 * N draws
@@ -139,34 +144,48 @@ class Plan:
         return _basis_rows(self.field, self.quotas, self.perms)
 
     @cached_property
-    def decode_rows(self) -> Matrix:
+    def decode_rows(self) -> Packed:
         """The N x N map from the shares to every user's (message, free pads).
 
         Row (k, d), for d < R'_k and in user order, holds
         -alpha_{k,n} L[d][pi_k(i)] at the i-th node n of the sorted A_k,
-        with L user k's :func:`_lagrange_rows`, and 0 off A_k.  It equals
+        with L the :func:`_lagrange_rows` table of |A_k| (one per distinct
+        set size, see :func:`_lagrange_tables`), and 0 off A_k.  It equals
         H^-1 V^T (see the module docstring), so it is nonsingular exactly
-        when V is.  Built on first use, packed once by
-        :func:`~dmuss.linalg.pack` (a :class:`~dmuss.linalg.Packed`, which
-        compares and prints as its rows) and kept off the value fields
-        like :attr:`basis_rows`.  The load's determinant check, every
+        when V is.  Built on first use and kept off the value fields like
+        :attr:`basis_rows`, as a :class:`~dmuss.linalg.Packed` whose
+        nonzero entries are written straight into the packed row ints,
+        unreduced below p**2, with no N x N list and no
+        :func:`~dmuss.linalg.pack` pass; it compares and prints as its
+        reduced rows.  The load's determinant check, every
         :func:`~dmuss.codec.encode_with_pads`,
         :func:`~dmuss.codec.transfer_map` and the privacy and entropy
-        checks share it, and the eliminations read its packed rows
-        instead of packing D's N**2 entries per call; so callers must not
-        mutate it.
+        checks share it and read those ints; so callers must not mutate
+        it.
 
         Raises:
             SingularMatrixError: some user's exponents are not a
                 permutation of 1..|A_k| (see :func:`_check_exponents`).
             FieldTooSmallError: some |A_k| exceeds p - 1.
             BadShapeError: some R'_k is not in 0..|A_k|.
+            BadSymbolError: some scaling is not an int.
         """
-        alphas = self.alphas
-        rows = _decode_rows(
-            self.field, self.access, self.quotas, self.perms, lambda k, n: alphas[k - 1][n]
-        )
-        return linalg.pack(self.field, rows)
+        field, acc, quotas, perms = self.field, self.access, self.quotas, self.perms
+        p = field.p
+        tables = _lagrange_tables(field, acc, quotas)
+        n_rows = sum(quota for quota, _ in zip(quotas, perms))
+        w = _width(p, n_rows)
+        ints = []
+        for k, (quota, perm, scale) in enumerate(zip(quotas, perms, self.alphas), start=1):
+            nodes = acc.sorted_set(k)
+            _check_exponents(k, perm, len(nodes))
+            try:
+                entries = [((n - 1) * w, e - 1, -scale[n] % p) for n, e in zip(nodes, perm)]
+                for lag in tables[len(nodes)][:quota]:
+                    ints.append(sum(a * lag[e] << s for s, e, a in entries))  # fields below p**2
+            except TypeError as exc:  # a scaling that is not an int
+                raise BadSymbolError(f"user {k}: scalings must be ints: {exc}") from exc
+        return Packed(p, acc.N, ints)
 
     @cached_property
     def _decode_det(self) -> int:
@@ -307,8 +326,7 @@ def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
         BadShapeError: unless 0 <= count <= size.
         FieldTooSmallError: size exceeds p-1, so the points collide.
     """
-    if not 0 <= count <= size:
-        raise BadShapeError(f"need 0 <= R'_k <= |A_k|, got {count} and {size}")
+    _check_quota(count, size)
     if size > field.p - 1:
         raise FieldTooSmallError(f"{size} evaluation points need p-1 >= {size}, got p={field.p}")
     p, g, n = field.p, field.gamma, size
@@ -337,6 +355,11 @@ def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
     return table
 
 
+def _check_quota(count: int, size: int) -> None:
+    if not 0 <= count <= size:
+        raise BadShapeError(f"need 0 <= R'_k <= |A_k|, got {count} and {size}")
+
+
 def _check_exponents(k: int, perm: Sequence[int], size: int) -> None:
     """SingularMatrixError unless user k's exponents are a permutation of
     1..size: a repeat repeats a point, and the natural-order tables
@@ -345,36 +368,56 @@ def _check_exponents(k: int, perm: Sequence[int], size: int) -> None:
         raise SingularMatrixError(f"user {k}: exponents {list(perm)} are not a permutation of 1..{size}")
 
 
-def _decode_rows(
-    field: Field,
-    acc: AccessStructure,
-    quotas: Sequence[int],
-    perms: Sequence,
-    scale: Callable[[int, int], int],
-    tables: dict | None = None,
-) -> Matrix:
-    """:attr:`Plan.decode_rows` with node scalings ``scale(k, n)``: row
-    (k, d) holds -scale(k, n) L[d][pi_k(i)] at the i-th node n of the
-    sorted A_k.  L is built once per distinct (|A_k|, R'_k) and kept in
-    ``tables``, which calls on the same field may share."""
+def _lagrange_tables(field: Field, acc: AccessStructure, quotas: Sequence[int]) -> dict:
+    """One :func:`_lagrange_rows` table per distinct set size, keyed by
+    the size and built to the largest R'_k among its users: a table's
+    rows are prefixes of a longer one's, so user k reads the first R'_k.
+
+    Raises:
+        BadShapeError: some R'_k is not in 0..|A_k|.
+        FieldTooSmallError: some |A_k| exceeds p - 1.
+    """
+    counts: dict = {}
+    for nodes, quota in zip(acc.sets, quotas):
+        size = len(nodes)
+        _check_quota(quota, size)
+        counts[size] = max(counts.get(size, 0), quota)
+    return {size: _lagrange_rows(field, size, count) for size, count in counts.items()}
+
+
+def _zeta_split(
+    field: Field, acc: AccessStructure, quotas: Sequence[int], reserved: SdrAssignment, perms: Sequence
+) -> tuple[Packed, Packed]:
+    """:func:`make_plan`'s split (C, D') of the transposed decode rows
+    with unit scalings, packed node by node: row n of C holds the entries
+    of the user whose reserved block holds n, and row n of D' those of
+    every other user reading n.
+
+    User k's entries in row n are one contiguous run, -L[d][pi_k(i)] at
+    column (k, d) for d < R'_k, with n the i-th node of the sorted A_k
+    and L the table of |A_k|: one packed column of the table, cut to
+    R'_k fields and shifted to user k's offset.  So the rows cost one
+    big-int operation per (user, node) pair, with no N x N list.
+    """
     p, n_total = field.p, acc.N
-    tables = {} if tables is None else tables
-    rows = []
+    w = _width(p, n_total)
+    columns = {
+        size: [_pack([-row[e] for row in table], w, p) for e in range(size)]
+        for size, table in _lagrange_tables(field, acc, quotas).items()
+    }
+    c, d = [0] * n_total, [0] * n_total
+    shift = 0
     for k, (quota, perm) in enumerate(zip(quotas, perms), start=1):
-        nodes = acc.sorted_set(k)
-        key = (len(nodes), quota)
-        if key not in tables:
-            tables[key] = _lagrange_rows(field, *key)
-        _check_exponents(k, perm, len(nodes))
-        cols = [n - 1 for n in nodes]
-        slots = [e - 1 for e in perm]
-        minus = [-scale(k, n) for n in nodes]
-        for lag in tables[key]:
-            row = [0] * n_total
-            for c, e, a in zip(cols, slots, minus):
-                row[c] = a * lag[e] % p
-            rows.append(row)
-    return rows
+        nodes, block = acc.sorted_set(k), reserved.block(k)
+        packed_cols, mask = columns[len(nodes)], (1 << quota * w) - 1
+        for n, e in zip(nodes, perm):
+            run = (packed_cols[e - 1] & mask) << shift
+            if n in block:
+                c[n - 1] += run
+            else:
+                d[n - 1] += run
+        shift += quota * w
+    return Packed(p, n_total, c), Packed(p, n_total, d)
 
 
 def correctness_matrix(
@@ -406,37 +449,48 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
     """All-nonzero row scalings with det(diag(zeta) @ c + d) != 0.
 
     c and d are :func:`make_plan`'s split of the transposed decode rows
-    (see the module docstring).
+    (see the module docstring), which it passes packed (a
+    :class:`~dmuss.linalg.Packed` each); list matrices are packed here,
+    once.
 
     Phase one samples each coordinate uniformly from the nonzero elements
-    with a seeded generator, up to 64 * N full draws.  Phase two walks the
-    coordinates left to right: with earlier rows frozen and later rows
-    taken straight from c, the determinant is linear in the current
-    coordinate with slope equal to the previous partial determinant, so at
-    most one value is forbidden and the smallest admissible nonzero value
-    is taken.  The sweep can only dead-end over GF(2), where "nonzero"
-    leaves no alternative; that surfaces as PlanningFailedError.
+    with a seeded generator, up to 64 * N full draws.  A draw's rows are
+    zeta_n * c_n + d_n, one big-int multiply-add per packed row, left
+    unreduced below p**2, and one :func:`~dmuss.linalg.det` reads them.
+    Phase two walks the coordinates left to right on the same packed
+    rows: with earlier rows frozen and later rows taken straight from c,
+    the determinant is linear in the current coordinate with slope equal
+    to the previous partial determinant, so at most one value is
+    forbidden and the smallest admissible nonzero value is taken.  The
+    sweep can only dead-end over GF(2), where "nonzero" leaves no
+    alternative; that surfaces as PlanningFailedError.
+
+    Raises:
+        ShapeMismatchError: c and d are not both n x n.
+        PlanningFailedError: the sweep dead-ended (GF(2) only), or c is
+            singular.
     """
-    n = len(c)
     p = field.p
+    c, d = linalg.packed(field, c), linalg.packed(field, d)
+    n = len(c)
+    if not c.cols == len(d) == d.cols == n:
+        raise ShapeMismatchError(f"need two n x n matrices, got {n} x {c.cols} and {len(d)} x {d.cols}")
     if n == 0:
         return []
+    cs, ds = c.ints, d.ints
     rng = random.Random(seed)
     for _ in range(RANDOM_TRIALS_PER_ROW * n):
         zeta = [rng.randrange(1, p) for _ in range(n)]
-        m = [[z * cv + dv for cv, dv in zip(crow, drow)] for z, crow, drow in zip(zeta, c, d)]
-        m = [[v % p for v in row] for row in m]
-        if linalg.det(field, m) != 0:
+        if linalg.det(field, Packed(p, n, [z * cv + dv for z, cv, dv in zip(zeta, cs, ds)])) != 0:
             return zeta
     kappa = linalg.det(field, c)
     if kappa == 0:
         raise PlanningFailedError("reserved-row matrix is singular; invalid block selection")
-    work = linalg.copy_matrix(c)
+    work = list(cs)
     zeta = []
     for i in range(n):
-        saved = work[i]
-        work[i] = d[i]
-        delta = linalg.det(field, work)
+        work[i] = ds[i]
+        delta = linalg.det(field, Packed(p, n, work[:]))
         # det as a function of this coordinate v is v * kappa + delta
         forbidden = -delta * pow(kappa, -1, p) % p
         v = next((cand for cand in range(1, p) if cand != forbidden), None)
@@ -444,7 +498,7 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
             raise PlanningFailedError(
                 "no nonzero scaling keeps the correctness matrix invertible"
             )
-        work[i] = [(v * cv + dv) % p for cv, dv in zip(saved, d[i])]
+        work[i] = v * cs[i] + ds[i]
         kappa = (v * kappa + delta) % p
         zeta.append(v)
     if kappa == 0:
@@ -477,14 +531,11 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     perms = tuple(
         choose_permutation(acc.sorted_set(k), reserved.sorted_block(k)) for k in range(1, acc.K + 1)
     )
-    args, tables = (field, acc, quotas, perms), {}
-    c = linalg.transpose(_decode_rows(*args, lambda k, n: int(n in reserved.block(k)), tables))
-    d = linalg.transpose(_decode_rows(*args, lambda k, n: int(n not in reserved.block(k)), tables))
-    zeta = choose_zeta(field, c, d, seed)
-    alphas = [
-        {n: zeta[n - 1] if n in reserved.block(k) else 1 for n in acc.sorted_set(k)}
-        for k in range(1, acc.K + 1)
-    ]
+    zeta = choose_zeta(field, *_zeta_split(field, acc, quotas, reserved, perms), seed)
+    alphas = []
+    for k in range(1, acc.K + 1):
+        block = reserved.block(k)
+        alphas.append({n: zeta[n - 1] if n in block else 1 for n in acc.sorted_set(k)})
     return Plan(
         field=field,
         access=acc,

@@ -1,8 +1,11 @@
 """Shared fixtures, fuzz-instance generators, acceptance reporting."""
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -556,3 +559,13 @@ def ref_messages():
 @pytest.fixture(scope="session")
 def field11():
     return Field(11, gamma=8)
+
+
+def load_bench_gen(monkeypatch):
+    """``bench/gen.py``, which makes the benchmark's inputs without dmuss."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -42,6 +42,7 @@ from dmuss.codec import (
     transfer_map,
 )
 from dmuss.errors import (
+    BadShapeError,
     BadSymbolError,
     DmussError,
     FieldTooSmallError,
@@ -410,10 +411,12 @@ def test_decode_all_solves_once_per_set_size(monkeypatch, ref_plan, ref_encoded)
 
 def test_malformed_plans_raise_from_every_reader(ref_plan):
     # exponents that are not a permutation of 1..|A_k| repeat a point, and
-    # |A_k| > p - 1 points collide: the decode rows refuse both, and so
-    # does everything that reads them
+    # |A_k| > p - 1 points collide, and a scaling that is not an int
+    # cannot be written into the packed rows: the decode rows refuse all
+    # three, and so does everything that reads them
     twice = dataclasses.replace(ref_plan, perms=((1, 1, 2, 3),) + ref_plan.perms[1:])
     small = dataclasses.replace(ref_plan, field=Field(3))  # sets of 4 and 5 points
+    floaty = dataclasses.replace(ref_plan, alphas=({**ref_plan.alphas[0], 1: 2.0},) + ref_plan.alphas[1:])
     readers = [
         lambda plan: plan.decode_rows,
         lambda plan: encode(plan, [[0] * r for r in plan.rates], seed=1),
@@ -421,10 +424,14 @@ def test_malformed_plans_raise_from_every_reader(ref_plan):
         check_privacy,
         check_entropy,
     ]
-    for plan, error in [(twice, SingularMatrixError), (small, FieldTooSmallError)]:
+    for plan, error in [(twice, SingularMatrixError), (small, FieldTooSmallError), (floaty, BadSymbolError)]:
         for read in readers:
             with pytest.raises(error):
                 read(plan)
+    # users 1-3 share one table of four points, built to R'_k = 2: user
+    # 1's own R'_k is still checked
+    with pytest.raises(BadShapeError):
+        dataclasses.replace(ref_plan, quotas=(-1,) + ref_plan.quotas[1:]).decode_rows
     with pytest.raises(SingularMatrixError):
         decode(twice, 1, REF_SHARES)
     with pytest.raises(SingularMatrixError):

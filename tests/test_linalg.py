@@ -299,7 +299,6 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
         (linalg.det, None),
         (linalg.solve, [1], [1]),
         (linalg.solve, [[1]], 5),
-        (linalg.solve, [(1, 0), (0, 1)], [1, 2]),  # tuple rows cannot take the right-hand side
         (linalg.mat_vec, [1], [1]),
         (linalg.mat_vec, [[1]], 5),
     ):
@@ -313,6 +312,9 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
         with pytest.raises(BadSymbolError, match="must be ints"):
             linalg.mat_vec(F11, a, v)
     assert linalg.det(F11, [(1, 2), (3, 4)]) == 9  # tuple rows still eliminate
+    for b in ([1, 2], [[1, 0], [2, 5]]):  # and solve as list rows do, vector and block
+        assert linalg.solve(F11, [(1, 2), (3, 4)], b) == linalg.solve(F11, [[1, 2], [3, 4]], b)
+    assert linalg.solve(F11, [(1, 0), (0, 1)], [1, 2]) == [1, 2]
 
 
 
@@ -505,6 +507,22 @@ def test_elimination_matches_slow_references_fuzz():
 BIG_FIELDS = [Field(p) for p in (2, 65537, 2**31 - 1, 2**61 - 1)]
 
 
+def draw_stressor(field, n=64):
+    """A :func:`~dmuss.planner.choose_zeta` draw at its largest fields,
+    packed and as a list matrix: rows zeta * C + D' with zeta = p - 1, C
+    the lower triangle (diagonal included) and D' the strict upper
+    triangle, all entries p - 1.  Its packed fields start unreduced at
+    (p - 1)**2 below and on the diagonal, and every row below a pivot
+    takes an update from each pivot above it."""
+    p = field.p
+    top = p - 1
+    c = [[top if j <= i else 0 for j in range(n)] for i in range(n)]
+    d = [[top if j > i else 0 for j in range(n)] for i in range(n)]
+    ints = [top * cv + dv for cv, dv in zip(linalg.pack(field, c).ints, linalg.pack(field, d).ints)]
+    rows = [[(top * cv + dv) % p for cv, dv in zip(cr, dr)] for cr, dr in zip(c, d)]
+    return linalg.Packed(p, n, ints), rows
+
+
 def carry_stressors(rng, field):
     """Matrices up to 64 x 128 that push the packed fields hardest: every
     entry p - 1, unit-triangular matrices with p - 1 off the diagonal
@@ -516,7 +534,8 @@ def carry_stressors(rng, field):
     bits(63) = 6 leaves the packing no slack for its near-63 * p**2 sums.
     The square upper unit-triangular matrix and the square L @ U give
     back-substitution its largest sums: a row's entries above the
-    diagonal are all p - 1, against solution entries up to p - 1."""
+    diagonal are all p - 1, against solution entries up to p - 1.  The
+    packed zeta draw (:func:`draw_stressor`) starts its fields unreduced."""
     p = field.p
     top = p - 1
     lower = [[1 if i == j else top if j < i else 0 for j in range(64)] for i in range(64)]
@@ -533,6 +552,7 @@ def carry_stressors(rng, field):
     block = random_matrix(rng, p, 5, 96)
     yield "rank-deficient stack", [block[i % 5][:] for i in range(64)]
     yield "tall low-rank", mat_mul(field, random_matrix(rng, p, 64, 9), random_matrix(rng, p, 9, 40))
+    yield "zeta C + D' draw", draw_stressor(field)[0]
 
 
 def test_packed_elimination_at_real_sizes_matches_slow_references():
@@ -557,3 +577,24 @@ def test_packed_elimination_at_real_sizes_matches_slow_references():
                 sq, rhs = [row[:n] for row in a], [row[n] for row in a]
                 got = solve_outcome(linalg.solve, field, sq, rhs)
                 assert got == solve_outcome(slow_solve, field, sq, rhs), (field.p, kind)
+
+
+@pytest.mark.parametrize("p", [3, 65537, 2**31 - 1, 2**61 - 1])
+def test_unreduced_draw_rows_match_slow_det(p):
+    # choose_zeta's draw rows zeta * C + D' are packed unreduced, below
+    # p**2: the packed det reads them as the reduced list matrix, at the
+    # largest fields and on random draws with disjoint C and D' supports
+    field = Field(p)
+    packed, rows = draw_stressor(field)
+    assert packed == rows
+    assert linalg.det(field, packed) == slow_det(field, rows)
+    rng = random.Random(69)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        zeta = [rng.randrange(1, p) for _ in range(n)]
+        mask = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        c = [[rng.randrange(p) if m else 0 for m in row] for row in mask]
+        d = [[0 if m else rng.randrange(p) for m in row] for row in mask]
+        ints = [z * cv + dv for z, cv, dv in zip(zeta, linalg.pack(field, c).ints, linalg.pack(field, d).ints)]
+        rows = [[(z * cv + dv) % p for cv, dv in zip(cr, dr)] for z, cr, dr in zip(zeta, c, d)]
+        assert linalg.det(field, linalg.Packed(p, n, ints)) == slow_det(field, rows), (p, n)

@@ -1,22 +1,21 @@
 """Planning: permutation choice, row scalings, full plan assembly."""
 
 import dataclasses
-import importlib.util
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from operator import mul
-from pathlib import Path
 
 import pytest
 
 from conftest import (
     compress_nodes,
+    load_bench_gen,
     random_access,
     random_rates_in_region,
     slow_choose_permutation,
     slow_decode_rows,
+    slow_det,
     slow_plan_from_parameters,
     slow_tail_basis,
     spy,
@@ -481,39 +480,44 @@ def test_plan_builds_its_correctness_transpose_once(monkeypatch):
 
 
 def test_plan_packs_its_decode_rows_once(monkeypatch):
-    # the decode rows are packed on first use and kept: the load's det,
-    # every encode, the transfer map and check_privacy read the packed
-    # rows (test_basis_rows_stay_off_the_plan_value keeps them off the
-    # plan's value)
+    # the decode rows are written packed on first use and kept: the
+    # load's det, every encode, the transfer map and check_privacy read
+    # those ints, and nothing packs a list of them
+    # (test_basis_rows_stay_off_the_plan_value keeps them off the plan's
+    # value)
     plan = make_plan(Field(65537), ref_access(), (1, 2, 2, 3), seed=5)
     packs = spy(monkeypatch, linalg, "pack", lambda f, a: len(a))
     loaded = plan_from_dict(plan_to_dict(plan))
-    assert packs == [loaded.N]
+    ints = loaded.decode_rows.ints
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     for seed in range(3):
         encode(loaded, msgs, seed=seed)
     transfer_map(loaded)
     check_privacy(loaded)
     check_entropy(loaded)
-    assert packs == [loaded.N]
+    assert packs == [] and loaded.decode_rows.ints is ints
     assert isinstance(loaded.decode_rows, linalg.Packed) and loaded.decode_rows == slow_decode_rows(plan)
 
 
 def test_plan_builds_its_input_blocks_once(monkeypatch):
     # each user's block of the decode rows reads the Lagrange table of its
-    # shape (|A_k|, R'_k): make_plan's zeta split builds one per distinct
-    # shape for both halves, each plan's decode rows one more, and the
-    # encodes, the transfer map and verify build none
+    # set size, built to the largest R'_k among the users of that size:
+    # make_plan's zeta split builds one per distinct size, each plan's
+    # decode rows one more, and the encodes, the transfer map and verify
+    # build none
     calls = spy(monkeypatch, planner, "_lagrange_rows", lambda f, size, count: (size, count))
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     acc = ref_access()
     plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
-    shapes = sorted({(len(s), q) for s, q in zip(acc.sets, plan.quotas)})
-    assert len(shapes) < acc.K  # two users share a table
-    assert sorted(calls) == shapes
+    top = {}
+    for s, q in zip(acc.sets, plan.quotas):
+        top[len(s)] = max(top.get(len(s), 0), q)
+    tables = sorted(top.items())
+    assert len(tables) < len({(len(s), q) for s, q in zip(acc.sets, plan.quotas)})  # users of one size differ in R'_k
+    assert sorted(calls) == tables
     calls.clear()
     loaded = plan_from_dict(plan_to_dict(plan))
-    assert sorted(calls) == shapes
+    assert sorted(calls) == tables
     for p in (loaded, plan):
         for seed in range(3):
             encode(p, msgs, seed=seed)
@@ -521,7 +525,69 @@ def test_plan_builds_its_input_blocks_once(monkeypatch):
         check_correctness(p, trials=2)
         check_privacy(p)
         check_entropy(p)
-    assert sorted(calls) == sorted(shapes * 2)
+    assert sorted(calls) == sorted(tables * 2)
+
+
+def seeded_draws(field, c, d, seed):
+    """How many of choose_zeta's seeded draws it takes until
+    diag(zeta) @ c + d is nonsingular, by :func:`slow_det` on lists."""
+    p, n = field.p, len(c)
+    rng = random.Random(seed)
+    for draw in range(1, planner.RANDOM_TRIALS_PER_ROW * n + 1):
+        zeta = [rng.randrange(1, p) for _ in range(n)]
+        if slow_det(field, [[(z * cv + dv) % p for cv, dv in zip(cr, dr)] for z, cr, dr in zip(zeta, c, d)]):
+            return draw
+    raise AssertionError("no draw was nonsingular")
+
+
+@pytest.mark.parametrize("budget", ["random", "sweep"])
+def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
+    # make_plan writes its zeta split packed: no transpose and no pack of
+    # a list matrix, and each random draw is exactly one det inside
+    # choose_zeta, as many as the seeded draws until V's split is
+    # nonsingular; the sweep takes det C and one det per coordinate.
+    # choose_zeta given lists packs each once, then draws the same way
+    if budget == "sweep":
+        monkeypatch.setattr(planner, "RANDOM_TRIALS_PER_ROW", 0)
+    packs = count_calls(monkeypatch, linalg, "pack")
+    transposes = count_calls(monkeypatch, linalg, "transpose")
+    dets = spy(monkeypatch, linalg, "det", lambda f, a: isinstance(a, linalg.Packed))
+    eliminations = count_calls(monkeypatch, linalg, "_echelon")
+    rng = random.Random(38)
+    for _ in range(30):
+        f = Field(rng.choice([3, 5, 7, 65537]))
+        acc = random_access(rng, max_users=5, max_nodes=8, max_set_size=f.p - 1)
+        rates, seed = random_rates_in_region(rng, acc), rng.randrange(1000)
+        for calls in (packs, transposes, dets, eliminations):
+            calls.clear()
+        plan = make_plan(f, acc, rates, seed=seed)
+        assert packs == [] and transposes == []
+        assert dets == [True] * len(dets) and len(eliminations) == len(dets)
+        if budget == "sweep":
+            assert len(dets) == plan.N + 1
+            continue
+        c, _, _ = split_matrices(plan)
+        d = correctness_matrix(
+            f, acc, plan.quotas, plan.basis_rows, lambda k, n: int(n not in plan.reserved.block(k))
+        )
+        assert len(dets) == seeded_draws(f, c, d, seed), (f, acc, rates, seed)
+    redraws = 0
+    f = Field(3)
+    for _ in range(40):  # over GF(3) a draw is often singular
+        n = rng.randint(2, 6)
+        c = random_nonsingular(rng, f, n)
+        d = [[0 if c[i][j] else rng.randrange(3) for j in range(n)] for i in range(n)]
+        seed = rng.randrange(1000)
+        for calls in (packs, transposes, dets):
+            calls.clear()
+        choose_zeta(f, c, d, seed=seed)
+        assert len(packs) == 2 and transposes == [] and dets == [True] * len(dets)
+        if budget == "sweep":
+            assert len(dets) == n + 1
+            continue
+        assert len(dets) == seeded_draws(f, c, d, seed)
+        redraws += len(dets) > 1
+    assert budget == "sweep" or redraws >= 10
 
 
 def test_basis_rows_stay_off_the_plan_value():
@@ -561,16 +627,6 @@ def test_zeta_from_decode_row_split_equals_zeta_from_v_split(monkeypatch, budget
         c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
         d = correctness_matrix(*args, lambda k, n: int(n not in reserved.block(k)))
         assert choose_zeta(f, c, d, seed) == split_matrices(plan)[2], (f, acc, rates, seed)
-
-
-def load_bench_gen(monkeypatch):
-    """``bench/gen.py``, which makes the benchmark's inputs without dmuss."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_make_plan_eliminates_only_for_zeta(monkeypatch):
