@@ -5,25 +5,42 @@ floating point anywhere.  One forward pass, :func:`_echelon`, does all
 elimination: columns left to right, the first row with a nonzero entry
 becomes the pivot, so every derived object (rank profile, null-space
 basis, solution) is reproducible.  rank counts its pivots and det is its
-signed pivot product.  rref and solve read their results off its unit
-pivot rows by one back-substitution (:func:`_back_substitute`): rref
-over every field of a row, solve over the right-hand sides' fields
-only.  solve, the one reader of [A | B], serves inverse too.
+signed pivot product.  rref and solve read their results off its pivot
+rows by one back-substitution (:func:`_back_substitute`), which also
+divides by the pivots, left unscaled by the forward pass: rref over every
+field of a row, solve over the right-hand sides' fields only.  solve, the
+one reader of [A | B], serves inverse too.
 
 Inside the elimination each row is one Python int holding its entries
 as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
 one row update is one big-int multiply-add instead of a loop over the
-row: the packing of Dumas, Fousse and Salvy, "Simultaneous modular
-reduction and Kronecker substitution for small finite fields" (J. Symb.
-Comput. 2011).  Fields are reduced mod p only when a row becomes a pivot
-row and when back-substitution finishes a row; W leaves room for the
-unreduced sums in between (see :func:`_echelon` and
-:func:`_back_substitute`).  A matrix that is eliminated again and again
-can be held packed (:class:`Packed`), by :func:`pack` or written
-straight into packed ints by its maker: det, rank, rref and solve then
-read its ints instead of packing its entries on every call, and its
-fields may start unreduced, below p**2 (see :func:`_width`).  Every
-reader takes a list of row lists (or tuples) or a :class:`Packed`.
+row.  This is the packing of Dumas, Fousse and Salvy, "Simultaneous
+modular reduction and Kronecker substitution for small finite fields"
+(J. Symb. Comput. 2011).  Three more things keep the work small, the
+last two the other halves of that paper:
+
+* the rows still in play hold the current column in their lowest field,
+  and each column shifts them right by one field, so the column is read
+  with a mask and the updates touch only the columns left (the window
+  shift, :func:`_echelon`);
+* simultaneous modular reduction: a pivot row is reduced mod p in all
+  its fields at once by a packed Barrett reduction, a fixed number of
+  big-int operations (:func:`_reducer`), and is not scaled to a unit
+  pivot: each row below takes the multiplier (p - f) * pi**-1 mod p
+  instead;
+* Kronecker substitution: a vector's back-substitution takes one big-int
+  product per row, the row's tail times the packed, reversed solution
+  (:func:`_back_substitute`).
+
+Fields are reduced mod p only when a row becomes a pivot row and when
+back-substitution finishes a row; W leaves room for the unreduced sums in
+between, below 2**(W - 1) (see :func:`_width`).  A matrix that is
+eliminated again and again can be held packed (:class:`Packed`), by
+:func:`pack` or written straight into packed ints by its maker: det,
+rank, rref and solve then read its ints instead of packing its entries
+on every call, and its fields may start unreduced, below p**2 (see
+:func:`_width`).  Every reader takes a list or tuple of row lists (or
+tuples) or a :class:`Packed`.
 """
 
 from __future__ import annotations
@@ -51,14 +68,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
     """a @ v.  ShapeMismatchError unless a is a list of rows as long as v;
     BadSymbolError for an entry that is not an int (a float, a str, None,
@@ -82,11 +91,16 @@ def _width(p: int, rows: int) -> int:
 
     A field starts below p**2 (reduced, or unreduced as in a
     :class:`Packed` draw row z * C + D, at most (p - 1)**2 + p - 1) and
-    takes at most rows - 1 updates before it is reduced again, each
-    adding (p - f) * y < p**2, so it stays below rows * p**2 < 2**(W - 1):
-    no carry reaches the next field, with one bit to spare.
-    Back-substitution's fields stay below p + rows * p**2 < 2**W (see
-    :func:`_back_substitute`).
+    takes at most rows - 1 updates before it is reduced, each adding a
+    multiplier below p times a reduced pivot-row field, less than p**2,
+    so it stays below rows * p**2 < 2**(W - 1): no carry reaches the next
+    field.  So the elimination may drop a row's lowest field once it is a
+    multiple of p (:func:`_echelon`'s window shift), and every field the
+    packed reduction (:func:`_reducer`) reads is below 2**(W - 1), the
+    bound its quotient estimate needs.  Back-substitution's sums stay
+    below that bound too: a block's fields below p + n * p**2 and a
+    vector's Kronecker product's below n * p**2, for n <= rows pivots
+    (see :func:`_back_substitute`).
     """
     return 2 * p.bit_length() + rows.bit_length() + 1
 
@@ -103,6 +117,41 @@ def _fields(packed: int, w: int, n: int) -> list[int]:
     """The first n W-bit fields of ``packed``, not reduced."""
     mask = (1 << w) - 1
     return [packed >> s & mask for s in range(0, n * w, w)]
+
+
+def _reducer(p: int, w: int, fields: int):
+    """A function that reduces every field of a packed int mod p in a
+    fixed number of big-int operations, whatever its length: Barrett's
+    quotient estimate taken in all fields at once (the simultaneous
+    reduction of Dumas, Fousse and Salvy).  Its input holds at most
+    ``fields`` W-bit fields, each below 2**(W - 1) (see :func:`_width`).
+
+    The even and the odd fields are taken apart, so that each value x
+    sits alone in a 2W-bit slot.  With b = bits(p), k = W + b - 1 and
+    mu = floor(2**k / p) <= 2**W, the product x * mu < 2**(2W - 1) fits
+    its slot, and q = floor(x * mu / 2**k) is read off every slot by one
+    shift of the whole int and a mask of its low 2W - k bits.  As
+    x < 2**k, x * mu / 2**k > x / p - 1, so floor(x / p) - 1 <= q <= x / p
+    and r = x - q * p lies in [0, 2p): subtracting q * p borrows from no
+    slot.  r + 2**(b + 1) - p < 2**(b + 2) has bit b + 1 set exactly
+    where r >= p, and p is subtracted once more there.  The two halves
+    are then merged back.  The constants are built here, once per
+    elimination.
+    """
+    b = p.bit_length()
+    k = w + b - 1
+    mu = (1 << k) // p
+    ones = ((1 << 2 * w * ((fields + 1) // 2)) - 1) // ((1 << 2 * w) - 1)  # bit 0 of each slot
+    low, qmask, lift = ones * ((1 << w) - 1), ones * ((1 << 2 * w - k) - 1), ones * ((1 << b + 1) - p)
+
+    def half(x: int) -> int:
+        x -= (x * mu >> k & qmask) * p
+        return x - ((x + lift) >> b + 1 & ones) * p
+
+    def reduce(x: int) -> int:
+        return half(x & low) | half(x >> w & low) << w
+
+    return reduce
 
 
 class Packed:
@@ -158,18 +207,19 @@ def pack(field: Field, a: Matrix) -> Packed:
     :class:`Packed`): the one pass that reads a coefficient matrix's
     entries.
 
-    Raises ShapeMismatchError when ``a`` is not a list of rows of one
-    length, and BadSymbolError when an entry is not an int (a float, a
-    string, None, a list, ...).
+    Raises ShapeMismatchError when ``a`` is not a list or tuple of rows
+    (each a list or tuple) of one length, and BadSymbolError when an
+    entry is not an int (a float, a string, None, a list, ...).  A
+    :class:`Packed` for another field is packed from its rows.
     """
     p = field.p
-    try:
-        rows = len(a)
-        cols = len(a[0]) if rows else 0
-        ragged = any(len(row) != cols for row in a)
-    except TypeError as exc:
-        raise ShapeMismatchError(f"a matrix is a list of row lists: {exc}") from exc
-    if ragged:
+    if isinstance(a, Packed):
+        a = a.rows
+    if not isinstance(a, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in a):
+        raise ShapeMismatchError("a matrix is a list or tuple of row lists or tuples")
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
         raise ShapeMismatchError("matrix rows differ in length")
     w = _width(p, rows)
     try:
@@ -184,31 +234,43 @@ def packed(field: Field, a: Matrix) -> Packed:
     return a if isinstance(a, Packed) and a.p == field.p else pack(field, a)
 
 
-def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list[int], int]:
-    """Forward elimination with unit pivots: the one elimination loop.
+def _echelon(
+    field: Field, a: Matrix, rhs: Matrix = ()
+) -> tuple[list[int], list[int], list[int], int]:
+    """Forward elimination in a shrinking window: the one elimination loop.
 
-    Each row is held packed in one int: entry c sits in the field at bits
-    [c*W, (c+1)*W) with W = :func:`_width` (2*bits(p) + bits(rows) + 1),
-    and reads as ``(R >> c*W & mask) % p``.  The rows are ``a``'s
-    :class:`Packed` ints when ``a`` is packed for this field, else
-    :func:`pack` packs them here; the rows of ``rhs`` (as many as a's,
-    all of one length), when given, follow in the fields after a's
-    columns.  Pivots are sought in a's columns only, and rhs's fields
-    are carried through every row operation.  Each pivot row is scaled
-    to a unit pivot, reduced mod p and repacked in one pass; each row
-    below is then updated by one big-int operation, R_i += (p - f)*L.
-    Rows below the pivot are never reduced in this pass, so they take at
-    most rows - 1 updates, each field gaining less than p**2: no field
-    overflows into the next.
+    Each row is held packed in one int, W = :func:`_width` bits per field
+    (2*bits(p) + bits(rows) + 1).  The rows are ``a``'s :class:`Packed`
+    ints when ``a`` is packed for this field, else :func:`pack` packs
+    them here; the rows of ``rhs`` (as many as a's, all of one length),
+    when given, follow in the fields after a's columns.  Pivots are
+    sought in a's columns only, and rhs's fields are carried through
+    every row operation.
+
+    The rows still below the last pivot hold the current column in their
+    lowest field, so the column is read as ``(x & mask) % p``.  The pivot
+    row is reduced mod p by :func:`_reducer`, in a fixed number of
+    big-int operations, and left as it is: its pivot pi is not scaled to
+    1.  Each row below, whose entry in the column is f, then takes one
+    big-int multiply-add R += m * L with m = (p - f) * pi**-1 mod p, one
+    scalar per row, which makes its lowest field a multiple of p; it is
+    shifted right by one field, so the next column comes into the lowest
+    field and updates touch only the columns still in play.  A column
+    without a pivot shifts every row below the last pivot the same way.
+    Dropping a field loses nothing: it holds a multiple of p, and no
+    field ever carries into the next (see :func:`_width`), since rows
+    below a pivot are not reduced in this pass, so they take at most
+    rows - 1 updates, each field gaining less than p**2.
 
     Returns:
-        (E, pivots, d) where E holds the packed rows of a row echelon
-        form of [a | rhs] whose pivot entries are 1 (the pivot rows
-        reduced mod p and 0 left of their pivots, the rows below them
-        zero mod p in a's columns), pivots lists the pivot column of
-        each nonzero row, and d is the product of the pivots before
-        scaling times the sign of the row swaps (the determinant when
-        ``a`` is square and has a pivot in every column).
+        (E, pivots, inverses, d) where E holds the pivot rows of a row
+        echelon form of [a | rhs], top first, each reduced mod p and
+        packed from its pivot column on (field 0 holds the pivot, field t
+        the entry of column pivots[i] + t), pivots lists the pivot column
+        of each of them, inverses the inverse mod p of each pivot, and d
+        is the product of the pivots times the sign of the row swaps (the
+        determinant when ``a`` is square and has a pivot in every
+        column).
 
     Raises ShapeMismatchError when ``a`` is not a list of rows of one
     length, and BadSymbolError when an entry is not an int (a float, a
@@ -219,21 +281,22 @@ def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list
     rows, cols = len(m), m.cols
     w = _width(p, rows)
     mask = (1 << w) - 1
-    total = cols + (len(rhs[0]) if rhs else 0)
     r = list(m.ints)
     if rhs:
         try:
             r = [x | _pack(row, w, p) << cols * w for x, row in zip(r, rhs)]
         except TypeError as exc:
             raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
+    reduce = _reducer(p, w, cols + (len(rhs[0]) if rhs else 0))
     pivots: list[int] = []
+    inverses: list[int] = []
     d = 1
     lead = 0
     for col in range(cols):
-        shift = col * w
-        column = [(x >> shift & mask) % p for x in r[lead:]]
+        column = [(x & mask) % p for x in r[lead:]]
         piv = next((i for i, f in enumerate(column) if f), None)
         if piv is None:
+            r[lead:] = [x >> w for x in r[lead:]]
             continue
         if piv:
             r[lead], r[lead + piv] = r[lead + piv], r[lead]
@@ -242,62 +305,83 @@ def _echelon(field: Field, a: Matrix, rhs: Matrix = ()) -> tuple[list[int], list
         pivot = column[0]
         d = d * pivot % p
         inv = pow(pivot, -1, p)
-        lead_row = 0  # the fields left of col are 0 mod p, and become 0
-        for x in reversed(_fields(r[lead] >> shift, w, total - col)):
-            lead_row = lead_row << w | x * inv % p
-        lead_row = r[lead] = lead_row << shift
-        for i, f in enumerate(column[1:], lead + 1):
-            if f:
-                r[i] += (p - f) * lead_row
+        minus = p - inv  # m = (p - f) * inv = f * (p - inv) mod p
+        top = r[lead] = reduce(r[lead])
+        r[lead + 1 :] = [
+            (x + f * minus % p * top if f else x) >> w for x, f in zip(r[lead + 1 :], column[1:])
+        ]
         pivots.append(col)
+        inverses.append(inv)
         lead += 1
         if lead == rows:
             break
-    return r, pivots, d
+    return r[:lead], pivots, inverses, d
 
 
 def _back_substitute(
-    p: int, w: int, r: list[int], pivots: list[int], lo: int, count: int
+    p: int, w: int, r: list[int], pivots: list[int], inverses: list[int], lo: int, count: int
 ) -> list[int]:
     """Back-substitution on :func:`_echelon`'s pivot rows, read off the
     fields lo..lo+count-1 only.
 
-    Reduced row i is echelon row i minus, for each pivot j below it,
-    row i's entry in pivot column j times reduced row j.  Bottom row
-    first, each row costs one ``sum(map(mul, ...))`` of its pivot-column
-    entries against the reduced rows below, each held as one packed int
-    of count fields (one field, a plain residue, for solve's vector).
-    The pivot rows are reduced mod p, so each product is below p**2 in
-    every field and the sum, over fewer than n = len(pivots) rows,
-    below n*p**2.  Adding n*p**2 to every field first keeps each field
-    non-negative and below p + n*p**2 < 2**W, since n <= rows (see
-    :func:`_width`): no field borrows from or carries into the next.
-    Each row is then reduced mod p, field by field, before the rows
-    above read it.
+    Reduced row i is pi_i**-1 times (echelon row i minus, for each pivot
+    j below it, row i's entry in pivot column j times reduced row j),
+    bottom row first; the echelon rows' entries and the reduced rows are
+    below p.
+
+    A vector (count 1 at lo = n, solve's right-hand side after pivots
+    0..n-1) takes one big-int product per row: row i's tail, the entries
+    U_i,i+1..U_i,n-1 in its fields 1..n-1-i, times the solution found so
+    far packed in reverse (x_j in field n-1-j), holds
+    sum_{j>i} U_ij * x_j in its field n-i-2 (Kronecker substitution).
+    Every field of that product is a sum of at most n products below
+    p**2 (row i's right-hand side field included), so below
+    n * p**2 < 2**(W - 1) (see :func:`_width`): none carries, and the
+    field is read exactly.
+
+    A block of count fields (and rref's rows) takes one
+    ``sum(map(mul, ...))`` of row i's pivot-column entries against the
+    reduced rows below, each held as one packed int of count fields.
+    Each product is below p**2 in every field and the sum, over fewer
+    than n = len(pivots) rows, below n*p**2.  Adding n*p**2 to every
+    field first keeps each field non-negative and below
+    p + n*p**2 < 2**(W - 1): no field borrows from or carries into the
+    next.  The row is then reduced, scaled by pi_i**-1 and reduced again
+    by :func:`_reducer` before the rows above read it.
 
     Returns:
-        The n reduced rows, top first, as packed ints of count fields
-        reduced mod p.
+        The n reduced rows, top first: for a vector its entries, for a
+        block packed ints of count fields reduced mod p.
     """
-    mask, window = (1 << w) - 1, (1 << count * w) - 1
     n = len(pivots)
-    offset = 0
-    for _ in range(count):
-        offset = offset << w | n * p * p
-    shift = lo * w
+    mask = (1 << w) - 1
+    if count == 1 and lo == n:  # solve's vector, or no pivots at all
+        x = [0] * n
+        done = 0  # x_j in field n-1-j, for the x_j found so far
+        for i in range(n - 1, -1, -1):
+            last = n - 1 - i
+            tail = r[i] >> w  # U_i,i+1..U_i,n-1, then b_i in field last
+            s = tail * done >> (last - 1) * w & mask if last else 0
+            x[i] = xi = ((tail >> last * w & mask) - s) * inverses[i] % p
+            done |= xi << last * w
+        return x
+    window = (1 << count * w) - 1
+    reduce = _reducer(p, w, count)
+    offset = n * p * p * (window // mask)  # n*p**2 in each of count fields
     done: list[int] = []  # the reduced rows, bottom first
     for i in range(n - 1, -1, -1):
-        row = r[i]
-        coeffs = [row >> c * w & mask for c in reversed(pivots[i + 1 :])]
-        acc = (row >> shift & window) + offset - sum(map(mul, coeffs, done))
-        done.append(acc % p if count == 1 else _pack(_fields(acc, w, count), w, p))
+        row, s = r[i], pivots[i]
+        coeffs = [row >> (c - s) * w & mask for c in reversed(pivots[i + 1 :])]
+        acc = (row << s * w >> lo * w & window) + offset - sum(map(mul, coeffs, done))
+        done.append(reduce(reduce(acc) * inverses[i]))
     done.reverse()
     return done
 
 
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form: :func:`_echelon`, then
-    :func:`_back_substitute` over every field, unpacked once at the end.
+    :func:`_back_substitute` over every field, which also scales each
+    row to a unit pivot; unpacked once at the end.
 
     Returns:
         (R, pivots) where R is the reduced form of ``a`` and pivots lists
@@ -305,10 +389,10 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """
     p = field.p
     m = packed(field, a)  # checks the shape
-    r, pivots, _ = _echelon(field, m)
+    r, pivots, inverses, _ = _echelon(field, m)
     rows, cols = len(m), m.cols
     w = _width(p, rows)
-    reduced = [_fields(row, w, cols) for row in _back_substitute(p, w, r, pivots, 0, cols)]
+    reduced = [_fields(row, w, cols) for row in _back_substitute(p, w, r, pivots, inverses, 0, cols)]
     return reduced + zeros(rows - len(pivots), cols), pivots  # the rows below are zero
 
 
@@ -333,7 +417,7 @@ def det(field: Field, a: Matrix) -> int:
     :func:`pack` result is not packed again."""
     if not _square(a):
         raise ShapeMismatchError("determinant needs a square matrix")
-    _, pivots, d = _echelon(field, a)
+    _, pivots, _, d = _echelon(field, a)
     return d if len(pivots) == len(a) else 0
 
 
@@ -344,10 +428,11 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     One :func:`_echelon` of a, carrying b's rows in the fields after a's
     columns; a is singular unless it pivots on columns 0..n-1 exactly.
     :func:`_back_substitute` then reads x off b's fields alone: each x_i
-    is b_i minus sum_{j>i} U_ij x_j, with U the unit upper triangular
-    echelon form of a, over scalars for a vector and over packed rows of
-    m fields for a block.  A :func:`pack` result for ``a`` is not packed
-    again: only b is packed per call.
+    is pi_i**-1 times (b_i minus sum_{j>i} U_ij x_j), with U the upper
+    triangular echelon form of a and pi_i its pivots, by one Kronecker
+    product per row for a vector and over packed rows of m fields for a
+    block.  A :func:`pack` result for ``a`` is not packed again: only b
+    is packed per call.
 
     Raises:
         ShapeMismatchError: a is not square, b does not have n rows, or
@@ -370,11 +455,11 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     width = len(rhs[0]) if n else 0
     if any(len(row) != width for row in rhs):
         raise ShapeMismatchError("right-hand side rows differ in length")
-    r, pivots, _ = _echelon(field, a, rhs)
+    r, pivots, inverses, _ = _echelon(field, a, rhs)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
     w = _width(field.p, n)
-    x = _back_substitute(field.p, w, r, pivots, n, width)
+    x = _back_substitute(field.p, w, r, pivots, inverses, n, width)
     return [_fields(row, w, width) for row in x] if block else x  # one field: x is its ints
 
 

@@ -145,10 +145,18 @@ def slow_find_sdr(acc: AccessStructure, quotas: Sequence[int]) -> SdrAssignment:
 # --- elimination: the slow references for linalg and the permutation choice ----
 
 
+def copy_matrix(a):
+    return [row[:] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
 def mat_mul(field, a, b):
     """a @ b over GF(p)."""
     p = field.p
-    bt = linalg.transpose(b)
+    bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 
 
@@ -156,7 +164,7 @@ def slow_rref(field, a):
     """Gauss-Jordan reduction: each pivot clears its column above and
     below as soon as it is found."""
     p = field.p
-    r = linalg.copy_matrix(a)
+    r = copy_matrix(a)
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
@@ -206,7 +214,7 @@ def slow_det(field, a):
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("determinant needs a square matrix")
     p = field.p
-    m = linalg.copy_matrix(a)
+    m = copy_matrix(a)
     result = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
@@ -284,7 +292,7 @@ def slow_choose_permutation(field, vectors, sorted_set, zblock):
     quota = len(vectors)
     if quota == 0:
         return tuple(range(1, size + 1))
-    rows = linalg.transpose(vectors)  # size x quota; row j <-> exponent j+1
+    rows = transpose(vectors)  # size x quota; row j <-> exponent j+1
     selected = []
     picked_rows = []
     for j in range(size):
@@ -418,8 +426,8 @@ def slow_decode_rows(plan) -> linalg.Matrix:
             else:
                 pads[k - 1][d - r] = 1
             columns.append(slow_projection(plan, msgs, pads))
-    h = linalg.transpose(columns) if n else []
-    return slow_solve(plan.field, h, linalg.transpose(plan_decomposition(plan)))
+    h = transpose(columns) if n else []
+    return slow_solve(plan.field, h, transpose(plan_decomposition(plan)))
 
 
 def slow_decode(plan, k, shares) -> codec.DecodeResult:
@@ -483,7 +491,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
     projection P_k^T s_k of ``rhs_vector`` at input basis vector e_j, and
     V^T^-1 from :func:`slow_solve` against the identity."""
     n = plan.N
-    inv = slow_solve(plan.field, linalg.transpose(plan_decomposition(plan)), linalg.identity(n))
+    inv = slow_solve(plan.field, transpose(plan_decomposition(plan)), linalg.identity(n))
     hs = []
     for j in range(n):
         unit = [0] * n
@@ -497,7 +505,7 @@ def slow_transfer_map(plan) -> linalg.Matrix:
             pads.append(unit[pos : pos + quota - r])
             pos += quota - r
         hs.append(slow_projection(plan, msgs, pads))
-    return mat_mul(plan.field, inv, linalg.transpose(hs))
+    return mat_mul(plan.field, inv, transpose(hs))
 
 
 # --- the round-trip check that reads the encode's tails: slow reference ----------

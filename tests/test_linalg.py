@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import mat_mul, slow_det, slow_rref, slow_solve
+from conftest import mat_mul, slow_det, slow_rref, slow_solve, transpose
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -282,8 +282,13 @@ def test_mat_ops_shapes():
         for op in (linalg.rref, linalg.rank, linalg.null_space):
             with pytest.raises(ShapeMismatchError):
                 op(F11, ragged)
-    assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
-    assert linalg.transpose([]) == []
+
+
+def test_transpose_reference():
+    # the slow references' transpose, kept in conftest
+    assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+    assert transpose([[1, 2, 3]]) == [[1], [2], [3]]
+    assert transpose([]) == []
 
 
 def test_malformed_shapes_raise_domain_errors_not_type_errors():
@@ -293,6 +298,8 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
     for fn, *args in (
         (linalg.rank, [1, 2]),
         (linalg.rank, 5),
+        (linalg.rank, {1: 2}),  # a bare KeyError: 0 once
+        (linalg.rref, {1: 2}),
         (linalg.rref, [1, 2]),
         (linalg.null_space, [1, 2]),
         (linalg.det, [1]),
@@ -376,7 +383,7 @@ def column_solves(field, a, b, m, solver=linalg.solve):
     if errors:
         (error,) = errors
         return error
-    return linalg.transpose(outcomes)
+    return transpose(outcomes)
 
 
 def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
@@ -598,3 +605,98 @@ def test_unreduced_draw_rows_match_slow_det(p):
         ints = [z * cv + dv for z, cv, dv in zip(zeta, linalg.pack(field, c).ints, linalg.pack(field, d).ints)]
         rows = [[(z * cv + dv) % p for cv, dv in zip(cr, dr)] for z, cr, dr in zip(zeta, c, d)]
         assert linalg.det(field, linalg.Packed(p, n, ints)) == slow_det(field, rows), (p, n)
+
+
+# --- the windowed kernel at its bounds ------------------------------------------
+
+KERNEL_FIELDS = [Field(p) for p in (2, 3, 5, 65537, 2**31 - 1, 2**61 - 1)]
+
+
+def unreduced(field, a):
+    """``a`` as a :class:`~dmuss.linalg.Packed` whose fields start as high
+    as a draw row's can: each entry e at the largest value congruent to e
+    that is at most (p - 1)**2 + p - 1, the maximum of zeta * C + D'
+    (an entry 0 sits exactly there)."""
+    p = field.p
+    top = (p - 1) ** 2 + p - 1
+    w = linalg._width(p, len(a))
+    ints = [sum((e + (top - e) // p * p) << c * w for c, e in enumerate(row)) for row in a]
+    return linalg.Packed(p, len(a[0]) if a else 0, ints)
+
+
+def test_reducer_reduces_every_field_at_its_bounds():
+    # the packed Barrett reduction against % p, field by field, on values
+    # at 2**(W - 1) - 1 (its largest input) and at k*p - 1, k*p and
+    # k*p + 1 for k = 1, the largest k that fits and random k, in even
+    # and odd field positions and for even and odd field counts
+    rng = random.Random(75)
+    for field in KERNEL_FIELDS:
+        p = field.p
+        for rows in (1, 2, 7, 63, 64, 1000):
+            w = linalg._width(p, rows)
+            cap = (1 << w - 1) - 1
+            ks = [1, (cap - 1) // p] + [rng.randint(1, (cap - 1) // p) for _ in range(4)]
+            values = [cap, 0, p - 1] + [k * p + d for k in ks for d in (-1, 0, 1)]
+            for _ in range(3):
+                for count in (len(values), len(values) + 1):
+                    fields = values + [rng.choice(values)] * (count - len(values))
+                    rng.shuffle(fields)
+                    reduce = linalg._reducer(p, w, count)
+                    got = linalg._fields(reduce(sum(v << c * w for c, v in enumerate(fields))), w, count)
+                    assert got == [v % p for v in fields], (p, rows, fields)
+        reduce = linalg._reducer(p, linalg._width(p, 3), 0)
+        assert reduce(0) == 0
+
+
+def kernel_matrices(rng, field):
+    """Square, tall and wide matrices from 0 x 0 and 1 x 1 up to 12 rows,
+    full-rank and rank-deficient, random and with every entry p - 1."""
+    p = field.p
+    shapes = [(0, 0), (1, 1), (1, 3), (3, 1), (2, 2)]
+    shapes += [(n, n) for n in (5, 12)] + [(4, 9), (9, 4), (12, 7), (7, 12)]
+    for rows, cols in shapes:
+        for kind in ("dense", "low-rank", "repeated", "sparse"):
+            yield kind, fuzz_matrix(rng, field, rows, cols, kind)
+        if rows and cols:
+            yield "all p-1", [[p - 1] * cols for _ in range(rows)]
+    yield "1 x 0", [[]]
+    yield "1 x 1 zero", [[0]]
+
+
+def test_windowed_kernel_matches_slow_references_fuzz():
+    # det, rank, rref, null bases and solutions of the windowed kernel
+    # against the slow references, on list matrices and on the same
+    # matrices packed with unreduced fields at the draw rows' maximum,
+    # with vector and block right-hand sides
+    rng = random.Random(77)
+    seen = set()
+    for field in KERNEL_FIELDS:
+        p = field.p
+        for _ in range(3):
+            for kind, a in kernel_matrices(rng, field):
+                rows, cols = len(a), len(a[0]) if a else 0
+                want = slow_rref(field, a)
+                high = unreduced(field, a)
+                assert high == a, (p, kind)
+                for m in (a, high):
+                    assert linalg.rref(field, m) == want, (p, kind, rows, cols)
+                    assert linalg.rank(field, m) == len(want[1]), (p, kind)
+                    if rows == cols:
+                        assert linalg.det(field, m) == slow_det(field, a), (p, kind)
+                    if a and cols:
+                        assert linalg.null_space(field, m) == slow_null_vectors(field, a, want), (p, kind)
+                    for b in (
+                        [rng.randrange(p) for _ in range(rows)],
+                        [p - 1] * rows,
+                        random_matrix(rng, p, rows, 1),
+                        random_matrix(rng, p, rows, 3),
+                        [[p - 1] * max(rows, 1) for _ in range(rows)],
+                    ):
+                        got = solve_outcome(linalg.solve, field, m, b)
+                        assert got == solve_outcome(slow_solve, field, a, b), (p, kind, rows, cols, b)
+                        seen.add((p, "solved" if not isinstance(got, type) else got))
+                seen.add((p, kind, len(want[1]) < min(rows, cols)))
+    for field in KERNEL_FIELDS:
+        assert (field.p, "solved") in seen and (field.p, SingularMatrixError) in seen
+        assert (field.p, ShapeMismatchError) in seen
+        assert (field.p, "low-rank", True) in seen and (field.p, "dense", False) in seen

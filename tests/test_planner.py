@@ -542,15 +542,14 @@ def seeded_draws(field, c, d, seed):
 
 @pytest.mark.parametrize("budget", ["random", "sweep"])
 def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
-    # make_plan writes its zeta split packed: no transpose and no pack of
-    # a list matrix, and each random draw is exactly one det inside
+    # make_plan writes its zeta split packed: no pack of a list matrix,
+    # and each random draw is exactly one det inside
     # choose_zeta, as many as the seeded draws until V's split is
     # nonsingular; the sweep takes det C and one det per coordinate.
     # choose_zeta given lists packs each once, then draws the same way
     if budget == "sweep":
         monkeypatch.setattr(planner, "RANDOM_TRIALS_PER_ROW", 0)
     packs = count_calls(monkeypatch, linalg, "pack")
-    transposes = count_calls(monkeypatch, linalg, "transpose")
     dets = spy(monkeypatch, linalg, "det", lambda f, a: isinstance(a, linalg.Packed))
     eliminations = count_calls(monkeypatch, linalg, "_echelon")
     rng = random.Random(38)
@@ -558,10 +557,10 @@ def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
         f = Field(rng.choice([3, 5, 7, 65537]))
         acc = random_access(rng, max_users=5, max_nodes=8, max_set_size=f.p - 1)
         rates, seed = random_rates_in_region(rng, acc), rng.randrange(1000)
-        for calls in (packs, transposes, dets, eliminations):
+        for calls in (packs, dets, eliminations):
             calls.clear()
         plan = make_plan(f, acc, rates, seed=seed)
-        assert packs == [] and transposes == []
+        assert packs == []
         assert dets == [True] * len(dets) and len(eliminations) == len(dets)
         if budget == "sweep":
             assert len(dets) == plan.N + 1
@@ -578,10 +577,10 @@ def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
         c = random_nonsingular(rng, f, n)
         d = [[0 if c[i][j] else rng.randrange(3) for j in range(n)] for i in range(n)]
         seed = rng.randrange(1000)
-        for calls in (packs, transposes, dets):
+        for calls in (packs, dets):
             calls.clear()
         choose_zeta(f, c, d, seed=seed)
-        assert len(packs) == 2 and transposes == [] and dets == [True] * len(dets)
+        assert len(packs) == 2 and dets == [True] * len(dets)
         if budget == "sweep":
             assert len(dets) == n + 1
             continue
