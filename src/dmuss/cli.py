@@ -16,6 +16,13 @@ blocks split between the corner plans.  Without corners, rates with
 common denominator d must land in the region after scaling by d; the
 scaled plan is then mixed with the all-zero plan over d-symbol blocks,
 which realises the requested rates exactly.
+
+``encode``, ``decode`` and ``verify`` read either plan file as one
+scheme of (plan, block count) layers (:func:`~dmuss.files.load_any_plan`):
+a plain plan is the one-layer scheme and takes any number of message or
+share blocks, each under its plan; a mix takes exactly ``blocks_total``.  ``verify`` checks
+each layer's plan, and reports a mix's layers as ``plan_a`` and
+``plan_b`` beside its ``mixed_rates``.
 """
 
 from __future__ import annotations
@@ -24,22 +31,14 @@ import argparse
 import dataclasses
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 
 from . import demo as demo_mod
 from . import linalg
 from .access import in_capacity_region
-from .codec import (
-    MemoryShare,
-    decode,
-    draw_pads,
-    encode_with_pads,
-    memory_share,
-)
+from .codec import decode, memory_share
 from .errors import DmussError, NotInRegionError, ShapeMismatchError
 from .files import (
     FileFormatError,
@@ -151,27 +150,18 @@ def cmd_plan(args) -> int:
 def cmd_encode(args) -> int:
     scheme = load_any_plan(load_json(args.plan))
     p_msgs, blocks = messages_from_dict(load_json(args.messages))
-    base_plan = scheme.plan_a if isinstance(scheme, MemoryShare) else scheme
-    if p_msgs != base_plan.field.p:
-        raise FileFormatError(f"message modulus {p_msgs} != plan modulus {base_plan.field.p}")
-    if isinstance(scheme, MemoryShare) and len(blocks) != scheme.blocks_total:
-        raise FileFormatError(
-            f"composite plan needs exactly {scheme.blocks_total} message blocks, got {len(blocks)}"
-        )
-    plans = scheme.block_plans if isinstance(scheme, MemoryShare) else repeat(scheme)
-    rng = random.Random(args.seed)
-    results = []
-    for plan, block in zip(plans, blocks):
-        try:
-            results.append(encode_with_pads(plan, block, draw_pads(plan, rng)))
-        except ShapeMismatchError as exc:  # the message file does not fit the plan
-            raise FileFormatError(f"message file: {exc}") from exc
+    if p_msgs != scheme.field.p:
+        raise FileFormatError(f"message modulus {p_msgs} != plan modulus {scheme.field.p}")
+    try:
+        results = scheme.encode_blocks(blocks, args.seed)
+    except ShapeMismatchError as exc:  # the message file does not fit the plan
+        raise FileFormatError(f"message file: {exc}") from exc
     pads = None
     if args.audit:
         pads = [{"free": r.pads.free, "tail": r.pads.tail} for r in results]
     doc = shares_to_dict(
-        base_plan.field.p,
-        nodes=list(range(1, base_plan.N + 1)),
+        scheme.field.p,
+        nodes=list(range(1, scheme.N + 1)),
         blocks=[r.shares for r in results],
         pads=pads,
     )
@@ -182,20 +172,14 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     scheme = load_any_plan(load_json(args.plan))
     p_shares, blocks = shares_from_dict(load_json(args.shares))
-    base_plan = scheme.plan_a if isinstance(scheme, MemoryShare) else scheme
-    if p_shares != base_plan.field.p:
-        raise FileFormatError(f"share modulus {p_shares} != plan modulus {base_plan.field.p}")
+    if p_shares != scheme.field.p:
+        raise FileFormatError(f"share modulus {p_shares} != plan modulus {scheme.field.p}")
     k = args.user
-    if not 1 <= k <= base_plan.K:
-        print(f"error: user must be in 1..{base_plan.K}", file=sys.stderr)
+    if not 1 <= k <= scheme.K:
+        print(f"error: user must be in 1..{scheme.K}", file=sys.stderr)
         return 2
     try:
-        if isinstance(scheme, MemoryShare):
-            symbols = scheme.decode(k, blocks)
-        else:
-            symbols = []
-            for block in blocks:
-                symbols.extend(decode(scheme, k, block).message)
+        symbols = scheme.decode(k, blocks)
     except ShapeMismatchError as exc:  # missing nodes or a wrong block count
         raise FileFormatError(f"share file: {exc}") from exc
     doc = {"format": "dmuss.user-message/1", "user": k, "symbols": symbols}
@@ -263,17 +247,13 @@ def cmd_verify(args) -> int:
     }
     if not which:
         which = {"privacy", "entropy", "roundtrip"}
-    if isinstance(scheme, MemoryShare):
-        report_a, ok_a = _verify_one(scheme.plan_a, which, args.trials, args.seed)
-        report_b, ok_b = _verify_one(scheme.plan_b, which, args.trials, args.seed)
-        doc = {
-            "mixed_rates": [str(r) for r in scheme.rates()],
-            "plan_a": report_a,
-            "plan_b": report_b,
-        }
-        ok = ok_a and ok_b
-    else:
-        doc, ok = _verify_one(scheme, which, args.trials, args.seed)
+    reports = [_verify_one(plan, which, args.trials, args.seed) for plan, _ in scheme.layers]
+    ok = all(layer_ok for _, layer_ok in reports)
+    if len(reports) == 1:
+        doc = reports[0][0]
+    else:  # a mix: its rates, then each layer's report
+        (report_a, _), (report_b, _) = reports
+        doc = {"mixed_rates": [str(r) for r in scheme.rates()], "plan_a": report_a, "plan_b": report_b}
     doc["ok"] = ok
     print(json.dumps(doc, indent=2))
     return 0 if ok else 1

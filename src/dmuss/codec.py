@@ -338,59 +338,65 @@ def transfer_map(plan: Plan) -> TransferMap:
 
 @dataclass
 class MemoryShare:
-    """Rate mixing across node blocks.
+    """A scheme: node symbols split into blocks, each encoded under one
+    integer-rate plan.  ``layers`` holds (plan, block count) pairs in block
+    order, so nodes store ``blocks_total`` symbols at the count-weighted
+    mean of the plans' rates.  A plan file is the one-layer scheme
+    ((plan, 1),), and a rate mix (:func:`memory_share`) has two layers.
+    All plans share one modulus and one access structure."""
 
-    Nodes store ``blocks_total`` symbols; the first ``blocks_a`` of them
-    are encoded under plan_a and the rest under plan_b, so the per-symbol
-    rate interpolates the two plans' rates with weight blocks_a /
-    blocks_total.  Both plans must share the modulus and access structure.
-    """
-
-    plan_a: Plan
-    plan_b: Plan
-    blocks_a: int
-    blocks_total: int
+    layers: tuple
 
     def __post_init__(self):
-        if self.plan_a.field.p != self.plan_b.field.p:
+        try:
+            plans, counts = zip(*self.layers)
+        except (TypeError, ValueError) as exc:  # no layers, or not pairs
+            raise IncompatiblePlansError(f"layers must be (plan, count) pairs: {exc}") from exc
+        if not all(isinstance(plan, Plan) for plan in plans):
+            raise IncompatiblePlansError(f"layers need Plans: {[type(p).__name__ for p in plans]}")
+        if any(plan.field.p != plans[0].field.p for plan in plans):
             raise IncompatiblePlansError("plans use different field moduli")
-        if self.plan_a.access != self.plan_b.access:
+        if any(plan.access != plans[0].access for plan in plans):
             raise IncompatiblePlansError("plans use different access structures")
-        if type(self.blocks_a) is not int or type(self.blocks_total) is not int:
+        if any(type(count) is not int for count in counts):
             raise IncompatiblePlansError("block counts must be ints (not bools)")
-        if not 0 <= self.blocks_a <= self.blocks_total or self.blocks_total < 1:
-            raise IncompatiblePlansError(
-                f"need 0 <= a <= b with b >= 1, got a={self.blocks_a}, b={self.blocks_total}"
-            )
+        if min(counts) < 0 or sum(counts) < 1:
+            raise IncompatiblePlansError(f"need block counts >= 0 summing to >= 1, got {counts}")
+
+    def block_plans(self, count: int, misfit: str = "expected {} blocks, got {}") -> Iterator[Plan]:
+        """The plans of ``count`` blocks in order, lazily (a file sets
+        blocks_total): a one-layer scheme repeats its plan for any count
+        >= 1, and any other takes exactly blocks_total blocks; else
+        ShapeMismatchError, ``misfit`` formatted with both counts."""
+        if len(self.layers) == 1 and count >= 1:
+            return repeat(self.layers[0][0], count)
+        if count != self.blocks_total:
+            raise ShapeMismatchError(misfit.format(self.blocks_total, count))
+        return chain.from_iterable(repeat(plan, c) for plan, c in self.layers)
 
     @property
-    def block_plans(self) -> Iterator[Plan]:
-        """Each block's plan in order, as a fresh iterator: a list would
-        hold blocks_total entries, which a plan file sets."""
-        return chain(
-            repeat(self.plan_a, self.blocks_a),
-            repeat(self.plan_b, self.blocks_total - self.blocks_a),
-        )
+    def field(self):
+        return self.layers[0][0].field
 
     @property
     def K(self) -> int:
-        return self.plan_a.K
+        return self.layers[0][0].K
 
     @property
     def N(self) -> int:
-        return self.plan_a.N
+        return self.layers[0][0].N
+
+    @property
+    def blocks_total(self) -> int:
+        return sum(count for _, count in self.layers)
 
     def rates(self) -> tuple:
         """Per-user rate in message symbols per stored node symbol."""
-        w = Fraction(self.blocks_a, self.blocks_total)
-        return tuple(
-            w * ra + (1 - w) * rb for ra, rb in zip(self.plan_a.rates, self.plan_b.rates)
-        )
+        return tuple(Fraction(length, self.blocks_total) for length in self.message_lengths())
 
     def message_lengths(self) -> tuple:
         return tuple(
-            self.blocks_a * ra + (self.blocks_total - self.blocks_a) * rb
-            for ra, rb in zip(self.plan_a.rates, self.plan_b.rates)
+            sum(count * plan.rates[k] for plan, count in self.layers) for k in range(self.K)
         )
 
     def split_messages(self, msgs: Sequence) -> list:
@@ -404,7 +410,7 @@ class MemoryShare:
                 )
         cursors = [0] * self.K
         out = []
-        for plan in self.block_plans:
+        for plan in self.block_plans(self.blocks_total):
             block = []
             for k in range(self.K):
                 r = plan.rates[k]
@@ -413,27 +419,33 @@ class MemoryShare:
             out.append(block)
         return out
 
-    def encode(self, msgs: Sequence, seed: int | None = None) -> list:
-        """Encode flat per-user messages; returns one EncodeResult per block."""
-        blocks = self.split_messages(msgs)
+    def encode_blocks(self, blocks: Sequence, seed: int | None = None) -> list:
+        """One EncodeResult per block of per-user messages, with every
+        block's pads drawn from one RNG seeded with ``seed``."""
+        misfit = "composite plan needs exactly {} message blocks, got {}"
+        plans = self.block_plans(len(blocks), misfit)
         rng = random.Random(seed)
         return [
-            encode_with_pads(plan, block_msgs, draw_pads(plan, rng))
-            for plan, block_msgs in zip(self.block_plans, blocks)
+            encode_with_pads(plan, block, draw_pads(plan, rng))
+            for plan, block in zip(plans, blocks)
         ]
+
+    def encode(self, msgs: Sequence, seed: int | None = None) -> list:
+        """Encode flat per-user messages; returns one EncodeResult per block."""
+        return self.encode_blocks(self.split_messages(msgs), seed)
 
     def decode(self, k: int, share_blocks: Sequence) -> list:
         """Recover user k's flat message from per-block shares."""
-        if len(share_blocks) != self.blocks_total:
-            raise ShapeMismatchError(
-                f"expected {self.blocks_total} share blocks, got {len(share_blocks)}"
-            )
+        plans = self.block_plans(len(share_blocks), "expected {} share blocks, got {}")
         out = []
-        for plan, shares in zip(self.block_plans, share_blocks):
+        for plan, shares in zip(plans, share_blocks):
             out.extend(decode(plan, k, shares).message)
         return out
 
 
 def memory_share(plan_a: Plan, plan_b: Plan, blocks_a: int, blocks_total: int) -> MemoryShare:
-    """Mix two plans over a common access structure; see :class:`MemoryShare`."""
-    return MemoryShare(plan_a=plan_a, plan_b=plan_b, blocks_a=blocks_a, blocks_total=blocks_total)
+    """The first ``blocks_a`` of ``blocks_total`` blocks under plan_a and
+    the rest under plan_b: the two-layer :class:`MemoryShare`."""
+    ints = type(blocks_a) is int and type(blocks_total) is int  # else the validator refuses them
+    rest = blocks_total - blocks_a if ints else blocks_total
+    return MemoryShare(((plan_a, blocks_a), (plan_b, rest)))

@@ -5,7 +5,8 @@ Four document kinds, each tagged with a ``format`` string: instances
 in for the evaluation points, which are powers of the stored generator),
 share files (per-block node symbols, possibly restricted to a subset of
 nodes), and message files (per-block, per-user symbol lists).  A fifth
-composite kind wraps two plans plus a block split for rate mixing.
+composite kind wraps two plans plus a block split for rate mixing; either
+plan kind loads as one scheme (:func:`load_any_plan`).
 
 Malformed documents raise :class:`FileFormatError`; whether the *valid*
 document describes something mathematically workable is the domain
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .access import AccessStructure
-from .codec import MemoryShare
+from .codec import MemoryShare, memory_share
 from .errors import BadSymbolError
 from .gf import Field
 from .planner import Plan, plan_from_parameters
@@ -239,18 +240,19 @@ def plan_from_dict(doc: dict) -> Plan:
 
 
 def mix_to_dict(ms: MemoryShare) -> dict:
+    (plan_a, blocks_a), (plan_b, _) = ms.layers
     return {
         "format": MIX_FORMAT,
-        "blocks_a": ms.blocks_a,
+        "blocks_a": blocks_a,
         "blocks_total": ms.blocks_total,
-        "plan_a": plan_to_dict(ms.plan_a),
-        "plan_b": plan_to_dict(ms.plan_b),
+        "plan_a": plan_to_dict(plan_a),
+        "plan_b": plan_to_dict(plan_b),
     }
 
 
 def mix_from_dict(doc: dict) -> MemoryShare:
     _check_format(doc, MIX_FORMAT)
-    return MemoryShare(
+    return memory_share(
         plan_a=plan_from_dict(_require(doc, "plan_a", dict)),
         plan_b=plan_from_dict(_require(doc, "plan_b", dict)),
         blocks_a=_require(doc, "blocks_a", int),
@@ -258,11 +260,13 @@ def mix_from_dict(doc: dict) -> MemoryShare:
     )
 
 
-def load_any_plan(doc: dict):
-    """Dispatch on the format tag: returns a Plan or a MemoryShare."""
+def load_any_plan(doc: dict) -> MemoryShare:
+    """A plan file as the one-layer scheme ((plan, 1),), which takes any
+    number of blocks; a mix file as its two layers, which take exactly
+    blocks_total blocks."""
     if isinstance(doc, dict) and doc.get("format") == MIX_FORMAT:
         return mix_from_dict(doc)
-    return plan_from_dict(doc)
+    return MemoryShare(((plan_from_dict(doc), 1),))
 
 
 # --- shares and messages -------------------------------------------------------

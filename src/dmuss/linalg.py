@@ -69,16 +69,15 @@ def identity(n: int) -> Matrix:
 
 
 def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
-    """a @ v.  ShapeMismatchError unless a is a list of rows as long as v;
-    BadSymbolError for an entry that is not an int (a float, a str, None,
-    a list), as the eliminations refuse them: a float would leave the
-    field."""
+    """a @ v.  ShapeMismatchError unless a is a list of row lists as long
+    as the list v (tuples will do); BadSymbolError for an entry that is
+    not an int (a float, a str, None, a list), as the eliminations refuse
+    them: a float would leave the field."""
     p = field.p
-    try:
-        ragged = any(len(row) != len(v) for row in a)
-    except TypeError as exc:
-        raise ShapeMismatchError(f"need a list of row lists and a vector: {exc}") from exc
-    if ragged:
+    lists = (list, tuple)  # a dict row or vector would multiply its keys
+    if not (isinstance(a, lists) and isinstance(v, lists) and all(isinstance(r, lists) for r in a)):
+        raise ShapeMismatchError("need a list of row lists and a vector list")
+    if any(len(row) != len(v) for row in a):
         raise ShapeMismatchError(f"every matrix row needs the vector's {len(v)} entries")
     for x in chain(v, *a):
         if not isinstance(x, int):
@@ -435,17 +434,17 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     is packed per call.
 
     Raises:
-        ShapeMismatchError: a is not square, b does not have n rows, or
-            the rows of a block b are not lists of one length.
+        ShapeMismatchError: a is not square, b is not a list (or tuple)
+            of n rows, or the rows of a block b are not lists of one
+            length.
         SingularMatrixError: a is singular.
     """
     if not _square(a):
         raise ShapeMismatchError("coefficient matrix must be square")
     n = len(a)
-    try:
-        m = len(b)
-    except TypeError as exc:
-        raise ShapeMismatchError(f"right-hand side must be a list: {exc}") from exc
+    if not isinstance(b, (list, tuple)):  # a dict would read as its keys
+        raise ShapeMismatchError(f"right-hand side must be a list, got {type(b).__name__}")
+    m = len(b)
     if m != n:
         raise ShapeMismatchError(f"right-hand side has {m} rows, expected {n}")
     block = n > 0 and isinstance(b[0], list)

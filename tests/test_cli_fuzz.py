@@ -10,7 +10,9 @@ with exit code 0, 1 or 2 and never let an exception escape.
 
 The instance is small and cheap to check, so every one-step mutation of
 it is tried; the other documents, and multi-step mutations, are drawn
-from a seeded generator.
+from a seeded generator.  The mix file (the demo plan and the zero plan
+at 1:2) gets its own run: every one-step mutation of its top-level keys,
+then seeded random mutations anywhere in it.
 """
 
 import copy
@@ -18,12 +20,15 @@ import random
 
 from dmuss import demo
 from dmuss.cli import main
-from dmuss.files import messages_to_dict, plan_to_dict, save_json, shares_to_dict
+from dmuss.codec import memory_share
+from dmuss.files import messages_to_dict, mix_to_dict, plan_to_dict, save_json, shares_to_dict
+from dmuss.planner import make_plan
 
 # strong pseudoprimes to the prime bases <= 41 and <= 37
 PSEUDOPRIMES = (1287836182261 * 2575672364521, 399165290221 * 798330580441)
 ODD_VALUES = (None, True, False, -1, 0, 1.5, "7", [[1, 2], [3]], [], 10**30, *PSEUDOPRIMES)
 RANDOM_TRIALS = 700
+MIX_RANDOM_TRIALS = 400
 
 
 def base_documents() -> dict:
@@ -125,3 +130,34 @@ def test_cli_survives_mutated_files(tmp_path, capsys):
         save_json(paths[name], bases[name])
     # the mutations reach every outcome: accepted, refused, malformed
     assert all(codes.values()), codes
+
+
+def test_cli_survives_mutated_mix_files(tmp_path, capsys):
+    plan = demo.demo_plan()
+    zero = make_plan(plan.field, plan.access, (0, 0, 0, 0), seed=1)
+    mix = memory_share(plan, zero, 1, 2)
+    base = mix_to_dict(mix)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("mix", "messages", "shares")}
+    blocks = [demo.demo_messages(), [[] for _ in range(plan.K)]]
+    save_json(paths["messages"], messages_to_dict(plan.field.p, blocks))
+    share_blocks = [res.shares for res in mix.encode(demo.demo_messages(), seed=3)]
+    save_json(paths["shares"], shares_to_dict(plan.field.p, list(range(1, plan.N + 1)), share_blocks))
+    commands = [
+        ["encode", paths["mix"], paths["messages"], "--seed", "1"],
+        ["decode", paths["mix"], paths["shares"], "--user", "2"],
+        ["verify", paths["mix"], "--trials", "2"],
+    ]
+    cases = []
+    for key in base:
+        for action, value in [("delete", None)] + [("replace", v) for v in ODD_VALUES]:
+            doc = copy.deepcopy(base)
+            apply(doc, key, action, value)
+            cases.append(doc)
+    rng = random.Random(20220)
+    cases += [random_mutation(rng, base) for _ in range(MIX_RANDOM_TRIALS)]
+    for doc in cases:
+        save_json(paths["mix"], doc)
+        for argv in commands:
+            code = main(argv)
+            assert code in (0, 1, 2), (argv, doc, code)
+        capsys.readouterr()

@@ -33,6 +33,7 @@ from dmuss import codec, linalg, planner
 from dmuss.access import AccessStructure, in_capacity_region
 from dmuss.codec import (
     EncodeResult,
+    MemoryShare,
     PadSet,
     decode,
     decode_all,
@@ -538,7 +539,7 @@ def test_memory_share_rates_and_lengths(ref_plan):
     ms = memory_share(ref_plan, zero, 1, 2)
     assert ms.rates() == (Fraction(1, 2), Fraction(1), Fraction(1), Fraction(3, 2))
     assert ms.message_lengths() == (1, 2, 2, 3)
-    assert list(ms.block_plans) == [ref_plan, zero]
+    assert list(ms.block_plans(2)) == [ref_plan, zero]
 
 
 def test_memory_share_round_trip(ref_plan, ref_messages):
@@ -575,6 +576,10 @@ def test_memory_share_rejects_mismatches(ref_plan):
         memory_share(ref_plan, zero, 3, 2)
     with pytest.raises(IncompatiblePlansError):
         memory_share(ref_plan, zero, 0, 0)
+    # a missing plan was a bare AttributeError
+    for plan_a, plan_b in ((ref_plan, None), (None, ref_plan)):
+        with pytest.raises(IncompatiblePlansError):
+            memory_share(plan_a, plan_b, 1, 2)
 
 
 def test_memory_share_message_validation(ref_plan):
@@ -586,6 +591,11 @@ def test_memory_share_message_validation(ref_plan):
         ms.encode([[1, 1], [2, 6], [4, 0], [3, 5, 7]], seed=0)
     with pytest.raises(ShapeMismatchError):
         ms.decode(1, [[0] * 8])
+    # a plan alone repeats for any positive block count
+    plain = MemoryShare(((ref_plan, 1),))
+    assert list(plain.block_plans(3)) == [ref_plan] * 3
+    with pytest.raises(ShapeMismatchError):
+        plain.decode(1, [])
 
 
 # --- the whole pipeline at benchmark-like sizes against the slow elimination -----

@@ -265,7 +265,7 @@ def test_mix_round_trip():
     doc = mix_to_dict(ms)
     again = mix_from_dict(doc)
     assert again.rates() == ms.rates()
-    assert again.blocks_a == 1 and again.blocks_total == 2
+    assert again.layers == ((plan_a, 1), (plan_b, 1)) and again.blocks_total == 2
     assert load_any_plan(json.loads(json.dumps(doc))) == ms
     # a bool count used to be accepted, and then its own plan file was refused
     for a, b in ((True, 2), (1, True), (False, True)):
@@ -274,11 +274,12 @@ def test_mix_round_trip():
 
 
 def test_load_any_plan_dispatch():
+    # either file loads as a scheme: a plan file as its one layer
     plan_doc = plan_to_dict(demo.demo_plan())
-    assert not isinstance(load_any_plan(plan_doc), MemoryShare)
+    assert load_any_plan(plan_doc) == MemoryShare(((demo.demo_plan(), 1),))
     plan_b = make_plan(Field(11), demo.demo_access(), (0, 0, 0, 0), seed=1)
     mix_doc = mix_to_dict(memory_share(demo.demo_plan(), plan_b, 1, 2))
-    assert isinstance(load_any_plan(mix_doc), MemoryShare)
+    assert load_any_plan(mix_doc).layers == ((demo.demo_plan(), 1), (plan_b, 1))
 
 
 def test_shares_round_trip():
@@ -602,6 +603,38 @@ def test_cli_files_that_do_not_fit_the_plan(tmp_path, capsys):
     assert "expected 2 share blocks, got 1" in capsys.readouterr().err
 
 
+def test_cli_block_count_rule(tmp_path, capsys):
+    # a plain plan file takes any number of blocks, each under its plan;
+    # a mix takes exactly blocks_total, on encode and on decode
+    plan = demo.demo_plan()
+    plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(plan))
+    blocks = [
+        demo.demo_messages(),
+        [[2], [3, 4], [5, 6], [7, 8, 9]],
+        [[10], [0, 1], [1, 1], [0, 0, 0]],
+    ]
+    msg_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, blocks))
+    shares_path = str(tmp_path / "shares.json")
+    assert main(["encode", plan_path, msg_path, "--seed", "5", "--out", shares_path]) == 0
+    share_blocks = load_json(shares_path)["blocks"]
+    assert len(share_blocks) == 3
+    for k in range(1, 5):
+        assert main(["decode", plan_path, shares_path, "--user", str(k)]) == 0
+        symbols = json.loads(capsys.readouterr().out)["symbols"]
+        assert symbols == [s for block in blocks for s in block[k - 1]]
+
+    zero = make_plan(plan.field, plan.access, (0, 0, 0, 0), seed=3)
+    mix_path = write_doc(tmp_path, "mix.json", mix_to_dict(memory_share(plan, zero, 1, 2)))
+    empty = [[], [], [], []]
+    for count in (1, 3):
+        msgs = messages_to_dict(11, [demo.demo_messages()] + [empty] * (count - 1))
+        assert main(["encode", mix_path, write_doc(tmp_path, "m.json", msgs)]) == 2
+        assert f"needs exactly 2 message blocks, got {count}" in capsys.readouterr().err
+        shares = shares_to_dict(11, list(range(1, 9)), share_blocks[:count])
+        assert main(["decode", mix_path, write_doc(tmp_path, "s.json", shares), "--user", "1"]) == 2
+        assert f"expected 2 share blocks, got {count}" in capsys.readouterr().err
+
+
 def test_block_count_is_checked_before_any_block_plan(tmp_path, capsys):
     # blocks_total comes from the plan file: a count check that first
     # listed one plan per block would allocate 8 bytes a block (8 MB
@@ -611,6 +644,8 @@ def test_block_count_is_checked_before_any_block_plan(tmp_path, capsys):
     ms = memory_share(plan, zero, 1, 10**6)
     mix_path = write_doc(tmp_path, "mix.json", mix_to_dict(ms))
     msg_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    shares = shares_to_dict(11, list(range(1, 9)), [demo.demo_encode().shares])
+    shares_path = write_doc(tmp_path, "shares.json", shares)
     wrong = [[1, 1], [2, 6], [4, 0], [3, 5, 7]]
     tracemalloc.start()
     try:
@@ -620,10 +655,15 @@ def test_block_count_is_checked_before_any_block_plan(tmp_path, capsys):
         with pytest.raises(ShapeMismatchError):
             ms.encode(wrong, seed=0)
         encode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["decode", mix_path, shares_path, "--user", "1"]) == 2
+        decode_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "needs exactly 1000000 message blocks, got 1" in capsys.readouterr().err
-    assert cli_peak < 10**6 and encode_peak < 10**6, (cli_peak, encode_peak)
+    err = capsys.readouterr().err
+    assert "needs exactly 1000000 message blocks, got 1" in err
+    assert "expected 1000000 share blocks, got 1" in err
+    assert max(cli_peak, encode_peak, decode_peak) < 10**6, (cli_peak, encode_peak, decode_peak)
 
 
 @pytest.mark.parametrize("bad", [11, 13, -1, True])

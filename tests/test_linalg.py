@@ -308,6 +308,10 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
         (linalg.solve, [[1]], 5),
         (linalg.mat_vec, [1], [1]),
         (linalg.mat_vec, [[1]], 5),
+        # a dict was read as its keys: each of these gave [0]
+        (linalg.solve, [[1]], {0: 1}),
+        (linalg.mat_vec, [{0: 3}], [1]),
+        (linalg.mat_vec, [[3]], {0: 1}),
     ):
         with pytest.raises(ShapeMismatchError):
             fn(F11, *args)
