@@ -60,7 +60,6 @@ from .planner import (
     make_plan,
     plan_decomposition,
     plan_from_parameters,
-    tail_basis,
 )
 from .sdr import DeficiencyCertificate, SdrAssignment, find_sdr, validate_sdr
 from .verify import (
@@ -130,7 +129,6 @@ __all__ = [
     "pairwise_bound",
     "plan_decomposition",
     "plan_from_parameters",
-    "tail_basis",
     "transfer_map",
     "validate_quotas",
     "validate_sdr",

@@ -93,7 +93,15 @@ class EncodeResult:
         return [v for tail in self.pads.tail for v in tail] + self.shares
 
 
+def _check_list(value, what: str) -> None:
+    """ShapeMismatchError unless ``value`` is a list or tuple (one type
+    test: None has no length, and a dict or a str reads as other data)."""
+    if not isinstance(value, (list, tuple)):
+        raise ShapeMismatchError(f"{what} must be a list, got {type(value).__name__}")
+
+
 def _check_message_shape(plan: Plan, msgs: Sequence) -> None:
+    _check_list(msgs, "messages")
     if len(msgs) != plan.K:
         raise ShapeMismatchError(f"expected {plan.K} user messages, got {len(msgs)}")
     for k in range(1, plan.K + 1):
@@ -104,6 +112,7 @@ def _check_message_shape(plan: Plan, msgs: Sequence) -> None:
 
 
 def _check_pad_shape(plan: Plan, pads: Sequence) -> None:
+    _check_list(pads, "pad blocks")
     if len(pads) != plan.K:
         raise ShapeMismatchError(f"expected {plan.K} pad blocks, got {len(pads)}")
     for k in range(1, plan.K + 1):
@@ -188,6 +197,8 @@ def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
     solve of the natural-order Vandermonde on gamma^1..gamma^n per set
     size n, whose right-hand sides hold each user's -alpha y at the rows
     of its exponents."""
+    if not isinstance(shares, (Mapping, list, tuple)):
+        raise ShapeMismatchError(f"shares must be a list or a mapping, got {type(shares).__name__}")
     field = plan.field
     p = field.p
     by_size: dict = {}  # set size -> [(user, right-hand side)]
@@ -401,6 +412,7 @@ class MemoryShare:
 
     def split_messages(self, msgs: Sequence) -> list:
         """Cut flat per-user messages into per-block message sets."""
+        _check_list(msgs, "messages")
         if len(msgs) != self.K:
             raise ShapeMismatchError(f"expected {self.K} user messages, got {len(msgs)}")
         for k, want in enumerate(self.message_lengths(), start=1):
@@ -423,6 +435,7 @@ class MemoryShare:
         """One EncodeResult per block of per-user messages, with every
         block's pads drawn from one RNG seeded with ``seed``."""
         misfit = "composite plan needs exactly {} message blocks, got {}"
+        _check_list(blocks, "message blocks")
         plans = self.block_plans(len(blocks), misfit)
         rng = random.Random(seed)
         return [
@@ -436,6 +449,7 @@ class MemoryShare:
 
     def decode(self, k: int, share_blocks: Sequence) -> list:
         """Recover user k's flat message from per-block shares."""
+        _check_list(share_blocks, "share blocks")
         plans = self.block_plans(len(share_blocks), "expected {} share blocks, got {}")
         out = []
         for plan, shares in zip(plans, share_blocks):

@@ -435,8 +435,8 @@ def solve(field: Field, a: Matrix, b: list) -> list:
 
     Raises:
         ShapeMismatchError: a is not square, b is not a list (or tuple)
-            of n rows, or the rows of a block b are not lists of one
-            length.
+            of n rows, or the rows of a block b are not lists (or tuples)
+            of one length.
         SingularMatrixError: a is singular.
     """
     if not _square(a):
@@ -447,8 +447,9 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     m = len(b)
     if m != n:
         raise ShapeMismatchError(f"right-hand side has {m} rows, expected {n}")
-    block = n > 0 and isinstance(b[0], list)
-    if block and not all(isinstance(row, list) for row in b):
+    rows = (list, tuple)
+    block = n > 0 and isinstance(b[0], rows)
+    if block and not all(isinstance(row, rows) for row in b):
         raise ShapeMismatchError("right-hand side mixes rows and entries")
     rhs = b if block else [[x] for x in b]
     width = len(rhs[0]) if n else 0
@@ -495,8 +496,18 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:
     return vectors
 
 
-def check_tail_shape(field: Field, m: int, n: int) -> None:
-    """The shape checks of a nonempty tail-coefficient matrix.
+def build_B(field: Field, m: int, n: int) -> Matrix:
+    """Tail-coefficient evaluation matrix.
+
+    The (n-m) x n matrix with entry (i, j) = gamma**((m+i-1)*j) for
+    i in 1..n-m and j in 1..n (both 1-indexed).  Its rows evaluate the
+    degree-m..n-1 monomials at the first n powers of gamma, so it has
+    full rank n-m whenever the powers gamma^1..gamma^n are distinct.
+
+    Its null space, ``null_space(field, build_B(field, m, n))``, is user
+    k's tail null basis for m = R'_k and n = |A_k|: the basis the
+    planner's correctness matrix V is built from (``Plan.basis_rows``),
+    and the matrix ``dmuss demo`` prints.
 
     Raises:
         BadShapeError: unless 0 <= m < n.
@@ -506,25 +517,5 @@ def check_tail_shape(field: Field, m: int, n: int) -> None:
         raise BadShapeError(f"need 0 <= m < n, got m={m}, n={n}")
     if n > field.p - 1:
         raise FieldTooSmallError(f"n={n} evaluation points need p-1 >= n, got p={field.p}")
-
-
-def build_B(field: Field, m: int, n: int) -> Matrix:
-    """Tail-coefficient evaluation matrix.
-
-    The (n-m) x n matrix with entry (i, j) = gamma**((m+i-1)*j) for
-    i in 1..n-m and j in 1..n (both 1-indexed).  Its rows evaluate the
-    degree-m..n-1 monomials at the first n powers of gamma, so it has
-    full rank n-m whenever the powers gamma^1..gamma^n are distinct.
-
-    The planner never builds it: ``planner.tail_basis`` writes its null
-    space in closed form.  It is kept as the matrix ``dmuss demo``
-    prints, and as the oracle the tests eliminate to check that closed
-    form.
-
-    Raises:
-        BadShapeError: unless 0 <= m < n.
-        FieldTooSmallError: n exceeds p-1, so evaluation points collide.
-    """
-    check_tail_shape(field, m, n)
     p, g = field.p, field.gamma
     return [[pow(g, (m + i) * j, p) for j in range(1, n + 1)] for i in range(n - m)]

@@ -15,7 +15,8 @@ matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
 nonsingular.  :func:`correctness_matrix` writes V (:func:`plan_decomposition`,
 which ``dmuss demo`` prints), from the rows :attr:`Plan.basis_rows`
-derives once.
+derives once, each user's by the elimination the construction names:
+``linalg.null_space(field, linalg.build_B(field, R'_k, |A_k|))``.
 
 A plan checks that condition on an operator that needs no null basis.
 User k's polynomial has degree |A_k| - 1, its low R'_k coefficients are
@@ -48,20 +49,9 @@ every determinant :func:`choose_zeta` takes is V's times the same
 zeta-free factor prod_k det H_k^-1, and zeta is the one V's split would
 give.
 
-The null-space bases need no elimination either.  User k's tail matrix
-evaluates the monomials x^m..x^(n-1) (m = R'_k, n = |A_k|) at n distinct
-nonzero points, so it generates a generalised Reed-Solomon code and its
-null space is the dual code, written down by Lagrange interpolation on
-the first n - m points: any n - m of the points are independent, so
-those first columns are exactly the pivots an elimination would find.
-:func:`tail_basis` derives the formula and gives the canonical basis an
-elimination would, entry for entry.
-
-Nor does the permutation.  The dual of a generalised Reed-Solomon code
-is again one, so it is MDS and any R'_k rows of its basis are
-independent: :func:`choose_permutation` gives the reserved nodes
-exponents 1..R'_k by index alone.  The one elimination left in
-:func:`make_plan` is :func:`choose_zeta`'s determinant.
+The permutation needs no elimination either: any R'_k rows of a null
+basis are independent (:func:`choose_permutation`), so the one
+elimination left in :func:`make_plan` is :func:`choose_zeta`'s determinant.
 """
 
 from __future__ import annotations
@@ -197,86 +187,16 @@ class Plan:
         return linalg.det(self.field, self.decode_rows)
 
 
-def tail_basis(field: Field, quota: int, set_size: int) -> Matrix:
-    """Null-space basis vectors of user k's tail-coefficient matrix, in
-    closed form.
-
-    With m = quota, n = set_size, q = n - m and x_j = gamma^(j+1) for the
-    0-indexed column j, the matrix (:func:`linalg.build_B`) is the q x n
-    matrix with entry (i, j) = x_j^(m+i).  A vector v is in its null
-    space iff w_j = x_j^m v_j satisfies sum_j w_j P(x_j) = 0 for every
-    polynomial P of degree < q: w is a codeword of the dual of a
-    Reed-Solomon code, which has an explicit Lagrange form (MacWilliams
-    and Sloane, *The Theory of Error-Correcting Codes*, ch. 10-11).
-
-    * The points are distinct and nonzero (gamma is primitive and
-      n <= p - 1), so every q columns are independent.  Reduction
-      therefore pivots on columns 0..q-1, and the free columns are the
-      last m.
-    * The canonical vector of free column f carries 1 at f and 0 at the
-      other free columns.  Lagrange interpolation on the pivot points,
-      P(x_f) = sum_{j<q} l_j(x_f) P(x_j), gives w_j = -w_f l_j(x_f),
-      that is v_j = -(x_f / x_j)^m l_j(x_f), with
-      l_j(x) = prod_{i<q, i != j} (x - x_i) / (x_j - x_i).
-
-    The points and their m-th powers are walked, one multiplication
-    each.  The numerators of l_j(x_f) come from prefix and suffix
-    products of the (x_f - x_i), and the q factors
-    x_j^m prod_{i != j} (x_j - x_i) are inverted together with one
-    ``pow``: O(q^2 + q*m) multiplications and no elimination.  The result
-    equals ``linalg.null_space`` of that matrix entry for entry.  With
-    m == n >= 0 the matrix has no rows and the basis is the identity.
-
-    Raises:
-        BadShapeError: m < 0 or m > n, except m == n >= 0, which is
-            answered before any check.
-        FieldTooSmallError: n exceeds p-1, so evaluation points collide.
-    """
-    if 0 <= quota == set_size:
-        return linalg.identity(set_size)
-    linalg.check_tail_shape(field, quota, set_size)
-    if quota == 0:
-        return []
-    p, g = field.p, field.gamma
-    m, q = quota, set_size - quota
-    x = _powers(g, set_size + 1, p)[1:]
-    xm = _powers(pow(g, m, p), set_size + 1, p)[1:]  # xm[j] = x_j^m = (g^m)^(j+1)
-    # scale[j] = 1 / (x_j^m * prod_{i != j} (x_j - x_i)), one inversion for all j
-    dens = []
-    for j in range(q):
-        d = xm[j]
-        for i in range(q):
-            if i != j:
-                d = d * (x[j] - x[i]) % p
-        dens.append(d)
-    scale = _inverses(dens, p)
-    vectors = []
-    for f in range(q, set_size):
-        xf = x[f]
-        diffs = [xf - xi for xi in x[:q]]
-        suffix = [1] * (q + 1)
-        for i in range(q - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * diffs[i] % p
-        v = [0] * set_size
-        v[f] = 1
-        lead = -xm[f]  # -x_f^m times the prefix product so far
-        for j in range(q):
-            v[j] = lead * suffix[j + 1] % p * scale[j] % p
-            lead = lead * diffs[j] % p
-        vectors.append(v)
-    return vectors
-
-
 def choose_permutation(sorted_set: list, zblock: Sequence[int]) -> tuple:
     """Deterministic exponent permutation for one user.
 
     The reserved positions, in ascending order, take exponents 1..R'_k
     (R'_k = len(zblock)), and the other positions take R'_k+1..|A_k| in
     ascending order.  Exponent j selects row j of the user's null basis
-    (:func:`tail_basis`), and the reserved rows must be independent.  Any
-    R'_k rows are: the tail matrix generates a generalised Reed-Solomon
-    code, whose dual is MDS, so no elimination looks for them.  Returns
-    pi as a tuple with pi[i-1] = pi(i).
+    (of :func:`~dmuss.linalg.build_B`), and the reserved rows must be
+    independent.  Any R'_k rows are: the tail matrix generates a
+    generalised Reed-Solomon code, whose dual is MDS, so no elimination
+    looks for them.  Returns pi as a tuple with pi[i-1] = pi(i).
     """
     reserved = {sorted_set.index(n) for n in zblock}
     order = sorted(range(len(sorted_set)), key=lambda i: (i not in reserved, i))
@@ -288,10 +208,14 @@ def choose_permutation(sorted_set: list, zblock: Sequence[int]) -> tuple:
 
 def _basis_rows(field: Field, quotas: Sequence[int], perms: Sequence) -> list:
     """Each user's |A_k| x R'_k null-basis rows, in the order of its
-    exponent permutation: row i is entry pi(i) of every basis vector."""
+    exponent permutation: row i is entry pi(i) of every vector of the
+    null space of its tail matrix (:func:`~dmuss.linalg.build_B`, whose
+    errors it raises), or of the identity when R'_k = |A_k|."""
     rows = []
     for quota, perm in zip(quotas, perms):
-        vectors = tail_basis(field, quota, len(perm))
+        size = len(perm)
+        tail = [] if quota == size else linalg.build_B(field, quota, size)
+        vectors = linalg.null_space(field, tail, cols=size)
         rows.append([[v[e - 1] for v in vectors] for e in perm])
     return rows
 

@@ -23,13 +23,12 @@ from conftest import (
     slow_det,
     slow_rref,
     slow_solve,
-    slow_tail_basis,
     slow_transfer_map,
     spy,
     system_layout,
     system_matrix,
 )
-from dmuss import codec, linalg, planner
+from dmuss import codec, linalg
 from dmuss.access import AccessStructure, in_capacity_region
 from dmuss.codec import (
     EncodeResult,
@@ -132,6 +131,20 @@ def test_shape_validation(ref_plan):
         encode_with_pads(ref_plan, [[1, 1], [2, 6], [4, 0], [3, 5, 7]], [[]] * 4)
     with pytest.raises(ShapeMismatchError, match="user 1: pad block length 1 != 0"):
         encode_with_pads(ref_plan, [[1], [2, 6], [4, 0], [3, 5, 7]], [[1]] * 4)
+    # a container that is not a list (nor a mapping, for shares) is a shape error, not a TypeError
+    plain, msgs = MemoryShare(((ref_plan, 1),)), [[1], [2, 6], [4, 0], [3, 5, 7]]
+    for call in (
+        lambda: plain.decode(1, None),
+        lambda: plain.decode(1, 5),
+        lambda: plain.encode_blocks(None),
+        lambda: plain.split_messages(None),
+        lambda: decode(ref_plan, 1, None),
+        lambda: encode(ref_plan, None),
+        lambda: decode_all(ref_plan, 5),
+        lambda: encode_with_pads(ref_plan, msgs, None),
+    ):
+        with pytest.raises(ShapeMismatchError, match="must be a list"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [11, 13, -1, True, 1.0])
@@ -645,5 +658,4 @@ def test_pipeline_at_benchmark_sizes_matches_slow_elimination(monkeypatch, p, n,
     monkeypatch.setattr(linalg, "solve", slow_solve)
     monkeypatch.setattr(linalg, "rank", lambda f, a: len(slow_rref(f, a)[1]))
     monkeypatch.setattr(linalg, "det", slow_det)
-    monkeypatch.setattr(planner, "tail_basis", slow_tail_basis)
     assert pipeline(field, acc, rates, seed=5) == fast

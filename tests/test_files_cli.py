@@ -7,6 +7,7 @@ runs exactly as a shell user would drive it.
 """
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -407,6 +408,10 @@ def test_cli_demo_regression(capsys):
     assert "user 1 decodes [1]" in out
     assert "user 4 decodes [3, 5, 7]" in out
     assert "determinant:" in out
+    # the demo is the one output that prints the tail matrices, the null
+    # bases and V: all of it, byte for byte
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "25ce00d937b28537255cc3a0270a6846c0b3f0830816522f69c9ceba6c8ecd70"
 
 
 # --- CLI: fractional rates ----------------------------------------------------------

@@ -210,6 +210,12 @@ def test_solve_identity_and_errors():
         linalg.solve(F11, [[1, 2, 3], [4, 5, 6]], [1, 2])
     with pytest.raises(ShapeMismatchError):  # a block whose second row is an entry
         linalg.solve(F11, linalg.identity(2), [[1], 2])
+    # tuple rows are a block too, as lists are
+    assert linalg.solve(F11, linalg.identity(2), [(1, 0), (0, 1)]) == linalg.identity(2)
+    assert linalg.solve(F11, linalg.identity(2), ((1, 0), (0, 1))) == linalg.identity(2)
+    assert linalg.solve(F11, [[2, 1], [1, 1]], ((3, 4), [5, 6])) == [[9, 9], [7, 8]]
+    with pytest.raises(ShapeMismatchError):
+        linalg.solve(F11, linalg.identity(2), [(1,), 2])
 
 
 def test_entries_that_are_not_ints_raise_bad_symbol_error():

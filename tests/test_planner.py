@@ -4,7 +4,6 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -43,7 +42,6 @@ from dmuss.planner import (
     make_plan,
     plan_decomposition,
     plan_from_parameters,
-    tail_basis,
 )
 from dmuss.sdr import SdrAssignment, validate_sdr
 from dmuss.verify import check_correctness, check_entropy, check_privacy
@@ -89,165 +87,9 @@ def split_matrices(plan):
     return c, d, zeta
 
 
-# --- tail bases -----------------------------------------------------------------
-
-
-def test_tail_basis_dimensions():
-    for quota, size in [(0, 4), (1, 4), (3, 4), (4, 4)]:
-        vectors = tail_basis(F11, quota, size)
-        assert len(vectors) == quota
-        if quota < size:
-            b = linalg.build_B(F11, quota, size)
-            for v in vectors:
-                assert linalg.mat_vec(F11, b, v) == [0] * (size - quota)
-    assert tail_basis(F11, 4, 4) == linalg.identity(4)
-
-
-def test_tail_basis_rejects_negative_sizes():
-    # m == n is answered without a check only when it is a real size
-    for quota, size in [(-1, -1), (-2, -2), (-3, -2), (0, -1)]:
-        with pytest.raises(BadShapeError):
-            tail_basis(F11, quota, size)
-    assert tail_basis(F11, 0, 0) == []
-    assert tail_basis(Field(3), 5, 5) == linalg.identity(5)
-
-
-def tail_outcome(fn, field, quota, size):
-    try:
-        return fn(field, quota, size)
-    except DmussError as exc:
-        return type(exc), str(exc)
-
-
-# explicit generators besides each modulus' smallest one
-OTHER_GAMMAS = {
-    5: [3], 7: [5], 11: [8, 7], 13: [11], 17: [14], 65537: [5], 2**31 - 1: [16807], 2**61 - 1: [43],
-}
-
-
-def power_table(field, size):
-    """F[r][j] = gamma^(r*(j+1)) for r, j < size: its rows m.. are
-    ``build_B(field, m, size)``, so one table serves every quota."""
-    p = field.p
-    table = []
-    for r in range(size):
-        step, power, row = pow(field.gamma, r, p), 1, []
-        for _ in range(size):
-            power = power * step % p
-            row.append(power)
-        table.append(row)
-    return table
-
-
-def packed_columns(field, table):
-    """The power table's columns, each one int holding its entries w bits
-    apart, and w: room for a sum of len(table) products of two symbols."""
-    w = 2 * field.p.bit_length() + len(table).bit_length() + 1
-    return [sum(x << i * w for i, x in enumerate(col)) for col in zip(*table)], w
-
-
-def is_canonical_null_basis(field, table, quota, vectors, packed=None):
-    """Whether ``vectors`` is ``null_space(field, b)`` for the tail matrix
-    b = table[quota:] (q = n - m rows, m = quota), checked without an
-    elimination.
-
-    * There are m vectors, and vector t carries 1 at column q + t and 0
-      at the other columns q..n-1 (the free-column identity pattern).
-    * Each is in the null space: b @ v = 0 in exact integers, one big-int
-      dot product per vector over b's packed columns
-      (:func:`packed_columns`, shifted past the first m rows).
-    * b's first q columns are independent: with x_j = gamma^(j+1) they
-      are a generalised Vandermonde matrix whose determinant is
-      prod_j x_j^m * prod_{i<j} (x_j - x_i), and that is nonzero.
-
-    So reduction pivots on columns 0..q-1, and the free-column pattern
-    then fixes each vector's other entries: the canonical basis, uniquely.
-    """
-    p, size, m = field.p, len(table), quota
-    q = size - m
-    if len(vectors) != m or any(len(v) != size for v in vectors):
-        return False
-    if any(v[q:] != [int(t == u) for u in range(m)] for t, v in enumerate(vectors)):
-        return False
-    cols, w = packed or packed_columns(field, table)
-    mask = (1 << w) - 1
-    rows_b = [c >> m * w for c in cols]  # column j of b, packed
-    for v in vectors:
-        total = sum(map(mul, v, rows_b))  # field i: row i of b times v, unreduced
-        if any((total >> i * w & mask) % p for i in range(q)):
-            return False
-    x = [pow(field.gamma, j, p) for j in range(1, q + 1)]
-    minor = 1
-    for j in range(q):
-        minor = minor * pow(x[j], m, p) % p
-        for i in range(j):
-            minor = minor * (x[j] - x[i]) % p
-    return minor != 0
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 65537, 2**31 - 1, 2**61 - 1])
-def test_tail_basis_matches_elimination_fuzz(p):
-    # the closed form against the null space of the tail matrix
-    # build_B(m, n) = F[m:], F the size's power table: the same canonical
-    # vectors for every shape up to 64 points (32 under the explicit
-    # generators), the same errors outside (slow_tail_basis, on build_B).
-    # The two large moduli check the vectors exactly without eliminating
-    # (is_canonical_null_basis); the others against null_space itself
-    fields = [(Field(p), 64)] + [(Field(p, gamma=g), 32) for g in OTHER_GAMMAS.get(p, [])]
-    for f, cap in fields:
-        for size in range(min(f.p - 1, cap) + 1):
-            table = power_table(f, size)
-            packed = packed_columns(f, table)
-            for quota in range(size + 1):
-                if size <= 24 and quota < size:
-                    assert table[quota:] == linalg.build_B(f, quota, size), (f, quota, size)
-                got = tail_basis(f, quota, size)
-                if p < 2**31 - 1:
-                    want = linalg.null_space(f, table[quota:], cols=size)  # the identity at quota == size
-                    assert got == want, (f, quota, size)
-                else:
-                    assert is_canonical_null_basis(f, table, quota, got, packed), (f, quota, size)
-        bad = [(-1, 0), (-1, 3), (1, 0), (5, 3), (0, f.p), (f.p - 1, f.p), (-2, -2)]
-        for quota, size in bad:
-            got = tail_outcome(tail_basis, f, quota, size)
-            assert got == tail_outcome(slow_tail_basis, f, quota, size), (f, quota, size)
-            assert type(got) is tuple, (f, quota, size)
-
-
-def test_canonical_null_basis_check_rejects_other_bases():
-    # the exact check is no weaker than the elimination: every basis it
-    # accepts equals null_space, and other spanning sets are refused
-    f = Field(2**61 - 1)
-    rng = random.Random(5)
-    for size in range(1, 10):
-        table = power_table(f, size)
-        for quota in range(size + 1):
-            want = linalg.null_space(f, table[quota:], cols=size)
-            assert is_canonical_null_basis(f, table, quota, want)
-            if quota:
-                t = rng.randrange(quota)
-                scaled = [v[:] for v in want]
-                scaled[t] = [2 * x % f.p for x in scaled[t]]  # in the null space, wrong pattern
-                assert not is_canonical_null_basis(f, table, quota, scaled)
-                assert not is_canonical_null_basis(f, table, quota, want[:-1])
-                if quota < size:
-                    off = [v[:] for v in want]
-                    off[t][0] = (off[t][0] + 1) % f.p  # right pattern, not in the null space
-                    assert not is_canonical_null_basis(f, table, quota, off)
-    # 8 points in GF(7) repeat (x_0 = x_6 and x_1 = x_7 for gamma = 3), so
-    # e_7 - e_1 is in the null space with the free-column pattern, but the
-    # first 7 columns are dependent: only the minor rules it out
-    f7 = Field(7)
-    table = power_table(f7, 8)
-    v = [0, f7.p - 1, 0, 0, 0, 0, 0, 1]
-    assert linalg.mat_vec(f7, table[1:], v) == [0] * 7
-    assert not is_canonical_null_basis(f7, table, 1, [v])
-    assert linalg.null_space(f7, table[1:]) != [v]
-
-
 def test_plan_load_eliminates_once(monkeypatch):
-    # tail bases are written down, not eliminated: loading a plan runs
-    # one elimination, the det check of its correctness matrix
+    # loading a plan runs one elimination, the det check of its decode
+    # rows; no null basis is derived until V is asked for
     rng = random.Random(12)
     f = Field(65537)
     sets = compress_nodes([frozenset(n for n in range(1, 33) if rng.random() < 0.5) for _ in range(8)])
@@ -255,10 +97,6 @@ def test_plan_load_eliminates_once(monkeypatch):
     plan = make_plan(f, acc, random_rates_in_region(rng, acc, stop_prob=0), seed=3)
     doc = plan_to_dict(plan)
     calls = count_calls(monkeypatch, linalg, "_echelon")
-    for size in range(25):
-        for quota in range(size + 1):
-            tail_basis(f, quota, size)
-    assert calls == []
     loaded = plan_from_dict(doc)
     assert len(calls) == 1
     assert loaded == plan and loaded.basis_rows == plan.basis_rows
@@ -318,7 +156,7 @@ def test_choose_permutation_matches_greedy_rank_extension_fuzz():
             for quota in range(size + 1):
                 nodes = sorted(rng.sample(range(1, 3 * size + 1), size))
                 zblock = rng.sample(nodes, quota)
-                want = slow_choose_permutation(f, tail_basis(f, quota, size), nodes, zblock)
+                want = slow_choose_permutation(f, slow_tail_basis(f, quota, size), nodes, zblock)
                 assert choose_permutation(nodes, zblock) == want, (f, quota, size)
 
 
@@ -438,9 +276,10 @@ def test_decomposition_structure():
 
 
 def test_plan_derives_its_basis_rows_once(monkeypatch):
-    # planning, loading, encoding and the transfer map read no null basis;
-    # the correctness matrix V derives the rows on first use, once a plan
-    calls = count_calls(monkeypatch, planner, "tail_basis")
+    # planning, loading, encoding, the transfer map and the correctness
+    # check eliminate no tail matrix; the correctness matrix V derives the
+    # rows on first use, one null space per user, once a plan
+    calls = count_calls(monkeypatch, linalg, "null_space")
     acc = ref_access()
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     plan = make_plan(F11, acc, (1, 2, 2, 3), seed=5)
@@ -629,8 +468,8 @@ def test_zeta_from_decode_row_split_equals_zeta_from_v_split(monkeypatch, budget
 
 
 def test_make_plan_eliminates_only_for_zeta(monkeypatch):
-    # permutations and tail bases take no elimination: every one make_plan
-    # runs is a determinant of choose_zeta's, and the benchmark's store
+    # permutations take no elimination and planning derives no null basis:
+    # every one make_plan runs is a determinant of choose_zeta's, and the benchmark's store
     # and retrieve plans take one (the first draw)
     eliminations = count_calls(monkeypatch, linalg, "_echelon")
     dets = count_calls(monkeypatch, linalg, "det")
