@@ -33,7 +33,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import NotInRegionError, SingleUserError, TooLargeError, TooManyUsersError
@@ -53,6 +55,11 @@ class AccessStructure:
     bools.  N is defined as the size of the union, and the union must
     cover 1..N without gaps (a node nobody reads cannot store anything
     useful).
+
+    ``masks[k-1]`` holds user k's set as an int with bit n set for each
+    node n: set differences and unions are then one int operation each.
+    It is derived from ``sets`` and is not a field, so equality, hashing
+    and ``repr`` see only the sets.
     """
 
     sets: tuple  # tuple of frozensets of 1-indexed node ids
@@ -61,14 +68,16 @@ class AccessStructure:
         if not self.sets:
             raise ValueError("need at least one user")
         sets = tuple(frozenset(s) for s in self.sets)
-        if any(type(n) is not int for s in sets for n in s):
+        if set(map(type, itertools.chain.from_iterable(sets))) - {int}:
             raise ValueError("node ids must be ints")
         object.__setattr__(self, "sets", sets)
         union = frozenset().union(*sets)
-        if not union or any(s == frozenset() for s in sets):
+        if not union or frozenset() in sets:
             raise ValueError("every user needs a nonempty access set")
-        if min(union) < 1 or union != frozenset(range(1, len(union) + 1)):
+        # distinct ints from 1 up to their count are exactly 1..N
+        if min(union) < 1 or max(union) != len(union):
             raise ValueError("access sets must cover 1..N with no gaps")
+        object.__setattr__(self, "masks", tuple(sum(map((1).__lshift__, s)) for s in sets))
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[int]]) -> "AccessStructure":
@@ -94,8 +103,7 @@ class AccessStructure:
         return sorted(self.user_set(k))
 
     def union_size(self, users: Iterable[int]) -> int:
-        members = [self.sets[k - 1] for k in users]
-        return len(frozenset().union(*members)) if members else 0
+        return reduce(or_, [self.masks[k - 1] for k in users], 0).bit_count()
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,10 @@ def pairwise_bound(acc: AccessStructure, k: int) -> int:
     """min over other users j of |A_k \\ A_j|; needs K >= 2."""
     if acc.K == 1:
         raise SingleUserError("pairwise bound is undefined with a single user")
-    mine = acc.user_set(k)
-    return min(len(mine - acc.user_set(j)) for j in range(1, acc.K + 1) if j != k)
+    acc.user_set(k)  # ValueError unless k is a user
+    masks = acc.masks
+    mine = masks[k - 1]
+    return min([(mine & ~m).bit_count() for m in masks[: k - 1] + masks[k:]])
 
 
 def capacity_constraints(acc: AccessStructure) -> list[Constraint]:

@@ -105,6 +105,7 @@ def _check_message_shape(plan: Plan, msgs: Sequence) -> None:
     if len(msgs) != plan.K:
         raise ShapeMismatchError(f"expected {plan.K} user messages, got {len(msgs)}")
     for k in range(1, plan.K + 1):
+        _check_list(msgs[k - 1], f"user {k}: message")
         if len(msgs[k - 1]) != plan.rates[k - 1]:
             raise ShapeMismatchError(
                 f"user {k}: message length {len(msgs[k - 1])} != rate {plan.rates[k - 1]}"
@@ -117,6 +118,7 @@ def _check_pad_shape(plan: Plan, pads: Sequence) -> None:
         raise ShapeMismatchError(f"expected {plan.K} pad blocks, got {len(pads)}")
     for k in range(1, plan.K + 1):
         want = plan.quotas[k - 1] - plan.rates[k - 1]
+        _check_list(pads[k - 1], f"user {k}: pad block")
         if len(pads[k - 1]) != want:
             raise ShapeMismatchError(
                 f"user {k}: pad block length {len(pads[k - 1])} != {want}"
@@ -416,6 +418,7 @@ class MemoryShare:
         if len(msgs) != self.K:
             raise ShapeMismatchError(f"expected {self.K} user messages, got {len(msgs)}")
         for k, want in enumerate(self.message_lengths(), start=1):
+            _check_list(msgs[k - 1], f"user {k}: message")
             if len(msgs[k - 1]) != want:
                 raise ShapeMismatchError(
                     f"user {k}: message length {len(msgs[k - 1])} != {want}"

@@ -59,7 +59,11 @@ def _check_format(doc, tag: str):
 
 
 def _int_list(values, what: str) -> list:
-    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+    """A list of JSON integers: one pass over the types, and a per-entry
+    :func:`_is_int` only when some entry is not exactly an int."""
+    if not isinstance(values, list) or (
+        not set(map(type, values)) <= {int} and not all(_is_int(v) for v in values)
+    ):
         raise FileFormatError(f"{what} must be a list of integers")
     return list(values)
 

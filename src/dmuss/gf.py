@@ -9,39 +9,63 @@ finds the generator.
 
 from __future__ import annotations
 
-from math import gcd
+from bisect import bisect_right
+from math import gcd, prod
 
 from .errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
 
-# Deterministic Miller-Rabin witnesses, sufficient below _MR_BOUND
-# (2..37 alone pass 399165290221 * 798330580441).
+# The first 13 primes, the Miller-Rabin witnesses.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The least strong pseudoprime to every witness above:
-# 1287836182261 * 2575672364521.
-_MR_BOUND = 3317044064679887385961981
+_WITNESS_PRODUCT = prod(_MR_WITNESSES)
+# psi_t (OEIS A014233; Jaeschke, Math. Comp. 1993): the least strong
+# pseudoprime to each of the first t witnesses, for t = 1..13, so the first
+# t witnesses prove every n < psi_t.  psi_12 = 399165290221 * 798330580441.
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+# psi_13 = 1287836182261 * 2575672364521, past which no witness set here proves n.
+_MR_BOUND = _MR_PSI[-1]
+# Odd trial divisors of p - 1 run below this before Pollard-Brent.
+_TRIAL_BOUND = 1 << 10
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24.
 
+    n runs against the first t witnesses, t the least with n < psi_t
+    (:data:`_MR_PSI`): 2 and 3 below 1373653, 2..7 below 3215031751, all 13
+    below the bound.
+
     Raises:
+        NotPrimeError: n is not an int (bools included).
         TooLargeError: n is at least the bound, where the witnesses no
             longer prove the answer.
     """
+    if type(n) is not int:
+        raise NotPrimeError(f"primality is defined for ints, got {n!r}")
     if n >= _MR_BOUND:
         raise TooLargeError(f"{n} is too large: primality is proven only below {_MR_BOUND}")
     if n < 2:
         return False
-    for small in _MR_WITNESSES:
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
+    if gcd(n, _WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -90,15 +114,22 @@ def _rho_divisor(n: int) -> int:
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending.
 
-    Primes up to 41 are divided out; what is left splits by
-    :func:`_rho_divisor` until every part passes :func:`is_prime`.
+    2 and then the odd numbers d below 2**10 are divided out while
+    d * d <= n; a rest above 1 is then prime when d * d > n, and otherwise
+    splits by :func:`_rho_divisor` until every part passes
+    :func:`is_prime`.
     """
     out = set()
-    for q in _MR_WITNESSES:
-        if n % q == 0:
-            out.add(q)
-            while n % q == 0:
-                n //= q
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d = 3 if d == 2 else d + 2
+    if n > 1 and d * d > n:
+        out.add(n)
+        n = 1
     parts = [n] if n > 1 else []
     while parts:
         m = parts.pop()
@@ -148,7 +179,7 @@ class Field:
             moduli always give the same field description.
 
     Raises:
-        NotPrimeError: p is composite or < 2.
+        NotPrimeError: p is composite, < 2 or not an int (bools included).
         TooLargeError: p >= 3.3 * 10^24 (see :func:`is_prime`).
         BadSymbolError: an explicit gamma is not an element of GF(p):
             an int (not a bool) in [0, p).

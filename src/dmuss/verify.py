@@ -54,11 +54,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import lshift, mul
 
 from . import linalg
 from .codec import TransferMap, _check_rates, decode_all, encode, transfer_map
 from .errors import SingularMatrixError, TooLargeError
 from .gf import _powers
+from .linalg import _reducer, _width
 from .planner import Plan
 
 AUDIT_INPUT_CAP = 20000  # p**N beyond this refuses to enumerate
@@ -230,6 +232,17 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     every evaluation point.  A trial costs one N x N solve and one
     :func:`~dmuss.codec.decode_all`: one Vandermonde solve per distinct
     set size.  Raises ValueError unless trials is an int (not a bool) >= 1.
+
+    The identity is checked for a whole user at once: the values at
+    gamma^1..gamma^|A_k| are the packed Vandermonde columns of the set
+    size (built once per call, :func:`_vandermonde_columns`) times the
+    coefficients, one big-int multiply-add each, and the scaled shares
+    are the placed scalings -alpha times the shares; both are reduced by
+    :func:`~dmuss.linalg._reducer` and compared.  All coefficients and
+    shares are field elements, so every field stays below
+    |A_k| * p**2, the bound the packing width allows.  Both reduced ints
+    hold one canonical value per field, so the fields where they differ
+    name the failing nodes.
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"need an int of at least 1 trial, got {trials!r}")
@@ -237,7 +250,9 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     p = plan.field.p
     failures = 0
     first = None
-    users = None  # each user's nodes, points and scalings
+    gamma = plan.field.gamma
+    users = None  # per user: nodes, perm, field width, share indices, placed scalings
+    columns: dict = {}  # set size -> its packed Vandermonde columns and their reducer
 
     def note(msg):
         nonlocal failures, first
@@ -252,23 +267,40 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
         if users is None:  # once decode_all has checked each perm is 1..|A_k|
             users = []
             for k, perm in enumerate(plan.perms, start=1):
-                x = _powers(plan.field.gamma, len(perm) + 1, p)
-                users.append((plan.access.sorted_set(k), [x[e] for e in perm], plan.alphas[k - 1]))
+                size = len(perm)
+                w = _width(p, size)
+                if size not in columns:
+                    columns[size] = _vandermonde_columns(p, gamma, size, w), _reducer(p, w, size)
+                nodes, alphas = plan.access.sorted_set(k), plan.alphas[k - 1]
+                placed = [-alphas[n] % p << (e - 1) * w for n, e in zip(nodes, perm)]
+                users.append((nodes, perm, w, [n - 1 for n in nodes], placed))
         for k, got in enumerate(decoded, start=1):
             if got.message != msgs[k - 1]:
                 note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")
         # defining identity: g_k(gamma_{k,i}) == -alpha * Y_n
-        for k, (got, (nodes, points, alphas)) in enumerate(zip(decoded, users), start=1):
+        for k, (got, (nodes, perm, w, index, placed)) in enumerate(zip(decoded, users), start=1):
             free = res.pads.free[k - 1]
             coeffs = list(msgs[k - 1]) + list(free) + got.pads[len(free) :]
-            for g, n in zip(points, nodes):
-                val = 0
-                for c in reversed(coeffs):
-                    val = (val * g + c) % p
-                want = -alphas[n] * res.shares[n - 1] % p
-                if val != want:
-                    note(f"trial {trial}: user {k} node {n}: share identity broken")
+            cols, reduce = columns[len(nodes)]
+            diff = reduce(sum(map(mul, coeffs, cols))) ^ reduce(
+                sum(map(mul, placed, map(res.shares.__getitem__, index)))
+            )
+            if diff:
+                mask = (1 << w) - 1
+                for e, n in zip(perm, nodes):
+                    if diff >> (e - 1) * w & mask:
+                        note(f"trial {trial}: user {k} node {n}: share identity broken")
     return CorrectnessReport(trials=trials, failures=failures, first_failure=first)
+
+
+def _vandermonde_columns(p: int, gamma: int, size: int, w: int) -> list:
+    """Column d of the Vandermonde matrix on gamma^1..gamma^size, for
+    d < size, packed W = ``w`` bits apart: gamma^(e*d) mod p in field e - 1.
+    Column d >= 1 is every d-th power of gamma from gamma^d to gamma^(size*d)."""
+    powers = _powers(gamma, size * (size - 1) + 1, p)
+    shifts = range(0, size * w, w)
+    cols = [[1] * size] + [powers[d : d * size + 1 : d] for d in range(1, size)]
+    return [sum(map(lshift, col, shifts)) for col in cols]
 
 
 @dataclass

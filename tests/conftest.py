@@ -91,6 +91,45 @@ def spy(monkeypatch, module, name, record):
     return calls
 
 
+# --- primality and pairwise bounds: slow references -----------------------------
+
+SLOW_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def slow_is_prime(n: int) -> bool:
+    """Miller-Rabin with all 13 witnesses 2..41 whatever the size of n,
+    after trial division by the same primes; proven for n below
+    3317044064679887385961981, and no int check."""
+    if n < 2:
+        return False
+    for small in SLOW_MR_WITNESSES:
+        if n == small:
+            return True
+        if n % small == 0:
+            return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in SLOW_MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def slow_pairwise_bound(acc: AccessStructure, k: int) -> int:
+    """min over other users j of |A_k \\ A_j|, one frozenset difference each."""
+    mine = acc.user_set(k)
+    return min(len(mine - acc.user_set(j)) for j in range(1, acc.K + 1) if j != k)
+
+
 # --- reserved blocks: the per-clone matcher, slow reference for find_sdr ---------
 # Clone (k, j) for j = 1..R'_k, matched in (user, copy) order by a recursive
 # augmenting search; it builds sum R'_k clones and recurses once per hop.

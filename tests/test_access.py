@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compress_nodes, random_access, random_rates_in_region, spy
+from conftest import compress_nodes, random_access, random_rates_in_region, slow_pairwise_bound, spy
 from dmuss.access import (
     AccessStructure,
     _CutsetFlow,
@@ -163,6 +163,17 @@ def test_pairwise_bound_frozen():
     single = AccessStructure.of([[1, 2]])
     with pytest.raises(SingleUserError):
         pairwise_bound(single, 1)
+
+
+def test_pairwise_bounds_and_unions_match_slow_references_fuzz():
+    # node masks against frozenset differences and unions
+    rng = random.Random(241)
+    for _ in range(300):
+        acc = random_access(rng, min_users=2, max_users=8, max_nodes=40)
+        for k in range(1, acc.K + 1):
+            assert pairwise_bound(acc, k) == slow_pairwise_bound(acc, k), (acc, k)
+        users = rng.sample(range(1, acc.K + 1), rng.randint(0, acc.K))
+        assert acc.union_size(users) == len(frozenset().union(*(acc.user_set(k) for k in users)))
 
 
 def wide_instance(rng, users, nodes):

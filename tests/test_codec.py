@@ -142,6 +142,10 @@ def test_shape_validation(ref_plan):
         lambda: encode(ref_plan, None),
         lambda: decode_all(ref_plan, 5),
         lambda: encode_with_pads(ref_plan, msgs, None),
+        # one user's block that is not a list, inside a list of the right length
+        lambda: encode(ref_plan, [None, [2, 6], [4, 0], [3, 5, 7]]),
+        lambda: encode_with_pads(ref_plan, msgs, [None, [], [], []]),
+        lambda: plain.split_messages([None, [2, 6], [4, 0], [3, 5, 7]]),
     ):
         with pytest.raises(ShapeMismatchError, match="must be a list"):
             call()

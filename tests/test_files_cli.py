@@ -572,6 +572,42 @@ def test_cli_tampered_plan_exit_codes(tmp_path, capsys):
         assert "--trials must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_singular_plan_fails_every_command(tmp_path, capsys):
+    # every command that reads a plan keeps the load's determinant check:
+    # decode and encode refuse a singular plan as verify does, even where
+    # the user's own equations could still be solved
+    plan_path = write_doc(tmp_path, "singular.json", SINGULAR_PLAN)
+    shares_path = write_doc(tmp_path, "shares.json", shares_to_dict(3, [1, 2], [[0, 0]]))
+    msgs_path = write_doc(tmp_path, "msgs.json", messages_to_dict(3, [[[], []]]))
+    for argv in (["decode", plan_path, shares_path, "--user", "1"], ["encode", plan_path, msgs_path]):
+        assert main(argv) == 1, argv
+        assert "supplied constants give a singular correctness matrix" in capsys.readouterr().err
+
+
+def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
+    # linalg._echelon runs per command on the demo files: the load's
+    # determinant, plus the solves of what each command itself reads
+    # (plan: zeta's first draw; encode: one solve; decode: one Vandermonde;
+    # one round trip: an encode and one Vandermonde per set size, 4 and 5)
+    inst_path = write_doc(tmp_path, "inst.json", REF_INSTANCE)
+    msgs_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    plan_path, shares_path = str(tmp_path / "plan.json"), str(tmp_path / "shares.json")
+    budget = [
+        (["check", inst_path], 0),
+        (["plan", inst_path, "--out", plan_path], 1),
+        (["encode", plan_path, msgs_path, "--out", shares_path], 2),
+        (["decode", plan_path, shares_path, "--user", "1"], 2),
+        (["verify", plan_path, "--trials", "1"], 4),
+        (["verify", plan_path, "--privacy", "--entropy"], 1),
+    ]
+    calls = spy(monkeypatch, linalg, "_echelon", lambda *args: None)
+    for argv, eliminations in budget:
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == eliminations, argv
+    capsys.readouterr()
+
+
 def test_cli_modulus_mismatch(tmp_path, capsys):
     plan_path = write_doc(tmp_path, "plan.json", plan_to_dict(demo.demo_plan()))
     msg_path = write_doc(

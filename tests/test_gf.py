@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import slow_is_prime
 from dmuss.errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
 from dmuss.gf import Field, _inverses, _prime_factors, is_prime
 
@@ -12,6 +13,25 @@ from dmuss.gf import Field, _inverses, _prime_factors, is_prime
 PSEUDOPRIME = 3317044064679887385961981
 # the least strong pseudoprime to every prime base <= 37; base 41 exposes it
 PSEUDOPRIME_37 = 318665857834031151167461
+
+
+# psi_t, t = 1..13 (OEIS A014233): the least strong pseudoprime to the first t
+# primes as bases, so every one is composite
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def sieve(limit):
@@ -63,8 +83,9 @@ def test_smallest_generator_matches_brute_force_order_search():
         assert field.gamma == smallest
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 9, 15, 21, 91, 100])
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 15, 21, 91, 100, "7", 7.0, None, True, False])
 def test_composite_modulus_rejected(n):
+    # a modulus that is not an int (bools included) is refused like a composite
     with pytest.raises(NotPrimeError):
         Field(n)
 
@@ -126,6 +147,48 @@ def test_generator_powers_cover_every_nonzero_element():
         f = Field(p)
         powers = {pow(f.gamma, i, p) for i in range(1, p)}
         assert powers == set(range(1, p)), p
+
+
+def test_witness_prefix_matches_all_thirteen_witnesses_fuzz():
+    # is_prime takes the first t witnesses below psi_t; the reference takes
+    # all 13 everywhere.  Each psi_t passes its own prefix, so it must be
+    # refused by the next witness, and the last one is past the bound.
+    assert PSI[-1] == PSEUDOPRIME and PSI[-2] == PSEUDOPRIME_37
+    for psi in PSI[:-1]:
+        assert not slow_is_prime(psi) and not is_prime(psi), psi
+        with pytest.raises(NotPrimeError):
+            Field(psi)
+    with pytest.raises(TooLargeError):
+        is_prime(PSI[-1])
+    rng = random.Random(24)
+    lo = 2
+    for hi in sorted(set(PSI)):
+        for _ in range(300):
+            n = rng.randrange(lo, hi)
+            assert is_prime(n) == slow_is_prime(n), n
+        for _ in range(10):  # the next prime up from a random start, and its odd neighbours
+            n = rng.randrange(lo, hi) | 1
+            while not slow_is_prime(n):
+                n += 2
+            for m in (n - 2, n, n + 2):
+                if m < hi:
+                    assert is_prime(m) == slow_is_prime(m), m
+        lo = hi
+
+
+def test_prime_factors_are_prime_and_complete_fuzz():
+    # trial division below 2**10, then Pollard-Brent: every factor is
+    # prime, and dividing them all out leaves 1
+    rng = random.Random(25)
+    for bits in (10, 20, 31, 40, 62):
+        for _ in range(40):
+            n = rng.randrange(2, 1 << bits)
+            factors = _prime_factors(n)
+            assert factors == sorted(set(factors)) and all(slow_is_prime(q) for q in factors), n
+            for q in factors:
+                while n % q == 0:
+                    n //= q
+            assert n == 1
 
 
 def test_prime_factors_match_trial_division():
