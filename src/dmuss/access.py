@@ -58,8 +58,8 @@ class AccessStructure:
 
     ``masks[k-1]`` holds user k's set as an int with bit n set for each
     node n: set differences and unions are then one int operation each.
-    It is derived from ``sets`` and is not a field, so equality, hashing
-    and ``repr`` see only the sets.
+    It and ``N`` are derived from ``sets`` once and are not fields, so
+    equality, hashing and ``repr`` see only the sets.
     """
 
     sets: tuple  # tuple of frozensets of 1-indexed node ids
@@ -78,6 +78,7 @@ class AccessStructure:
         if min(union) < 1 or max(union) != len(union):
             raise ValueError("access sets must cover 1..N with no gaps")
         object.__setattr__(self, "masks", tuple(sum(map((1).__lshift__, s)) for s in sets))
+        object.__setattr__(self, "N", len(union))
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[int]]) -> "AccessStructure":
@@ -86,10 +87,6 @@ class AccessStructure:
     @property
     def K(self) -> int:
         return len(self.sets)
-
-    @property
-    def N(self) -> int:
-        return len(frozenset().union(*self.sets))
 
     def user_set(self, k: int) -> frozenset:
         """Access set of user k; ValueError unless k is an int (not a bool) in 1..K."""

@@ -52,7 +52,7 @@ from .files import (
     shares_from_dict,
     shares_to_dict,
 )
-from .planner import Plan, make_plan, plan_decomposition
+from .planner import Plan, _null_basis, make_plan, plan_decomposition
 from .verify import brute_force_audit, check_correctness, check_entropy, check_privacy
 
 
@@ -284,18 +284,16 @@ def cmd_demo(args) -> int:
     print(f"reserved blocks: {[plan.reserved.sorted_block(k) for k in range(1, acc.K + 1)]}")
     print()
     for k in range(1, acc.K + 1):
-        size = len(acc.user_set(k))
-        quota = plan.quotas[k - 1]
+        nodes, quota, perm = acc.sorted_set(k), plan.quotas[k - 1], plan.perms[k - 1]
+        size = len(nodes)
         if quota < size:
             _print_matrix(f"user {k}: tail matrix ({size - quota} x {size})", linalg.build_B(field, quota, size))
         else:
             print(f"user {k}: tail matrix is empty (padded length = set size)")
-        # undo the exponent permutation; with R'_k = 0 the basis has no columns
-        basis = [row for _, row in sorted(zip(plan.perms[k - 1], plan.basis_rows[k - 1]))]
-        _print_matrix(f"user {k}: null basis (columns)", basis if quota else [])
-        print(f"user {k}: exponent order {list(plan.perms[k - 1])},"
-              f" points {plan.gammas(k)},"
-              f" scalings {[plan.alpha(k, n) for n in acc.sorted_set(k)]}")
+        _print_matrix(f"user {k}: null basis (columns)", list(zip(*_null_basis(field, quota, size))))
+        print(f"user {k}: exponent order {list(perm)},"
+              f" points {[pow(field.gamma, e, field.p) for e in perm]},"
+              f" scalings {[plan.alphas[k - 1][n] for n in nodes]}")
         print()
     v = plan_decomposition(plan)
     _print_matrix("correctness matrix (scaled rows)", v)

@@ -212,8 +212,11 @@ def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
         _check_exponents(k, perm, len(nodes))
         alpha = plan.alphas[k - 1]
         rhs = [0] * len(nodes)
-        for e, n, y in zip(perm, nodes, vals):
-            rhs[e - 1] = -alpha[n] * y % p
+        try:
+            for e, n, y in zip(perm, nodes, vals):
+                rhs[e - 1] = -alpha[n] * y % p
+        except KeyError as exc:
+            raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
         by_size.setdefault(len(nodes), []).append((k, rhs))
     coeffs = {}
     for size, members in by_size.items():
@@ -240,7 +243,8 @@ def decode_all(plan: Plan, shares) -> list:
 
     Raises:
         ShapeMismatchError: shares are missing for some node.
-        BadSymbolError: a share on some A_k is not in GF(p).
+        BadSymbolError: a share on some A_k is not in GF(p), or some
+            node of A_k has no scaling.
         SingularMatrixError: some user's exponents are not a permutation
             of 1..|A_k|, or |A_k| exceeds p - 1.
     """
@@ -257,7 +261,8 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
     Raises:
         ShapeMismatchError: k is not an int (not a bool) in 1..K, or
             shares are missing for some node of A_k.
-        BadSymbolError: a share on A_k is not in GF(p).
+        BadSymbolError: a share on A_k is not in GF(p), or a node of A_k
+            has no scaling.
         SingularMatrixError: user k's exponents are not a permutation of
             1..|A_k|, or |A_k| exceeds p - 1.
     """

@@ -474,15 +474,18 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:
     The basis is in reduced-echelon convention, which makes it canonical
     and comparable: the t-th vector belongs to the t-th free column of
     ``a`` in ascending order, and carries a 1 there and 0 at every other
-    free column.  ``cols`` must be given when ``a`` has no rows (the null
-    space is then all of GF(p)^cols and the basis is the identity).
+    free column.  ``cols``, if given, must be the row length, and it must
+    be given when ``a`` has no rows (the null space is then all of
+    GF(p)^cols and the basis is the identity): ShapeMismatchError if not.
     """
     if not a:
-        if cols is None:
-            raise ShapeMismatchError("column count needed for an empty matrix")
+        if type(cols) is not int or cols < 0:
+            raise ShapeMismatchError(f"an empty matrix needs an int column count >= 0, got {cols!r}")
         return identity(cols)
     r, pivots = rref(field, a)
     ncols = len(a[0])
+    if cols is not None and (type(cols) is not int or cols != ncols):
+        raise ShapeMismatchError(f"column count {cols!r} given for rows of length {ncols}")
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     p = field.p
@@ -506,7 +509,8 @@ def build_B(field: Field, m: int, n: int) -> Matrix:
 
     Its null space, ``null_space(field, build_B(field, m, n))``, is user
     k's tail null basis for m = R'_k and n = |A_k|: the basis the
-    planner's correctness matrix V is built from (``Plan.basis_rows``),
+    planner's correctness matrix V is built from (only by
+    ``planner.plan_decomposition``, for ``dmuss demo`` and the tests),
     and the matrix ``dmuss demo`` prints.
 
     Raises:

@@ -13,10 +13,9 @@ A finished :class:`Plan` fixes, for every user k:
 Correctness of the whole scheme reduces to one condition: the N x N
 matrix V built from the permuted null-space bases of the users'
 tail-coefficient matrices, with each row scaled by its alpha, must be
-nonsingular.  :func:`correctness_matrix` writes V (:func:`plan_decomposition`,
-which ``dmuss demo`` prints), from the rows :attr:`Plan.basis_rows`
-derives once, each user's by the elimination the construction names:
-``linalg.null_space(field, linalg.build_B(field, R'_k, |A_k|))``.
+nonsingular.  Only :func:`plan_decomposition` writes V, for ``dmuss demo``
+and the tests, each user's basis by the elimination the construction
+names: ``linalg.null_space(field, linalg.build_B(field, R'_k, |A_k|))``.
 
 A plan checks that condition on an operator that needs no null basis.
 User k's polynomial has degree |A_k| - 1, its low R'_k coefficients are
@@ -60,7 +59,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .access import (
@@ -112,27 +111,6 @@ class Plan:
         shares; equal to the sum of the access-set sizes."""
         return sum(len(s) for s in self.access.sets)
 
-    def gammas(self, k: int) -> list:
-        """Evaluation points of user k, aligned with the sorted access set."""
-        self.access.user_set(k)  # ValueError unless k is an int in 1..K: perms[-1] is user K
-        g, p = self.field.gamma, self.field.p
-        return [pow(g, e, p) for e in self.perms[k - 1]]
-
-    def alpha(self, k: int, n: int) -> int:
-        """Node n's scaling in user k's equations; ValueError unless k is a
-        user and n an int (not a bool) node of A_k."""
-        mine = self.access.user_set(k)
-        if type(n) is not int or n not in mine:  # True would read node 1's
-            raise ValueError(f"node {n!r} is not in user {k}'s access set")
-        return self.alphas[k - 1][n]
-
-    @cached_property
-    def basis_rows(self) -> list:
-        """User k's |A_k| x R'_k permuted null-basis rows at index k-1, aligned
-        with the sorted access set; built on first use, off the fields that
-        plan equality, ``repr`` and plan files see."""
-        return _basis_rows(self.field, self.quotas, self.perms)
-
     @cached_property
     def decode_rows(self) -> Packed:
         """The N x N map from the shares to every user's (message, free pads).
@@ -142,8 +120,8 @@ class Plan:
         with L the :func:`_lagrange_rows` table of |A_k| (one per distinct
         set size, see :func:`_lagrange_tables`), and 0 off A_k.  It equals
         H^-1 V^T (see the module docstring), so it is nonsingular exactly
-        when V is.  Built on first use and kept off the value fields like
-        :attr:`basis_rows`, as a :class:`~dmuss.linalg.Packed` whose
+        when V is.  Built on first use and kept off the value fields, as a
+        :class:`~dmuss.linalg.Packed` whose
         nonzero entries are written straight into the packed row ints,
         unreduced below p**2, with no N x N list and no
         :func:`~dmuss.linalg.pack` pass; it compares and prints as its
@@ -158,7 +136,8 @@ class Plan:
                 permutation of 1..|A_k| (see :func:`_check_exponents`).
             FieldTooSmallError: some |A_k| exceeds p - 1.
             BadShapeError: some R'_k is not in 0..|A_k|.
-            BadSymbolError: some scaling is not an int.
+            BadSymbolError: some scaling is not an int, or some node of
+                A_k has none.
         """
         field, acc, quotas, perms = self.field, self.access, self.quotas, self.perms
         p = field.p
@@ -173,8 +152,8 @@ class Plan:
                 entries = [((n - 1) * w, e - 1, -scale[n] % p) for n, e in zip(nodes, perm)]
                 for lag in tables[len(nodes)][:quota]:
                     ints.append(sum(a * lag[e] << s for s, e, a in entries))  # fields below p**2
-            except TypeError as exc:  # a scaling that is not an int
-                raise BadSymbolError(f"user {k}: scalings must be ints: {exc}") from exc
+            except (TypeError, KeyError) as exc:  # a scaling that is not an int, or none
+                raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
         return Packed(p, acc.N, ints)
 
     @cached_property
@@ -206,18 +185,11 @@ def choose_permutation(sorted_set: list, zblock: Sequence[int]) -> tuple:
     return tuple(pi)
 
 
-def _basis_rows(field: Field, quotas: Sequence[int], perms: Sequence) -> list:
-    """Each user's |A_k| x R'_k null-basis rows, in the order of its
-    exponent permutation: row i is entry pi(i) of every vector of the
-    null space of its tail matrix (:func:`~dmuss.linalg.build_B`, whose
-    errors it raises), or of the identity when R'_k = |A_k|."""
-    rows = []
-    for quota, perm in zip(quotas, perms):
-        size = len(perm)
-        tail = [] if quota == size else linalg.build_B(field, quota, size)
-        vectors = linalg.null_space(field, tail, cols=size)
-        rows.append([[v[e - 1] for v in vectors] for e in perm])
-    return rows
+def _null_basis(field: Field, quota: int, size: int) -> Matrix:
+    """A user's R'_k tail null-basis vectors: the null space of its tail
+    matrix (:func:`~dmuss.linalg.build_B`), or the identity if R'_k = |A_k|."""
+    tail = [] if quota == size else linalg.build_B(field, quota, size)
+    return linalg.null_space(field, tail, cols=size)
 
 
 def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
@@ -344,31 +316,6 @@ def _zeta_split(
     return Packed(p, n_total, c), Packed(p, n_total, d)
 
 
-def correctness_matrix(
-    field: Field,
-    acc: AccessStructure,
-    quotas: Sequence[int],
-    basis_rows: Sequence[Matrix],
-    scale: Callable[[int, int], int],
-) -> Matrix:
-    """The N x N correctness matrix with row scalings ``scale(k, n)``.
-
-    ``basis_rows[k-1]`` holds user k's permuted null-basis rows, one per
-    node of the sorted access set.  Row n gets scale(k, n) times user k's
-    row for node n in user k's R'_k columns, for every user k reading n.
-    """
-    p = field.p
-    m = linalg.zeros(acc.N, acc.N)
-    off = 0
-    for k in range(1, acc.K + 1):
-        for node, row_vals in zip(acc.sorted_set(k), basis_rows[k - 1]):
-            a = scale(k, node)
-            for t, v in enumerate(row_vals):
-                m[node - 1][off + t] = a * v % p
-        off += quotas[k - 1]
-    return m
-
-
 def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
     """All-nonzero row scalings with det(diag(zeta) @ c + d) != 0.
 
@@ -472,12 +419,23 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
 
 
 def plan_decomposition(plan: Plan) -> Matrix:
-    """A finished plan's N x N correctness matrix V: its
-    :attr:`Plan.basis_rows` scaled by its alphas."""
-    alphas = plan.alphas
-    return correctness_matrix(
-        plan.field, plan.access, plan.quotas, plan.basis_rows, lambda k, n: alphas[k - 1][n]
-    )
+    """A finished plan's N x N correctness matrix V: in user k's R'_k
+    columns, the row of the i-th node n of A_k holds alpha_{k,n} times
+    entry pi_k(i) of each :func:`_null_basis` vector.  BadSymbolError if
+    some node of A_k has no scaling."""
+    field, acc, p = plan.field, plan.access, plan.field.p
+    v = linalg.zeros(acc.N, acc.N)
+    off = 0
+    for k, (quota, perm, scale) in enumerate(zip(plan.quotas, plan.perms, plan.alphas), start=1):
+        vectors = _null_basis(field, quota, len(perm))
+        try:
+            for n, e in zip(acc.sorted_set(k), perm):
+                a = scale[n]
+                v[n - 1][off : off + quota] = [a * vec[e - 1] % p for vec in vectors]
+        except KeyError as exc:
+            raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
+        off += quota
+    return v
 
 
 def _certified(

@@ -1,5 +1,6 @@
 """Shared fixtures, fuzz-instance generators, acceptance reporting."""
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -323,6 +324,27 @@ def slow_plan_from_parameters(field, acc, rates, quotas, reserved, perms, alphas
     return plan
 
 
+def points(plan, k) -> list:
+    """User k's evaluation points gamma^pi_k(i), aligned with its sorted
+    access set."""
+    g, p = plan.field.gamma, plan.field.p
+    return [pow(g, e, p) for e in plan.perms[k - 1]]
+
+
+def basis_rows(plan) -> list:
+    """User k's |A_k| x R'_k permuted null-basis rows at index k-1, aligned
+    with its sorted access set: row i is entry pi_k(i) of every basis
+    vector, read off user k's columns of ``plan_decomposition`` at unit
+    scalings."""
+    ones = tuple(dict.fromkeys(scales, 1) for scales in plan.alphas)
+    v = plan_decomposition(dataclasses.replace(plan, alphas=ones))
+    rows, off = [], 0
+    for k, quota in enumerate(plan.quotas, start=1):
+        rows.append([v[n - 1][off : off + quota] for n in plan.access.sorted_set(k)])
+        off += quota
+    return rows
+
+
 def slow_choose_permutation(field, vectors, sorted_set, zblock):
     """The exponent permutation with the reserved rows of the null basis
     ``vectors`` picked greedily: row j joins when it raises the rank of
@@ -398,7 +420,7 @@ def rhs_vector(plan, msgs: Sequence, pads_free: Sequence) -> list:
     for k in range(1, plan.K + 1):
         known = list(msgs[k - 1]) + list(pads_free[k - 1])  # degrees 0..R'_k-1
         _check_symbols(p, known, f"user {k} message or pad")
-        for g in plan.gammas(k):
+        for g in points(plan, k):
             acc_val = 0
             power = 1
             for coeff in known:
@@ -410,12 +432,12 @@ def rhs_vector(plan, msgs: Sequence, pads_free: Sequence) -> list:
 
 def slow_projection(plan, msgs: Sequence, pads_free: Sequence) -> list:
     """h = P_k^T s_k for every user k, stacked in user order, with s the
-    :func:`rhs_vector` and P_k the plan's ``basis_rows[k-1]``: the right-hand
-    side of V^T Y = h."""
+    :func:`rhs_vector` and P_k user k's :func:`basis_rows`: the
+    right-hand side of V^T Y = h."""
     s = rhs_vector(plan, msgs, pads_free)
     p = plan.field.p
     h, pos = [], 0
-    for rows in plan.basis_rows:
+    for rows in basis_rows(plan):
         block = s[pos : pos + len(rows)]
         pos += len(rows)
         h.extend(sum(c * v for c, v in zip(col, block)) % p for col in zip(*rows))
@@ -433,7 +455,7 @@ def system_matrix(plan) -> linalg.Matrix:
     row = 0
     for k in range(1, plan.K + 1):
         nodes = plan.access.sorted_set(k)
-        gammas = plan.gammas(k)
+        gammas = points(plan, k)
         quota = plan.quotas[k - 1]
         t_off = layout.tail_offsets[k - 1]
         for i in range(len(nodes)):
@@ -444,7 +466,7 @@ def system_matrix(plan) -> linalg.Matrix:
                 a[row][t_off + t] = power
                 power = power * g % p
             n = nodes[i]
-            a[row][layout.share_offset + n - 1] = plan.alpha(k, n)
+            a[row][layout.share_offset + n - 1] = plan.alphas[k - 1][n]
             row += 1
     return a
 
@@ -477,8 +499,8 @@ def slow_decode(plan, k, shares) -> codec.DecodeResult:
     p = plan.field.p
     nodes = plan.access.sorted_set(k)
     vals = [shares[n] for n in nodes] if isinstance(shares, dict) else [shares[n - 1] for n in nodes]
-    vander = [[pow(g, d, p) for d in range(len(nodes))] for g in plan.gammas(k)]
-    rhs = [-plan.alpha(k, n) * y % p for n, y in zip(nodes, vals)]
+    vander = [[pow(g, d, p) for d in range(len(nodes))] for g in points(plan, k)]
+    rhs = [-plan.alphas[k - 1][n] * y % p for n, y in zip(nodes, vals)]
     coeffs = slow_solve(plan.field, vander, rhs)
     r = plan.rates[k - 1]
     return codec.DecodeResult(message=coeffs[:r], pads=coeffs[r:])
@@ -579,11 +601,11 @@ def slow_check_correctness(plan, trials=100, seed=0) -> CorrectnessReport:
             coeffs = (
                 list(msgs[k - 1]) + list(res.pads.free[k - 1]) + list(res.pads.tail[k - 1])
             )
-            for g, n in zip(plan.gammas(k), plan.access.sorted_set(k)):
+            for g, n in zip(points(plan, k), plan.access.sorted_set(k)):
                 val = 0
                 for c in reversed(coeffs):
                     val = (val * g + c) % p
-                if val != -plan.alpha(k, n) * res.shares[n - 1] % p:
+                if val != -plan.alphas[k - 1][n] * res.shares[n - 1] % p:
                     note(f"trial {trial}: user {k} node {n}: share identity broken")
     return CorrectnessReport(trials=trials, failures=failures, first_failure=first)
 

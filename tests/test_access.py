@@ -6,6 +6,7 @@ definition with sets and itertools (every user group is enumerated), and
 the reference instance's full inequality list is frozen.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -101,6 +102,10 @@ def slow_greedy_quotas(sets, rates):
 def test_access_structure_validation():
     acc = ref_access()
     assert acc.K == 4 and acc.N == 8
+    # N is the union's size, derived once and kept off the fields
+    assert "N" not in {f.name for f in dataclasses.fields(acc)} and "N" not in repr(acc)
+    assert acc.N == len(frozenset().union(*acc.sets))
+    assert acc == AccessStructure.of(REF_SETS) and hash(acc) == hash(AccessStructure.of(REF_SETS))
     assert acc.sorted_set(4) == [2, 4, 5, 6, 7]
     with pytest.raises(ValueError):
         AccessStructure.of([])

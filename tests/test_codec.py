@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     message_selector,
+    points,
     random_access,
     random_rates_in_region,
     rhs_vector,
@@ -51,7 +52,7 @@ from dmuss.errors import (
     SingularMatrixError,
 )
 from dmuss.gf import Field
-from dmuss.planner import make_plan
+from dmuss.planner import make_plan, plan_decomposition
 from dmuss.verify import check_entropy, check_privacy
 
 # frozen regression values for the reference instance
@@ -86,13 +87,13 @@ def test_system_matrix_structure(ref_plan):
     row = 0
     for k in range(1, 5):
         nodes = ref_plan.access.sorted_set(k)
-        gammas = ref_plan.gammas(k)
+        gammas = points(ref_plan, k)
         quota = ref_plan.quotas[k - 1]
         for i, n in enumerate(nodes):
             expect = [0] * layout.size
             for t in range(layout.tail_lengths[k - 1]):
                 expect[layout.tail_offsets[k - 1] + t] = pow(gammas[i], quota + t, 11)
-            expect[layout.share_offset + n - 1] = ref_plan.alpha(k, n)
+            expect[layout.share_offset + n - 1] = ref_plan.alphas[k - 1][n]
             assert a[row] == expect
             row += 1
     assert row == 17
@@ -108,10 +109,10 @@ def test_rhs_includes_free_pads():
     w, o = [3], [4]
     s = rhs_vector(plan, [w, [2]], [o, []])
     # independent recomputation straight from the defining polynomial
-    for i, g in enumerate(plan.gammas(1)):
+    for i, g in enumerate(points(plan, 1)):
         want = -(w[0] + o[0] * g) % 11
         assert s[i] == want
-    for i, g in enumerate(plan.gammas(2)):
+    for i, g in enumerate(points(plan, 2)):
         assert s[2 + i] == -2 % 11
 
 
@@ -246,9 +247,9 @@ def test_encode_solution_satisfies_defining_identity_fuzz():
         res = encode(plan, msgs, seed=rng.randrange(10**6))
         for k in range(1, acc.K + 1):
             coeffs = msgs[k - 1] + res.pads.free[k - 1] + res.pads.tail[k - 1]
-            for g, n in zip(plan.gammas(k), plan.access.sorted_set(k)):
+            for g, n in zip(points(plan, k), plan.access.sorted_set(k)):
                 val = sum(c * pow(g, r, 11) for r, c in enumerate(coeffs)) % 11
-                assert val == -plan.alpha(k, n) * res.shares[n - 1] % 11
+                assert val == -plan.alphas[k - 1][n] * res.shares[n - 1] % 11
 
 
 def test_encode_linear_in_inputs():
@@ -376,12 +377,12 @@ def test_decode_rows_match_slow_reference_fuzz():
         off = 0
         for k in range(1, plan.K + 1):
             nodes, quota = acc.sorted_set(k), plan.quotas[k - 1]
-            g = plan.gammas(k)
+            g = points(plan, k)
             inv = linalg.inverse(plan.field, [[pow(x, d, p) for d in range(len(g))] for x in g])
             for d in range(quota):
                 want = [0] * plan.N
                 for i, n in enumerate(nodes):
-                    want[n - 1] = -plan.alpha(k, n) * inv[d][i] % p
+                    want[n - 1] = -plan.alphas[k - 1][n] * inv[d][i] % p
                 assert rows[off + d] == want, (plan, k, d)
             off += quota
             seen["empty"] += quota == 0
@@ -429,12 +430,13 @@ def test_decode_all_solves_once_per_set_size(monkeypatch, ref_plan, ref_encoded)
 
 def test_malformed_plans_raise_from_every_reader(ref_plan):
     # exponents that are not a permutation of 1..|A_k| repeat a point, and
-    # |A_k| > p - 1 points collide, and a scaling that is not an int
-    # cannot be written into the packed rows: the decode rows refuse all
-    # three, and so does everything that reads them
+    # |A_k| > p - 1 points collide, and a scaling that is not an int, or
+    # none at all, cannot be written into the packed rows: the decode rows
+    # refuse all four, and so does everything that reads them
     twice = dataclasses.replace(ref_plan, perms=((1, 1, 2, 3),) + ref_plan.perms[1:])
     small = dataclasses.replace(ref_plan, field=Field(3))  # sets of 4 and 5 points
     floaty = dataclasses.replace(ref_plan, alphas=({**ref_plan.alphas[0], 1: 2.0},) + ref_plan.alphas[1:])
+    missing = dataclasses.replace(ref_plan, alphas=({6: 1, 7: 1, 8: 1},) + ref_plan.alphas[1:])  # no node 1
     readers = [
         lambda plan: plan.decode_rows,
         lambda plan: encode(plan, [[0] * r for r in plan.rates], seed=1),
@@ -442,8 +444,14 @@ def test_malformed_plans_raise_from_every_reader(ref_plan):
         check_privacy,
         check_entropy,
     ]
-    for plan, error in [(twice, SingularMatrixError), (small, FieldTooSmallError), (floaty, BadSymbolError)]:
-        for read in readers:
+    cases = [
+        (twice, SingularMatrixError, readers),
+        (small, FieldTooSmallError, readers),
+        (floaty, BadSymbolError, readers),
+        (missing, BadSymbolError, readers + [lambda plan: decode(plan, 1, REF_SHARES), plan_decomposition]),
+    ]
+    for plan, error, reads in cases:
+        for read in reads:
             with pytest.raises(error):
                 read(plan)
     # users 1-3 share one table of four points, built to R'_k = 2: user
@@ -522,25 +530,13 @@ def test_transfer_map_selectors(ref_plan):
 
 def test_user_and_node_indices_outside_the_range_raise(ref_plan):
     # 0 used to read user K's (or node N's) data, N + 1 a bare IndexError,
-    # True user 1's (or node 1's), 1.0 a bare TypeError, and a node
-    # outside A_k a bare KeyError
+    # True user 1's (or node 1's), 1.0 a bare TypeError
     tm = transfer_map(ref_plan)
     for k in (0, -1, 5, True, False, 1.0, "1", None):
-        with pytest.raises(ValueError, match="no user"):
-            ref_plan.gammas(k)
-        with pytest.raises(ValueError, match="no user"):
-            ref_plan.alpha(k, 1)
         with pytest.raises(ValueError, match="no user"):
             ref_plan.reserved.block(k)
         with pytest.raises(ValueError, match="no user"):
             ref_plan.reserved.sorted_block(k)
-    # A_1 = {1, 6, 7, 8}
-    for n in (2, 0, 9, -1, True, 1.0, 6.0, "1", None):
-        with pytest.raises(ValueError, match="not in user 1's access set"):
-            ref_plan.alpha(1, n)
-    assert [ref_plan.alpha(1, n) for n in (1, 6, 7, 8)] == [
-        ref_plan.alphas[0][n] for n in (1, 6, 7, 8)
-    ]
     for nodes in ([0], [9], [1, 0], [-1], [True], [1.5], [2, 1.0], ["1"], [None, 1]):
         with pytest.raises(ValueError, match="nodes are 1..8"):
             tm.rows_for_nodes(nodes)

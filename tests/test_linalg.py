@@ -141,8 +141,12 @@ def test_null_space_of_identity_is_trivial():
 
 def test_null_space_of_empty_matrix_is_everything():
     assert linalg.null_space(F11, [], cols=3) == linalg.identity(3)
-    with pytest.raises(ShapeMismatchError):
-        linalg.null_space(F11, [])
+    assert linalg.null_space(F11, [[1, 2]], cols=2) == [[9, 1]]
+    # a column count that is not the row length used to be ignored, and a
+    # negative one on no rows gave a basis of negative dimension
+    for a, cols in (([], None), ([], -1), ([], True), ([], 2.0), ([[1, 2]], 5), ([[1, 2]], 1)):
+        with pytest.raises(ShapeMismatchError):
+            linalg.null_space(F11, a, cols=cols)
 
 
 def test_rank_nullity_fuzz():

@@ -1,6 +1,7 @@
 """Planning: permutation choice, row scalings, full plan assembly."""
 
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    basis_rows,
     compress_nodes,
     load_bench_gen,
     random_access,
@@ -23,7 +25,7 @@ from conftest import (
 from dmuss import access as planner_access
 from dmuss import linalg, planner
 from dmuss.access import AccessStructure, validate_quotas
-from dmuss.codec import encode, transfer_map
+from dmuss.codec import decode, encode, transfer_map
 from dmuss.errors import (
     BadShapeError,
     BadSymbolError,
@@ -38,7 +40,6 @@ from dmuss.gf import Field
 from dmuss.planner import (
     choose_permutation,
     choose_zeta,
-    correctness_matrix,
     make_plan,
     plan_decomposition,
     plan_from_parameters,
@@ -77,19 +78,52 @@ def random_nonsingular(rng, field, n):
 def split_matrices(plan):
     """(C, D_alpha, zeta): the correctness matrix's reserved rows at
     scale 1, the other rows at their alphas, and per node the scaling of
-    the user that reserved it."""
-    reserved = plan.reserved
-    args = (plan.field, plan.access, plan.quotas, plan.basis_rows)
-    c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
-    d = correctness_matrix(*args, lambda k, n: 0 if n in reserved.block(k) else plan.alpha(k, n))
-    owner = {n: k for k in range(1, plan.K + 1) for n in reserved.block(k)}
-    zeta = [plan.alpha(owner[n], n) for n in range(1, plan.N + 1)]
+    the user that reserved it; C and D_alpha are the ``plan_decomposition``
+    of the plan with the other scalings, or the reserved ones, set to 0."""
+    blocks = [plan.reserved.block(k) for k in range(1, plan.K + 1)]
+
+    def v(scaling):  # scaling(reserved, alpha) replaces each alpha
+        alphas = tuple(
+            {n: scaling(n in block, a) for n, a in scales.items()} for block, scales in zip(blocks, plan.alphas)
+        )
+        return plan_decomposition(dataclasses.replace(plan, alphas=alphas))
+
+    c = v(lambda reserved, a: int(reserved))
+    d = v(lambda reserved, a: 0 if reserved else a)
+    owner = {n: k for k, block in enumerate(blocks, start=1) for n in block}
+    zeta = [plan.alphas[owner[n] - 1][n] for n in range(1, plan.N + 1)]
     return c, d, zeta
+
+
+# SHA-256 of the reprs of plan_decomposition(plan), in order, for the 44
+# seeded plans of test_correctness_matrix_is_pinned_on_the_benchmark_plans
+V_DIGEST = "82f0beb4512faec79da39a4b5d80dd8077b703c20d02b18601fb527f7db1d3b6"
+
+
+def test_correctness_matrix_is_pinned_on_the_benchmark_plans(monkeypatch):
+    # V byte for byte on the benchmark's integer-rate plans: the in-region
+    # ladder rungs of seeds 1-8 and the store and retrieve inputs of seeds
+    # 1-2; the slow references read V, so they cannot pin it themselves
+    gen = load_bench_gen(monkeypatch)
+    cases = [
+        (inst.p, inst.access, inst.rates, inst.seed)
+        for seed in range(1, 9)
+        for inst in gen.provision_ladder(seed, draws=1)
+        if inst.kind == "in"
+    ]
+    for seed in (1, 2):
+        cases += [(inp.p, inp.access, inp.rates, seed) for inp in (gen.store_input(seed), gen.retrieve_input(seed))]
+    digest = hashlib.sha256()
+    for p, sets, rates, seed in cases:
+        plan = make_plan(Field(p), AccessStructure.of(sets), rates, seed=seed)
+        digest.update(repr(plan_decomposition(plan)).encode())
+    assert len(cases) == 44
+    assert digest.hexdigest() == V_DIGEST
 
 
 def test_plan_load_eliminates_once(monkeypatch):
     # loading a plan runs one elimination, the det check of its decode
-    # rows; no null basis is derived until V is asked for
+    # rows; no null basis is derived
     rng = random.Random(12)
     f = Field(65537)
     sets = compress_nodes([frozenset(n for n in range(1, 33) if rng.random() < 0.5) for _ in range(8)])
@@ -99,7 +133,7 @@ def test_plan_load_eliminates_once(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "_echelon")
     loaded = plan_from_dict(doc)
     assert len(calls) == 1
-    assert loaded == plan and loaded.basis_rows == plan.basis_rows
+    assert loaded == plan and basis_rows(loaded) == basis_rows(plan)
 
 
 def test_lagrange_rows_are_the_low_inverse_vandermonde_rows():
@@ -172,7 +206,7 @@ def test_choose_permutation_reserved_rows_are_invertible():
                 continue
             picked = [
                 row
-                for n, row in zip(acc.sorted_set(k), plan.basis_rows[k - 1])
+                for n, row in zip(acc.sorted_set(k), basis_rows(plan)[k - 1])
                 if n in plan.reserved.block(k)
             ]
             assert linalg.rank(plan.field, picked) == quota
@@ -251,9 +285,9 @@ def test_make_plan_reference_instance_invariants():
     for k in range(1, 5):
         size = len(acc.user_set(k))
         assert sorted(plan.perms[k - 1]) == list(range(1, size + 1))
-        gammas = plan.gammas(k)
+        gammas = [pow(F11.gamma, e, F11.p) for e in plan.perms[k - 1]]
         assert len(set(gammas)) == size and 0 not in gammas
-        assert all(plan.alpha(k, n) != 0 for n in acc.sorted_set(k))
+        assert all(plan.alphas[k - 1][n] != 0 for n in acc.sorted_set(k))
     assert linalg.det(F11, split_matrices(plan)[0]) != 0
     assert linalg.det(F11, plan_decomposition(plan)) != 0
     a = system_matrix(plan)
@@ -277,8 +311,8 @@ def test_decomposition_structure():
 
 def test_plan_derives_its_basis_rows_once(monkeypatch):
     # planning, loading, encoding, the transfer map and the correctness
-    # check eliminate no tail matrix; the correctness matrix V derives the
-    # rows on first use, one null space per user, once a plan
+    # check eliminate no tail matrix; the correctness matrix V takes one
+    # null space per user on every call, and nothing keeps them
     calls = count_calls(monkeypatch, linalg, "null_space")
     acc = ref_access()
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
@@ -292,15 +326,16 @@ def test_plan_derives_its_basis_rows_once(monkeypatch):
     plan_decomposition(plan)
     assert len(calls) == acc.K
     plan_decomposition(plan)
-    assert len(calls) == acc.K
+    assert len(calls) == 2 * acc.K
 
 
 def test_plan_builds_its_correctness_transpose_once(monkeypatch):
     # V^T is carried as H^-1 V^T, the decode rows: planning never builds
-    # them, V^T itself is never built, and the load's det check, every
-    # encode, the transfer map and verify share one per plan
+    # them, V^T itself is never built (no tail null basis is taken), and
+    # the load's det check, every encode, the transfer map and verify
+    # share one per plan
     calls = spy(monkeypatch, planner.Plan.__dict__["decode_rows"], "func", id)
-    v_builds = count_calls(monkeypatch, planner, "correctness_matrix")
+    v_builds = count_calls(monkeypatch, planner, "_null_basis")
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     assert calls == []
@@ -404,10 +439,7 @@ def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
         if budget == "sweep":
             assert len(dets) == plan.N + 1
             continue
-        c, _, _ = split_matrices(plan)
-        d = correctness_matrix(
-            f, acc, plan.quotas, plan.basis_rows, lambda k, n: int(n not in plan.reserved.block(k))
-        )
+        c, d, _ = split_matrices(plan)  # alpha = 1 off the reserved nodes
         assert len(dets) == seeded_draws(f, c, d, seed), (f, acc, rates, seed)
     redraws = 0
     f = Field(3)
@@ -432,13 +464,20 @@ def test_basis_rows_stay_off_the_plan_value():
     plan = make_plan(F11, ref_access(), (1, 2, 2, 3), seed=5)
     fresh = dataclasses.replace(plan)
     doc, text = plan_to_dict(fresh), repr(fresh)
-    for _ in range(2):  # before, then after, the rows and the packed decode rows are derived
+    for _ in range(2):  # before, then after, the packed decode rows are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
-        assert plan.basis_rows == fresh.basis_rows
         assert plan.decode_rows == fresh.decode_rows
     assert isinstance(plan.decode_rows, linalg.Packed)
     assert plan_from_dict(doc) == plan
+    # the plan keeps its decode rows and their determinant beside its
+    # fields, and nothing else
+    res = encode(plan, [[1], [2, 6], [4, 0], [3, 5, 7]], seed=1)
+    decode(plan, 4, res.shares)
+    check_correctness(plan, trials=2)
+    check_privacy(plan)
+    kept = set(vars(plan)) - {f.name for f in dataclasses.fields(plan)}
+    assert kept == {"decode_rows", "_decode_det"}
 
 
 @pytest.mark.parametrize("budget", ["random", "sweep"])
@@ -460,11 +499,8 @@ def test_zeta_from_decode_row_split_equals_zeta_from_v_split(monkeypatch, budget
             cases.append((Field(inp.p), AccessStructure.of(inp.access), inp.rates, seed))
     for f, acc, rates, seed in cases:
         plan = make_plan(f, acc, rates, seed=seed)
-        reserved = plan.reserved
-        args = (f, acc, plan.quotas, plan.basis_rows)
-        c = correctness_matrix(*args, lambda k, n: int(n in reserved.block(k)))
-        d = correctness_matrix(*args, lambda k, n: int(n not in reserved.block(k)))
-        assert choose_zeta(f, c, d, seed) == split_matrices(plan)[2], (f, acc, rates, seed)
+        c, d, zeta = split_matrices(plan)  # alpha = 1 off the reserved nodes
+        assert choose_zeta(f, c, d, seed) == zeta, (f, acc, rates, seed)
 
 
 def test_make_plan_eliminates_only_for_zeta(monkeypatch):
