@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Sized
 
 from .errors import NotInRegionError, SingleUserError, TooLargeError, TooManyUsersError
 
@@ -67,7 +67,7 @@ class AccessStructure:
     def __post_init__(self):
         if not self.sets:
             raise ValueError("need at least one user")
-        sets = tuple(frozenset(s) for s in self.sets)
+        sets = _frozensets(self.sets)
         if set(map(type, itertools.chain.from_iterable(sets))) - {int}:
             raise ValueError("node ids must be ints")
         object.__setattr__(self, "sets", sets)
@@ -82,7 +82,7 @@ class AccessStructure:
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[int]]) -> "AccessStructure":
-        return cls(tuple(frozenset(s) for s in sets))
+        return cls(_frozensets(sets))
 
     @property
     def K(self) -> int:
@@ -101,6 +101,15 @@ class AccessStructure:
 
     def union_size(self, users: Iterable[int]) -> int:
         return reduce(or_, [self.masks[k - 1] for k in users], 0).bit_count()
+
+
+def _frozensets(sets) -> tuple:
+    """``sets`` as a tuple of frozensets; ValueError, not TypeError, for
+    None or any other value that is not an iterable of node iterables."""
+    try:
+        return tuple(frozenset(s) for s in sets)
+    except TypeError as exc:
+        raise ValueError(f"access sets must be iterables of node ids: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,9 @@ def in_capacity_region(acc: AccessStructure, rates: Sequence) -> RegionReport:
 
 def _fractions(acc: AccessStructure, rates: Sequence) -> list:
     """The K rates as Fractions; ValueError for a wrong count, a str or bool,
-    None, inf or NaN."""
+    None, inf or NaN, or for ``rates`` itself with no length, such as None."""
+    if not isinstance(rates, Sized):
+        raise ValueError(f"rates must be a sequence, got {type(rates).__name__}")
     if len(rates) != acc.K:
         raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
     try:

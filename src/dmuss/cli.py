@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from fractions import Fraction
 from math import lcm
@@ -43,6 +42,7 @@ from .errors import DmussError, NotInRegionError, ShapeMismatchError
 from .files import (
     FileFormatError,
     instance_from_dict,
+    json_text,
     load_any_plan,
     load_json,
     messages_from_dict,
@@ -60,7 +60,7 @@ def _emit(doc: dict, out: str | None) -> None:
     if out:
         save_json(out, doc)
     else:
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
 
 
 def _parse_corner(text: str, k: int) -> list:
@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
         (report_a, _), (report_b, _) = reports
         doc = {"mixed_rates": [str(r) for r in scheme.rates()], "plan_a": report_a, "plan_b": report_b}
     doc["ok"] = ok
-    print(json.dumps(doc, indent=2))
+    print(json_text(doc))
     return 0 if ok else 1
 
 

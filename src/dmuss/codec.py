@@ -180,18 +180,33 @@ class DecodeResult:
     pads: list  # recovered pad coefficients (degrees R_k..|A_k|-1)
 
 
-def _shares_for_user(plan: Plan, k: int, shares) -> list:
+def _check_user(plan: Plan, k) -> None:
+    """ShapeMismatchError unless k is an int (not a bool) in 1..K: 0 and
+    -1 would index the last user from the end."""
+    if type(k) is not int or not 1 <= k <= plan.K:
+        raise ShapeMismatchError(f"user {k!r} is not in 1..{plan.K}")
+
+
+def _user_shares(plan: Plan, k: int, shares) -> list:
+    """User k's shares in the order of its sorted set: ShapeMismatchError
+    unless ``shares`` is a list, tuple or mapping covering A_k (a list or
+    tuple of length N), BadSymbolError unless each is in GF(p)."""
+    if not isinstance(shares, (Mapping, list, tuple)):
+        raise ShapeMismatchError(f"shares must be a list or a mapping, got {type(shares).__name__}")
     nodes = plan.access.sorted_set(k)
     if isinstance(shares, Mapping):
         missing = [n for n in nodes if n not in shares]
         if missing:
             raise ShapeMismatchError(f"user {k}: shares missing for nodes {missing}")
-        return [shares[n] for n in nodes]
-    if len(shares) != plan.N:
+        vals = [shares[n] for n in nodes]
+    elif len(shares) != plan.N:
         raise ShapeMismatchError(
             f"share vector has length {len(shares)}, expected {plan.N}"
         )
-    return [shares[n - 1] for n in nodes]
+    else:
+        vals = [shares[n - 1] for n in nodes]
+    _check_symbols(plan.field.p, vals, f"user {k} share")
+    return vals
 
 
 def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
@@ -199,14 +214,11 @@ def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
     solve of the natural-order Vandermonde on gamma^1..gamma^n per set
     size n, whose right-hand sides hold each user's -alpha y at the rows
     of its exponents."""
-    if not isinstance(shares, (Mapping, list, tuple)):
-        raise ShapeMismatchError(f"shares must be a list or a mapping, got {type(shares).__name__}")
     field = plan.field
     p = field.p
     by_size: dict = {}  # set size -> [(user, right-hand side)]
     for k in users:
-        vals = _shares_for_user(plan, k, shares)
-        _check_symbols(p, vals, f"user {k} share")
+        vals = _user_shares(plan, k, shares)
         nodes = plan.access.sorted_set(k)
         perm = plan.perms[k - 1]
         _check_exponents(k, perm, len(nodes))
@@ -266,8 +278,7 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
         SingularMatrixError: user k's exponents are not a permutation of
             1..|A_k|, or |A_k| exceeds p - 1.
     """
-    if type(k) is not int or not 1 <= k <= plan.K:
-        raise ShapeMismatchError(f"user {k!r} is not in 1..{plan.K}")
+    _check_user(plan, k)
     return _decode_users(plan, (k,), shares)[0]
 
 
@@ -456,12 +467,20 @@ class MemoryShare:
         return self.encode_blocks(self.split_messages(msgs), seed)
 
     def decode(self, k: int, share_blocks: Sequence) -> list:
-        """Recover user k's flat message from per-block shares."""
+        """Recover user k's flat message from per-block shares, raising
+        as :func:`decode` does.  A block whose plan gives user k rate 0
+        holds none of its message: its shares get the same checks, and
+        no interpolation, so user k's tail coefficients there are not
+        recovered."""
         _check_list(share_blocks, "share blocks")
         plans = self.block_plans(len(share_blocks), "expected {} share blocks, got {}")
+        _check_user(self.layers[0][0], k)
         out = []
         for plan, shares in zip(plans, share_blocks):
-            out.extend(decode(plan, k, shares).message)
+            if plan.rates[k - 1]:
+                out.extend(decode(plan, k, shares).message)
+            else:
+                _user_shares(plan, k, shares)
         return out
 
 

@@ -8,6 +8,12 @@ nodes), and message files (per-block, per-user symbol lists).  A fifth
 composite kind wraps two plans plus a block split for rate mixing; either
 plan kind loads as one scheme (:func:`load_any_plan`).
 
+Every document the CLI writes, to a file or to stdout, is made by
+:func:`json_text`: the bytes of the standard library's ``json.dumps``
+with ``indent=2``, with flat int lists joined in one ``str.join``
+instead of going token by token through its pure-Python indented
+encoder.
+
 Malformed documents raise :class:`FileFormatError`; whether the *valid*
 document describes something mathematically workable is the domain
 layer's business and surfaces as DmussError subclasses instead.
@@ -91,10 +97,56 @@ def load_json(path: str) -> dict:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+_INT_REPR = int.__repr__  # what the encoder writes for an int
+_STR_JSON = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+_FALLBACK = json.JSONEncoder(indent=2)  # json.dumps with indent=2 is its encode
+
+
+def json_text(doc) -> str:
+    """Exactly the text ``json.dumps`` writes for ``doc`` with ``indent=2``.
+
+    Lists and tuples of exact ints (a plan's perms, share blocks, ...)
+    are one ``str.join`` over ``int.__repr__``; lists of other values,
+    dicts with str keys, strs, ints, bools and None are written here; any
+    other value (a float, a dict with a non-str key, an int or str
+    subclass) is the standard encoder's text, re-indented.  A value that
+    contains itself recurses without the encoder's cycle check.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(v, newline: str) -> str:
+    """``v`` as indented JSON at the depth whose lines start with ``newline``."""
+    kind = type(v)
+    if kind is str:
+        return _STR_JSON(v)
+    if kind is int:
+        return _INT_REPR(v)
+    if kind is list or kind is tuple:
+        if not v:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, v)) == {int}:
+            items = map(_INT_REPR, v)
+        else:
+            items = [_json_value(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and set(map(type, v)) <= {str}:
+        if not v:
+            return "{}"
+        inner = newline + "  "
+        items = [_STR_JSON(key) + ": " + _json_value(x, inner) for key, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is bool or v is None:
+        return _LITERALS[v]
+    return _FALLBACK.encode(v).replace("\n", newline)
+
+
 def save_json(path: str, doc: dict) -> None:
-    """``doc`` as indented JSON and a newline, in one write: ``json.dump``
-    writes each token separately."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """``doc`` as :func:`json_text` and a newline, in one write:
+    ``json.dump`` writes each token separately."""
+    text = json_text(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -14,7 +14,7 @@ picks (also ascending), so two identical users {1,2}, {1,2} get {1} and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Sized
 
 from .access import AccessStructure, _CutsetFlow
 from .errors import NoSdrError
@@ -64,11 +64,14 @@ def find_sdr(acc: AccessStructure, quotas: Sequence[int]) -> SdrAssignment:
     """Pick disjoint node blocks within each A_k, with |block k| = R'_k.
 
     Raises:
-        ValueError: the quotas are not K nonnegative ints.
+        ValueError: the quotas are not K nonnegative ints (or have no
+            length, such as None).
         NoSdrError: no such blocks exist; carries a
             :class:`DeficiencyCertificate`: clones 1..min(R'_k, |union| + 1)
             of each user k of the minimal group with the largest excess.
     """
+    if not isinstance(quotas, Sized):
+        raise ValueError(f"block sizes must be a sequence, got {type(quotas).__name__}")
     if len(quotas) != acc.K:
         raise ValueError(f"expected {acc.K} block sizes, got {len(quotas)}")
     if any(type(r) is not int or r < 0 for r in quotas):

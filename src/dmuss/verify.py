@@ -342,9 +342,12 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
     than a bare transfer map, that every input round-trips through decode.
 
     Raises:
+        ValueError: ``max_inputs`` is not an int (a bool is not one).
         TooLargeError: p**N exceeds ``max_inputs`` (itself capped at
             AUDIT_INPUT_CAP).
     """
+    if type(max_inputs) is not int:
+        raise ValueError(f"max_inputs must be an int, got {max_inputs!r}")
     plan = target if isinstance(target, Plan) else None
     tm = target if plan is None else transfer_map(plan)
     p = tm.field.p

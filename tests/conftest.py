@@ -506,6 +506,19 @@ def slow_decode(plan, k, shares) -> codec.DecodeResult:
     return codec.DecodeResult(message=coeffs[:r], pads=coeffs[r:])
 
 
+def slow_scheme_decode(scheme, k, share_blocks) -> list:
+    """User k's flat message from a scheme's per-block shares: the
+    concatenation of :func:`codec.decode`'s message on every block,
+    rate-0 blocks included."""
+    codec._check_list(share_blocks, "share blocks")
+    plans = scheme.block_plans(len(share_blocks), "expected {} share blocks, got {}")
+    return [
+        symbol
+        for plan, shares in zip(plans, share_blocks)
+        for symbol in codec.decode(plan, k, shares).message
+    ]
+
+
 # --- pairwise privacy and the column-by-column transfer map: slow references ------
 
 

@@ -115,6 +115,10 @@ def test_access_structure_validation():
         AccessStructure.of([[1, 3]])  # node 2 uncovered
     with pytest.raises(ValueError):
         AccessStructure.of([[0, 1]])
+    # None, or sets that are not iterables, raised TypeError
+    for bad in (None, 5, [None], [1, 2]):
+        with pytest.raises(ValueError, match="iterables of node ids"):
+            AccessStructure.of(bad)
 
 
 def test_user_index_out_of_range():
@@ -262,6 +266,12 @@ def test_membership_input_validation():
     acc = ref_access()
     with pytest.raises(ValueError):
         in_capacity_region(acc, (1, 2, 2))
+    # a rate tuple with no length raised TypeError from len
+    for bad in (None, 4):
+        with pytest.raises(ValueError, match="must be a sequence"):
+            in_capacity_region(acc, bad)
+        with pytest.raises(ValueError, match="must be a sequence"):
+            augment_quotas(acc, bad)
     with pytest.raises(ValueError):
         in_capacity_region(acc, (-1, 0, 0, 0))
     for bad in (float("inf"), float("nan")):

@@ -23,6 +23,7 @@ from conftest import (
     slow_decode_rows,
     slow_det,
     slow_rref,
+    slow_scheme_decode,
     slow_solve,
     slow_transfer_map,
     spy,
@@ -609,6 +610,99 @@ def test_memory_share_message_validation(ref_plan):
     assert list(plain.block_plans(3)) == [ref_plan] * 3
     with pytest.raises(ShapeMismatchError):
         plain.decode(1, [])
+
+
+def raised(call):
+    """(type, message) of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # any type: the caller compares it with the reference's
+        return type(exc), str(exc)
+    return None
+
+
+def test_scheme_decode_matches_slow_scheme_decode_fuzz():
+    # a block that gives user k rate 0 is checked and not interpolated;
+    # the message is still every block's decode, concatenated
+    rng = random.Random(48)
+    mixes = plain_with_zero = zero_blocks = 0
+    for _ in range(120):
+        p = rng.choice([5, 11, 13, 65537])
+        acc = random_access(rng, max_users=5, max_nodes=8, max_set_size=p - 1)
+        rates = list(random_rates_in_region(rng, acc))
+        if rng.random() < 0.5:
+            rates[rng.randrange(acc.K)] = 0  # the region is closed downwards
+        plan_a = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
+        if rng.random() < 0.5:
+            rates_b = [0] * acc.K if rng.random() < 0.5 else random_rates_in_region(rng, acc)
+            plan_b = make_plan(Field(p), acc, rates_b, seed=rng.randrange(10**6))
+            count = rng.randint(1, 4)
+            scheme = memory_share(plan_a, plan_b, rng.randint(0, count), count)
+            mixes += 1
+        else:
+            scheme, count = MemoryShare(((plan_a, 1),)), rng.randint(1, 3)
+            plain_with_zero += 0 in rates
+        blocks = []
+        for _ in range(count):
+            shares = [rng.randrange(p) for _ in range(acc.N)]
+            blocks.append(dict(enumerate(shares, start=1)) if rng.random() < 0.5 else shares)
+        plans = list(scheme.block_plans(count))
+        for k in range(1, acc.K + 1):
+            assert scheme.decode(k, blocks) == slow_scheme_decode(scheme, k, blocks)
+            zero_blocks += sum(plan.rates[k - 1] == 0 for plan in plans)
+    assert mixes >= 40 and plain_with_zero >= 20 and zero_blocks >= 200
+
+
+def test_scheme_decode_interpolates_only_blocks_with_a_message(monkeypatch, ref_plan, ref_messages):
+    zero = make_plan(ref_plan.field, ref_plan.access, (0, 0, 0, 0), seed=3)
+    user_1_zero = make_plan(ref_plan.field, ref_plan.access, (0, 2, 2, 3), seed=5)
+    mix = memory_share(ref_plan, zero, 1, 3)
+    blocks = [r.shares for r in mix.encode([list(m) for m in ref_messages], seed=9)]
+    solves = spy(monkeypatch, linalg, "solve", lambda *args: None)
+    for k in range(1, 5):
+        solves.clear()
+        assert mix.decode(k, blocks) == ref_messages[k - 1]
+        assert len(solves) == 1  # the ref_plan block; the two zero-plan blocks hold nothing
+    plain = MemoryShare(((user_1_zero, 1),))
+    solves.clear()
+    assert plain.decode(1, blocks) == [] and solves == []
+    assert len(plain.decode(2, blocks)) == 6 and len(solves) == 3
+    # decode and decode_all still interpolate a rate-0 user: they return its pads
+    solves.clear()
+    got = decode(zero, 1, blocks[1])
+    assert got.message == [] and len(got.pads) == 4 and len(solves) == 1
+
+
+def test_rate_zero_block_raises_as_its_decode_does(ref_plan, ref_encoded):
+    # user 1 reads nodes 1, 6, 7, 8, and has rate 0 in the last block of each scheme
+    zero = make_plan(ref_plan.field, ref_plan.access, (0, 0, 0, 0), seed=3)
+    user_1_zero = make_plan(ref_plan.field, ref_plan.access, (0, 2, 2, 3), seed=5)
+    good = list(ref_encoded.shares)
+    bad_blocks = [
+        {n: y for n, y in enumerate(good, start=1) if n != 6},  # lacks a node of A_1
+        good[:5] + [11] + good[6:],  # a symbol >= p on node 6
+        good[:5] + [True] + good[6:],  # a bool on node 6
+        dict(enumerate(good[:5] + [-1] + good[6:], start=1)),
+        good[:7],  # a vector of the wrong length
+        None,  # not a list or mapping
+        5,
+        "x",
+        {1, 6, 7, 8},
+    ]
+    for scheme in (memory_share(ref_plan, zero, 1, 2), MemoryShare(((user_1_zero, 1),))):
+        assert list(scheme.block_plans(2))[-1].rates[0] == 0
+        for bad in bad_blocks:
+            blocks = [good, bad]
+            want = raised(lambda: slow_scheme_decode(scheme, 1, blocks))
+            assert want is not None and issubclass(want[0], DmussError), bad
+            assert raised(lambda: scheme.decode(1, blocks)) == want, bad
+    # k is checked before any rate is read: 0 does not reach user K's rate 0
+    user_4_zero = make_plan(ref_plan.field, ref_plan.access, (1, 2, 2, 0), seed=5)
+    for scheme in (memory_share(user_4_zero, zero, 1, 2), MemoryShare(((user_4_zero, 1),))):
+        for k in (0, -1, 5, True, 1.0, None):
+            want = raised(lambda: slow_scheme_decode(scheme, k, [good, good]))
+            assert want[0] is ShapeMismatchError
+            assert raised(lambda: scheme.decode(k, [good, good])) == want
 
 
 # --- the whole pipeline at benchmark-like sizes against the slow elimination -----

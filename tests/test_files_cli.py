@@ -9,13 +9,14 @@ runs exactly as a shell user would drive it.
 import dataclasses
 import hashlib
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import spy
-from dmuss import demo, files, linalg, verify
+from dmuss import cli, demo, files, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
@@ -30,6 +31,7 @@ from dmuss.files import (
     FileFormatError,
     instance_from_dict,
     instance_to_dict,
+    json_text,
     load_any_plan,
     load_json,
     messages_from_dict,
@@ -182,6 +184,104 @@ def test_save_json_writes_json_dumps_bytes_in_one_write(tmp_path, monkeypatch):
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / f"{name}.ref.json").read_bytes(), name
 
+
+
+class Count(int):
+    """An int subclass: the standard encoder writes it through int.__repr__."""
+
+
+class Name(str):
+    """A str subclass."""
+
+
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate
+AWKWARD_CHARS = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", "a", " "]
+FLOATS = [0.0, -0.0, 1.5, -2e-300, 1e300, float("inf"), float("-inf"), float("nan")]
+
+
+def random_json_value(rng, depth=0):
+    """A seeded nested value of every kind json.dumps takes: ints around
+    0 and past 2**64, bools, None, floats, awkward strings, empty and
+    nested lists, tuples and dicts, and dicts with non-str keys."""
+
+    def text(length):
+        return "".join(rng.choice(AWKWARD_CHARS) for _ in range(rng.randrange(length)))
+
+    leaves = [
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([-1, 1]) * rng.randrange(2**64, 2**80),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice(FLOATS),
+        lambda: text(6),
+        lambda: Count(rng.randrange(100)),
+        lambda: Name("k"),
+    ]
+    if depth >= 4 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    width = rng.randrange(5)
+    kind = rng.randrange(6)
+    if kind == 0:  # a flat int list, the writer's joined case
+        return [rng.randint(-(2**70), 2**70) for _ in range(width)]
+    if kind in (1, 2):
+        items = [random_json_value(rng, depth + 1) for _ in range(width)]
+        return items if kind == 1 else tuple(items)
+    if kind in (3, 4):
+        return {text(4): random_json_value(rng, depth + 1) for _ in range(width)}
+    keys = [rng.randrange(9), 1.5, True, False, None, "s", Name("n")]
+    return {rng.choice(keys): random_json_value(rng, depth + 1) for _ in range(width)}
+
+
+def test_json_text_equals_json_dumps_fuzz():
+    rng = random.Random(26)
+    for _ in range(3000):
+        doc = random_json_value(rng)
+        assert json_text(doc) == json.dumps(doc, indent=2), doc
+    edges = [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, True], [1, None], [Count(1), 2]]
+    edges += [{1: 2}, {"a": 1, 2: 3}, [1.0], "\u00e9\"", Name("x"), 2**100, -(2**64), None, False]
+    for doc in edges:
+        assert json_text(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_json_text_writes_every_cli_document(tmp_path, monkeypatch, capsys):
+    # every document the CLI writes, to stdout or a file, as the standard encoder writes it
+    inst = write_doc(tmp_path, "inst.json", REF_INSTANCE)
+    half = write_doc(tmp_path, "half.json", dict(REF_INSTANCE, rates=["1/2", 1, 1, "3/2"]))
+    plan_path, mix_path = str(tmp_path / "plan.json"), str(tmp_path / "mix.json")
+    msgs = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    mix_msgs = messages_to_dict(11, [demo.demo_messages(), [[]] * 4])
+    mix_msgs = write_doc(tmp_path, "mix-msgs.json", mix_msgs)
+    shares, mix_shares = str(tmp_path / "shares.json"), str(tmp_path / "mix-shares.json")
+    docs = []
+
+    def recorded(doc):
+        docs.append(doc)
+        return json_text(doc)
+
+    monkeypatch.setattr(cli, "json_text", recorded)
+    monkeypatch.setattr(files, "json_text", recorded)
+    commands = [
+        ["plan", inst],
+        ["plan", inst, "--out", plan_path],
+        ["plan", half],
+        ["plan", half, "--out", mix_path],
+        ["encode", plan_path, msgs, "--audit", "--seed", "7"],
+        ["encode", plan_path, msgs, "--audit", "--seed", "7", "--out", shares],
+        ["encode", mix_path, mix_msgs, "--audit", "--out", mix_shares],
+        ["decode", plan_path, shares, "--user", "4"],
+        ["decode", mix_path, mix_shares, "--user", "2", "--out", str(tmp_path / "m.json")],
+        ["verify", plan_path, "--trials", "2"],
+        ["verify", plan_path, "--privacy", "--entropy"],
+        ["verify", mix_path, "--trials", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    formats = {doc.get("format") for doc in docs}
+    assert formats >= {"dmuss.plan/1", "dmuss.plan-mix/1", "dmuss.shares/1", "dmuss.user-message/1"}
+    assert any("pads" in doc for doc in docs) and any("mixed_rates" in doc for doc in docs)
+    assert sum("ok" in doc for doc in docs) == 3
+    for doc in docs:
+        assert json_text(doc) == json.dumps(doc, indent=2)
 
 def test_plan_zero_alpha_is_format_error():
     doc = plan_to_dict(demo.demo_plan())
@@ -600,6 +700,27 @@ def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
         (["verify", plan_path, "--trials", "1"], 4),
         (["verify", plan_path, "--privacy", "--entropy"], 1),
     ]
+    # a mix's load runs two determinants; decode then solves one
+    # Vandermonde per block that gives the user a nonzero rate, and only
+    # checks the shares of the others
+    msgs = demo.demo_messages()
+    mixes = [  # corner b, rates, block b's messages, blocks with a message per user
+        ("0,0,0,0", ["1/2", 1, 1, "3/2"], [[], [], [], []], {1: 1, 2: 1, 4: 1}),
+        ("1,0,0,0", [1, 1, 1, "3/2"], [[4], [], [], []], {1: 2, 2: 1, 4: 1}),
+    ]
+    for i, (corner_b, rates, second, solved) in enumerate(mixes):
+        mix_inst = write_doc(tmp_path, f"mix{i}-inst.json", dict(REF_INSTANCE, rates=rates))
+        mix_msgs = write_doc(tmp_path, f"mix{i}-msgs.json", messages_to_dict(11, [msgs, second]))
+        mix_path, mix_shares = str(tmp_path / f"mix{i}.json"), str(tmp_path / f"mix{i}-shares.json")
+        corners = ["--corner-a", "1,2,2,3", "--corner-b", corner_b]
+        budget += [
+            (["plan", mix_inst, *corners, "--out", mix_path], 2),  # zeta's first draw per plan
+            (["encode", mix_path, mix_msgs, "--out", mix_shares], 4),  # two loads, two solves
+        ]
+        budget += [
+            (["decode", mix_path, mix_shares, "--user", str(user)], 2 + blocks)
+            for user, blocks in solved.items()
+        ]
     calls = spy(monkeypatch, linalg, "_echelon", lambda *args: None)
     for argv, eliminations in budget:
         calls.clear()

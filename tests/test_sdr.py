@@ -116,6 +116,8 @@ def test_input_validation():
     acc = AccessStructure.of([[1, 2], [1, 2]])
     with pytest.raises(ValueError):
         find_sdr(acc, (1,))
+    with pytest.raises(ValueError, match="must be a sequence"):
+        find_sdr(acc, None)  # was a TypeError from len
     for bad in (-1, 1.0, "1", None):
         with pytest.raises(ValueError):
             find_sdr(acc, (bad, 1))
