@@ -2,14 +2,15 @@
 
 Matrices are plain lists of row lists holding ints in ``[0, p-1]``; no
 floating point anywhere.  One forward pass, :func:`_echelon`, does all
-elimination: columns left to right, the first row with a nonzero entry
-becomes the pivot, so every derived object (rank profile, null-space
-basis, solution) is reproducible.  rank counts its pivots and det is its
-signed pivot product.  rref and solve read their results off its pivot
-rows by one back-substitution (:func:`_back_substitute`), which also
-divides by the pivots, left unscaled by the forward pass: rref over every
-field of a row, solve over the right-hand sides' fields only.  solve, the
-one reader of [A | B], serves inverse too.
+elimination: columns left to right, the first row not yet a pivot row,
+in input order, with a nonzero entry becomes the pivot, so every derived
+object (rank profile, null-space basis, solution) is reproducible.  rank
+counts its pivots and det is its signed pivot product.  rref and solve
+read their results off its pivot rows by one back-substitution
+(:func:`_back_substitute`), which also divides by the pivots, left
+unscaled by the forward pass: rref over every field of a row, solve over
+the right-hand sides' fields only.  solve, the one reader of [A | B],
+serves inverse too.
 
 Inside the elimination each row is one Python int holding its entries
 as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
@@ -19,15 +20,16 @@ modular reduction and Kronecker substitution for small finite fields"
 (J. Symb. Comput. 2011).  Three more things keep the work small, the
 last two the other halves of that paper:
 
-* the rows still in play hold the current column in their lowest field,
-  and each column shifts them right by one field, so the column is read
-  with a mask and the updates touch only the columns left (the window
-  shift, :func:`_echelon`);
+* the rows not yet pivot rows (the active rows) hold the current column
+  in their lowest field, and each column shifts them right by one field,
+  so the column is read with a mask and the updates touch only the
+  columns left (the window shift, :func:`_echelon`);
 * simultaneous modular reduction: a pivot row is reduced mod p in all
   its fields at once by a packed Barrett reduction, a fixed number of
   big-int operations (:func:`_reducer`), and is not scaled to a unit
-  pivot: each row below takes the multiplier (p - f) * pi**-1 mod p
-  instead;
+  pivot: each active row takes the multiplier (p - f) * pi**-1 mod p
+  instead, with f its lowest field, read unreduced: one list pass per
+  pivot;
 * Kronecker substitution: a vector's back-substitution takes one big-int
   product per row, the row's tail times the packed, reversed solution
   (:func:`_back_substitute`).
@@ -246,20 +248,26 @@ def _echelon(
     sought in a's columns only, and rhs's fields are carried through
     every row operation.
 
-    The rows still below the last pivot hold the current column in their
-    lowest field, so the column is read as ``(x & mask) % p``.  The pivot
-    row is reduced mod p by :func:`_reducer`, in a fixed number of
-    big-int operations, and left as it is: its pivot pi is not scaled to
-    1.  Each row below, whose entry in the column is f, then takes one
-    big-int multiply-add R += m * L with m = (p - f) * pi**-1 mod p, one
-    scalar per row, which makes its lowest field a multiple of p; it is
-    shifted right by one field, so the next column comes into the lowest
-    field and updates touch only the columns still in play.  A column
-    without a pivot shifts every row below the last pivot the same way.
-    Dropping a field loses nothing: it holds a multiple of p, and no
-    field ever carries into the next (see :func:`_width`), since rows
-    below a pivot are not reduced in this pass, so they take at most
-    rows - 1 updates, each field gaining less than p**2.
+    The rows not yet pivot rows are kept in one active list, in input
+    order, each holding the current column in its lowest field, read as
+    ``x & mask``.  The pivot is the first active row whose lowest field is
+    nonzero mod p; a field that is a nonzero multiple of p is zero and
+    never a pivot.  It is taken out of the list by ``pop(i)``, which moves
+    it above the i active rows before it by i adjacent row swaps, so the
+    determinant's sign flips when i is odd.  The pivot row is reduced mod
+    p by :func:`_reducer`, in a fixed number of big-int operations, and
+    left as it is: its pivot pi is not scaled to 1.  One list pass then
+    gives every active row one big-int multiply-add R += m * L with
+    m = (p - f) * pi**-1 mod p, one scalar per row, read off the row's
+    unreduced lowest field (below 2**(W - 1) and congruent to f, so the
+    same m), which makes that field a multiple of p, and shifts the row
+    right by one field, so the next column comes into the lowest field
+    and updates touch only the columns still in play.  A column without a
+    pivot shifts every active row the same way.  Dropping a field loses
+    nothing: it holds a multiple of p, and no field ever carries into the
+    next (see :func:`_width`), since active rows are not reduced in this
+    pass, so they take at most rows - 1 updates, each field gaining less
+    than p**2.
 
     Returns:
         (E, pivots, inverses, d) where E holds the pivot rows of a row
@@ -267,9 +275,9 @@ def _echelon(
         packed from its pivot column on (field 0 holds the pivot, field t
         the entry of column pivots[i] + t), pivots lists the pivot column
         of each of them, inverses the inverse mod p of each pivot, and d
-        is the product of the pivots times the sign of the row swaps (the
-        determinant when ``a`` is square and has a pivot in every
-        column).
+        is the product of the pivots times the sign of the row swaps the
+        pops make (the determinant when ``a`` is square and has a pivot in
+        every column).
 
     Raises ShapeMismatchError when ``a`` is not a list of rows of one
     length, and BadSymbolError when an entry is not an int (a float, a
@@ -280,41 +288,36 @@ def _echelon(
     rows, cols = len(m), m.cols
     w = _width(p, rows)
     mask = (1 << w) - 1
-    r = list(m.ints)
+    active = list(m.ints)
     if rhs:
         try:
-            r = [x | _pack(row, w, p) << cols * w for x, row in zip(r, rhs)]
+            active = [x | _pack(row, w, p) << cols * w for x, row in zip(active, rhs)]
         except TypeError as exc:
             raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
     reduce = _reducer(p, w, cols + (len(rhs[0]) if rhs else 0))
+    tops: list[int] = []
     pivots: list[int] = []
     inverses: list[int] = []
     d = 1
-    lead = 0
     for col in range(cols):
-        column = [(x & mask) % p for x in r[lead:]]
-        piv = next((i for i, f in enumerate(column) if f), None)
-        if piv is None:
-            r[lead:] = [x >> w for x in r[lead:]]
+        for i, x in enumerate(active):
+            if (x & mask) % p:
+                break
+        else:  # no pivot in this column
+            active = [x >> w for x in active]
             continue
-        if piv:
-            r[lead], r[lead + piv] = r[lead + piv], r[lead]
-            column[0], column[piv] = column[piv], column[0]
-            d = -d
-        pivot = column[0]
-        d = d * pivot % p
+        top = reduce(active.pop(i))  # i adjacent swaps bring it to the top
+        pivot = top & mask
+        d = (-d if i & 1 else d) * pivot % p
         inv = pow(pivot, -1, p)
         minus = p - inv  # m = (p - f) * inv = f * (p - inv) mod p
-        top = r[lead] = reduce(r[lead])
-        r[lead + 1 :] = [
-            (x + f * minus % p * top if f else x) >> w for x, f in zip(r[lead + 1 :], column[1:])
-        ]
+        active = [(x + (x & mask) * minus % p * top) >> w for x in active]
+        tops.append(top)
         pivots.append(col)
         inverses.append(inv)
-        lead += 1
-        if lead == rows:
+        if not active:
             break
-    return r[:lead], pivots, inverses, d
+    return tops, pivots, inverses, d
 
 
 def _back_substitute(
@@ -396,6 +399,7 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(field: Field, a: Matrix) -> int:
+    """The rank of ``a``: the number of :func:`_echelon`'s pivots."""
     return len(_echelon(field, a)[1])
 
 

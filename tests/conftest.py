@@ -275,6 +275,50 @@ def slow_det(field, a):
     return result
 
 
+def slow_echelon(field, a, rhs=()):
+    """The packed forward elimination with row swaps that the active-list
+    loop of ``linalg._echelon`` replaced: the rows below the last pivot
+    stay in place, the column's entries are reduced into a list first,
+    and the pivot row is swapped up to the lead position (one sign flip
+    per swap).  Same return contract as ``linalg._echelon``."""
+    p = field.p
+    m = linalg.packed(field, a)
+    rows, cols = len(m), m.cols
+    w = linalg._width(p, rows)
+    mask = (1 << w) - 1
+    r = list(m.ints)
+    if rhs:
+        r = [x | linalg._pack(row, w, p) << cols * w for x, row in zip(r, rhs)]
+    reduce = linalg._reducer(p, w, cols + (len(rhs[0]) if rhs else 0))
+    pivots, inverses = [], []
+    d = 1
+    lead = 0
+    for col in range(cols):
+        column = [(x & mask) % p for x in r[lead:]]
+        piv = next((i for i, f in enumerate(column) if f), None)
+        if piv is None:
+            r[lead:] = [x >> w for x in r[lead:]]
+            continue
+        if piv:
+            r[lead], r[lead + piv] = r[lead + piv], r[lead]
+            column[0], column[piv] = column[piv], column[0]
+            d = -d
+        pivot = column[0]
+        d = d * pivot % p
+        inv = pow(pivot, -1, p)
+        minus = p - inv
+        top = r[lead] = reduce(r[lead])
+        r[lead + 1 :] = [
+            (x + f * minus % p * top if f else x) >> w for x, f in zip(r[lead + 1 :], column[1:])
+        ]
+        pivots.append(col)
+        inverses.append(inv)
+        lead += 1
+        if lead == rows:
+            break
+    return r[:lead], pivots, inverses, d
+
+
 def slow_tail_basis(field, quota, set_size):
     """The tail null basis by elimination: ``null_space`` of the tail
     matrix ``build_B``, or the identity when that matrix has no rows."""

@@ -5,14 +5,17 @@ oracle, and the null-space regressions pin span-level expectations (the
 basis convention is echelon-reduced, so span equality is what matters).
 The one forward elimination under rref, solve, rank and det is fuzzed
 against the Gauss-Jordan reduction and the separate determinant loop it
-replaced (``slow_rref``, ``slow_solve`` and ``slow_det`` in conftest).
+replaced (``slow_rref``, ``slow_solve`` and ``slow_det`` in conftest), and
+its active-list pivot choice against the swap-based loop before it
+(``slow_echelon``).
 """
 
+import itertools
 import random
 
 import pytest
 
-from conftest import mat_mul, slow_det, slow_rref, slow_solve, transpose
+from conftest import mat_mul, slow_det, slow_echelon, slow_rref, slow_solve, transpose
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -714,3 +717,47 @@ def test_windowed_kernel_matches_slow_references_fuzz():
         assert (field.p, "solved") in seen and (field.p, SingularMatrixError) in seen
         assert (field.p, ShapeMismatchError) in seen
         assert (field.p, "low-rank", True) in seen and (field.p, "dense", False) in seen
+
+
+def test_active_list_elimination_matches_swap_reference_fuzz():
+    # the active-list loop against the swap-based loop it replaced: the
+    # same pivot columns, and the same signed pivot product mod p where
+    # that is the determinant (square, a pivot in every column; elsewhere
+    # the two loops may pick different pivot rows), on list matrices and
+    # on their unreduced packings, whose zero entries sit at p * (p - 1),
+    # a nonzero multiple of p that must never be a pivot; each pivot row
+    # comes back reduced, its pivot field inverted
+    rng = random.Random(79)
+    skipped, full = set(), set()
+    for field in KERNEL_FIELDS:
+        p = field.p
+        for _ in range(3):
+            for kind, a in kernel_matrices(rng, field):
+                _, want_pivots, _, want_d = slow_echelon(field, a)
+                mask = (1 << linalg._width(p, len(a))) - 1
+                for m in (a, unreduced(field, a)):
+                    tops, pivots, inverses, d = linalg._echelon(field, m)
+                    assert pivots == want_pivots, (p, kind)
+                    if len(a) == len(pivots) == (len(a[0]) if a else 0):
+                        assert d % p == want_d % p, (p, kind)
+                        full.add(p)
+                    for top, inv in zip(tops, inverses):
+                        assert top & mask < p and (top & mask) * inv % p == 1, (p, kind)
+                if want_pivots[:1] == [0] and a[0][0] == 0:
+                    skipped.add(p)  # row 0's unreduced field p * (p - 1) was passed over
+    assert skipped == full == {field.p for field in KERNEL_FIELDS}
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537])
+def test_det_of_every_permutation_matrix_is_its_sign(p):
+    # row i holds its 1 in column perm[i]: column c's pivot row r is
+    # popped from behind the rows i < r with perm[i] > c, one swap per
+    # inversion it closes, so every pop position up to 4 comes up
+    field = Field(p)
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            a = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            sign = (-1) ** inversions % p
+            assert linalg.det(field, a) == sign, (p, perm)
+            assert linalg.det(field, unreduced(field, a)) == sign, (p, perm)
