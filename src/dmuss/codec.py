@@ -289,11 +289,9 @@ class TransferMap:
     Input coordinates stack every user's message block first, then every
     user's free-pad block; the input dimension always equals N because the
     padded lengths sum to N.  The scheme's secrecy and storage-entropy
-    claims are rank statements about this matrix.  Given a plan,
+    claims are rank statements about this matrix, which
     :func:`~dmuss.verify.check_privacy` and :func:`~dmuss.verify.check_entropy`
-    read them off T's inverse, the plan's decode rows, and never build it;
-    given a bare map, they and :func:`~dmuss.verify.brute_force_audit` work
-    on the matrix.
+    read off a plan's decode rows, T's inverse, without building it.
     """
 
     field: object
@@ -321,18 +319,6 @@ class TransferMap:
     @property
     def input_dim(self) -> int:
         return sum(self.quotas)
-
-    def apply(self, x: Sequence[int]) -> list:
-        return linalg.mat_vec(self.field, self.matrix, x)
-
-    def rows_for_nodes(self, nodes: Sequence[int]) -> linalg.Matrix:
-        """The given nodes' rows, ascending; ValueError unless all are ints (not
-        bools) in 1..N."""
-        order = list(nodes)
-        # 0 would read node N's row, and True node 1's
-        if any(type(n) is not int or not 1 <= n <= len(self.matrix) for n in order):
-            raise ValueError(f"nodes are 1..{len(self.matrix)}, got {order}")
-        return [self.matrix[n - 1] for n in sorted(order)]
 
 
 def transfer_map(plan: Plan) -> TransferMap:

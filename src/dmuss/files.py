@@ -197,9 +197,7 @@ def instance_from_dict(doc: dict) -> tuple:
         acc = AccessStructure.of(sets)
         field = Field(p)
     except ValueError as exc:
-        if type(exc) is ValueError:
-            raise FileFormatError(str(exc)) from exc
-        raise  # domain errors (e.g. composite modulus) pass through
+        raise FileFormatError(str(exc)) from exc
     if "k" in doc and (not _is_int(doc["k"]) or doc["k"] != acc.K):
         raise FileFormatError(f"k={doc['k']} but {acc.K} access sets given")
     if "n" in doc and (not _is_int(doc["n"]) or doc["n"] != acc.N):
@@ -271,6 +269,7 @@ def plan_from_dict(doc: dict) -> Plan:
                 raise FileFormatError(f"alphas list node {node} more than once")
             per_user[node] = value
         alphas.append(per_user)
+    perms = [tuple(_int_list(p_, "permutation")) for p_ in perms]
     try:
         field = Field(p, gamma=gamma)
         return plan_from_parameters(
@@ -279,17 +278,11 @@ def plan_from_dict(doc: dict) -> Plan:
             rates=rates,
             quotas=quotas,
             reserved=reserved,
-            perms=[tuple(_int_list(p_, "permutation")) for p_ in perms],
+            perms=perms,
             alphas=alphas,
         )
-    except BadSymbolError as exc:  # a gamma or scaling outside GF(p)
+    except (BadSymbolError, ValueError) as exc:  # e.g. a gamma or scaling outside GF(p)
         raise FileFormatError(str(exc)) from exc
-    except ValueError as exc:
-        # structural nonsense in the document (bad permutation, zero
-        # scaling, ...) is a file problem; domain errors pass through
-        if type(exc) is ValueError:
-            raise FileFormatError(str(exc)) from exc
-        raise
 
 
 # --- rate mixes ----------------------------------------------------------------

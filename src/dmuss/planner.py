@@ -64,6 +64,7 @@ from typing import Sequence
 from . import linalg
 from .access import (
     AccessStructure,
+    _fractions,
     augment_quotas,
     in_capacity_region,
     pairwise_bound,
@@ -389,13 +390,13 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
     """Build a complete plan for an integral in-region rate tuple.
 
     Raises:
+        ValueError: not K rates, or one is not a finite number.
         NotInRegionError: rates are fractional or outside the region.
         FieldTooSmallError: some access set needs more evaluation points
             than GF(p) has nonzero elements.
         PlanningFailedError: the scaling search dead-ended (GF(2) only).
     """
-    if len(rates) != acc.K:
-        raise ValueError(f"expected {acc.K} rates, got {len(rates)}")
+    _fractions(acc, rates)
     _check_field_size(field, acc)
     quotas = augment_quotas(acc, rates)
     reserved = find_sdr(acc, quotas)

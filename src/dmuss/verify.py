@@ -12,7 +12,7 @@ map T from (messages, free pads) to shares, with the inputs uniform:
   Z, so the rank rises by rank(Z cut to w_k's coordinates);
 * correctness: each user's local interpolation returns its message.
 
-Given a :class:`~dmuss.planner.Plan`, the rank checks never build T and
+The rank checks take a :class:`~dmuss.planner.Plan`, never build T and
 eliminate nothing beyond D's determinant, which the plan keeps.  A plan
 holds T's inverse up to the order of its rows: the decode rows D
 (:attr:`~dmuss.planner.Plan.decode_rows`), whose rows for user k map the
@@ -24,9 +24,7 @@ rank of M_k, D's rows for w_k, on the columns A_k minus A_{k'}.  M_k is
 the low R_k rows of the inverse Vandermonde on gamma^1..gamma^|A_k|,
 its columns permuted by pi_k and scaled by -alpha, so the lemma below
 gives that rank as min(R_k, |A_k minus A_{k'}|): the pair is private
-exactly when R_k <= |A_k minus A_{k'}|, the paper's pairwise bound.  A
-bare :class:`~dmuss.codec.TransferMap` takes one null space per observer
-and one rank per pair instead.
+exactly when R_k <= |A_k minus A_{k'}|, the paper's pairwise bound.
 
 The lemma: for distinct nonzero points x_1..x_n and r <= n, any set S
 of columns of the low r rows of the inverse Vandermonde has rank
@@ -46,7 +44,7 @@ The rank criteria are exact, not statistical.  For tiny instances
 :func:`brute_force_audit` additionally enumerates every input and checks
 the distributions themselves -- uniformity of shares and exact
 independence per pair -- giving an oracle the rank arguments must agree
-with.
+with.  It alone also takes a bare :class:`~dmuss.codec.TransferMap`.
 """
 
 from __future__ import annotations
@@ -56,9 +54,8 @@ import random
 from dataclasses import dataclass
 from operator import lshift, mul
 
-from . import linalg
 from .codec import TransferMap, _check_rates, decode_all, encode, transfer_map
-from .errors import SingularMatrixError, TooLargeError
+from .errors import ShapeMismatchError, SingularMatrixError, TooLargeError
 from .gf import _powers
 from .linalg import _reducer, _width
 from .planner import Plan
@@ -93,6 +90,13 @@ class PrivacyReport:
         return all(p.private for p in self.pairs)
 
 
+def _require_type(target, *kinds) -> None:
+    """ShapeMismatchError naming ``target``'s type unless it is one of ``kinds``."""
+    if not isinstance(target, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ShapeMismatchError(f"expected a {names}, got {type(target).__name__}")
+
+
 def _require_nonsingular(plan: Plan) -> None:
     if plan._decode_det == 0:
         raise SingularMatrixError("the plan's correctness matrix is singular")
@@ -124,50 +128,33 @@ def _pairwise_ranks(plan: Plan):
     return ranks
 
 
-def _kernel_ranks(tm: TransferMap):
-    """(base, joint) ranks of pair (k, k'): N - dim Z, and that plus the
-    rank of Z cut to w_k's coordinates, with Z a basis of ker(T[A_{k'}])."""
-    kernels = [
-        linalg.null_space(tm.field, tm.rows_for_nodes(tm.access.user_set(k2)), cols=tm.input_dim)
-        for k2 in range(1, len(tm.rates) + 1)
-    ]
-    offsets = tm.message_offsets
-
-    def ranks(k: int, k2: int) -> tuple:
-        kernel, off = kernels[k2 - 1], offsets[k - 1]
-        base = tm.input_dim - len(kernel)
-        return base, base + linalg.rank(tm.field, [v[off : off + tm.rates[k - 1]] for v in kernel])
-
-    return ranks
-
-
-def check_privacy(target) -> PrivacyReport:
-    """Exact pairwise-privacy check via ranks on the transfer map.
+def check_privacy(plan: Plan) -> PrivacyReport:
+    """Exact pairwise-privacy check via ranks on the plan's transfer map.
 
     For observer k' with rows O = T[A_{k'}] and kernel basis Z of O,
     rank([O; E_k]) = rank(O) + rank(Z[w_k, :]) for the selector E_k of
     user k's message coordinates w_k, because rowspace(O) = ker(O)^perp.
 
-    Given a plan, T is invertible, rank(O) = |A_{k'}| and the columns of
-    T^-1 at the nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the
-    rank of T^-1's w_k rows on those columns.  Those rows are user k's
-    first R_k decode rows, which vanish outside A_k: the low R_k rows of
-    an inverse Vandermonde at distinct nonzero points, whose columns on
-    A_k minus A_{k'} have rank min(R_k, |A_k minus A_{k'}|) (the lemma in
-    the module docstring).  So a plan's pairs cost no elimination beyond
-    the determinant the plan keeps, and T is never built.  Given a bare
-    transfer map, each observer costs one null space of O, and each pair
-    one rank of a dim Z x R_k matrix.
+    T is invertible, rank(O) = |A_{k'}| and the columns of T^-1 at the
+    nodes outside A_{k'} span ker(O); so rank(Z[w_k, :]) is the rank of
+    T^-1's w_k rows on those columns.  Those rows are user k's first R_k
+    decode rows, which vanish outside A_k: the low R_k rows of an inverse
+    Vandermonde at distinct nonzero points, whose columns on A_k minus
+    A_{k'} have rank min(R_k, |A_k minus A_{k'}|) (the lemma in the module
+    docstring).  So the pairs cost no elimination beyond the determinant
+    the plan keeps, and T is never built.
 
     Raises:
+        ShapeMismatchError: ``plan`` is not a Plan, or a rate R_k is not
+            an int in 0..R'_k.
         SingularMatrixError: the plan's correctness matrix is singular.
-        ShapeMismatchError: a plan's rate R_k is not an int in 0..R'_k.
     """
-    ranks = _pairwise_ranks(target) if isinstance(target, Plan) else _kernel_ranks(target)
-    k_count = len(target.rates)
+    _require_type(plan, Plan)
+    ranks = _pairwise_ranks(plan)
+    k_count = len(plan.rates)
     pairs = []
     for k in range(1, k_count + 1):
-        required = target.rates[k - 1]
+        required = plan.rates[k - 1]
         for k2 in range(1, k_count + 1):
             if k2 == k:
                 continue
@@ -195,20 +182,19 @@ class EntropyReport:
         return self.rank == self.nodes
 
 
-def check_entropy(target) -> EntropyReport:
-    """Shares are jointly uniform iff the transfer map has full rank.
+def check_entropy(plan: Plan) -> EntropyReport:
+    """Shares are jointly uniform iff the plan's transfer map has full rank.
 
-    Given a plan, T is never built: its inverse, up to the order of its
-    rows, is the plan's decode rows, so T has rank N once their
-    determinant is nonzero.
+    T is never built: its inverse, up to the order of its rows, is the
+    plan's decode rows, so T has rank N once their determinant is nonzero.
 
     Raises:
+        ShapeMismatchError: ``plan`` is not a Plan.
         SingularMatrixError: the plan's correctness matrix is singular.
     """
-    if isinstance(target, Plan):
-        _require_nonsingular(target)
-        return EntropyReport(rank=target.N, nodes=target.N)
-    return EntropyReport(rank=linalg.rank(target.field, target.matrix), nodes=len(target.matrix))
+    _require_type(plan, Plan)
+    _require_nonsingular(plan)
+    return EntropyReport(rank=plan.N, nodes=plan.N)
 
 
 @dataclass
@@ -231,7 +217,8 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     coefficients that decode recovered -- meets its scaled shares at
     every evaluation point.  A trial costs one N x N solve and one
     :func:`~dmuss.codec.decode_all`: one Vandermonde solve per distinct
-    set size.  Raises ValueError unless trials is an int (not a bool) >= 1.
+    set size.  Raises ShapeMismatchError unless ``plan`` is a Plan, and
+    ValueError unless trials is an int (not a bool) >= 1.
 
     The identity is checked for a whole user at once: the values at
     gamma^1..gamma^|A_k| are the packed Vandermonde columns of the set
@@ -244,6 +231,7 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     hold one canonical value per field, so the fields where they differ
     name the failing nodes.
     """
+    _require_type(plan, Plan)
     if type(trials) is not int or trials < 1:
         raise ValueError(f"need an int of at least 1 trial, got {trials!r}")
     rng = random.Random(seed)
@@ -342,10 +330,12 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
     than a bare transfer map, that every input round-trips through decode.
 
     Raises:
+        ShapeMismatchError: ``target`` is neither a Plan nor a TransferMap.
         ValueError: ``max_inputs`` is not an int (a bool is not one).
         TooLargeError: p**N exceeds ``max_inputs`` (itself capped at
             AUDIT_INPUT_CAP).
     """
+    _require_type(target, Plan, TransferMap)
     if type(max_inputs) is not int:
         raise ValueError(f"max_inputs must be an int, got {max_inputs!r}")
     plan = target if isinstance(target, Plan) else None

@@ -587,7 +587,7 @@ def slow_check_privacy(tm) -> list:
         for k2 in range(1, len(tm.rates) + 1):
             if k2 == k:
                 continue
-            observed = tm.rows_for_nodes(tm.access.user_set(k2))
+            observed = [tm.matrix[n - 1] for n in tm.access.sorted_set(k2)]
             base = linalg.rank(tm.field, observed)
             joint = linalg.rank(tm.field, observed + selector)
             required = tm.rates[k - 1]

@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from conftest import random_access, random_rates_in_region, record_acceptance, system_matrix
+from conftest import (
+    random_access,
+    random_rates_in_region,
+    record_acceptance,
+    slow_check_privacy,
+    system_matrix,
+)
 from dmuss import demo, linalg
 from dmuss.access import AccessStructure, augment_quotas, capacity_constraints, in_capacity_region
 from dmuss.codec import TransferMap, decode, encode, transfer_map
@@ -158,9 +164,11 @@ def test_acceptance_4_fuzzed_pipeline():
         for k in range(1, acc.K + 1):
             assert decode(plan, k, res.shares).message == msgs[k - 1]
 
+        # the checks the CLI runs, against ranks of the transfer map
         tm = transfer_map(plan)
-        assert check_entropy(tm).full
-        assert check_privacy(tm).all_private
+        assert check_entropy(plan).full and linalg.rank(plan.field, tm.matrix) == acc.N
+        privacy = check_privacy(plan)
+        assert privacy.all_private and privacy.pairs == slow_check_privacy(tm)
         instances += 1
     # the sample must not collapse into trivial instances
     assert multi_user >= 75 and busy_nodes >= 50 and carrying >= 100
@@ -171,12 +179,18 @@ def test_acceptance_4_fuzzed_pipeline():
 
 
 def _verdicts_match(target, tm: TransferMap) -> None:
+    """The audit of ``target`` agrees with the rank references on ``tm``,
+    and, for a plan, with the checks the CLI runs."""
     audit = brute_force_audit(target)
-    assert audit.bijective == check_entropy(tm).full
-    privacy = check_privacy(tm)
+    full = linalg.rank(tm.field, tm.matrix) == len(tm.matrix)
+    pairs = slow_check_privacy(tm)
+    assert audit.bijective == full
     assert [(p.secret_user, p.observer, p.independent) for p in audit.pairs] == [
-        (p.secret_user, p.observer, p.private) for p in privacy.pairs
+        (p.secret_user, p.observer, p.private) for p in pairs
     ]
+    if target is not tm:
+        assert check_entropy(target).full == full
+        assert check_privacy(target).pairs == pairs
 
 
 @criterion(5, "oracle-agreement")

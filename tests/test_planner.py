@@ -545,8 +545,9 @@ def test_make_plan_errors():
         make_plan(F11, acc, (3, 0, 0, 0))
     with pytest.raises(NotInRegionError):
         make_plan(F11, acc, (2, 2, 2, 3))
-    with pytest.raises(ValueError):
-        make_plan(F11, acc, (1, 2, 2))
+    for rates in ((1, 2, 2), None, "1223"):  # None raised a bare TypeError from len
+        with pytest.raises(ValueError):
+            make_plan(F11, acc, rates)
     with pytest.raises(FieldTooSmallError):
         make_plan(Field(5), AccessStructure.of([[1, 2, 3, 4, 5]]), (1,))
 

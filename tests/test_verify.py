@@ -1,11 +1,12 @@
 """Verification layer: rank criteria against exhaustive enumeration.
 
-The rank-based privacy and entropy checks are exact claims about the
-transfer map; :func:`dmuss.verify.brute_force_audit` recomputes the same
-verdicts by enumerating every input of a small instance and inspecting
-the actual distributions.  The tests here drive both against hand-built
-maps with known leaks and against fuzzed instances, and require the two
-roads to agree pair for pair.
+The rank-based privacy and entropy checks are exact claims about a
+plan's transfer map; :func:`dmuss.verify.brute_force_audit` recomputes
+the same verdicts by enumerating every input of a small instance and
+inspecting the actual distributions.  The tests here drive the checks,
+the slow rank references on the transfer map and the audit against
+hand-built maps with known leaks and against fuzzed instances, and
+require them to agree pair for pair.
 """
 
 import dataclasses
@@ -117,12 +118,11 @@ def test_reference_too_large_to_audit(ref_plan):
 
 def test_leaky_map_rank_verdicts():
     tm = bare_map(**LEAKY)
-    rep = check_privacy(tm)
-    by_pair = {(p.secret_user, p.observer): p for p in rep.pairs}
+    by_pair = {(p.secret_user, p.observer): p for p in slow_check_privacy(tm)}
     assert not by_pair[(1, 2)].private
     assert by_pair[(1, 2)].leaked == 1
     assert by_pair[(2, 1)].private
-    assert check_entropy(tm).full  # leaking is not a rank deficiency
+    assert linalg.rank(tm.field, tm.matrix) == 3  # leaking is not a rank deficiency
 
 
 def test_leaky_map_audit_agrees():
@@ -140,7 +140,7 @@ def test_leaky_map_audit_agrees():
 def test_duplicate_row_map_not_bijective():
     rows = [[1, 0, 0], [1, 0, 0], [0, 1, 1]]
     tm = bare_map(LEAKY["p"], LEAKY["sets"], LEAKY["rates"], LEAKY["quotas"], rows)
-    assert not check_entropy(tm).full
+    assert linalg.rank(tm.field, tm.matrix) == 2
     audit = brute_force_audit(tm)
     assert not audit.bijective
     assert not audit.ok
@@ -148,10 +148,10 @@ def test_duplicate_row_map_not_bijective():
 
 def test_healthy_map_all_checks_pass():
     tm = bare_map(**HEALTHY)
-    rep = check_privacy(tm)
-    assert len(rep.pairs) == 6
-    assert rep.all_private
-    assert check_entropy(tm).full
+    pairs = slow_check_privacy(tm)
+    assert len(pairs) == 6
+    assert all(p.private for p in pairs)
+    assert linalg.rank(tm.field, tm.matrix) == 5
     audit = brute_force_audit(tm)
     assert audit.inputs == 3**5
     assert audit.bijective and audit.all_independent and audit.ok
@@ -282,7 +282,7 @@ def test_fuzz_planned_instances_rank_matches_enumeration():
 
 
 def test_fuzz_arbitrary_maps_rank_matches_enumeration():
-    """Random (often broken) matrices: the rank criteria must track the
+    """Random (often broken) matrices: the rank references must track the
     enumerated distributions on failures as well as successes."""
     rng = random.Random(91)
     seen_dependent = False
@@ -302,10 +302,10 @@ def test_fuzz_arbitrary_maps_rank_matches_enumeration():
         rows = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
         tm = bare_map(3, [acc.sorted_set(k) for k in range(1, acc.K + 1)], rates, quotas, rows)
         audit = brute_force_audit(tm)
-        entropy = check_entropy(tm)
-        privacy = check_privacy(tm)
-        assert audit.bijective == entropy.full
-        for ap, pp in zip(audit.pairs, privacy.pairs):
+        privacy = slow_check_privacy(tm)
+        assert audit.bijective == (linalg.rank(tm.field, tm.matrix) == n)
+        assert len(audit.pairs) == len(privacy)
+        for ap, pp in zip(audit.pairs, privacy):
             assert (ap.secret_user, ap.observer) == (pp.secret_user, pp.observer)
             assert ap.independent == pp.private
         seen_dependent |= not audit.all_independent
@@ -314,19 +314,20 @@ def test_fuzz_arbitrary_maps_rank_matches_enumeration():
     assert seen_dependent and seen_nonbijective
 
 
-# --- the kernel criterion against the pairwise rank reference ----------------------
+# --- privacy against the pairwise rank reference -----------------------------------
 
 
 def test_privacy_matches_pairwise_rank_fuzz():
-    """One null space per observer must give the PairPrivacy list that two
-    full eliminations per pair give, on plans and on arbitrary maps."""
+    """check_privacy on plans must give the PairPrivacy list that two full
+    eliminations per pair give on their transfer maps; on arbitrary maps,
+    that reference must give the audit's verdicts."""
     rng = random.Random(92)
     for _ in range(200):
         acc = random_access(rng, max_users=6, max_nodes=10)
         rates = random_rates_in_region(rng, acc)
         p = rng.choice([11, 13, 17, 65537])
-        tm = transfer_map(make_plan(Field(p), acc, rates, seed=rng.randrange(10**6)))
-        assert check_privacy(tm).pairs == slow_check_privacy(tm)
+        plan = make_plan(Field(p), acc, rates, seed=rng.randrange(10**6))
+        assert check_privacy(plan).pairs == slow_check_privacy(transfer_map(plan))
     deficient = binary = zero_rate = leaky = 0
     for _ in range(500):
         p = rng.choice([2, 3, 5, 7])
@@ -349,32 +350,21 @@ def test_privacy_matches_pairwise_rank_fuzz():
         if rng.random() < 0.3:  # force a dependent row
             i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
             rows[i] = [rng.randrange(p) * v % p for v in rows[j]]
+        if p**n > 1000:  # the audit enumerates all p**n inputs
+            continue
         tm = bare_map(p, [acc.sorted_set(k) for k in range(1, acc.K + 1)], rates, quotas, rows)
-        pairs = check_privacy(tm).pairs
-        assert pairs == slow_check_privacy(tm)
-        deficient += linalg.rank(tm.field, rows) < n
+        audit = brute_force_audit(tm)
+        pairs = slow_check_privacy(tm)
+        assert [(a.secret_user, a.observer, a.independent) for a in audit.pairs] == [
+            (pair.secret_user, pair.observer, pair.private) for pair in pairs
+        ]
+        full = linalg.rank(tm.field, rows) == n
+        assert audit.bijective == full
+        deficient += not full
         binary += p == 2
         zero_rate += 0 in rates
         leaky += sum(not pair.private for pair in pairs)
     assert deficient >= 100 and binary >= 50 and zero_rate >= 100 and leaky >= 500
-
-
-def test_privacy_takes_one_null_space_per_observer(monkeypatch):
-    rng = random.Random(93)
-    sets = [rng.sample(range(1, 17), rng.randint(3, 8)) for _ in range(12)]
-    acc = AccessStructure.of(compress_nodes(sets))
-    tm = transfer_map(make_plan(Field(65537), acc, random_rates_in_region(rng, acc), seed=1))
-    calls = []
-    real = linalg.null_space
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "null_space", counting)
-    rep = check_privacy(tm)
-    assert acc.K == 12 and len(rep.pairs) == 12 * 11
-    assert len(calls) == 12
 
 
 # --- the plan's decode rows against the transfer map --------------------------------
@@ -410,10 +400,10 @@ def repeated_exponent(rng, plan):
 
 
 def test_factored_checks_match_transfer_map_and_slow_reference_fuzz(monkeypatch):
-    """check_privacy and check_entropy on a plan equal the TransferMap path
-    and slow_check_privacy on planned and leaky plans, and build no T.  A
-    repeated exponent repeats a point: the transfer map and both checks
-    raise."""
+    """check_privacy and check_entropy on a plan equal slow_check_privacy
+    and the rank of its transfer map on planned and leaky plans, and build
+    no T.  A repeated exponent repeats a point: the transfer map and both
+    checks raise."""
     rng = random.Random(151)
     built = spy(monkeypatch, verify, "transfer_map", lambda plan: plan)
     leaked = repeated = 0
@@ -431,9 +421,8 @@ def test_factored_checks_match_transfer_map_and_slow_reference_fuzz(monkeypatch)
             entropy = check_entropy(target)
             assert built == []
             tm = transfer_map(target)
-            assert privacy == check_privacy(tm)
             assert privacy.pairs == slow_check_privacy(tm)
-            assert entropy == check_entropy(tm)
+            assert entropy.rank == entropy.nodes == linalg.rank(tm.field, tm.matrix)
             leaked += sum(not pair.private for pair in privacy.pairs)
     assert leaked >= 300 and repeated >= 200
 
@@ -522,10 +511,24 @@ def test_plan_privacy_refuses_rates_outside_the_quotas():
         check_correctness(dataclasses.replace(plan, rates=(4, 1, 1)), trials=1)
 
 
+@pytest.mark.parametrize(
+    "check", [check_privacy, check_entropy, check_correctness, brute_force_audit], ids=lambda f: f.__name__
+)
+def test_checks_refuse_what_they_do_not_take(check, ref_plan):
+    """None and a str escaped as AttributeError.  Only the audit also
+    takes a transfer map; the other three refuse it."""
+    refused = [None, "x"]
+    if check is not brute_force_audit:
+        refused.append(transfer_map(ref_plan))
+    for target in refused:
+        with pytest.raises(ShapeMismatchError, match=f"got {type(target).__name__}$"):
+            check(target)
+
+
 def test_zero_scaling_drops_its_column_fuzz():
     """A hand-built plan with one scaling of 0 can stay nonsingular when
     another user reads that node; its column of M_k is then zero, and the
-    pairs still equal the transfer map's."""
+    pairs still equal the slow reference's on the transfer map."""
     rng = random.Random(156)
     nonsingular = shifted = 0
     for _ in range(500):
@@ -538,9 +541,7 @@ def test_zero_scaling_drops_its_column_fuzz():
             continue
         nonsingular += 1
         privacy = check_privacy(target)
-        tm = transfer_map(target)
-        assert privacy == check_privacy(tm)
-        assert privacy.pairs == slow_check_privacy(tm)
+        assert privacy.pairs == slow_check_privacy(transfer_map(target))
         acc = target.access
         shifted += any(
             pair.joint_rank - pair.base_rank
