@@ -119,6 +119,7 @@ def cmd_plan(args) -> int:
             f"{blocks_a}/{blocks_total} blocks at {corner_a}, rest at {corner_b};"
             f" node storage {blocks_total} symbols"
         )
+        plan_a = make_plan(field, acc, corner_a, seed=seed)
     elif all(r.denominator == 1 for r in rates):
         plan = make_plan(field, acc, [int(r) for r in rates], seed=seed)
         _emit(plan_to_dict(plan), args.out)
@@ -131,16 +132,22 @@ def cmd_plan(args) -> int:
     else:
         blocks_a, blocks_total = 1, lcm(*[r.denominator for r in rates])
         scaled = [r * blocks_total for r in rates]
-        report = in_capacity_region(acc, scaled)
-        if not report.ok:
-            raise NotInRegionError(
-                f"scaled tuple {[str(s) for s in scaled]} leaves the region"
-                f" ({report.violation}); supply --corner-a/--corner-b instead"
-            )
         corner_a, corner_b = [int(s) for s in scaled], [0] * acc.K
         note = f"scaled corner {corner_a} on 1 of {blocks_total} blocks (zero-rate elsewhere)"
+        try:
+            plan_a = make_plan(field, acc, corner_a, seed=seed)
+        except DmussError:
+            # make_plan checks the region itself, so only a failure checks
+            # it again: a scaled tuple outside the region is named as such,
+            # before anything else make_plan refused (a field too small)
+            report = in_capacity_region(acc, scaled)
+            if not report.ok:
+                raise NotInRegionError(
+                    f"scaled tuple {[str(s) for s in scaled]} leaves the region"
+                    f" ({report.violation}); supply --corner-a/--corner-b instead"
+                ) from None
+            raise
 
-    plan_a = make_plan(field, acc, corner_a, seed=seed)
     plan_b = make_plan(field, acc, corner_b, seed=seed + 1)
     _emit(mix_to_dict(memory_share(plan_a, plan_b, blocks_a, blocks_total)), args.out)
     print(f"mixed plan: {note}", file=sys.stderr)

@@ -24,9 +24,16 @@ kept.
 
 Decoding is local to each user: interpolate the degree-|A_k|-1
 polynomial through the user's scaled shares and read the low
-coefficients back off.  User k's points are gamma^1..gamma^|A_k| in the
-order of its exponent permutation, so users with equal set sizes share
-one Vandermonde, and :func:`decode_all` solves it once for all of them.
+coefficients back off.  The interpolation's low rows are D's own rows:
+user k's message is its first R_k rows of D (after the R'_j rows of
+every user j < k) times its shares, so :meth:`MemoryShare.decode`, the
+CLI's decode, reads it off the plan's decode rows with one big-int
+product per message symbol and no elimination.  :func:`decode` and
+:func:`decode_all` also return the pads (the coefficients above the
+message, tails included), so they interpolate: user k's points are
+gamma^1..gamma^|A_k| in the order of its exponent permutation, so users
+with equal set sizes share one Vandermonde, and :func:`decode_all`
+solves it once for all of them.
 """
 
 from __future__ import annotations
@@ -264,8 +271,10 @@ def decode_all(plan: Plan, shares) -> list:
 
 
 def decode(plan: Plan, k: int, shares) -> DecodeResult:
-    """Recover user k's message from the shares on its access set: the
-    one-user case of :func:`decode_all`.
+    """Recover user k's message and pads from the shares on its access
+    set: the one-user case of :func:`decode_all`, by interpolation.
+    :meth:`MemoryShare.decode` reads the message alone off the decode
+    rows instead.
 
     ``shares`` is either the full length-N share vector or a mapping
     node -> symbol covering at least A_k.
@@ -280,6 +289,43 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
     """
     _check_user(plan, k)
     return _decode_users(plan, (k,), shares)[0]
+
+
+def _message_reader(plan: Plan, k: int):
+    """A function from user k's shares, in the order of its sorted set
+    (as :func:`_user_shares` returns them), to its message: user k's R_k
+    message rows of the plan's decode rows, after the R'_j rows of every
+    user j < k, times the shares.
+
+    The rows hold their fields unreduced, below p**2, so each is reduced
+    mod p once here (:func:`~dmuss.linalg._reducer`).  Row (k, d) holds
+    its entry for node n in field n - 1, so with the shares packed
+    reversed, y_n in field N - n, field N - 1 of the one big-int product
+    row * y is sum_n row_n * y_n < N * p**2 < 2**(W - 1) (see
+    :func:`~dmuss.linalg._width`), and no field below it carries: the
+    symbol is read exactly.
+
+    Raises as :attr:`~dmuss.planner.Plan.decode_rows` does, and
+    ShapeMismatchError unless every R_k is an int in 0..R'_k and the
+    decode rows are N x N.
+    """
+    _check_rates(plan)
+    rows = plan.decode_rows
+    p, n = plan.field.p, plan.N
+    if len(rows) != n:
+        raise ShapeMismatchError(f"padded lengths sum to {len(rows)}, expected N = {n}")
+    w = linalg._width(p, n)
+    reduce = linalg._reducer(p, w, n)
+    start = sum(plan.quotas[: k - 1])
+    message_rows = [reduce(x) for x in rows.ints[start : start + plan.rates[k - 1]]]
+    shifts = [(n - node) * w for node in plan.access.sorted_set(k)]
+    top, mask = (n - 1) * w, (1 << w) - 1
+
+    def read(vals: list) -> list:
+        y = sum(v << s for v, s in zip(vals, shifts))
+        return [(row * y >> top & mask) % p for row in message_rows]
+
+    return read
 
 
 @dataclass
@@ -453,20 +499,33 @@ class MemoryShare:
         return self.encode_blocks(self.split_messages(msgs), seed)
 
     def decode(self, k: int, share_blocks: Sequence) -> list:
-        """Recover user k's flat message from per-block shares, raising
-        as :func:`decode` does.  A block whose plan gives user k rate 0
-        holds none of its message: its shares get the same checks, and
-        no interpolation, so user k's tail coefficients there are not
-        recovered."""
+        """Recover user k's flat message from per-block shares: each
+        block's message is read off its plan's decode rows
+        (:func:`_message_reader`, built once per plan per call), with no
+        interpolation, so no pads are recovered.  The shares are checked
+        first, as :func:`decode` checks them, and raise as it does.  A
+        block whose plan gives user k rate 0 holds none of its message:
+        its shares get the same checks and nothing more.
+
+        A plan whose decode rows are refused is refused here as encode
+        refuses it (SingularMatrixError, FieldTooSmallError,
+        BadShapeError or BadSymbolError, see
+        :attr:`~dmuss.planner.Plan.decode_rows`), and so is one whose
+        rates are not ints in 0..R'_k or whose padded lengths do not sum
+        to N (ShapeMismatchError).  A loaded plan has passed all of these.
+        """
         _check_list(share_blocks, "share blocks")
         plans = self.block_plans(len(share_blocks), "expected {} share blocks, got {}")
         _check_user(self.layers[0][0], k)
+        readers: dict = {}  # id(plan) -> its _message_reader for user k
         out = []
         for plan, shares in zip(plans, share_blocks):
+            vals = _user_shares(plan, k, shares)
             if plan.rates[k - 1]:
-                out.extend(decode(plan, k, shares).message)
-            else:
-                _user_shares(plan, k, shares)
+                read = readers.get(id(plan))
+                if read is None:
+                    read = readers[id(plan)] = _message_reader(plan, k)
+                out.extend(read(vals))
         return out
 
 

@@ -47,7 +47,6 @@ tuples) or a :class:`Packed`.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import mul
 
 from .errors import (
@@ -68,23 +67,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(field: Field, a: Matrix, v: list[int]) -> list[int]:
-    """a @ v.  ShapeMismatchError unless a is a list of row lists as long
-    as the list v (tuples will do); BadSymbolError for an entry that is
-    not an int (a float, a str, None, a list), as the eliminations refuse
-    them: a float would leave the field."""
-    p = field.p
-    lists = (list, tuple)  # a dict row or vector would multiply its keys
-    if not (isinstance(a, lists) and isinstance(v, lists) and all(isinstance(r, lists) for r in a)):
-        raise ShapeMismatchError("need a list of row lists and a vector list")
-    if any(len(row) != len(v) for row in a):
-        raise ShapeMismatchError(f"every matrix row needs the vector's {len(v)} entries")
-    for x in chain(v, *a):
-        if not isinstance(x, int):
-            raise BadSymbolError(f"matrix and vector entries must be ints, got {x!r}")
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
 def _width(p: int, rows: int) -> int:

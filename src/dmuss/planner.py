@@ -30,8 +30,8 @@ of V^T Y (P_k its basis rows, G_k[i][d] = gamma_{k,i}^d).  Every H_k is
 invertible: a polynomial of degree < R'_k that agrees at |A_k| distinct
 points with one spanned by x^R'_k..x^(|A_k|-1) is 0.  So
 det(decode_rows) != 0 exactly when det V != 0, and the load's
-determinant, encoding, the transfer map and the privacy and entropy
-checks all read decode_rows' packed ints.
+determinant, encoding, the transfer map, the privacy and entropy checks
+and the scheme's decode all read decode_rows' packed ints.
 
 Only inside :func:`make_plan`, before the reserved nodes' scalings zeta
 are chosen, is its transpose split as ``diag(zeta) @ C + D``: C holds
@@ -128,9 +128,9 @@ class Plan:
         :func:`~dmuss.linalg.pack` pass; it compares and prints as its
         reduced rows.  The load's determinant check, every
         :func:`~dmuss.codec.encode_with_pads`,
-        :func:`~dmuss.codec.transfer_map` and the privacy and entropy
-        checks share it and read those ints; so callers must not mutate
-        it.
+        :func:`~dmuss.codec.transfer_map`, the privacy and entropy
+        checks and :meth:`~dmuss.codec.MemoryShare.decode` share it and
+        read those ints; so callers must not mutate it.
 
         Raises:
             SingularMatrixError: some user's exponents are not a

@@ -200,6 +200,13 @@ def mat_mul(field, a, b):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 
 
+def mat_vec(field, a, v):
+    """a @ v over GF(p), with every row as long as v."""
+    assert all(len(row) == len(v) for row in a)
+    p = field.p
+    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
+
+
 def slow_rref(field, a):
     """Gauss-Jordan reduction: each pivot clears its column above and
     below as soon as it is found."""

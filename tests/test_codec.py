@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    load_bench_gen,
+    mat_vec,
     message_selector,
     points,
     random_access,
@@ -361,7 +363,7 @@ def test_transfer_map_matches_encode_fuzz():
                 x[off : off + q - r] for off, r, q in zip(tm.pad_offsets, plan.rates, plan.quotas)
             ]
             shares = encode_with_pads(plan, msgs, pads).shares
-            assert linalg.mat_vec(tm.field, tm.matrix, x) == shares
+            assert mat_vec(tm.field, tm.matrix, x) == shares
 
 
 def test_decode_rows_match_slow_reference_fuzz():
@@ -445,6 +447,7 @@ def test_malformed_plans_raise_from_every_reader(ref_plan):
         transfer_map,
         check_privacy,
         check_entropy,
+        lambda plan: MemoryShare(((plan, 1),)).decode(1, [[0] * 8]),  # shares in every field
     ]
     cases = [
         (twice, SingularMatrixError, readers),
@@ -464,6 +467,19 @@ def test_malformed_plans_raise_from_every_reader(ref_plan):
         decode(twice, 1, REF_SHARES)
     with pytest.raises(SingularMatrixError):
         decode_all(small, [0] * 8)
+    # the scheme's decode reads user k's rows after the padded lengths of
+    # the users before it: it refuses rates outside them, as the transfer
+    # map does, and padded lengths that do not sum to N, as encode does
+    for changes, message in (
+        ({"rates": (2, 2, 2, 3)}, "user 1: rate 2 is not an int in 0..R'_k = 1"),
+        ({"rates": (1, 2, 2, 2), "quotas": (1, 2, 2, 2)}, "padded lengths sum to 7, expected N = 8"),
+    ):
+        broken = dataclasses.replace(ref_plan, **changes)
+        with pytest.raises(ShapeMismatchError) as got:
+            MemoryShare(((broken, 1),)).decode(4, [REF_SHARES])
+        assert str(got.value) == message
+        with pytest.raises(ShapeMismatchError):
+            encode(broken, [[0] * r for r in broken.rates], seed=1)
 
 
 def test_transfer_map_matches_column_oracle_fuzz():
@@ -517,8 +533,8 @@ def test_transfer_map_refuses_rates_outside_the_quotas():
 def test_transfer_map_reference(ref_plan, ref_messages, ref_encoded):
     tm = transfer_map(ref_plan)
     x = [c for m in ref_messages for c in m]  # rates are tight: no pads
-    assert linalg.mat_vec(tm.field, tm.matrix, x) == ref_encoded.shares
-    assert linalg.mat_vec(tm.field, tm.matrix, [0] * 8) == [0] * 8
+    assert mat_vec(tm.field, tm.matrix, x) == ref_encoded.shares
+    assert mat_vec(tm.field, tm.matrix, [0] * 8) == [0] * 8
 
 
 def test_transfer_map_selectors(ref_plan):
@@ -648,22 +664,64 @@ def test_scheme_decode_matches_slow_scheme_decode_fuzz():
     assert mixes >= 40 and plain_with_zero >= 20 and zero_blocks >= 200
 
 
-def test_scheme_decode_interpolates_only_blocks_with_a_message(monkeypatch, ref_plan, ref_messages):
+def test_scheme_decode_matches_slow_scheme_decode_at_bench_sizes_fuzz(monkeypatch):
+    # the bench's shapes (K = 6..14, N = 24..48, half-size sets, both of
+    # its moduli), and disjoint sets, where every R'_k = |A_k|: rates
+    # scaled down so that some users pad and some are tight (R_k = R'_k),
+    # one user at rate 0, and one-layer files of 1..3 blocks, each a
+    # vector or a map restricted to A_k
+    gen = load_bench_gen(monkeypatch)
+    rng = random.Random(49)
+    seen = Counter()
+    for _ in range(24):
+        p = rng.choice([gen.P16, gen.P31])
+        k, n = rng.randint(6, 14), rng.choice([24, 28, 32, 40, 48])
+        if rng.random() < 0.3:
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            sets = [list(range(a + 1, b + 1)) for a, b in zip([0] + cuts, cuts + [n])]
+        else:
+            sets = gen.access_sets(rng, n, [n // 2] * k)
+        scale = rng.choice([Fraction(1), Fraction(3, 4), Fraction(1, 2)])
+        rates = gen.scaled_rates(gen.assignment_rates(rng, sets, n), scale)
+        rates[rng.randrange(k)] = 0
+        plan = make_plan(Field(p), AccessStructure.of(sets), rates, seed=rng.randrange(10**6))
+        scheme = MemoryShare(((plan, 1),))
+        vectors = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        seen["blocks"] += len(vectors) > 1
+        seen[p] += 1
+        for user, (r_k, quota) in enumerate(zip(plan.rates, plan.quotas), start=1):
+            nodes = plan.access.sorted_set(user)
+            blocks = [{m: y[m - 1] for m in nodes} if rng.random() < 0.5 else y for y in vectors]
+            assert scheme.decode(user, blocks) == slow_scheme_decode(scheme, user, blocks)
+            seen["zero"] += r_k == 0
+            seen["tight"] += 0 < r_k == quota
+            seen["padded"] += 0 < r_k < quota
+            seen["full"] += 0 < quota == len(nodes)
+            seen["maps"] += any(isinstance(b, dict) for b in blocks)
+    assert min(seen.values()) >= 8, seen
+
+
+def test_scheme_decode_reads_only_blocks_with_a_message(monkeypatch, ref_plan, ref_messages):
+    # the scheme's decode reads the decode rows: no solve and no
+    # elimination, and one row reduction per plan per call, however many
+    # blocks share the plan; a rate-0 block is only checked
     zero = make_plan(ref_plan.field, ref_plan.access, (0, 0, 0, 0), seed=3)
     user_1_zero = make_plan(ref_plan.field, ref_plan.access, (0, 2, 2, 3), seed=5)
     mix = memory_share(ref_plan, zero, 1, 3)
     blocks = [r.shares for r in mix.encode([list(m) for m in ref_messages], seed=9)]
     solves = spy(monkeypatch, linalg, "solve", lambda *args: None)
+    eliminations = spy(monkeypatch, linalg, "_echelon", lambda *args: None)
+    reducers = spy(monkeypatch, linalg, "_reducer", lambda p, w, fields: fields)
     for k in range(1, 5):
-        solves.clear()
+        reducers.clear()
         assert mix.decode(k, blocks) == ref_messages[k - 1]
-        assert len(solves) == 1  # the ref_plan block; the two zero-plan blocks hold nothing
+        assert reducers == [8]  # the ref_plan block; the two zero-plan blocks hold nothing
     plain = MemoryShare(((user_1_zero, 1),))
-    solves.clear()
-    assert plain.decode(1, blocks) == [] and solves == []
-    assert len(plain.decode(2, blocks)) == 6 and len(solves) == 3
+    reducers.clear()
+    assert plain.decode(1, blocks) == [] and reducers == []
+    assert len(plain.decode(2, blocks)) == 6 and reducers == [8]  # three blocks, one plan
+    assert solves == [] and eliminations == []
     # decode and decode_all still interpolate a rate-0 user: they return its pads
-    solves.clear()
     got = decode(zero, 1, blocks[1])
     assert got.message == [] and len(got.pads) == 4 and len(solves) == 1
 

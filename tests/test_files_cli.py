@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import spy
-from dmuss import cli, demo, files, linalg, verify
+from conftest import load_bench_gen, spy
+from dmuss import access, cli, demo, files, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.cli import main
 from dmuss.codec import MemoryShare, memory_share
@@ -617,7 +617,30 @@ def test_cli_fractional_rates_outside_scaled_region(tmp_path, capsys):
     inst = write_doc(tmp_path, "inst.json", doc)
     # doubling gives (2, 1): user 1 exceeds its pairwise bound of 1
     assert main(["plan", inst]) == 1
-    assert "corner" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: scaled tuple ['2', '1'] leaves the region (R1 <= 1 (pairwise));"
+        " supply --corner-a/--corner-b instead\n"
+    )
+    # the region is named before a field too small for a set of three
+    # points; an in-region tuple then reports the field
+    small = {"format": "dmuss.instance/1", "p": 3, "access": [[1, 2, 3], [3, 4, 5]]}
+    for rates, err in (
+        ([3, "1/2"], "scaled tuple ['6', '1'] leaves the region (R1 <= 2 (pairwise)); supply --corner-a/--corner-b instead"),
+        ([1, "1/2"], "access set of size 3 needs p-1 >= 3, got p=3"),
+    ):
+        assert main(["plan", write_doc(tmp_path, "small.json", dict(small, rates=rates))]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_cli_fractional_plan_checks_the_region_once(tmp_path, monkeypatch, capsys):
+    # a scaled tuple inside the region is checked by make_plan alone
+    gen = load_bench_gen(monkeypatch)
+    half = next(inst for inst in gen.provision_ladder(7) if inst.kind == "half")
+    inst = write_doc(tmp_path, "inst.json", half.instance_doc())
+    regions = spy(monkeypatch, access, "_region", lambda acc, rates: list(rates))
+    assert main(["plan", inst, "--out", str(tmp_path / "mix.json")]) == 0
+    assert len(regions) == 2  # the scaled corner's plan, then the zero plan's
+    assert regions[1] == [0] * half.k and "scaled corner" in capsys.readouterr().err
 
 
 def test_cli_corner_argument_errors(tmp_path, capsys):
@@ -687,8 +710,9 @@ def test_cli_singular_plan_fails_every_command(tmp_path, capsys):
 def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
     # linalg._echelon runs per command on the demo files: the load's
     # determinant, plus the solves of what each command itself reads
-    # (plan: zeta's first draw; encode: one solve; decode: one Vandermonde;
-    # one round trip: an encode and one Vandermonde per set size, 4 and 5)
+    # (plan: zeta's first draw; encode: one solve; decode: none, it reads
+    # the decode rows; one round trip: an encode and one Vandermonde per
+    # set size, 4 and 5)
     inst_path = write_doc(tmp_path, "inst.json", REF_INSTANCE)
     msgs_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
     plan_path, shares_path = str(tmp_path / "plan.json"), str(tmp_path / "shares.json")
@@ -696,19 +720,18 @@ def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
         (["check", inst_path], 0),
         (["plan", inst_path, "--out", plan_path], 1),
         (["encode", plan_path, msgs_path, "--out", shares_path], 2),
-        (["decode", plan_path, shares_path, "--user", "1"], 2),
+        (["decode", plan_path, shares_path, "--user", "1"], 1),
         (["verify", plan_path, "--trials", "1"], 4),
         (["verify", plan_path, "--privacy", "--entropy"], 1),
     ]
-    # a mix's load runs two determinants; decode then solves one
-    # Vandermonde per block that gives the user a nonzero rate, and only
-    # checks the shares of the others
+    # a mix's load runs two determinants, and decode none, however many
+    # of its blocks give the user a nonzero rate
     msgs = demo.demo_messages()
-    mixes = [  # corner b, rates, block b's messages, blocks with a message per user
-        ("0,0,0,0", ["1/2", 1, 1, "3/2"], [[], [], [], []], {1: 1, 2: 1, 4: 1}),
-        ("1,0,0,0", [1, 1, 1, "3/2"], [[4], [], [], []], {1: 2, 2: 1, 4: 1}),
+    mixes = [  # corner b, rates, block b's messages, users to decode
+        ("0,0,0,0", ["1/2", 1, 1, "3/2"], [[], [], [], []], (1, 2, 4)),
+        ("1,0,0,0", [1, 1, 1, "3/2"], [[4], [], [], []], (1, 2, 4)),
     ]
-    for i, (corner_b, rates, second, solved) in enumerate(mixes):
+    for i, (corner_b, rates, second, users) in enumerate(mixes):
         mix_inst = write_doc(tmp_path, f"mix{i}-inst.json", dict(REF_INSTANCE, rates=rates))
         mix_msgs = write_doc(tmp_path, f"mix{i}-msgs.json", messages_to_dict(11, [msgs, second]))
         mix_path, mix_shares = str(tmp_path / f"mix{i}.json"), str(tmp_path / f"mix{i}-shares.json")
@@ -717,10 +740,7 @@ def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
             (["plan", mix_inst, *corners, "--out", mix_path], 2),  # zeta's first draw per plan
             (["encode", mix_path, mix_msgs, "--out", mix_shares], 4),  # two loads, two solves
         ]
-        budget += [
-            (["decode", mix_path, mix_shares, "--user", str(user)], 2 + blocks)
-            for user, blocks in solved.items()
-        ]
+        budget += [(["decode", mix_path, mix_shares, "--user", str(user)], 2) for user in users]
     calls = spy(monkeypatch, linalg, "_echelon", lambda *args: None)
     for argv, eliminations in budget:
         calls.clear()

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import mat_mul, slow_det, slow_echelon, slow_rref, slow_solve, transpose
+from conftest import mat_mul, mat_vec, slow_det, slow_echelon, slow_rref, slow_solve, transpose
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -113,7 +113,7 @@ def test_null_space_regression_one_dimensional():
     basis = linalg.null_space(F11, B_1_4)
     assert len(basis) == 1
     for v in basis:
-        assert linalg.mat_vec(F11, B_1_4, v) == [0, 0, 0]
+        assert mat_vec(F11, B_1_4, v) == [0, 0, 0]
     assert spans_equal(F11, basis, [NULL_1_4_REP])
 
 
@@ -121,7 +121,7 @@ def test_null_space_regression_three_dimensional():
     basis = linalg.null_space(F11, B_3_5)
     assert len(basis) == 3
     for v in basis:
-        assert linalg.mat_vec(F11, B_3_5, v) == [0, 0]
+        assert mat_vec(F11, B_3_5, v) == [0, 0]
     assert spans_equal(F11, basis, NULL_3_5_REPS)
 
 
@@ -162,7 +162,7 @@ def test_rank_nullity_fuzz():
         basis = linalg.null_space(f, m)
         assert len(basis) == cols - linalg.rank(f, m)
         for v in basis:
-            assert linalg.mat_vec(f, m, v) == [0] * rows
+            assert mat_vec(f, m, v) == [0] * rows
         assert linalg.rank(f, basis) == len(basis)
 
 
@@ -256,7 +256,7 @@ def test_solve_round_trip_fuzz():
             continue
         s = [rng.randrange(p) for _ in range(n)]
         b = linalg.solve(f, a, s)
-        assert linalg.mat_vec(f, a, b) == s
+        assert mat_vec(f, a, b) == s
         done += 1
 
 
@@ -282,14 +282,6 @@ def test_inverse_fuzz():
 
 
 def test_mat_ops_shapes():
-    with pytest.raises(ShapeMismatchError):
-        linalg.mat_vec(F11, [[1, 2]], [1, 2, 3])
-    # mat_vec used to check row 0 only: [[1, 2], [3]] @ [1, 2] gave [5, 3]
-    for ragged, v in (([[1, 2], [3]], [1, 2]), ([[1], [3, 4]], [1]), ([[1], []], [1])):
-        with pytest.raises(ShapeMismatchError):
-            linalg.mat_vec(F11, ragged, v)
-    assert linalg.mat_vec(F11, [[1, 2], [3, 4]], [1, 2]) == [5, 0]
-    assert linalg.mat_vec(F11, [], [1, 2]) == []
     # ragged rows must not be truncated or padded with zeros
     for ragged in ([[1], [3, 4]], [[1, 2], [3]]):
         for op in (linalg.rref, linalg.rank, linalg.null_space):
@@ -306,8 +298,8 @@ def test_transpose_reference():
 
 def test_malformed_shapes_raise_domain_errors_not_type_errors():
     """A matrix that is not a list of row lists, or a right-hand side
-    with no length, is a ShapeMismatchError; an entry mat_vec cannot
-    multiply is a BadSymbolError.  Each of these was a bare TypeError."""
+    with no length, is a ShapeMismatchError.  Each of these was a bare
+    TypeError."""
     for fn, *args in (
         (linalg.rank, [1, 2]),
         (linalg.rank, 5),
@@ -319,22 +311,11 @@ def test_malformed_shapes_raise_domain_errors_not_type_errors():
         (linalg.det, None),
         (linalg.solve, [1], [1]),
         (linalg.solve, [[1]], 5),
-        (linalg.mat_vec, [1], [1]),
-        (linalg.mat_vec, [[1]], 5),
-        # a dict was read as its keys: each of these gave [0]
+        # a dict was read as its keys: this gave [0]
         (linalg.solve, [[1]], {0: 1}),
-        (linalg.mat_vec, [{0: 3}], [1]),
-        (linalg.mat_vec, [[3]], {0: 1}),
     ):
         with pytest.raises(ShapeMismatchError):
             fn(F11, *args)
-    for v in ([1, "a"], [1, None], [1, [2]]):
-        with pytest.raises(BadSymbolError):
-            linalg.mat_vec(F11, [[1, 2]], v)
-    # floats used to pass through: [[1.5, 2]] @ [2, 1] gave [5.0]
-    for a, v in (([[1.5, 2]], [2, 1]), ([[1, 2]], [2.0, 1]), ([[1, 2], [3, 4.0]], [1, 1])):
-        with pytest.raises(BadSymbolError, match="must be ints"):
-            linalg.mat_vec(F11, a, v)
     assert linalg.det(F11, [(1, 2), (3, 4)]) == 9  # tuple rows still eliminate
     for b in ([1, 2], [[1, 0], [2, 5]]):  # and solve as list rows do, vector and block
         assert linalg.solve(F11, [(1, 2), (3, 4)], b) == linalg.solve(F11, [[1, 2], [3, 4]], b)
