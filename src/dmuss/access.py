@@ -100,7 +100,13 @@ class AccessStructure:
         return sorted(self.user_set(k))
 
     def union_size(self, users: Iterable[int]) -> int:
-        return reduce(or_, [self.masks[k - 1] for k in users], 0).bit_count()
+        """The number of nodes the ``users`` read together; ValueError
+        unless each is an int (not a bool) in 1..K, as :meth:`user_set`."""
+        masks = []
+        for k in users:
+            self.user_set(k)  # ValueError unless k is a user
+            masks.append(self.masks[k - 1])
+        return reduce(or_, masks, 0).bit_count()
 
 
 def _frozensets(sets) -> tuple:

@@ -52,7 +52,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _powers
-from .planner import Plan, _check_exponents
+from .planner import Plan
 
 
 class PadSet:
@@ -130,15 +130,6 @@ def _check_pad_shape(plan: Plan, pads: Sequence) -> None:
             raise ShapeMismatchError(
                 f"user {k}: pad block length {len(pads[k - 1])} != {want}"
             )
-
-
-def _check_rates(plan: Plan) -> None:
-    """ShapeMismatchError unless every R_k is an int (not a bool) in
-    0..R'_k: otherwise user k's message block is not among its R'_k
-    coefficients, and the offsets of the blocks after it shift."""
-    for k, (r_k, quota) in enumerate(zip(plan.rates, plan.quotas), start=1):
-        if type(r_k) is not int or not 0 <= r_k <= quota:
-            raise ShapeMismatchError(f"user {k}: rate {r_k!r} is not an int in 0..R'_k = {quota}")
 
 
 def _check_symbols(p: int, values: Sequence, what: str) -> None:
@@ -227,15 +218,10 @@ def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
     for k in users:
         vals = _user_shares(plan, k, shares)
         nodes = plan.access.sorted_set(k)
-        perm = plan.perms[k - 1]
-        _check_exponents(k, perm, len(nodes))
         alpha = plan.alphas[k - 1]
         rhs = [0] * len(nodes)
-        try:
-            for e, n, y in zip(perm, nodes, vals):
-                rhs[e - 1] = -alpha[n] * y % p
-        except KeyError as exc:
-            raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
+        for e, n, y in zip(plan.perms[k - 1], nodes, vals):
+            rhs[e - 1] = -alpha[n] * y % p
         by_size.setdefault(len(nodes), []).append((k, rhs))
     coeffs = {}
     for size, members in by_size.items():
@@ -262,10 +248,7 @@ def decode_all(plan: Plan, shares) -> list:
 
     Raises:
         ShapeMismatchError: shares are missing for some node.
-        BadSymbolError: a share on some A_k is not in GF(p), or some
-            node of A_k has no scaling.
-        SingularMatrixError: some user's exponents are not a permutation
-            of 1..|A_k|, or |A_k| exceeds p - 1.
+        BadSymbolError: a share on some A_k is not in GF(p).
     """
     return _decode_users(plan, range(1, plan.K + 1), shares)
 
@@ -282,10 +265,7 @@ def decode(plan: Plan, k: int, shares) -> DecodeResult:
     Raises:
         ShapeMismatchError: k is not an int (not a bool) in 1..K, or
             shares are missing for some node of A_k.
-        BadSymbolError: a share on A_k is not in GF(p), or a node of A_k
-            has no scaling.
-        SingularMatrixError: user k's exponents are not a permutation of
-            1..|A_k|, or |A_k| exceeds p - 1.
+        BadSymbolError: a share on A_k is not in GF(p).
     """
     _check_user(plan, k)
     return _decode_users(plan, (k,), shares)[0]
@@ -304,16 +284,9 @@ def _message_reader(plan: Plan, k: int):
     row * y is sum_n row_n * y_n < N * p**2 < 2**(W - 1) (see
     :func:`~dmuss.linalg._width`), and no field below it carries: the
     symbol is read exactly.
-
-    Raises as :attr:`~dmuss.planner.Plan.decode_rows` does, and
-    ShapeMismatchError unless every R_k is an int in 0..R'_k and the
-    decode rows are N x N.
     """
-    _check_rates(plan)
     rows = plan.decode_rows
     p, n = plan.field.p, plan.N
-    if len(rows) != n:
-        raise ShapeMismatchError(f"padded lengths sum to {len(rows)}, expected N = {n}")
     w = linalg._width(p, n)
     reduce = linalg._reducer(p, w, n)
     start = sum(plan.quotas[: k - 1])
@@ -377,10 +350,8 @@ def transfer_map(plan: Plan) -> TransferMap:
     pads.
 
     Raises:
-        ShapeMismatchError: some R_k is not an int in 0..R'_k.
         SingularMatrixError: the plan's correctness matrix is singular.
     """
-    _check_rates(plan)
     n = plan.N
     tm = TransferMap(
         field=plan.field, access=plan.access, rates=plan.rates, quotas=plan.quotas, matrix=[]
@@ -506,13 +477,6 @@ class MemoryShare:
         first, as :func:`decode` checks them, and raise as it does.  A
         block whose plan gives user k rate 0 holds none of its message:
         its shares get the same checks and nothing more.
-
-        A plan whose decode rows are refused is refused here as encode
-        refuses it (SingularMatrixError, FieldTooSmallError,
-        BadShapeError or BadSymbolError, see
-        :attr:`~dmuss.planner.Plan.decode_rows`), and so is one whose
-        rates are not ints in 0..R'_k or whose padded lengths do not sum
-        to N (ShapeMismatchError).  A loaded plan has passed all of these.
         """
         _check_list(share_blocks, "share blocks")
         plans = self.block_plans(len(share_blocks), "expected {} share blocks, got {}")

@@ -47,7 +47,7 @@ tuples) or a :class:`Packed`.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     BadShapeError,
@@ -218,17 +218,18 @@ def packed(field: Field, a: Matrix) -> Packed:
 
 
 def _echelon(
-    field: Field, a: Matrix, rhs: Matrix = ()
+    field: Field, a: Matrix, rhs: list[int] = (), rhs_fields: int = 0
 ) -> tuple[list[int], list[int], list[int], int]:
     """Forward elimination in a shrinking window: the one elimination loop.
 
     Each row is held packed in one int, W = :func:`_width` bits per field
     (2*bits(p) + bits(rows) + 1).  The rows are ``a``'s :class:`Packed`
     ints when ``a`` is packed for this field, else :func:`pack` packs
-    them here; the rows of ``rhs`` (as many as a's, all of one length),
-    when given, follow in the fields after a's columns.  Pivots are
-    sought in a's columns only, and rhs's fields are carried through
-    every row operation.
+    them here.  ``rhs``, when given, holds one packed int of
+    ``rhs_fields`` reduced fields per row of a (see :func:`solve`),
+    placed in the fields after a's columns.  Pivots are sought in a's
+    columns only, and rhs's fields are carried through every row
+    operation.
 
     The rows not yet pivot rows are kept in one active list, in input
     order, each holding the current column in its lowest field, read as
@@ -272,11 +273,9 @@ def _echelon(
     mask = (1 << w) - 1
     active = list(m.ints)
     if rhs:
-        try:
-            active = [x | _pack(row, w, p) << cols * w for x, row in zip(active, rhs)]
-        except TypeError as exc:
-            raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
-    reduce = _reducer(p, w, cols + (len(rhs[0]) if rhs else 0))
+        shift = cols * w
+        active = [x | y << shift for x, y in zip(active, rhs)]
+    reduce = _reducer(p, w, cols + rhs_fields)
     tops: list[int] = []
     pivots: list[int] = []
     inverses: list[int] = []
@@ -417,12 +416,14 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     triangular echelon form of a and pi_i its pivots, by one Kronecker
     product per row for a vector and over packed rows of m fields for a
     block.  A :func:`pack` result for ``a`` is not packed again: only b
-    is packed per call.
+    is packed per call, by solve itself, a vector's entry as one field
+    and a block's row by :func:`_pack`.
 
     Raises:
         ShapeMismatchError: a is not square, b is not a list (or tuple)
             of n rows, or the rows of a block b are not lists (or tuples)
             of one length.
+        BadSymbolError: an entry of a or b is not an int.
         SingularMatrixError: a is singular.
     """
     if not _square(a):
@@ -437,15 +438,20 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     block = n > 0 and isinstance(b[0], rows)
     if block and not all(isinstance(row, rows) for row in b):
         raise ShapeMismatchError("right-hand side mixes rows and entries")
-    rhs = b if block else [[x] for x in b]
-    width = len(rhs[0]) if n else 0
-    if any(len(row) != width for row in rhs):
+    width = len(b[0]) if block else 1
+    if block and any(len(row) != width for row in b):
         raise ShapeMismatchError("right-hand side rows differ in length")
-    r, pivots, inverses, _ = _echelon(field, a, rhs)
+    a = packed(field, a)  # checks a's entries before b's
+    p = field.p
+    w = _width(p, n)
+    try:
+        rhs = [_pack(row, w, p) for row in b] if block else [index(x) % p for x in b]
+    except TypeError as exc:
+        raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
+    r, pivots, inverses, _ = _echelon(field, a, rhs, width)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
-    w = _width(field.p, n)
-    x = _back_substitute(field.p, w, r, pivots, inverses, n, width)
+    x = _back_substitute(p, w, r, pivots, inverses, n, width)
     return [_fields(row, w, width) for row in x] if block else x  # one field: x is its ints
 
 

@@ -88,7 +88,27 @@ RANDOM_TRIALS_PER_ROW = 64  # scaling-search budget is 64 * N draws
 
 @dataclass(frozen=True)
 class Plan:
-    """Every constant needed to encode and decode one scheme instance."""
+    """Every constant needed to encode and decode one scheme instance.
+
+    Building a plan checks the shape of its constants once, in this
+    order, so that no reader checks them again:
+
+    * every |A_k| is at most p - 1 (FieldTooSmallError), so user k's
+      points gamma^1..gamma^|A_k| are distinct;
+    * K permutations and K scaling maps (ValueError);
+    * for each user k in turn, pi_k is a permutation of 1..|A_k|
+      (ValueError), and the scalings cover exactly A_k, none is 0
+      (ValueError) and each is an int (not a bool) in 1..p-1
+      (BadSymbolError);
+    * K rates and K padded lengths (ValueError);
+    * for each user k in turn, R'_k is an int in 0..|A_k|
+      (BadShapeError) and R_k an int (not a bool) in 0..R'_k
+      (ShapeMismatchError);
+    * the padded lengths sum to N (ShapeMismatchError).
+
+    Whether the rates lie in the region, the reserved blocks and det V
+    are :func:`plan_from_parameters`' checks, not the constructor's.
+    """
 
     field: Field
     access: AccessStructure
@@ -97,6 +117,30 @@ class Plan:
     reserved: SdrAssignment
     perms: tuple  # perms[k-1][i-1] = pi_k(i), 1-indexed exponent slots
     alphas: tuple  # alphas[k-1][n] = nonzero scaling for node n in A_k
+
+    def __post_init__(self):
+        field, acc, k_count = self.field, self.access, self.access.K
+        perms, alphas, rates, quotas = self.perms, self.alphas, self.rates, self.quotas
+        _check_field_size(field, acc)
+        if len(perms) != k_count or len(alphas) != k_count:
+            raise ValueError(f"need {k_count} permutations and scaling maps, got {len(perms)} and {len(alphas)}")
+        for k, (perm, per_user) in enumerate(zip(perms, alphas), start=1):
+            nodes = acc.user_set(k)
+            if sorted(perm) != list(range(1, len(nodes) + 1)):
+                raise ValueError(f"user {k}: not a permutation of 1..{len(nodes)}")
+            if set(per_user) != nodes or 0 in per_user.values():
+                raise ValueError(f"user {k}: scalings must cover the access set and be nonzero")
+            for n, a in per_user.items():
+                if type(a) is not int or not 1 <= a < field.p:
+                    raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
+        if len(rates) != k_count or len(quotas) != k_count:
+            raise ValueError(f"need {k_count} rates and padded lengths, got {len(rates)} and {len(quotas)}")
+        for k, (r_k, quota, perm) in enumerate(zip(rates, quotas, perms), start=1):
+            _check_quota(quota, len(perm))
+            if type(r_k) is not int or not 0 <= r_k <= quota:
+                raise ShapeMismatchError(f"user {k}: rate {r_k!r} is not an int in 0..R'_k = {quota}")
+        if sum(quotas) != acc.N:
+            raise ShapeMismatchError(f"padded lengths sum to {sum(quotas)}, expected N = {acc.N}")
 
     @property
     def K(self) -> int:
@@ -131,31 +175,18 @@ class Plan:
         :func:`~dmuss.codec.transfer_map`, the privacy and entropy
         checks and :meth:`~dmuss.codec.MemoryShare.decode` share it and
         read those ints; so callers must not mutate it.
-
-        Raises:
-            SingularMatrixError: some user's exponents are not a
-                permutation of 1..|A_k| (see :func:`_check_exponents`).
-            FieldTooSmallError: some |A_k| exceeds p - 1.
-            BadShapeError: some R'_k is not in 0..|A_k|.
-            BadSymbolError: some scaling is not an int, or some node of
-                A_k has none.
         """
-        field, acc, quotas, perms = self.field, self.access, self.quotas, self.perms
-        p = field.p
-        tables = _lagrange_tables(field, acc, quotas)
-        n_rows = sum(quota for quota, _ in zip(quotas, perms))
-        w = _width(p, n_rows)
+        field, acc = self.field, self.access
+        p, n_total = field.p, acc.N
+        tables = _lagrange_tables(field, acc, self.quotas)
+        w = _width(p, n_total)
         ints = []
-        for k, (quota, perm, scale) in enumerate(zip(quotas, perms, self.alphas), start=1):
+        for k, (quota, perm, scale) in enumerate(zip(self.quotas, self.perms, self.alphas), start=1):
             nodes = acc.sorted_set(k)
-            _check_exponents(k, perm, len(nodes))
-            try:
-                entries = [((n - 1) * w, e - 1, -scale[n] % p) for n, e in zip(nodes, perm)]
-                for lag in tables[len(nodes)][:quota]:
-                    ints.append(sum(a * lag[e] << s for s, e, a in entries))  # fields below p**2
-            except (TypeError, KeyError) as exc:  # a scaling that is not an int, or none
-                raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
-        return Packed(p, acc.N, ints)
+            entries = [((n - 1) * w, e - 1, -scale[n] % p) for n, e in zip(nodes, perm)]
+            for lag in tables[len(nodes)][:quota]:
+                ints.append(sum(a * lag[e] << s for s, e, a in entries))  # fields below p**2
+        return Packed(p, n_total, ints)
 
     @cached_property
     def _decode_det(self) -> int:
@@ -253,31 +284,18 @@ def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
 
 
 def _check_quota(count: int, size: int) -> None:
-    if not 0 <= count <= size:
+    if type(count) is not int or not 0 <= count <= size:
         raise BadShapeError(f"need 0 <= R'_k <= |A_k|, got {count} and {size}")
-
-
-def _check_exponents(k: int, perm: Sequence[int], size: int) -> None:
-    """SingularMatrixError unless user k's exponents are a permutation of
-    1..size: a repeat repeats a point, and the natural-order tables
-    (:func:`_lagrange_rows`, decode's Vandermonde) hold no other."""
-    if sorted(perm) != list(range(1, size + 1)):
-        raise SingularMatrixError(f"user {k}: exponents {list(perm)} are not a permutation of 1..{size}")
 
 
 def _lagrange_tables(field: Field, acc: AccessStructure, quotas: Sequence[int]) -> dict:
     """One :func:`_lagrange_rows` table per distinct set size, keyed by
     the size and built to the largest R'_k among its users: a table's
     rows are prefixes of a longer one's, so user k reads the first R'_k.
-
-    Raises:
-        BadShapeError: some R'_k is not in 0..|A_k|.
-        FieldTooSmallError: some |A_k| exceeds p - 1.
     """
     counts: dict = {}
     for nodes, quota in zip(acc.sets, quotas):
         size = len(nodes)
-        _check_quota(quota, size)
         counts[size] = max(counts.get(size, 0), quota)
     return {size: _lagrange_rows(field, size, count) for size, count in counts.items()}
 
@@ -422,19 +440,15 @@ def make_plan(field: Field, acc: AccessStructure, rates: Sequence[int], seed: in
 def plan_decomposition(plan: Plan) -> Matrix:
     """A finished plan's N x N correctness matrix V: in user k's R'_k
     columns, the row of the i-th node n of A_k holds alpha_{k,n} times
-    entry pi_k(i) of each :func:`_null_basis` vector.  BadSymbolError if
-    some node of A_k has no scaling."""
+    entry pi_k(i) of each :func:`_null_basis` vector."""
     field, acc, p = plan.field, plan.access, plan.field.p
     v = linalg.zeros(acc.N, acc.N)
     off = 0
     for k, (quota, perm, scale) in enumerate(zip(plan.quotas, plan.perms, plan.alphas), start=1):
         vectors = _null_basis(field, quota, len(perm))
-        try:
-            for n, e in zip(acc.sorted_set(k), perm):
-                a = scale[n]
-                v[n - 1][off : off + quota] = [a * vec[e - 1] % p for vec in vectors]
-        except KeyError as exc:
-            raise BadSymbolError(f"user {k}: every node needs an int scaling: {exc!r}") from exc
+        for n, e in zip(acc.sorted_set(k), perm):
+            a = scale[n]
+            v[n - 1][off : off + quota] = [a * vec[e - 1] % p for vec in vectors]
         off += quota
     return v
 
@@ -480,7 +494,8 @@ def plan_from_parameters(
     """Assemble and validate a plan from externally supplied constants.
 
     Used for deserialization and for reproducing published worked
-    examples.  All structural invariants are rechecked, and the
+    examples.  The region and the reserved blocks are checked here,
+    the shape of the constants by :class:`Plan` as it is built, and the
     correctness matrix V must come out invertible.  That is checked on
     :attr:`Plan.decode_rows` = H^-1 V^T, whose determinant is det V over
     prod_k det H_k, nonzero for every user (see the module docstring):
@@ -496,6 +511,7 @@ def plan_from_parameters(
 
     Raises:
         NotInRegionError: the rates leave the capacity region.
+        FieldTooSmallError: some |A_k| exceeds p - 1.
         BadSymbolError: a scaling is not an int (not a bool) in [1, p).
         ValueError: the other constants are inconsistent (a scaling of 0
             among them).
@@ -511,19 +527,6 @@ def plan_from_parameters(
             raise ValueError("padded lengths fail the augmentation invariants")
         if not validate_sdr(acc, quotas, reserved):
             raise ValueError("reserved blocks are not a valid distinct-representative pick")
-    _check_field_size(field, acc)
-    if len(perms) != acc.K or len(alphas) != acc.K:
-        raise ValueError(f"need {acc.K} permutations and scaling maps, got {len(perms)} and {len(alphas)}")
-    for k in range(1, acc.K + 1):
-        size = len(acc.user_set(k))
-        if sorted(perms[k - 1]) != list(range(1, size + 1)):
-            raise ValueError(f"user {k}: not a permutation of 1..{size}")
-        per_user = alphas[k - 1]
-        if set(per_user) != acc.user_set(k) or 0 in per_user.values():
-            raise ValueError(f"user {k}: scalings must cover the access set and be nonzero")
-        for n, a in per_user.items():
-            if type(a) is not int or not 1 <= a < field.p:
-                raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
     plan = Plan(
         field=field,
         access=acc,

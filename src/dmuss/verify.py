@@ -36,9 +36,10 @@ It is x^r Q with deg Q <= n - 1 - r, and it vanishes at the n - |S|
 points outside S, which are nonzero, so Q does too: more roots than
 its degree allows, so Q = 0, and c = 0 since the l_j are independent.
 For |S| > r any r of the columns already have rank r.  Scaling a column
-by a nonzero alpha keeps the rank, and one scaled by 0 drops out.  The
-gamma^e qualify: the determinant check refuses exponents that are not a
-permutation of 1..|A_k| and any |A_k| > p - 1.
+by a nonzero alpha keeps the rank.  The gamma^e qualify, and every
+alpha is nonzero: a :class:`~dmuss.planner.Plan` refuses, when it is
+built, exponents that are not a permutation of 1..|A_k|, any
+|A_k| > p - 1 and a scaling of 0.
 
 The rank criteria are exact, not statistical.  For tiny instances
 :func:`brute_force_audit` additionally enumerates every input and checks
@@ -54,7 +55,7 @@ import random
 from dataclasses import dataclass
 from operator import lshift, mul
 
-from .codec import TransferMap, _check_rates, decode_all, encode, transfer_map
+from .codec import TransferMap, decode_all, encode, transfer_map
 from .errors import ShapeMismatchError, SingularMatrixError, TooLargeError
 from .gf import _powers
 from .linalg import _reducer, _width
@@ -105,25 +106,19 @@ def _require_nonsingular(plan: Plan) -> None:
 def _pairwise_ranks(plan: Plan):
     """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus
     min(R_k, |A_k minus A_{k'}|), the rank of M_k (user k's first R_k
-    decode rows) on those columns by the lemma in the module docstring.
-    A node whose scaling is 0 mod p gives M_k a zero column and is not
-    counted.  No elimination.
+    decode rows) on those columns by the lemma in the module docstring:
+    two bit counts on the access masks, no elimination.
 
     Raises:
         SingularMatrixError: the plan's correctness matrix is singular.
-        ShapeMismatchError: some R_k is not an int in 0..R'_k, so M_k is
-            not among user k's decode rows.
     """
     _require_nonsingular(plan)
-    _check_rates(plan)
-    acc, p = plan.access, plan.field.p
-    scaled = [
-        {n for n in acc.user_set(k) if alphas[n] % p} for k, alphas in enumerate(plan.alphas, start=1)
-    ]
+    masks, rates = plan.access.masks, plan.rates
 
     def ranks(k: int, k2: int) -> tuple:
-        seen = acc.user_set(k2)
-        return len(seen), len(seen) + min(plan.rates[k - 1], len(scaled[k - 1] - seen))
+        seen = masks[k2 - 1]
+        base = seen.bit_count()
+        return base, base + min(rates[k - 1], (masks[k - 1] & ~seen).bit_count())
 
     return ranks
 
@@ -145,8 +140,7 @@ def check_privacy(plan: Plan) -> PrivacyReport:
     the plan keeps, and T is never built.
 
     Raises:
-        ShapeMismatchError: ``plan`` is not a Plan, or a rate R_k is not
-            an int in 0..R'_k.
+        ShapeMismatchError: ``plan`` is not a Plan.
         SingularMatrixError: the plan's correctness matrix is singular.
     """
     _require_type(plan, Plan)
@@ -239,8 +233,16 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     failures = 0
     first = None
     gamma = plan.field.gamma
-    users = None  # per user: nodes, perm, field width, share indices, placed scalings
+    users = []  # per user: nodes, perm, field width, share indices, placed scalings
     columns: dict = {}  # set size -> its packed Vandermonde columns and their reducer
+    for k, perm in enumerate(plan.perms, start=1):
+        size = len(perm)
+        w = _width(p, size)
+        if size not in columns:
+            columns[size] = _vandermonde_columns(p, gamma, size, w), _reducer(p, w, size)
+        nodes, alphas = plan.access.sorted_set(k), plan.alphas[k - 1]
+        placed = [-alphas[n] % p << (e - 1) * w for n, e in zip(nodes, perm)]
+        users.append((nodes, perm, w, [n - 1 for n in nodes], placed))
 
     def note(msg):
         nonlocal failures, first
@@ -252,16 +254,6 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
         msgs = [[rng.randrange(p) for _ in range(r)] for r in plan.rates]
         res = encode(plan, msgs, seed=rng.randrange(1 << 30))
         decoded = decode_all(plan, res.shares)
-        if users is None:  # once decode_all has checked each perm is 1..|A_k|
-            users = []
-            for k, perm in enumerate(plan.perms, start=1):
-                size = len(perm)
-                w = _width(p, size)
-                if size not in columns:
-                    columns[size] = _vandermonde_columns(p, gamma, size, w), _reducer(p, w, size)
-                nodes, alphas = plan.access.sorted_set(k), plan.alphas[k - 1]
-                placed = [-alphas[n] % p << (e - 1) * w for n, e in zip(nodes, perm)]
-                users.append((nodes, perm, w, [n - 1 for n in nodes], placed))
         for k, got in enumerate(decoded, start=1):
             if got.message != msgs[k - 1]:
                 note(f"trial {trial}: user {k} decoded {got.message} != {msgs[k - 1]}")

@@ -133,6 +133,18 @@ def test_user_index_out_of_range():
             pairwise_bound(acc, k)
 
 
+def test_union_size_refuses_users_that_are_not_users():
+    # union_size indexed the masks unchecked: [0] counted user 4's set,
+    # [-1] user 3's, [True] user 1's, and [5] escaped as an IndexError
+    acc = ref_access()
+    for k in (0, -1, 5, True, False, 1.0, None):
+        with pytest.raises(ValueError, match=f"^no user {k!r}: users are 1..4$"):
+            acc.union_size([k])
+        with pytest.raises(ValueError, match="no user"):
+            acc.union_size([1, 2, k])
+    assert acc.union_size([]) == 0 and acc.union_size([1, 2]) == 6 and acc.union_size(range(1, 5)) == 8
+
+
 def test_access_structure_node_ids_are_ints():
     # a float or bool id would reach the planner, a str id the sort
     for bad in (1.0, True, "1"):

@@ -52,11 +52,9 @@ from dmuss.errors import (
     FieldTooSmallError,
     IncompatiblePlansError,
     ShapeMismatchError,
-    SingularMatrixError,
 )
 from dmuss.gf import Field
-from dmuss.planner import make_plan, plan_decomposition
-from dmuss.verify import check_entropy, check_privacy
+from dmuss.planner import make_plan
 
 # frozen regression values for the reference instance
 REF_RHS = [-v % 11 for v in [1, 1, 1, 1, 5, 1, 6, 4, 4, 4, 4, 4, 3, 5, 7, 10, 10]]
@@ -432,54 +430,46 @@ def test_decode_all_solves_once_per_set_size(monkeypatch, ref_plan, ref_encoded)
         decode_all(ref_plan, [11] + ref_encoded.shares[1:])
 
 
-def test_malformed_plans_raise_from_every_reader(ref_plan):
-    # exponents that are not a permutation of 1..|A_k| repeat a point, and
-    # |A_k| > p - 1 points collide, and a scaling that is not an int, or
-    # none at all, cannot be written into the packed rows: the decode rows
-    # refuse all four, and so does everything that reads them
-    twice = dataclasses.replace(ref_plan, perms=((1, 1, 2, 3),) + ref_plan.perms[1:])
-    small = dataclasses.replace(ref_plan, field=Field(3))  # sets of 4 and 5 points
-    floaty = dataclasses.replace(ref_plan, alphas=({**ref_plan.alphas[0], 1: 2.0},) + ref_plan.alphas[1:])
-    missing = dataclasses.replace(ref_plan, alphas=({6: 1, 7: 1, 8: 1},) + ref_plan.alphas[1:])  # no node 1
-    readers = [
-        lambda plan: plan.decode_rows,
-        lambda plan: encode(plan, [[0] * r for r in plan.rates], seed=1),
-        transfer_map,
-        check_privacy,
-        check_entropy,
-        lambda plan: MemoryShare(((plan, 1),)).decode(1, [[0] * 8]),  # shares in every field
-    ]
+def test_malformed_plans_are_refused_when_built(ref_plan):
+    # a plan checks the shape of its constants once, as it is built, so
+    # no reader (the decode rows, encode, decode, the transfer map, the
+    # privacy and entropy checks, the scheme's decode) meets a repeated
+    # exponent, colliding points, a scaling it cannot write into the
+    # packed rows or a rate outside its user's decode rows
+    alphas = ref_plan.alphas
+    user_1 = alphas[0]  # nodes 1, 6, 7, 8, all scaled by 1
+
+    def scaled(node, a):
+        return ({**user_1, node: a},) + alphas[1:]
+
     cases = [
-        (twice, SingularMatrixError, readers),
-        (small, FieldTooSmallError, readers),
-        (floaty, BadSymbolError, readers),
-        (missing, BadSymbolError, readers + [lambda plan: decode(plan, 1, REF_SHARES), plan_decomposition]),
+        ({"perms": ((1, 1, 2, 3),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
+        ({"perms": ((1, 2, 3, 5),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
+        ({"field": Field(3)}, FieldTooSmallError, "access set of size 5 needs p-1 >= 5, got p=3"),
+        ({"alphas": ({6: 1, 7: 1, 8: 1},) + alphas[1:]}, ValueError,
+         "user 1: scalings must cover the access set and be nonzero"),
+        ({"alphas": scaled(2, 1)}, ValueError, "user 1: scalings must cover the access set and be nonzero"),
+        ({"alphas": scaled(1, 0)}, ValueError, "user 1: scalings must cover the access set and be nonzero"),
+        ({"alphas": scaled(1, 2.0)}, BadSymbolError, "user 1, node 1: scaling 2.0 is not in 1..10"),
+        ({"alphas": scaled(1, True)}, BadSymbolError, "user 1, node 1: scaling True is not in 1..10"),
+        ({"alphas": scaled(1, 11)}, BadSymbolError, "user 1, node 1: scaling 11 is not in 1..10"),
+        ({"rates": (2, 2, 2, 3)}, ShapeMismatchError, "user 1: rate 2 is not an int in 0..R'_k = 1"),
+        ({"rates": (True, 2, 2, 3)}, ShapeMismatchError, "user 1: rate True is not an int in 0..R'_k = 1"),
+        ({"rates": (1, -1, 2, 3)}, ShapeMismatchError, "user 2: rate -1 is not an int in 0..R'_k = 2"),
+        ({"quotas": (-1, 2, 2, 3)}, BadShapeError, "need 0 <= R'_k <= |A_k|, got -1 and 4"),
+        ({"quotas": (5, 2, 2, 3)}, BadShapeError, "need 0 <= R'_k <= |A_k|, got 5 and 4"),
+        ({"quotas": (1.0, 2, 2, 3)}, BadShapeError, "need 0 <= R'_k <= |A_k|, got 1.0 and 4"),
+        ({"rates": (1, 2, 2, 2), "quotas": (1, 2, 2, 2)}, ShapeMismatchError,
+         "padded lengths sum to 7, expected N = 8"),
+        ({"perms": ref_plan.perms[:-1]}, ValueError, "need 4 permutations and scaling maps, got 3 and 4"),
+        ({"alphas": alphas + alphas[:1]}, ValueError, "need 4 permutations and scaling maps, got 4 and 5"),
+        ({"rates": ref_plan.rates[:-1]}, ValueError, "need 4 rates and padded lengths, got 3 and 4"),
+        ({"quotas": ref_plan.quotas + (0,)}, ValueError, "need 4 rates and padded lengths, got 4 and 5"),
     ]
-    for plan, error, reads in cases:
-        for read in reads:
-            with pytest.raises(error):
-                read(plan)
-    # users 1-3 share one table of four points, built to R'_k = 2: user
-    # 1's own R'_k is still checked
-    with pytest.raises(BadShapeError):
-        dataclasses.replace(ref_plan, quotas=(-1,) + ref_plan.quotas[1:]).decode_rows
-    with pytest.raises(SingularMatrixError):
-        decode(twice, 1, REF_SHARES)
-    with pytest.raises(SingularMatrixError):
-        decode_all(small, [0] * 8)
-    # the scheme's decode reads user k's rows after the padded lengths of
-    # the users before it: it refuses rates outside them, as the transfer
-    # map does, and padded lengths that do not sum to N, as encode does
-    for changes, message in (
-        ({"rates": (2, 2, 2, 3)}, "user 1: rate 2 is not an int in 0..R'_k = 1"),
-        ({"rates": (1, 2, 2, 2), "quotas": (1, 2, 2, 2)}, "padded lengths sum to 7, expected N = 8"),
-    ):
-        broken = dataclasses.replace(ref_plan, **changes)
-        with pytest.raises(ShapeMismatchError) as got:
-            MemoryShare(((broken, 1),)).decode(4, [REF_SHARES])
-        assert str(got.value) == message
-        with pytest.raises(ShapeMismatchError):
-            encode(broken, [[0] * r for r in broken.rates], seed=1)
+    for changes, error, message in cases:
+        with pytest.raises(error) as got:
+            dataclasses.replace(ref_plan, **changes)
+        assert type(got.value) is error and str(got.value) == message, changes
 
 
 def test_transfer_map_matches_column_oracle_fuzz():
@@ -517,16 +507,13 @@ def test_transfer_map_is_one_solve_against_the_input_permutation(monkeypatch):
 def test_transfer_map_refuses_rates_outside_the_quotas():
     # rates (4, 1, 1) on quotas (3, 2, 1) used to give message offsets
     # [0, 4, 5] and pad offsets [6, 5, 6], and a rate of True passed as 1;
-    # the map now refuses them as check_privacy does, with its error
+    # the plan now refuses them as it is built, so no map is made from them
     plan = make_plan(Field(11), AccessStructure.of([[1, 2, 3], [3, 4, 5], [1, 5, 6]]), [1, 1, 1], seed=1)
     assert plan.quotas == (3, 2, 1)
     for rates in ((4, 1, 1), (True, 1, 1)):
-        broken = dataclasses.replace(plan, rates=rates)
         with pytest.raises(ShapeMismatchError) as got:
-            transfer_map(broken)
-        with pytest.raises(ShapeMismatchError) as want:
-            check_privacy(broken)
-        assert str(got.value) == str(want.value) == f"user 1: rate {rates[0]!r} is not an int in 0..R'_k = 3"
+            dataclasses.replace(plan, rates=rates)
+        assert str(got.value) == f"user 1: rate {rates[0]!r} is not an int in 0..R'_k = 3"
     assert transfer_map(dataclasses.replace(plan, rates=(3, 0, 0))).message_offsets == [0, 3, 3]
 
 

@@ -680,6 +680,84 @@ def test_cli_malformed_json_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _set(*path_and_value):
+    """A mutation of a plan document: the entry at ``path`` set to ``value``."""
+    *path, last, value = path_and_value
+
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+# the demo plan file broken in each way a JSON plan can be: the load
+# refuses every one, before any command reads the plan
+PLAN_MUTATIONS = {
+    "repeated exponent": _set("perms", 0, [1, 1, 2, 3]),
+    "exponent out of range": _set("perms", 0, [1, 2, 3, 5]),
+    "field too small": lambda doc: doc.update(p=3, gamma=2),
+    "scaling missing": lambda doc: doc["alphas"][0].pop(0),
+    "scaling extra": lambda doc: doc["alphas"][0].append([2, 1]),
+    "scaling zero": _set("alphas", 0, 0, [1, 0]),
+    "scaling float": _set("alphas", 0, 0, [1, 2.0]),
+    "scaling bool": _set("alphas", 0, 0, [1, True]),
+    "rate above quota": _set("rates", 0, 2),
+    "rate bool": _set("rates", 0, True),
+    "rate negative": _set("rates", 1, -1),
+    "quota negative": _set("quotas", 0, -1),
+    "quota above set size": _set("quotas", 0, 5),
+    "quotas short of N": lambda doc: doc.update(rates=[1, 2, 2, 2], quotas=[1, 2, 2, 2]),
+    "one permutation short": lambda doc: doc["perms"].pop(),
+    "one scaling map extra": lambda doc: doc["alphas"].append(doc["alphas"][0]),
+    "one rate short": lambda doc: doc["rates"].pop(),
+}
+
+# (exit code, stderr) of each of encode, decode and verify on each
+# mutated file, as they were while the plan's readers re-checked its
+# constants
+MUTATED_PLAN_OUTCOMES = {
+    'repeated exponent': (2, 'error: user 1: not a permutation of 1..4\n'),
+    'exponent out of range': (2, 'error: user 1: not a permutation of 1..4\n'),
+    'field too small': (1, 'error: access set of size 5 needs p-1 >= 5, got p=3\n'),
+    'scaling missing': (2, 'error: user 1: scalings must cover the access set and be nonzero\n'),
+    'scaling extra': (2, 'error: user 1: scalings must cover the access set and be nonzero\n'),
+    'scaling zero': (2, 'error: user 1: scalings must cover the access set and be nonzero\n'),
+    'scaling float': (2, 'error: bad alpha entry [1, 2.0]\n'),
+    'scaling bool': (2, 'error: bad alpha entry [1, True]\n'),
+    'rate above quota': (1, 'error: outside region: R1 + R2 + R3 + R4 <= 8 (cutset) violated with value 9\n'),
+    'rate bool': (2, 'error: rates must be a list of integers\n'),
+    'rate negative': (2, 'error: rates must be nonnegative\n'),
+    'quota negative': (2, 'error: padded lengths fail the augmentation invariants\n'),
+    'quota above set size': (2, 'error: padded lengths fail the augmentation invariants\n'),
+    'quotas short of N': (2, 'error: padded lengths fail the augmentation invariants\n'),
+    'one permutation short': (2, 'error: per-user lists disagree with the number of access sets\n'),
+    'one scaling map extra': (2, 'error: per-user lists disagree with the number of access sets\n'),
+    'one rate short': (2, 'error: per-user lists disagree with the number of access sets\n'),
+}
+
+
+def test_cli_refuses_mutated_plan_files_with_pinned_bytes(tmp_path, capsys):
+    # a plan checks its constants once, as it is built: moving the checks
+    # there left each command's exit code, stdout and stderr as they were
+    msgs = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    shares = write_doc(tmp_path, "shares.json", shares_to_dict(11, list(range(1, 9)), [demo.demo_encode().shares]))
+    assert PLAN_MUTATIONS.keys() == MUTATED_PLAN_OUTCOMES.keys()
+    for what, mutate in PLAN_MUTATIONS.items():
+        doc = plan_to_dict(demo.demo_plan())
+        mutate(doc)
+        plan = write_doc(tmp_path, "plan.json", doc)
+        for argv in (
+            ["encode", plan, msgs, "--seed", "1"],
+            ["decode", plan, shares, "--user", "1"],
+            ["verify", plan, "--trials", "2"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.err, captured.out) == (*MUTATED_PLAN_OUTCOMES[what], ""), (what, argv[0])
+
+
 def test_cli_tampered_plan_exit_codes(tmp_path, capsys):
     doc = plan_to_dict(demo.demo_plan())
     doc["alphas"][0][0] = [1, 0]

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import mat_mul, mat_vec, slow_det, slow_echelon, slow_rref, slow_solve, transpose
+from conftest import mat_mul, mat_vec, slow_det, slow_echelon, slow_rref, slow_solve, spy, transpose
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -242,6 +242,18 @@ def test_entries_that_are_not_ints_raise_bad_symbol_error():
             with pytest.raises(BadSymbolError):
                 fn(F11, *args)
     assert linalg.solve(F11, linalg.identity(2), [[1], [True]]) == [[1], [1]]  # bools are ints
+    assert linalg.solve(F11, linalg.identity(2), [1, True]) == [1, 1]
+
+
+def test_solve_packs_its_right_hand_side_itself(monkeypatch):
+    """A vector's entries go into the elimination as one field each, with
+    no row packed per entry; a block's rows are packed once each."""
+    a = linalg.pack(F11, [[2, 1], [1, 1]])
+    packs = spy(monkeypatch, linalg, "_pack", lambda row, w, p: len(row))
+    assert linalg.solve(F11, a, [3, 16]) == [9, 7]
+    assert packs == []
+    assert linalg.solve(F11, a, [[3, 4], [5, 6]]) == [[9, 9], [7, 8]]
+    assert packs == [2, 2]
 
 
 def test_solve_round_trip_fuzz():

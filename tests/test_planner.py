@@ -78,20 +78,23 @@ def random_nonsingular(rng, field, n):
 def split_matrices(plan):
     """(C, D_alpha, zeta): the correctness matrix's reserved rows at
     scale 1, the other rows at their alphas, and per node the scaling of
-    the user that reserved it; C and D_alpha are the ``plan_decomposition``
-    of the plan with the other scalings, or the reserved ones, set to 0."""
-    blocks = [plan.reserved.block(k) for k in range(1, plan.K + 1)]
-
-    def v(scaling):  # scaling(reserved, alpha) replaces each alpha
-        alphas = tuple(
-            {n: scaling(n in block, a) for n, a in scales.items()} for block, scales in zip(blocks, plan.alphas)
-        )
-        return plan_decomposition(dataclasses.replace(plan, alphas=alphas))
-
-    c = v(lambda reserved, a: int(reserved))
-    d = v(lambda reserved, a: 0 if reserved else a)
-    owner = {n: k for k, block in enumerate(blocks, start=1) for n in block}
-    zeta = [plan.alphas[owner[n] - 1][n] for n in range(1, plan.N + 1)]
+    the user that reserved it.  Both are read off the unit-scaled V (see
+    ``basis_rows``): in user k's columns, row n of C holds the basis row
+    of n when k reserved n, and row n of D_alpha alpha_{k,n} times it
+    when k did not."""
+    p, n_total = plan.field.p, plan.N
+    c, d = linalg.zeros(n_total, n_total), linalg.zeros(n_total, n_total)
+    off = 0
+    for k, (quota, rows) in enumerate(zip(plan.quotas, basis_rows(plan)), start=1):
+        block, scales = plan.reserved.block(k), plan.alphas[k - 1]
+        for n, row in zip(plan.access.sorted_set(k), rows):
+            if n in block:
+                c[n - 1][off : off + quota] = row
+            else:
+                d[n - 1][off : off + quota] = [scales[n] * x % p for x in row]
+        off += quota
+    owner = {n: k for k in range(1, plan.K + 1) for n in plan.reserved.block(k)}
+    zeta = [plan.alphas[owner[n] - 1][n] for n in range(1, n_total + 1)]
     return c, d, zeta
 
 
