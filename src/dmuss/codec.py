@@ -225,6 +225,7 @@ def _decode_users(plan: Plan, users: Sequence[int], shares) -> list:
         by_size.setdefault(len(nodes), []).append((k, rhs))
     coeffs = {}
     for size, members in by_size.items():
+        # rebuilt per call: kept, it would push bench decode loops past their RSS headroom (ROADMAP 1a)
         vander = [_powers(x, size, p) for x in _powers(field.gamma, size + 1, p)[1:]]
         if len(members) == 1:  # a one-column block would unpack a list per row
             k, rhs = members[0]

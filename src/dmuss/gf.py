@@ -10,6 +10,7 @@ finds the generator.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd, prod
 
 from .errors import BadSymbolError, NotPrimeError, TooLargeError, ZeroElementError
@@ -39,6 +40,8 @@ _MR_PSI = (
 _MR_BOUND = _MR_PSI[-1]
 # Odd trial divisors of p - 1 run below this before Pollard-Brent.
 _TRIAL_BOUND = 1 << 10
+# Moduli whose factors of p - 1 and smallest generator a process keeps.
+_MODULUS_CACHE_SIZE = 16
 
 
 def is_prime(n: int) -> bool:
@@ -111,13 +114,16 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+@lru_cache(maxsize=_MODULUS_CACHE_SIZE, typed=True)
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending.
 
     2 and then the odd numbers d below 2**10 are divided out while
     d * d <= n; a rest above 1 is then prime when d * d > n, and otherwise
     splits by :func:`_rho_divisor` until every part passes
-    :func:`is_prime`.
+    :func:`is_prime`.  Kept per n for the last
+    :data:`_MODULUS_CACHE_SIZE` values, so the list is shared: callers
+    must not mutate it.
     """
     out = set()
     d = 2
@@ -139,6 +145,19 @@ def _prime_factors(n: int) -> list[int]:
             d = _rho_divisor(m)
             parts += [d, m // d]
     return sorted(out)
+
+
+@lru_cache(maxsize=_MODULUS_CACHE_SIZE, typed=True)
+def _smallest_generator(p: int) -> int:
+    """The smallest generator of GF(p)* for prime p, kept per p like
+    :func:`_prime_factors` (p = 2's trivial group is generated by 1)."""
+    if p == 2:
+        return 1
+    factors = _prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+    raise AssertionError("no generator found; modulus not prime?")
 
 
 def _powers(x: int, count: int, p: int) -> list[int]:
@@ -191,24 +210,17 @@ class Field:
         if not is_prime(p):
             raise NotPrimeError(f"modulus {p} is not prime")
         self.p = p
-        # Factor p-1 once; primitivity checks reuse it.
+        # p - 1's factors and the smallest generator are derived once per
+        # process for each modulus; primitivity checks reuse the factors.
         self._unit_factors = _prime_factors(p - 1) if p > 2 else []
         if gamma is None:
-            gamma = self._smallest_generator()
+            gamma = _smallest_generator(p)
         else:
             if type(gamma) is not int or not 0 <= gamma < p:
                 raise BadSymbolError(f"gamma {gamma!r} is not an element of GF({p})")
             if not self.is_primitive(gamma):
                 raise ValueError(f"{gamma} does not generate GF({p})*")
         self.gamma = gamma
-
-    def _smallest_generator(self) -> int:
-        if self.p == 2:
-            return 1  # multiplicative group is trivial
-        for g in range(2, self.p):
-            if self.is_primitive(g):
-                return g
-        raise AssertionError("no generator found; modulus not prime?")
 
     def is_primitive(self, e: int) -> bool:
         """True iff e generates the multiplicative group (order p-1)."""

@@ -31,7 +31,10 @@ invertible: a polynomial of degree < R'_k that agrees at |A_k| distinct
 points with one spanned by x^R'_k..x^(|A_k|-1) is 0.  So
 det(decode_rows) != 0 exactly when det V != 0, and the load's
 determinant, encoding, the transfer map, the privacy and entropy checks
-and the scheme's decode all read decode_rows' packed ints.
+and the scheme's decode all read decode_rows' packed ints.  A table
+depends only on (p, gamma, |A_k|, R'_k), so a process builds each once
+and keeps the last :data:`_TABLE_CACHE_SIZE`: a plan built or loaded
+again, as each command of a CLI chain loads its plan file, builds none.
 
 Only inside :func:`make_plan`, before the reserved nodes' scalings zeta
 are chosen, is its transpose split as ``diag(zeta) @ C + D``: C holds
@@ -58,7 +61,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -84,6 +87,8 @@ from .linalg import Matrix, Packed, _pack, _width
 from .sdr import SdrAssignment, find_sdr, validate_sdr
 
 RANDOM_TRIALS_PER_ROW = 64  # scaling-search budget is 64 * N draws
+# (field, set size, R'_k) keys whose Lagrange table a process keeps
+_TABLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,10 @@ class Plan:
       points gamma^1..gamma^|A_k| are distinct;
     * K permutations and K scaling maps (ValueError);
     * for each user k in turn, pi_k is a permutation of 1..|A_k|
-      (ValueError), and the scalings cover exactly A_k, none is 0
-      (ValueError) and each is an int (not a bool) in 1..p-1
-      (BadSymbolError);
+      (ValueError), each scaling is an int, not a bool (BadSymbolError,
+      so a zero written False or 0.0 is refused as True or 2.0 is), the
+      scalings cover exactly A_k and none is 0 (ValueError), and each is
+      in 1..p-1 (BadSymbolError);
     * K rates and K padded lengths (ValueError);
     * for each user k in turn, R'_k is an int in 0..|A_k|
       (BadShapeError) and R_k an int (not a bool) in 0..R'_k
@@ -128,10 +134,13 @@ class Plan:
             nodes = acc.user_set(k)
             if sorted(perm) != list(range(1, len(nodes) + 1)):
                 raise ValueError(f"user {k}: not a permutation of 1..{len(nodes)}")
+            for n, a in per_user.items():
+                if type(a) is not int:
+                    raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
             if set(per_user) != nodes or 0 in per_user.values():
                 raise ValueError(f"user {k}: scalings must cover the access set and be nonzero")
             for n, a in per_user.items():
-                if type(a) is not int or not 1 <= a < field.p:
+                if not 1 <= a < field.p:
                     raise BadSymbolError(f"user {k}, node {n}: scaling {a!r} is not in 1..{field.p - 1}")
         if len(rates) != k_count or len(quotas) != k_count:
             raise ValueError(f"need {k_count} rates and padded lengths, got {len(rates)} and {len(quotas)}")
@@ -224,6 +233,7 @@ def _null_basis(field: Field, quota: int, size: int) -> Matrix:
     return linalg.null_space(field, tail, cols=size)
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
     """The low ``count`` rows of the inverse Vandermonde on gamma^1..gamma^n.
 
@@ -248,7 +258,10 @@ def _lagrange_rows(field: Field, size: int, count: int) -> Matrix:
 
     The n slopes and the P_d are inverted together with one ``pow``:
     O(n * count) multiplications, the size of the result, and no
-    elimination.
+    elimination.  The table depends only on (p, gamma, size, count), so a
+    process keeps the last :data:`_TABLE_CACHE_SIZE` of them, keyed by
+    those values with the argument types kept apart: every plan of one
+    field shares them, and callers must not mutate a table.
 
     Raises:
         BadShapeError: unless 0 <= count <= size.
@@ -292,6 +305,9 @@ def _lagrange_tables(field: Field, acc: AccessStructure, quotas: Sequence[int]) 
     """One :func:`_lagrange_rows` table per distinct set size, keyed by
     the size and built to the largest R'_k among its users: a table's
     rows are prefixes of a longer one's, so user k reads the first R'_k.
+    The tables are the ones the process keeps (see :func:`_lagrange_rows`),
+    so a plan built or loaded again with the same field, set sizes and
+    largest R'_k builds none.
     """
     counts: dict = {}
     for nodes, quota in zip(acc.sets, quotas):

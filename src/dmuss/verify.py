@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import lshift, mul
 
 from .codec import TransferMap, decode_all, encode, transfer_map
@@ -62,6 +63,8 @@ from .linalg import _reducer, _width
 from .planner import Plan
 
 AUDIT_INPUT_CAP = 20000  # p**N beyond this refuses to enumerate
+# (p, gamma, set size, width) keys whose packed Vandermonde columns a process keeps
+_COLUMN_CACHE_SIZE = 32
 
 
 @dataclass
@@ -216,7 +219,7 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
 
     The identity is checked for a whole user at once: the values at
     gamma^1..gamma^|A_k| are the packed Vandermonde columns of the set
-    size (built once per call, :func:`_vandermonde_columns`) times the
+    size (kept per process, :func:`_vandermonde_columns`) times the
     coefficients, one big-int multiply-add each, and the scaled shares
     are the placed scalings -alpha times the shares; both are reduced by
     :func:`~dmuss.linalg._reducer` and compared.  All coefficients and
@@ -273,10 +276,14 @@ def check_correctness(plan: Plan, trials: int = 100, seed: int = 0) -> Correctne
     return CorrectnessReport(trials=trials, failures=failures, first_failure=first)
 
 
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE, typed=True)
 def _vandermonde_columns(p: int, gamma: int, size: int, w: int) -> list:
     """Column d of the Vandermonde matrix on gamma^1..gamma^size, for
     d < size, packed W = ``w`` bits apart: gamma^(e*d) mod p in field e - 1.
-    Column d >= 1 is every d-th power of gamma from gamma^d to gamma^(size*d)."""
+    Column d >= 1 is every d-th power of gamma from gamma^d to gamma^(size*d).
+    A process keeps the last :data:`_COLUMN_CACHE_SIZE` lists, keyed by
+    the four values with their types kept apart, so callers must not
+    mutate one."""
     powers = _powers(gamma, size * (size - 1) + 1, p)
     shifts = range(0, size * w, w)
     cols = [[1] * size] + [powers[d : d * size + 1 : d] for d in range(1, size)]

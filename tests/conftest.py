@@ -92,6 +92,27 @@ def spy(monkeypatch, module, name, record):
     return calls
 
 
+def dmuss_caches() -> dict:
+    """Every per-process cache in the loaded dmuss modules, by its
+    ``module.name``: the functions that carry ``cache_clear``."""
+    found = {}
+    for mod_name, mod in sorted(sys.modules.items()):
+        if mod is None or not (mod_name == "dmuss" or mod_name.startswith("dmuss.")):
+            continue
+        for name, value in vars(mod).items():
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == mod_name:
+                found[f"{mod_name}.{name}"] = value
+    return found
+
+
+@pytest.fixture(autouse=True)
+def cold_dmuss_caches():
+    """Each test starts with every dmuss cache empty, so a test that
+    counts builds or cache misses does not depend on the tests before it."""
+    for cache in dmuss_caches().values():
+        cache.cache_clear()
+
+
 # --- primality and pairwise bounds: slow references -----------------------------
 
 SLOW_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -452,6 +452,15 @@ def test_malformed_plans_are_refused_when_built(ref_plan):
         ({"alphas": scaled(1, 0)}, ValueError, "user 1: scalings must cover the access set and be nonzero"),
         ({"alphas": scaled(1, 2.0)}, BadSymbolError, "user 1, node 1: scaling 2.0 is not in 1..10"),
         ({"alphas": scaled(1, True)}, BadSymbolError, "user 1, node 1: scaling True is not in 1..10"),
+        # the type test runs first, so a zero written False or 0.0 is
+        # refused as True and 2.0 are, even beside a missing node; an int
+        # 0 keeps the cover test's ValueError
+        ({"alphas": scaled(1, False)}, BadSymbolError, "user 1, node 1: scaling False is not in 1..10"),
+        ({"alphas": scaled(1, 0.0)}, BadSymbolError, "user 1, node 1: scaling 0.0 is not in 1..10"),
+        ({"alphas": ({6: True, 7: 1, 8: 1},) + alphas[1:]}, BadSymbolError,
+         "user 1, node 6: scaling True is not in 1..10"),
+        ({"alphas": ({**user_1, 2: 0},) + alphas[1:]}, ValueError,
+         "user 1: scalings must cover the access set and be nonzero"),
         ({"alphas": scaled(1, 11)}, BadSymbolError, "user 1, node 1: scaling 11 is not in 1..10"),
         ({"rates": (2, 2, 2, 3)}, ShapeMismatchError, "user 1: rate 2 is not an int in 0..R'_k = 1"),
         ({"rates": (True, 2, 2, 3)}, ShapeMismatchError, "user 1: rate True is not an int in 0..R'_k = 1"),

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_bench_gen, spy
+from conftest import dmuss_caches, load_bench_gen, spy
 from dmuss import access, cli, demo, files, linalg, verify
 from dmuss.access import AccessStructure
 from dmuss.cli import main
@@ -825,6 +825,60 @@ def test_cli_elimination_budget(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, argv
         assert len(calls) == eliminations, argv
     capsys.readouterr()
+
+
+def test_cli_chain_reads_the_same_from_warm_caches(tmp_path, capsys):
+    # the demo-file chain of test_cli_elimination_budget (check, plan,
+    # encode, decode and verify on the plain plan and both mixes) run
+    # twice in one process from cold caches: the second pass rebuilds no
+    # cached constant and prints and writes the same bytes (each encode
+    # is given a pad seed, which that test leaves to the system)
+    inst_path = write_doc(tmp_path, "inst.json", REF_INSTANCE)
+    msgs_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    plan_path, shares_path = str(tmp_path / "plan.json"), str(tmp_path / "shares.json")
+    chain = [
+        ["check", inst_path],
+        ["plan", inst_path, "--out", plan_path],
+        ["encode", plan_path, msgs_path, "--out", shares_path, "--seed", "5"],
+        ["decode", plan_path, shares_path, "--user", "1"],
+        ["verify", plan_path, "--trials", "1"],
+        ["verify", plan_path, "--privacy", "--entropy"],
+    ]
+    msgs = demo.demo_messages()
+    mixes = [
+        ("0,0,0,0", ["1/2", 1, 1, "3/2"], [[], [], [], []], (1, 2, 4)),
+        ("1,0,0,0", [1, 1, 1, "3/2"], [[4], [], [], []], (1, 2, 4)),
+    ]
+    for i, (corner_b, rates, second, users) in enumerate(mixes):
+        mix_inst = write_doc(tmp_path, f"mix{i}-inst.json", dict(REF_INSTANCE, rates=rates))
+        mix_msgs = write_doc(tmp_path, f"mix{i}-msgs.json", messages_to_dict(11, [msgs, second]))
+        mix_path, mix_shares = str(tmp_path / f"mix{i}.json"), str(tmp_path / f"mix{i}-shares.json")
+        corners = ["--corner-a", "1,2,2,3", "--corner-b", corner_b]
+        chain += [
+            ["plan", mix_inst, *corners, "--out", mix_path],
+            ["encode", mix_path, mix_msgs, "--out", mix_shares, "--seed", "5"],
+        ]
+        chain += [["decode", mix_path, mix_shares, "--user", str(user)] for user in users]
+    caches = dmuss_caches()
+    capsys.readouterr()
+
+    def run_chain():
+        outputs = []
+        for argv in chain:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            outputs.append((argv, code, out, err))
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        return outputs, files, {name: cache.cache_info().misses for name, cache in caches.items()}
+
+    cold, cold_files, cold_misses = run_chain()
+    warm, warm_files, warm_misses = run_chain()
+    assert all(code == 0 for _, code, _, _ in cold)
+    assert warm == cold and warm_files == cold_files
+    assert warm_misses == cold_misses
+    built = ("gf._prime_factors", "gf._smallest_generator", "planner._lagrange_rows", "verify._vandermonde_columns")
+    for name in built:
+        assert cold_misses[f"dmuss.{name}"] > 0, name
 
 
 def test_cli_modulus_mismatch(tmp_path, capsys):
