@@ -14,13 +14,13 @@ users that is D Y = x, with D the plan's N x N decode rows
 invertible.  Encoding is the one N x N solve D Y = x, and the transfer
 map T = D^-1 P from (messages, free pads) to shares is that solve with
 P, the permutation from the input order to the users' order, for x
-(:func:`transfer_map`).  The plan packs D's rows once
-(:func:`~dmuss.linalg.pack`), so each of these solves packs only its
-right-hand side, eliminates [D | x] and back-substitutes on x's fields
-alone.  The shares do not need the tails (the high
-coefficients), so encoding does not compute them: they are derived on
-first read of ``pads.tail`` or ``solution``, by :func:`decode_all`, and
-kept.
+(:func:`transfer_map`).  The plan holds D's rows packed once
+(:class:`~dmuss.linalg.Packed`), which :func:`~dmuss.linalg.pack` passes
+through, so each of these solves packs only its right-hand side,
+eliminates [D | x] and back-substitutes on x's fields alone.  The shares
+do not need the tails (the high coefficients), so encoding does not
+compute them: they are derived on first read of ``pads.tail`` or
+``solution``, by :func:`decode_all`, and kept.
 
 Decoding is local to each user: interpolate the degree-|A_k|-1
 polynomial through the user's scaled shares and read the low
@@ -496,7 +496,14 @@ class MemoryShare:
 
 def memory_share(plan_a: Plan, plan_b: Plan, blocks_a: int, blocks_total: int) -> MemoryShare:
     """The first ``blocks_a`` of ``blocks_total`` blocks under plan_a and
-    the rest under plan_b: the two-layer :class:`MemoryShare`."""
+    the rest under plan_b: the two-layer :class:`MemoryShare`.
+    IncompatiblePlansError unless 0 <= blocks_a <= blocks_total and
+    blocks_total >= 1."""
     ints = type(blocks_a) is int and type(blocks_total) is int  # else the validator refuses them
+    if ints and not (0 <= blocks_a <= blocks_total and blocks_total >= 1):
+        raise IncompatiblePlansError(
+            f"need 0 <= blocks_a <= blocks_total and blocks_total >= 1, "
+            f"got blocks_a={blocks_a}, blocks_total={blocks_total}"
+        )
     rest = blocks_total - blocks_a if ints else blocks_total
     return MemoryShare(((plan_a, blocks_a), (plan_b, rest)))

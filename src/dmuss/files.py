@@ -301,12 +301,15 @@ def mix_to_dict(ms: MemoryShare) -> dict:
 
 def mix_from_dict(doc: dict) -> MemoryShare:
     _check_format(doc, MIX_FORMAT)
-    return memory_share(
-        plan_a=plan_from_dict(_require(doc, "plan_a", dict)),
-        plan_b=plan_from_dict(_require(doc, "plan_b", dict)),
-        blocks_a=_require(doc, "blocks_a", int),
-        blocks_total=_require(doc, "blocks_total", int),
-    )
+    plan_a = plan_from_dict(_require(doc, "plan_a", dict))
+    plan_b = plan_from_dict(_require(doc, "plan_b", dict))
+    blocks_a, blocks_total = _require(doc, "blocks_a", int), _require(doc, "blocks_total", int)
+    if not (0 <= blocks_a <= blocks_total and blocks_total >= 1):
+        raise FileFormatError(
+            f"blocks_a={blocks_a} and blocks_total={blocks_total}: "
+            "need 0 <= blocks_a <= blocks_total and blocks_total >= 1"
+        )
+    return memory_share(plan_a, plan_b, blocks_a, blocks_total)
 
 
 def load_any_plan(doc: dict) -> MemoryShare:

@@ -1,24 +1,27 @@
 """Exact linear algebra over GF(p).
 
-Matrices are plain lists of row lists holding ints in ``[0, p-1]``; no
-floating point anywhere.  One forward pass, :func:`_echelon`, does all
-elimination: columns left to right, the first row not yet a pivot row,
-in input order, with a nonzero entry becomes the pivot, so every derived
-object (rank profile, null-space basis, solution) is reproducible.  rank
-counts its pivots and det is its signed pivot product.  rref and solve
-read their results off its pivot rows by one back-substitution
-(:func:`_back_substitute`), which also divides by the pivots, left
-unscaled by the forward pass: rref over every field of a row, solve over
-the right-hand sides' fields only.  solve, the one reader of [A | B],
-serves inverse too.
+Every reader (det, rank, rref, solve, inverse, null_space) takes its
+matrix through one entry, :func:`pack`, which checks the shape and the
+entries once and holds the matrix as a :class:`Packed` value: one int
+per row.  Results are plain lists of row lists holding ints in
+``[0, p-1]``; no floating point anywhere.  One forward pass,
+:func:`_echelon`, does all elimination: columns left to right, the first
+row not yet a pivot row, in input order, with a nonzero entry becomes
+the pivot, so every derived object (rank profile, null-space basis,
+solution) is reproducible.  rank counts its pivots and det is its signed
+pivot product.  rref and solve read their results off its pivot rows by
+one back-substitution (:func:`_back_substitute`), which also divides by
+the pivots, left unscaled by the forward pass: rref over every field of
+a row, solve over the right-hand sides' fields only.  solve, the one
+reader of [A | B], serves inverse too.
 
-Inside the elimination each row is one Python int holding its entries
-as W-bit fields, W = 2*bits(p) + bits(rows) + 1 (see :func:`_width`), so
-one row update is one big-int multiply-add instead of a loop over the
-row.  This is the packing of Dumas, Fousse and Salvy, "Simultaneous
-modular reduction and Kronecker substitution for small finite fields"
-(J. Symb. Comput. 2011).  Three more things keep the work small, the
-last two the other halves of that paper:
+Each packed row holds its entries as W-bit fields, W = 2*bits(p) +
+bits(rows) + 1 (see :func:`_width`), so one row update is one big-int
+multiply-add instead of a loop over the row.  This is the packing of
+Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields" (J. Symb. Comput. 2011).  Three
+more things keep the work small, the last two the other halves of that
+paper:
 
 * the rows not yet pivot rows (the active rows) hold the current column
   in their lowest field, and each column shifts them right by one field,
@@ -37,12 +40,11 @@ last two the other halves of that paper:
 Fields are reduced mod p only when a row becomes a pivot row and when
 back-substitution finishes a row; W leaves room for the unreduced sums in
 between, below 2**(W - 1) (see :func:`_width`).  A matrix that is
-eliminated again and again can be held packed (:class:`Packed`), by
-:func:`pack` or written straight into packed ints by its maker: det,
-rank, rref and solve then read its ints instead of packing its entries
-on every call, and its fields may start unreduced, below p**2 (see
-:func:`_width`).  Every reader takes a list or tuple of row lists (or
-tuples) or a :class:`Packed`.
+eliminated again and again is packed once, by :func:`pack` or written
+straight into packed ints by its maker, and passed as its
+:class:`Packed`: pack returns it as it is for its own field, so det,
+rank, rref and solve read its ints with no pass over its entries, and
+its fields may start unreduced, below p**2 (see :func:`_width`).
 """
 
 from __future__ import annotations
@@ -140,63 +142,51 @@ def _reducer(p: int, w: int, fields: int):
 class Packed:
     """A matrix over GF(p) held as one packed int per row: entry c of a
     row sits in the W-bit field at bits [c*W, (c+1)*W), W = :func:`_width`
-    of p and the row count.
+    of p and the row count.  A value: two with equal ``p``, ``cols`` and
+    ``ints`` are the same matrix to every reader.
 
-    :func:`det`, :func:`rank`, :func:`rref` and :func:`solve` over the
-    same field read ``ints`` instead of packing entries.  A field may
-    start unreduced, below p**2: a row ``z * C + D`` of two reduced
-    packed rows with 0 <= z < p (:func:`~dmuss.planner.choose_zeta`'s
-    draws) is one.  The elimination bound rows * p**2 < 2**(W - 1) holds
-    from there (see :func:`_width`).  The rows are unpacked, reduced mod
-    p, only when something reads them as a matrix (iteration, indexing,
-    ``==``, ``repr``); ``len`` is the row count without unpacking.  Made
-    by :func:`pack` from a matrix, whose rows it then keeps as given, or
-    directly from ints.  Neither the ints nor the rows may be mutated.
+    :func:`pack` returns it unchanged for its own field, so :func:`det`,
+    :func:`rank`, :func:`rref` and :func:`solve` over that field read
+    ``ints`` instead of packing entries.  A field may start unreduced,
+    below p**2: a row ``z * C + D`` of two reduced packed rows with
+    0 <= z < p (:func:`~dmuss.planner.choose_zeta`'s draws) is one.  The
+    elimination bound rows * p**2 < 2**(W - 1) holds from there (see
+    :func:`_width`).  ``rows`` unpacks the entries, reduced mod p, on
+    each read; ``len`` is the row count without unpacking.  Made by
+    :func:`pack` from a matrix, or directly from ints.  The ints must
+    not be mutated.
     """
 
-    __slots__ = ("p", "cols", "ints", "_rows")
+    __slots__ = ("p", "cols", "ints")
 
-    def __init__(self, p: int, cols: int, ints: list[int], rows: Matrix | None = None):
-        self.p, self.cols, self.ints, self._rows = p, cols, ints, rows
+    def __init__(self, p: int, cols: int, ints: list[int]):
+        self.p, self.cols, self.ints = p, cols, ints
 
     @property
     def rows(self) -> Matrix:
-        if self._rows is None:
-            p, cols = self.p, self.cols
-            w = _width(p, len(self.ints))
-            self._rows = [[f % p for f in _fields(x, w, cols)] for x in self.ints]
-        return self._rows
+        p = self.p
+        w = _width(p, len(self.ints))
+        return [[f % p for f in _fields(x, w, self.cols)] for x in self.ints]
 
     def __len__(self) -> int:
         return len(self.ints)
 
-    def __iter__(self):
-        return iter(self.rows)
 
-    def __getitem__(self, i):
-        return self.rows[i]
+def pack(field: Field, a: Matrix | Packed) -> Packed:
+    """``a`` packed for elimination over ``field`` (see :class:`Packed`):
+    the one entry of every reader, and the one pass that reads a
+    matrix's entries.
 
-    def __eq__(self, other) -> bool:
-        return self.rows == (other.rows if isinstance(other, Packed) else other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(self.rows)
-
-
-def pack(field: Field, a: Matrix) -> Packed:
-    """``a`` with each row packed for elimination over ``field`` (see
-    :class:`Packed`): the one pass that reads a coefficient matrix's
-    entries.
-
+    A :class:`Packed` for ``field`` is returned as it is, and one for
+    another field is packed from its reduced :attr:`~Packed.rows`.
     Raises ShapeMismatchError when ``a`` is not a list or tuple of rows
     (each a list or tuple) of one length, and BadSymbolError when an
-    entry is not an int (a float, a string, None, a list, ...).  A
-    :class:`Packed` for another field is packed from its rows.
+    entry is not an int (a float, a string, None, a list, ...).
     """
     p = field.p
     if isinstance(a, Packed):
+        if a.p == p:
+            return a
         a = a.rows
     if not isinstance(a, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in a):
         raise ShapeMismatchError("a matrix is a list or tuple of row lists or tuples")
@@ -209,27 +199,21 @@ def pack(field: Field, a: Matrix) -> Packed:
         ints = [_pack(row, w, p) for row in a]
     except TypeError as exc:
         raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
-    return Packed(p, cols, ints, list(a))
-
-
-def packed(field: Field, a: Matrix) -> Packed:
-    """``a`` itself when it is packed for ``field``, else :func:`pack` of it."""
-    return a if isinstance(a, Packed) and a.p == field.p else pack(field, a)
+    return Packed(p, cols, ints)
 
 
 def _echelon(
-    field: Field, a: Matrix, rhs: list[int] = (), rhs_fields: int = 0
+    field: Field, m: Packed, rhs: list[int] = (), rhs_fields: int = 0
 ) -> tuple[list[int], list[int], list[int], int]:
     """Forward elimination in a shrinking window: the one elimination loop.
 
     Each row is held packed in one int, W = :func:`_width` bits per field
-    (2*bits(p) + bits(rows) + 1).  The rows are ``a``'s :class:`Packed`
-    ints when ``a`` is packed for this field, else :func:`pack` packs
-    them here.  ``rhs``, when given, holds one packed int of
-    ``rhs_fields`` reduced fields per row of a (see :func:`solve`),
-    placed in the fields after a's columns.  Pivots are sought in a's
-    columns only, and rhs's fields are carried through every row
-    operation.
+    (2*bits(p) + bits(rows) + 1): the ints of ``m``, which its reader has
+    packed for this field by :func:`pack`.  ``rhs``, when given, holds
+    one packed int of ``rhs_fields`` reduced fields per row of m (see
+    :func:`solve`), placed in the fields after m's columns.  Pivots are
+    sought in m's columns only, and rhs's fields are carried through
+    every row operation.
 
     The rows not yet pivot rows are kept in one active list, in input
     order, each holding the current column in its lowest field, read as
@@ -254,20 +238,15 @@ def _echelon(
 
     Returns:
         (E, pivots, inverses, d) where E holds the pivot rows of a row
-        echelon form of [a | rhs], top first, each reduced mod p and
+        echelon form of [m | rhs], top first, each reduced mod p and
         packed from its pivot column on (field 0 holds the pivot, field t
         the entry of column pivots[i] + t), pivots lists the pivot column
         of each of them, inverses the inverse mod p of each pivot, and d
         is the product of the pivots times the sign of the row swaps the
-        pops make (the determinant when ``a`` is square and has a pivot in
+        pops make (the determinant when ``m`` is square and has a pivot in
         every column).
-
-    Raises ShapeMismatchError when ``a`` is not a list of rows of one
-    length, and BadSymbolError when an entry is not an int (a float, a
-    string, None, a list, ...).
     """
     p = field.p
-    m = packed(field, a)
     rows, cols = len(m), m.cols
     w = _width(p, rows)
     mask = (1 << w) - 1
@@ -371,7 +350,7 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
         the pivot column of each nonzero row, in order.
     """
     p = field.p
-    m = packed(field, a)  # checks the shape
+    m = pack(field, a)
     r, pivots, inverses, _ = _echelon(field, m)
     rows, cols = len(m), m.cols
     w = _width(p, rows)
@@ -381,28 +360,16 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(field: Field, a: Matrix) -> int:
     """The rank of ``a``: the number of :func:`_echelon`'s pivots."""
-    return len(_echelon(field, a)[1])
-
-
-def _square(a: Matrix) -> bool:
-    """True iff ``a`` is n rows of length n; ShapeMismatchError unless it
-    is a list of row lists."""
-    if isinstance(a, Packed):
-        return a.cols == len(a)
-    try:
-        n = len(a)
-        return all(len(row) == n for row in a)
-    except TypeError as exc:
-        raise ShapeMismatchError(f"a matrix is a list of row lists: {exc}") from exc
+    return len(_echelon(field, pack(field, a))[1])
 
 
 def det(field: Field, a: Matrix) -> int:
-    """Determinant: the signed pivot product of :func:`_echelon`.  A
-    :func:`pack` result is not packed again."""
-    if not _square(a):
+    """Determinant: the signed pivot product of :func:`_echelon`."""
+    m = pack(field, a)
+    if m.cols != len(m):
         raise ShapeMismatchError("determinant needs a square matrix")
-    _, pivots, _, d = _echelon(field, a)
-    return d if len(pivots) == len(a) else 0
+    _, pivots, _, d = _echelon(field, m)
+    return d if len(pivots) == len(m) else 0
 
 
 def solve(field: Field, a: Matrix, b: list) -> list:
@@ -415,39 +382,36 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     is pi_i**-1 times (b_i minus sum_{j>i} U_ij x_j), with U the upper
     triangular echelon form of a and pi_i its pivots, by one Kronecker
     product per row for a vector and over packed rows of m fields for a
-    block.  A :func:`pack` result for ``a`` is not packed again: only b
-    is packed per call, by solve itself, a vector's entry as one field
-    and a block's row by :func:`_pack`.
+    block.  Both enter through :func:`pack`, a first: a block b is a
+    matrix of n rows, so its fields have a's width; a vector's entries
+    go in as one field each.
 
     Raises:
         ShapeMismatchError: a is not square, b is not a list (or tuple)
-            of n rows, or the rows of a block b are not lists (or tuples)
-            of one length.
+            of n rows, or a block b is not a matrix.
         BadSymbolError: an entry of a or b is not an int.
         SingularMatrixError: a is singular.
     """
-    if not _square(a):
-        raise ShapeMismatchError("coefficient matrix must be square")
+    a = pack(field, a)
     n = len(a)
+    if a.cols != n:
+        raise ShapeMismatchError("coefficient matrix must be square")
     if not isinstance(b, (list, tuple)):  # a dict would read as its keys
         raise ShapeMismatchError(f"right-hand side must be a list, got {type(b).__name__}")
-    m = len(b)
-    if m != n:
-        raise ShapeMismatchError(f"right-hand side has {m} rows, expected {n}")
-    rows = (list, tuple)
-    block = n > 0 and isinstance(b[0], rows)
-    if block and not all(isinstance(row, rows) for row in b):
-        raise ShapeMismatchError("right-hand side mixes rows and entries")
-    width = len(b[0]) if block else 1
-    if block and any(len(row) != width for row in b):
-        raise ShapeMismatchError("right-hand side rows differ in length")
-    a = packed(field, a)  # checks a's entries before b's
+    if len(b) != n:
+        raise ShapeMismatchError(f"right-hand side has {len(b)} rows, expected {n}")
     p = field.p
     w = _width(p, n)
-    try:
-        rhs = [_pack(row, w, p) for row in b] if block else [index(x) % p for x in b]
-    except TypeError as exc:
-        raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
+    block = n > 0 and isinstance(b[0], (list, tuple))
+    if block:
+        b = pack(field, b)
+        width, rhs = b.cols, b.ints
+    else:
+        width = 1
+        try:
+            rhs = [index(x) % p for x in b]
+        except TypeError as exc:
+            raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
     r, pivots, inverses, _ = _echelon(field, a, rhs, width)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
@@ -457,6 +421,7 @@ def solve(field: Field, a: Matrix, b: list) -> list:
 
 def inverse(field: Field, a: Matrix) -> Matrix:
     """Matrix inverse: :func:`solve` against the identity."""
+    a = pack(field, a)
     return solve(field, a, identity(len(a)))
 
 
@@ -470,12 +435,12 @@ def null_space(field: Field, a: Matrix, cols: int | None = None) -> Matrix:
     be given when ``a`` has no rows (the null space is then all of
     GF(p)^cols and the basis is the identity): ShapeMismatchError if not.
     """
-    if not a:
+    r, pivots = rref(field, a)
+    if not r:
         if type(cols) is not int or cols < 0:
             raise ShapeMismatchError(f"an empty matrix needs an int column count >= 0, got {cols!r}")
         return identity(cols)
-    r, pivots = rref(field, a)
-    ncols = len(a[0])
+    ncols = len(r[0])
     if cols is not None and (type(cols) is not int or cols != ncols):
         raise ShapeMismatchError(f"column count {cols!r} given for rows of length {ncols}")
     pivot_set = set(pivots)

@@ -178,8 +178,7 @@ class Plan:
         :class:`~dmuss.linalg.Packed` whose
         nonzero entries are written straight into the packed row ints,
         unreduced below p**2, with no N x N list and no
-        :func:`~dmuss.linalg.pack` pass; it compares and prints as its
-        reduced rows.  The load's determinant check, every
+        :func:`~dmuss.linalg.pack` pass.  The load's determinant check, every
         :func:`~dmuss.codec.encode_with_pads`,
         :func:`~dmuss.codec.transfer_map`, the privacy and entropy
         checks and :meth:`~dmuss.codec.MemoryShare.decode` share it and
@@ -356,8 +355,8 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
 
     c and d are :func:`make_plan`'s split of the transposed decode rows
     (see the module docstring), which it passes packed (a
-    :class:`~dmuss.linalg.Packed` each); list matrices are packed here,
-    once.
+    :class:`~dmuss.linalg.Packed` each); both enter through
+    :func:`~dmuss.linalg.pack`, which packs list matrices here, once.
 
     Phase one samples each coordinate uniformly from the nonzero elements
     with a seeded generator, up to 64 * N full draws.  A draw's rows are
@@ -377,7 +376,7 @@ def choose_zeta(field: Field, c: Matrix, d: Matrix, seed: int = 0) -> list:
             singular.
     """
     p = field.p
-    c, d = linalg.packed(field, c), linalg.packed(field, d)
+    c, d = linalg.pack(field, c), linalg.pack(field, d)
     n = len(c)
     if not c.cols == len(d) == d.cols == n:
         raise ShapeMismatchError(f"need two n x n matrices, got {n} x {c.cols} and {len(d)} x {d.cols}")

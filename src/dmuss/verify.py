@@ -320,7 +320,7 @@ class AuditReport:
         )
 
 
-def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
+def brute_force_audit(target) -> AuditReport:
     """Enumerate all p**N inputs and check the promised distributions.
 
     Checks (a) the input-to-shares map is a bijection, (b) for every
@@ -330,21 +330,16 @@ def brute_force_audit(target, max_inputs: int = AUDIT_INPUT_CAP) -> AuditReport:
 
     Raises:
         ShapeMismatchError: ``target`` is neither a Plan nor a TransferMap.
-        ValueError: ``max_inputs`` is not an int (a bool is not one).
-        TooLargeError: p**N exceeds ``max_inputs`` (itself capped at
-            AUDIT_INPUT_CAP).
+        TooLargeError: p**N exceeds AUDIT_INPUT_CAP.
     """
     _require_type(target, Plan, TransferMap)
-    if type(max_inputs) is not int:
-        raise ValueError(f"max_inputs must be an int, got {max_inputs!r}")
     plan = target if isinstance(target, Plan) else None
     tm = target if plan is None else transfer_map(plan)
     p = tm.field.p
     n = len(tm.matrix)
     total = p ** tm.input_dim
-    cap = min(max_inputs, AUDIT_INPUT_CAP)
-    if total > cap:
-        raise TooLargeError(f"{p}**{tm.input_dim} = {total} inputs exceeds cap {cap}")
+    if total > AUDIT_INPUT_CAP:
+        raise TooLargeError(f"{p}**{tm.input_dim} = {total} inputs exceeds cap {AUDIT_INPUT_CAP}")
 
     k_count = len(tm.rates)
     msg_offsets = tm.message_offsets

@@ -210,6 +210,12 @@ def copy_matrix(a):
     return [row[:] for row in a]
 
 
+def as_rows(a):
+    """``a``'s list rows: a :class:`~dmuss.linalg.Packed` reads as its
+    reduced rows, so the slow references take what the kernel takes."""
+    return a.rows if isinstance(a, linalg.Packed) else a
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -232,7 +238,7 @@ def slow_rref(field, a):
     """Gauss-Jordan reduction: each pivot clears its column above and
     below as soon as it is found."""
     p = field.p
-    r = copy_matrix(a)
+    r = copy_matrix(as_rows(a))
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
@@ -260,6 +266,7 @@ def slow_solve(field, a, b):
     """The square system a @ x = b read off the last m columns of
     :func:`slow_rref` of [a | b], with b a length-n vector (m = 1, read
     back as a vector) or an n x m block whose columns are right-hand sides."""
+    a = as_rows(a)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("coefficient matrix must be square")
@@ -278,6 +285,7 @@ def slow_solve(field, a, b):
 def slow_det(field, a):
     """Determinant by its own forward elimination with swap-sign
     tracking, stopping at the first column without a pivot."""
+    a = as_rows(a)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeMismatchError("determinant needs a square matrix")
@@ -310,7 +318,7 @@ def slow_echelon(field, a, rhs=()):
     and the pivot row is swapped up to the lead position (one sign flip
     per swap).  Same return contract as ``linalg._echelon``."""
     p = field.p
-    m = linalg.packed(field, a)
+    m = linalg.pack(field, a)
     rows, cols = len(m), m.cols
     w = linalg._width(p, rows)
     mask = (1 << w) - 1

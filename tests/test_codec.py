@@ -374,7 +374,7 @@ def test_decode_rows_match_slow_reference_fuzz():
         p = rng.choice([3, 5, 7, 11, 13, 65537, 2**31 - 1])
         acc = random_access(rng, max_users=5, max_nodes=8, max_set_size=p - 1)
         plan = make_plan(Field(p), acc, random_rates_in_region(rng, acc), seed=rng.randrange(10**6))
-        rows = plan.decode_rows
+        rows = plan.decode_rows.rows
         assert rows == slow_decode_rows(plan)
         off = 0
         for k in range(1, plan.K + 1):

@@ -980,6 +980,30 @@ def test_block_count_is_checked_before_any_block_plan(tmp_path, capsys):
     assert max(cli_peak, encode_peak, decode_peak) < 10**6, (cli_peak, encode_peak, decode_peak)
 
 
+def test_mix_counts_outside_their_range_are_format_errors(tmp_path, capsys):
+    # a mix file's blocks_a outside 0..blocks_total, or a blocks_total
+    # below 1, exited 1 naming counts the file never wrote (5 and 3 gave
+    # "(5, -2)"); the file's own two values are named, and the library
+    # call names them too
+    plan = demo.demo_plan()
+    zero = make_plan(plan.field, plan.access, (0, 0, 0, 0), seed=3)
+    doc = mix_to_dict(memory_share(plan, zero, 1, 2))
+    shares_path = write_doc(tmp_path, "shares.json", shares_to_dict(11, list(range(1, 9)), [[0] * 8] * 2))
+    msg_path = write_doc(tmp_path, "msgs.json", messages_to_dict(11, [demo.demo_messages()]))
+    for a, total in ((5, 3), (-1, 2), (3, 2), (0, 0), (1, 0), (0, -1)):
+        mix_path = write_doc(tmp_path, "mix.json", dict(doc, blocks_a=a, blocks_total=total))
+        for argv in (
+            ["decode", mix_path, shares_path, "--user", "1"],
+            ["encode", mix_path, msg_path],
+            ["verify", mix_path, "--entropy"],
+        ):
+            assert main(argv) == 2, (a, total, argv)
+            err = capsys.readouterr().err
+            assert f"error: blocks_a={a} and blocks_total={total}: " in err, (a, total, argv)
+        with pytest.raises(IncompatiblePlansError, match=f"got blocks_a={a}, blocks_total={total}$"):
+            memory_share(plan, zero, a, total)
+
+
 @pytest.mark.parametrize("bad", [11, 13, -1, True])
 def test_symbols_outside_the_field_are_format_errors(tmp_path, capsys, bad):
     msgs = messages_to_dict(11, [[[bad], [2, 6], [4, 0], [3, 5, 7]]])

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import mat_mul, mat_vec, slow_det, slow_echelon, slow_rref, slow_solve, spy, transpose
+from conftest import as_rows, mat_mul, mat_vec, slow_det, slow_echelon, slow_rref, slow_solve, spy, transpose
 from dmuss import linalg
 from dmuss.errors import (
     BadShapeError,
@@ -444,25 +444,48 @@ def test_block_solve_matches_column_solves_and_slow_solve_fuzz():
 
 
 def test_packed_matrix_serves_every_elimination_fuzz():
-    # a packed matrix is its rows: the same det and rref as the slow
-    # references, solvable again after a solve, and packed again when
-    # eliminated over another field
+    # a packed matrix holds its reduced rows: the same det, rank, rref and
+    # null space as the slow references, solvable again after a solve,
+    # and packed again from its rows when eliminated over another field;
+    # tuple rows pack to the same ints and eliminate as list rows do
     rng = random.Random(73)
     for _ in range(300):
         field = rng.choice(FUZZ_FIELDS)
         n = rng.randint(1, 10)
         a = fuzz_matrix(rng, field, n, n, rng.choice(["dense", "sparse", "low-rank"]))
         packed = linalg.pack(field, a)
-        assert packed == a and repr(packed) == repr(a)
-        assert linalg.det(field, packed) == slow_det(field, a)
-        assert linalg.rref(field, packed) == slow_rref(field, a)
+        tuples = tuple(map(tuple, a))
+        assert packed.rows == a and linalg.pack(field, packed) is packed
+        assert linalg.pack(field, tuples).ints == packed.ints
+        want_r = slow_rref(field, a)
         b = random_matrix(rng, field.p, n, rng.choice([1, 3, n]))
         want = solve_outcome(slow_solve, field, a, b)
-        for _ in range(2):
-            assert solve_outcome(linalg.solve, field, packed, b) == want, (field.p, n)
+        for m in (packed, tuples):
+            assert linalg.det(field, m) == slow_det(field, a)
+            assert linalg.rref(field, m) == want_r
+            assert linalg.rank(field, m) == len(want_r[1])
+            assert linalg.null_space(field, m) == slow_null_vectors(field, a, want_r)
+            for _ in range(2):
+                assert solve_outcome(linalg.solve, field, m, b) == want, (field.p, n)
         other = rng.choice([f for f in FUZZ_FIELDS if f.p != field.p])
-        plain = solve_outcome(linalg.solve, other, [row[:] for row in a], b)
-        assert solve_outcome(linalg.solve, other, packed, b) == plain, (field.p, other.p, n)
+        plain = [row[:] for row in a]
+        assert solve_outcome(linalg.solve, other, packed, b) == solve_outcome(linalg.solve, other, plain, b)
+        for reader in (linalg.det, linalg.rank, linalg.rref, linalg.null_space):
+            assert reader(other, packed) == reader(other, plain), (field.p, other.p, n, reader)
+
+
+def test_a_packed_matrix_is_its_p_cols_and_ints():
+    # pack keeps only the reduced entries: a Packed built from the same
+    # ints reads the same rows and eliminates the same, over its own
+    # field and over another
+    x = linalg.pack(F11, [[12, 3], [-1, 5]])
+    y = linalg.Packed(11, 2, x.ints)
+    assert x.rows == y.rows == [[1, 3], [10, 5]]
+    assert linalg.det(Field(13), x) == linalg.det(Field(13), y) == 1
+    for field in (F11, Field(13), Field(65537)):
+        for reader in (linalg.det, linalg.rank, linalg.rref, linalg.inverse, linalg.null_space):
+            assert reader(field, x) == reader(field, y), (field.p, reader)
+        assert linalg.solve(field, x, [1, 2]) == linalg.solve(field, y, [1, 2])
 
 
 def test_pack_refuses_what_the_eliminations_refuse():
@@ -474,7 +497,10 @@ def test_pack_refuses_what_the_eliminations_refuse():
             linalg.pack(F11, a)
     with pytest.raises(ShapeMismatchError):
         linalg.det(F11, linalg.pack(F11, [[1, 2, 3], [4, 5, 6]]))
-    assert linalg.pack(F11, []) == [] and linalg.det(F11, linalg.pack(F11, [])) == 1
+    for a in (5, None, [[1, 2], [3]]):  # inverse read len(a) first: 5 and None were bare TypeErrors
+        with pytest.raises(ShapeMismatchError):
+            linalg.inverse(F11, a)
+    assert linalg.pack(F11, []).rows == [] and linalg.det(F11, linalg.pack(F11, [])) == 1
 
 
 def test_elimination_matches_slow_references_fuzz():
@@ -575,20 +601,21 @@ def carry_stressors(rng, field):
 def test_packed_elimination_at_real_sizes_matches_slow_references():
     rng = random.Random(67)
     for field in BIG_FIELDS:
-        for kind, a in carry_stressors(rng, field):
+        for kind, m in carry_stressors(rng, field):
+            a = as_rows(m)  # the draw is packed: its reduced rows
             want = slow_rref(field, a)
-            assert linalg.rref(field, a) == want, (field.p, kind)
-            assert linalg.rank(field, a) == len(want[1]), (field.p, kind)
-            assert linalg.null_space(field, a) == slow_null_vectors(field, a, want), (field.p, kind)
+            assert linalg.rref(field, m) == want, (field.p, kind)
+            assert linalg.rank(field, m) == len(want[1]), (field.p, kind)
+            assert linalg.null_space(field, m) == slow_null_vectors(field, a, want), (field.p, kind)
             if len(a) == len(a[0]):
-                assert linalg.det(field, a) == slow_det(field, a), (field.p, kind)
+                assert linalg.det(field, m) == slow_det(field, a), (field.p, kind)
                 ident = linalg.identity(len(a))
-                got = solve_outcome(linalg.solve, field, a, ident)
+                got = solve_outcome(linalg.solve, field, m, ident)
                 assert got == solve_outcome(slow_solve, field, a, ident), (field.p, kind)
-                for m in (1, 3, len(a)):  # back-substitution's sums, at their largest entries
-                    b = [[field.p - 1] * m for _ in a]
-                    got = solve_outcome(linalg.solve, field, a, b)
-                    assert got == solve_outcome(slow_solve, field, a, b), (field.p, kind, m)
+                for width in (1, 3, len(a)):  # back-substitution's sums, at their largest entries
+                    b = [[field.p - 1] * width for _ in a]
+                    got = solve_outcome(linalg.solve, field, m, b)
+                    assert got == solve_outcome(slow_solve, field, a, b), (field.p, kind, width)
             elif len(a) < len(a[0]):  # the square left part, solved for the next column
                 n = len(a)
                 sq, rhs = [row[:n] for row in a], [row[n] for row in a]
@@ -603,7 +630,7 @@ def test_unreduced_draw_rows_match_slow_det(p):
     # largest fields and on random draws with disjoint C and D' supports
     field = Field(p)
     packed, rows = draw_stressor(field)
-    assert packed == rows
+    assert packed.rows == rows
     assert linalg.det(field, packed) == slow_det(field, rows)
     rng = random.Random(69)
     for _ in range(20):
@@ -687,7 +714,7 @@ def test_windowed_kernel_matches_slow_references_fuzz():
                 rows, cols = len(a), len(a[0]) if a else 0
                 want = slow_rref(field, a)
                 high = unreduced(field, a)
-                assert high == a, (p, kind)
+                assert high.rows == a, (p, kind)
                 for m in (a, high):
                     assert linalg.rref(field, m) == want, (p, kind, rows, cols)
                     assert linalg.rank(field, m) == len(want[1]), (p, kind)
@@ -728,7 +755,7 @@ def test_active_list_elimination_matches_swap_reference_fuzz():
             for kind, a in kernel_matrices(rng, field):
                 _, want_pivots, _, want_d = slow_echelon(field, a)
                 mask = (1 << linalg._width(p, len(a))) - 1
-                for m in (a, unreduced(field, a)):
+                for m in (linalg.pack(field, a), unreduced(field, a)):
                     tops, pivots, inverses, d = linalg._echelon(field, m)
                     assert pivots == want_pivots, (p, kind)
                     if len(a) == len(pivots) == (len(a[0]) if a else 0):

@@ -353,17 +353,18 @@ def test_plan_builds_its_correctness_transpose_once(monkeypatch):
         check_entropy(p)
     assert calls == [id(loaded), id(plan)]
     assert v_builds == []
-    assert plan.decode_rows == loaded.decode_rows == slow_decode_rows(plan)
+    assert plan.decode_rows.rows == loaded.decode_rows.rows == slow_decode_rows(plan)
 
 
 def test_plan_packs_its_decode_rows_once(monkeypatch):
     # the decode rows are written packed on first use and kept: the
     # load's det, every encode, the transfer map and check_privacy read
-    # those ints, and nothing packs a list of them
+    # those ints, and nothing packs a list of them: the only rows packed
+    # are the transfer map's right-hand side, a permutation matrix
     # (test_basis_rows_stay_off_the_plan_value keeps them off the plan's
     # value)
     plan = make_plan(Field(65537), ref_access(), (1, 2, 2, 3), seed=5)
-    packs = spy(monkeypatch, linalg, "pack", lambda f, a: len(a))
+    packs = spy(monkeypatch, linalg, "_pack", lambda row, w, p: sorted(row))
     loaded = plan_from_dict(plan_to_dict(plan))
     ints = loaded.decode_rows.ints
     msgs = [[1], [2, 6], [4, 0], [3, 5, 7]]
@@ -372,8 +373,8 @@ def test_plan_packs_its_decode_rows_once(monkeypatch):
     transfer_map(loaded)
     check_privacy(loaded)
     check_entropy(loaded)
-    assert packs == [] and loaded.decode_rows.ints is ints
-    assert isinstance(loaded.decode_rows, linalg.Packed) and loaded.decode_rows == slow_decode_rows(plan)
+    assert packs == [[0] * (plan.N - 1) + [1]] * plan.N and loaded.decode_rows.ints is ints
+    assert isinstance(loaded.decode_rows, linalg.Packed) and loaded.decode_rows.rows == slow_decode_rows(plan)
 
 
 def test_plan_builds_its_input_blocks_once(monkeypatch):
@@ -419,14 +420,15 @@ def seeded_draws(field, c, d, seed):
 
 @pytest.mark.parametrize("budget", ["random", "sweep"])
 def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
-    # make_plan writes its zeta split packed: no pack of a list matrix,
-    # and each random draw is exactly one det inside
+    # make_plan writes its zeta split packed: no row of a list matrix is
+    # packed, and each random draw is exactly one det inside
     # choose_zeta, as many as the seeded draws until V's split is
     # nonsingular; the sweep takes det C and one det per coordinate.
-    # choose_zeta given lists packs each once, then draws the same way
+    # choose_zeta given lists packs each row of each once, then draws
+    # the same way
     if budget == "sweep":
         monkeypatch.setattr(planner, "RANDOM_TRIALS_PER_ROW", 0)
-    packs = count_calls(monkeypatch, linalg, "pack")
+    packs = count_calls(monkeypatch, linalg, "_pack")
     dets = spy(monkeypatch, linalg, "det", lambda f, a: isinstance(a, linalg.Packed))
     eliminations = count_calls(monkeypatch, linalg, "_echelon")
     rng = random.Random(38)
@@ -454,7 +456,7 @@ def test_make_plan_draws_on_packed_rows(monkeypatch, budget):
         for calls in (packs, dets):
             calls.clear()
         choose_zeta(f, c, d, seed=seed)
-        assert len(packs) == 2 and dets == [True] * len(dets)
+        assert len(packs) == 2 * n and dets == [True] * len(dets)
         if budget == "sweep":
             assert len(dets) == n + 1
             continue
@@ -470,7 +472,7 @@ def test_basis_rows_stay_off_the_plan_value():
     for _ in range(2):  # before, then after, the packed decode rows are derived
         assert plan == fresh and fresh == plan
         assert plan_to_dict(plan) == doc and repr(plan) == text
-        assert plan.decode_rows == fresh.decode_rows
+        assert plan.decode_rows.rows == fresh.decode_rows.rows
     assert isinstance(plan.decode_rows, linalg.Packed)
     assert plan_from_dict(doc) == plan
     # the plan keeps its decode rows and their determinant beside its

@@ -104,13 +104,6 @@ def test_correctness_reference(ref_plan):
 def test_reference_too_large_to_audit(ref_plan):
     with pytest.raises(TooLargeError):
         brute_force_audit(ref_plan)
-    # the cap cannot be raised past the module-level ceiling
-    with pytest.raises(TooLargeError):
-        brute_force_audit(ref_plan, max_inputs=10**12)
-    # a cap that is not an int raised TypeError from min, or read True as 1
-    for bad in ("x", None, 1.5, True):
-        with pytest.raises(ValueError, match="max_inputs must be an int"):
-            brute_force_audit(ref_plan, bad)
 
 
 # --- hand-built maps with known verdicts ------------------------------------------
