@@ -202,18 +202,15 @@ def pack(field: Field, a: Matrix | Packed) -> Packed:
     return Packed(p, cols, ints)
 
 
-def _echelon(
-    field: Field, m: Packed, rhs: list[int] = (), rhs_fields: int = 0
-) -> tuple[list[int], list[int], list[int], int]:
+def _echelon(field: Field, m: Packed) -> tuple[list[int], list[int], list[int], int]:
     """Forward elimination in a shrinking window: the one elimination loop.
 
     Each row is held packed in one int, W = :func:`_width` bits per field
     (2*bits(p) + bits(rows) + 1): the ints of ``m``, which its reader has
-    packed for this field by :func:`pack`.  ``rhs``, when given, holds
-    one packed int of ``rhs_fields`` reduced fields per row of m (see
-    :func:`solve`), placed in the fields after m's columns.  Pivots are
-    sought in m's columns only, and rhs's fields are carried through
-    every row operation.
+    packed for this field by :func:`pack` (or, for :func:`solve`, built
+    as [A | B] from two such).  The loop stops once every row is a pivot
+    row, so an n x n block on the left with n pivots ends it before the
+    columns to its right are sought.
 
     The rows not yet pivot rows are kept in one active list, in input
     order, each holding the current column in its lowest field, read as
@@ -238,7 +235,7 @@ def _echelon(
 
     Returns:
         (E, pivots, inverses, d) where E holds the pivot rows of a row
-        echelon form of [m | rhs], top first, each reduced mod p and
+        echelon form of m, top first, each reduced mod p and
         packed from its pivot column on (field 0 holds the pivot, field t
         the entry of column pivots[i] + t), pivots lists the pivot column
         of each of them, inverses the inverse mod p of each pivot, and d
@@ -251,10 +248,7 @@ def _echelon(
     w = _width(p, rows)
     mask = (1 << w) - 1
     active = list(m.ints)
-    if rhs:
-        shift = cols * w
-        active = [x | y << shift for x, y in zip(active, rhs)]
-    reduce = _reducer(p, w, cols + rhs_fields)
+    reduce = _reducer(p, w, cols)
     tops: list[int] = []
     pivots: list[int] = []
     inverses: list[int] = []
@@ -376,8 +370,9 @@ def solve(field: Field, a: Matrix, b: list) -> list:
     """Solve a @ x = b, with b a length-n vector or an n x m block of row
     lists whose columns are right-hand sides; x has the shape of b.
 
-    One :func:`_echelon` of a, carrying b's rows in the fields after a's
-    columns; a is singular unless it pivots on columns 0..n-1 exactly.
+    One :func:`_echelon` of [a | b], b's rows packed in the fields after
+    a's columns; a is singular unless it pivots on columns 0..n-1 exactly,
+    and then the elimination ends there, with every row a pivot row.
     :func:`_back_substitute` then reads x off b's fields alone: each x_i
     is pi_i**-1 times (b_i minus sum_{j>i} U_ij x_j), with U the upper
     triangular echelon form of a and pi_i its pivots, by one Kronecker
@@ -412,7 +407,8 @@ def solve(field: Field, a: Matrix, b: list) -> list:
             rhs = [index(x) % p for x in b]
         except TypeError as exc:
             raise BadSymbolError(f"matrix entries must be ints: {exc}") from exc
-    r, pivots, inverses, _ = _echelon(field, a, rhs, width)
+    ab = Packed(p, n + width, [x | y << n * w for x, y in zip(a.ints, rhs)])
+    r, pivots, inverses, _ = _echelon(field, ab)
     if pivots != list(range(n)):
         raise SingularMatrixError("system is singular")
     x = _back_substitute(p, w, r, pivots, inverses, n, width)

@@ -101,11 +101,12 @@ class Plan:
     * every |A_k| is at most p - 1 (FieldTooSmallError), so user k's
       points gamma^1..gamma^|A_k| are distinct;
     * K permutations and K scaling maps (ValueError);
-    * for each user k in turn, pi_k is a permutation of 1..|A_k|
-      (ValueError), each scaling is an int, not a bool (BadSymbolError,
-      so a zero written False or 0.0 is refused as True or 2.0 is), the
-      scalings cover exactly A_k and none is 0 (ValueError), and each is
-      in 1..p-1 (BadSymbolError);
+    * for each user k in turn, pi_k is a permutation of 1..|A_k| made of
+      ints, not bools (ValueError, so an exponent 4.0 or True is refused
+      though it sorts as 4 or 1), each scaling is an int, not a bool
+      (BadSymbolError, so a zero written False or 0.0 is refused as True
+      or 2.0 is), the scalings cover exactly A_k and none is 0
+      (ValueError), and each is in 1..p-1 (BadSymbolError);
     * K rates and K padded lengths (ValueError);
     * for each user k in turn, R'_k is an int in 0..|A_k|
       (BadShapeError) and R_k an int (not a bool) in 0..R'_k
@@ -132,7 +133,7 @@ class Plan:
             raise ValueError(f"need {k_count} permutations and scaling maps, got {len(perms)} and {len(alphas)}")
         for k, (perm, per_user) in enumerate(zip(perms, alphas), start=1):
             nodes = acc.user_set(k)
-            if sorted(perm) != list(range(1, len(nodes) + 1)):
+            if any(type(e) is not int for e in perm) or sorted(perm) != list(range(1, len(nodes) + 1)):
                 raise ValueError(f"user {k}: not a permutation of 1..{len(nodes)}")
             for n, a in per_user.items():
                 if type(a) is not int:

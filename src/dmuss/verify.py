@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, mul
@@ -106,26 +107,6 @@ def _require_nonsingular(plan: Plan) -> None:
         raise SingularMatrixError("the plan's correctness matrix is singular")
 
 
-def _pairwise_ranks(plan: Plan):
-    """(base, joint) ranks of pair (k, k'): |A_{k'}|, and |A_{k'}| plus
-    min(R_k, |A_k minus A_{k'}|), the rank of M_k (user k's first R_k
-    decode rows) on those columns by the lemma in the module docstring:
-    two bit counts on the access masks, no elimination.
-
-    Raises:
-        SingularMatrixError: the plan's correctness matrix is singular.
-    """
-    _require_nonsingular(plan)
-    masks, rates = plan.access.masks, plan.rates
-
-    def ranks(k: int, k2: int) -> tuple:
-        seen = masks[k2 - 1]
-        base = seen.bit_count()
-        return base, base + min(rates[k - 1], (masks[k - 1] & ~seen).bit_count())
-
-    return ranks
-
-
 def check_privacy(plan: Plan) -> PrivacyReport:
     """Exact pairwise-privacy check via ranks on the plan's transfer map.
 
@@ -139,34 +120,25 @@ def check_privacy(plan: Plan) -> PrivacyReport:
     decode rows, which vanish outside A_k: the low R_k rows of an inverse
     Vandermonde at distinct nonzero points, whose columns on A_k minus
     A_{k'} have rank min(R_k, |A_k minus A_{k'}|) (the lemma in the module
-    docstring).  So the pairs cost no elimination beyond the determinant
-    the plan keeps, and T is never built.
+    docstring).  So each pair is two bit counts on the access masks, with
+    no elimination beyond the determinant the plan keeps, and T is never
+    built.
 
     Raises:
         ShapeMismatchError: ``plan`` is not a Plan.
         SingularMatrixError: the plan's correctness matrix is singular.
     """
     _require_type(plan, Plan)
-    ranks = _pairwise_ranks(plan)
-    k_count = len(plan.rates)
+    _require_nonsingular(plan)
+    masks, rates = plan.access.masks, plan.rates
     pairs = []
-    for k in range(1, k_count + 1):
-        required = plan.rates[k - 1]
-        for k2 in range(1, k_count + 1):
-            if k2 == k:
-                continue
-            base, joint = ranks(k, k2)
-            pairs.append(
-                PairPrivacy(
-                    secret_user=k,
-                    observer=k2,
-                    base_rank=base,
-                    joint_rank=joint,
-                    required=required,
-                    private=joint - base == required,
-                )
-            )
-    return PrivacyReport(pairs=pairs, vacuous=k_count == 1)
+    for k, (mask, rate) in enumerate(zip(masks, rates), start=1):
+        for k2, seen in enumerate(masks, start=1):
+            if k2 != k:
+                base = seen.bit_count()
+                gain = min(rate, (mask & ~seen).bit_count())
+                pairs.append(PairPrivacy(k, k2, base, base + gain, rate, gain == rate))
+    return PrivacyReport(pairs=pairs, vacuous=len(rates) == 1)
 
 
 @dataclass
@@ -336,51 +308,36 @@ def brute_force_audit(target) -> AuditReport:
     plan = target if isinstance(target, Plan) else None
     tm = target if plan is None else transfer_map(plan)
     p = tm.field.p
-    n = len(tm.matrix)
     total = p ** tm.input_dim
     if total > AUDIT_INPUT_CAP:
         raise TooLargeError(f"{p}**{tm.input_dim} = {total} inputs exceeds cap {AUDIT_INPUT_CAP}")
 
-    k_count = len(tm.rates)
-    msg_offsets = tm.message_offsets
-    node_lists = [sorted(tm.access.user_set(k)) for k in range(1, k_count + 1)]
-    ordered_pairs = [
-        (k, k2) for k in range(1, k_count + 1) for k2 in range(1, k_count + 1) if k != k2
-    ]
-    counts = {pair: {} for pair in ordered_pairs}
+    message_spans = [slice(o, o + r) for o, r in zip(tm.message_offsets, tm.rates)]
+    users = range(1, len(tm.rates) + 1)
+    node_lists = [tm.access.sorted_set(k) for k in users]
+    # per ordered pair, the tally of (message, observation) values
+    counts = {(k, k2): Counter() for k in users for k2 in users if k != k2}
 
     seen = set()
     roundtrip_failures = 0
-    matrix = tm.matrix
     for x in itertools.product(range(p), repeat=tm.input_dim):
-        y = [sum(c * v for c, v in zip(row, x)) % p for row in matrix]
+        y = [sum(map(mul, row, x)) % p for row in tm.matrix]
         seen.add(tuple(y))
-        for pair in ordered_pairs:
-            k, k2 = pair
-            w = x[msg_offsets[k - 1] : msg_offsets[k - 1] + tm.rates[k - 1]]
-            obs = tuple(y[nd - 1] for nd in node_lists[k2 - 1])
-            key = (tuple(w), obs)
-            counts[pair][key] = counts[pair].get(key, 0) + 1
+        for (k, k2), tally in counts.items():
+            tally[x[message_spans[k - 1]], tuple(y[nd - 1] for nd in node_lists[k2 - 1])] += 1
         if plan is not None:
-            for k, got in enumerate(decode_all(plan, y), start=1):
-                w = x[msg_offsets[k - 1] : msg_offsets[k - 1] + tm.rates[k - 1]]
-                if got.message != list(w):
-                    roundtrip_failures += 1
+            decoded = decode_all(plan, y)
+            roundtrip_failures += sum(got.message != list(x[span]) for got, span in zip(decoded, message_spans))
 
     pair_reports = []
-    for pair in ordered_pairs:
-        k, _ = pair
-        tally = counts[pair]
+    for (k, k2), tally in counts.items():
         w_values = {w for w, _ in tally}
         obs_values = {o for _, o in tally}
-        independent = len(w_values) == p ** tm.rates[k - 1]
-        if independent:
-            for obs in obs_values:
-                per_w = [tally.get((w, obs), 0) for w in w_values]
-                if len(set(per_w)) != 1:
-                    independent = False
-                    break
-        pair_reports.append(AuditPair(secret_user=pair[0], observer=pair[1], independent=independent))
+        # every message value is seen, and each observation has one count across them
+        independent = len(w_values) == p ** tm.rates[k - 1] and all(
+            len({tally[w, o] for w in w_values}) == 1 for o in obs_values
+        )
+        pair_reports.append(AuditPair(secret_user=k, observer=k2, independent=independent))
 
     return AuditReport(
         inputs=total,

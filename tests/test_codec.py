@@ -445,6 +445,9 @@ def test_malformed_plans_are_refused_when_built(ref_plan):
     cases = [
         ({"perms": ((1, 1, 2, 3),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
         ({"perms": ((1, 2, 3, 5),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
+        # an exponent is an int, not a bool: 4.0 and True sort as 4 and 1 do
+        ({"perms": ((4.0, 2, 3, 1),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
+        ({"perms": ((4, 2, 3, True),) + ref_plan.perms[1:]}, ValueError, "user 1: not a permutation of 1..4"),
         ({"field": Field(3)}, FieldTooSmallError, "access set of size 5 needs p-1 >= 5, got p=3"),
         ({"alphas": ({6: 1, 7: 1, 8: 1},) + alphas[1:]}, ValueError,
          "user 1: scalings must cover the access set and be nonzero"),

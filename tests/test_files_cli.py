@@ -1137,7 +1137,46 @@ def test_cli_brute_force_on_micro_instance(tmp_path, capsys):
     inst = write_doc(tmp_path, "inst.json", doc)
     plan_path = str(tmp_path / "plan.json")
     assert main(["plan", inst, "--out", plan_path]) == 0
+    capsys.readouterr()
     assert main(["verify", plan_path, "--brute-force"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["brute_force"]["inputs"] == 27
-    assert report["brute_force"]["bijective"]
+    # the whole report, its keys in order: stdout is json.dumps's text
+    report = {
+        "brute_force": {
+            "inputs": 27,
+            "bijective": True,
+            "all_independent": True,
+            "roundtrip_failures": 0,
+            "pairs": [
+                {"secret_user": 1, "observer": 2, "independent": True},
+                {"secret_user": 2, "observer": 1, "independent": True},
+            ],
+        },
+        "ok": True,
+    }
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+def test_cli_verify_one_user_privacy_and_entropy_stdout(tmp_path, capsys):
+    # one user has nothing to hide from: the privacy report is vacuous,
+    # with no pairs, and the whole stdout is pinned byte for byte
+    doc = {"format": "dmuss.instance/1", "p": 5, "access": [[1, 2, 3]], "rates": [2]}
+    inst = write_doc(tmp_path, "inst.json", doc)
+    plan_path = str(tmp_path / "plan.json")
+    assert main(["plan", inst, "--out", plan_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", plan_path, "--privacy", "--entropy"]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "privacy": {\n'
+        '    "all_private": true,\n'
+        '    "vacuous": true,\n'
+        '    "pairs": []\n'
+        "  },\n"
+        '  "entropy": {\n'
+        '    "rank": 3,\n'
+        '    "nodes": 3,\n'
+        '    "full": true\n'
+        "  },\n"
+        '  "ok": true\n'
+        "}\n"
+    )
